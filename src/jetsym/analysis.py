@@ -16,8 +16,8 @@ from itertools import combinations_with_replacement
 from typing import Optional, Tuple
 
 from .coeffield import RF_ONE, RF_ZERO, RationalFunction, rf, sparse_rref
-from .errors import (AnsatzTooLarge, ExplicitXTDependence, NotDecomposable,
-                     StructuralViolation)
+from .errors import (AnsatzTooLarge, CrossCheckFailed, ExplicitXTDependence,
+                     NotDecomposable, StructuralViolation)
 from .hierarchy import Hierarchy, scaling_symmetry, structural_check
 from .jetalgebra import DiffPoly, EvoField, MONO_ONE, jet
 from .systems import EvolutionSystem, builtin_system
@@ -144,7 +144,8 @@ def is_conserved_density(rho: DiffPoly, system: EvolutionSystem) -> DensityClass
     # independent cross-check: the Euler images must agree with the remainder
     if dt_cert.is_exact:
         for d in range(system.nvars):
-            assert euler_operator(dt, d).is_zero, "exactness oracles disagree"
+            if not euler_operator(dt, d).is_zero:
+                raise CrossCheckFailed("exactness oracles disagree")
     if not dt_cert.is_exact:
         return DensityClassification("not_conserved", dt_cert, None)
     rho_cert = integrate_dx(rho)
@@ -301,7 +302,8 @@ def density_search(system: EvolutionSystem, ansatz: DensityAnsatz,
         else:
             const = combo.free_term()
             cert = integrate_dx(combo - DiffPoly.constant(const))
-            assert cert.is_exact, "Euler-trivial density failed integration"
+            if not cert.is_exact:
+                raise CrossCheckFailed("Euler-trivial density failed integration")
             trivial.append(TrivialDensity(combo, const, cert))
     return DensityReport(system.name, ansatz, len(monos), solution_dim,
                          tuple(nontrivial), tuple(trivial))

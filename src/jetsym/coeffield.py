@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 from .errors import DivisionByZero, PoleAtParameter
@@ -150,12 +151,28 @@ class AlphaPoly:
         return q
 
     def gcd(self, other: "AlphaPoly") -> "AlphaPoly":
-        """Monic gcd via the Euclidean algorithm."""
-        a, b = self, other
-        while not b.is_zero:
-            _, r = a.divmod(b)
-            a, b = b, r
-        return a.monic()
+        """Monic gcd: Euclid on primitive integer coefficient lists.
+
+        Each pseudo-remainder is cut to its primitive part (Brown 1971), so
+        no rational arithmetic runs inside the loop.
+        """
+        a, b = self.coeffs, other.coeffs
+        if len(a) == 1 or len(b) == 1:
+            return _APOLY_ONE
+        if not b:
+            return self.monic()
+        if not a:
+            return other.monic()
+        a, b = _primitive(a), _primitive(b)
+        if len(a) < len(b):
+            a, b = b, a
+        while len(b) > 1:
+            r = _pseudo_remainder(a, b)
+            if not r:
+                lead = b[-1]
+                return AlphaPoly(Fraction(c, lead) for c in b)
+            a, b = b, _content_free(r)
+        return _APOLY_ONE
 
     def eval(self, value: Fraction) -> Fraction:
         acc = Fraction(0)
@@ -178,7 +195,6 @@ class AlphaPoly:
         and a positive leading coefficient."""
         if not self.coeffs:
             return Fraction(1)
-        from math import gcd, lcm
         den = lcm(*(c.denominator for c in self.coeffs))
         num = gcd(*(c.numerator for c in self.coeffs))
         r = Fraction(den, num)
@@ -207,6 +223,41 @@ class AlphaPoly:
 
     def __repr__(self):
         return f"AlphaPoly({self.text()})"
+
+
+def _primitive(coeffs) -> list:
+    """Integer multiple of a nonzero rational polynomial with content 1."""
+    den = lcm(*(c.denominator for c in coeffs))
+    return _content_free([c.numerator * (den // c.denominator) for c in coeffs])
+
+
+def _content_free(ints: list) -> list:
+    g = gcd(*ints)
+    return ints if g == 1 else [c // g for c in ints]
+
+
+def _pseudo_remainder(a: list, b: list) -> list:
+    """Remainder of a by b over Z, up to a nonzero integer factor.
+
+    deg a >= deg b >= 1.  Each step scales the running remainder by
+    lc(b)/g and subtracts (lc(r)/g) x^k b, with g = gcd(lc(r), lc(b)).
+    """
+    r = list(a)
+    nb = len(b)
+    lb = b[-1]
+    while len(r) >= nb:
+        lr = r[-1]
+        g = gcd(lr, lb)
+        sr, sb = lb // g, lr // g
+        if sr != 1:
+            r = [sr * c for c in r]
+        shift = len(r) - nb
+        for j in range(nb - 1):
+            r[shift + j] -= sb * b[j]
+        r.pop()
+        while r and not r[-1]:
+            r.pop()
+    return r
 
 
 _APOLY_ZERO = AlphaPoly()
@@ -294,8 +345,20 @@ class RationalFunction:
             return RationalFunction._raw(num, _APOLY_ONE)
         if self.den.coeffs == other.den.coeffs:
             return RationalFunction(self.num + other.num, self.den)
-        return RationalFunction(self.num * other.den + other.num * self.den,
-                                self.den * other.den)
+        # Henrici's sum: with d1 = gcd(u', v'), the numerator
+        # t = u (v'/d1) + v (u'/d1) shares with (u'/d1) v' only factors of d1
+        d1 = self.den.gcd(other.den)
+        u1, v1 = self.den, other.den
+        if d1.degree > 0:
+            u1, v1 = u1 // d1, v1 // d1
+        t = self.num * v1 + other.num * u1
+        if not t.coeffs:
+            return RF_ZERO
+        d2 = t.gcd(d1)
+        v2 = other.den
+        if d2.degree > 0:
+            t, v2 = t // d2, v2 // d2
+        return RationalFunction._raw(t, u1 * v2)
 
     def __sub__(self, other):
         return self + (-other)
@@ -319,7 +382,9 @@ class RationalFunction:
         d2 = other.den if g1.degree <= 0 else other.den // g1
         n2 = other.num if g2.degree <= 0 else other.num // g2
         d1 = self.den if g2.degree <= 0 else self.den // g2
-        return RationalFunction(n1 * n2, d1 * d2)
+        # canonical, cross-reduced factors: the product is already reduced
+        # and its denominator monic
+        return RationalFunction._raw(n1 * n2, d1 * d2)
 
     __rmul__ = __mul__
 

@@ -50,6 +50,13 @@ class StructuralViolation(JetsymError):
         super().__init__(reason)
 
 
+class CrossCheckFailed(JetsymError):
+    """Two independent computations of the same exact fact disagree.
+
+    This signals a defect in the package, never a property of the input.
+    """
+
+
 class NotDecomposable(JetsymError):
     """Density does not split as constant * w + exact part."""
 

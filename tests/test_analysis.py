@@ -9,10 +9,11 @@ from jetsym.analysis import (DensityAnsatz, commutativity_table,
                              is_conserved_density, is_symmetry,
                              substitution_check, verify_hierarchy)
 from jetsym.coeffield import rf
-from jetsym.errors import AnsatzTooLarge, NotDecomposable
+from jetsym.errors import AnsatzTooLarge, CrossCheckFailed, NotDecomposable
 from jetsym.hierarchy import fs_hierarchy, fs_seed, scaling_symmetry, ts1_hierarchy
 from jetsym.jetalgebra import DiffPoly, EvoField, jet
 from jetsym.systems import parse_expression
+from jetsym.varcalc import ExactnessCertificate
 
 
 def fs_expr(src):
@@ -73,6 +74,12 @@ class TestConservedDensity:
         assert res.status == "trivial"
         assert res.rho_certificate.antiderivative == fs_expr("w^2")
 
+    def test_oracle_disagreement_raises(self, fs, monkeypatch):
+        monkeypatch.setattr("jetsym.analysis.euler_operator",
+                            lambda f, d: fs_expr("w"))
+        with pytest.raises(CrossCheckFailed):
+            is_conserved_density(fs_expr("w"), fs)
+
 
 class TestDensityDecompose:
     def test_w_itself(self):
@@ -125,6 +132,12 @@ class TestDensitySearch:
             recomposed = (part.certificate.antiderivative.dx()
                           + DiffPoly.constant(part.constant_part))
             assert recomposed == part.density
+
+    def test_failed_trivial_certificate_raises(self, fs, monkeypatch):
+        monkeypatch.setattr("jetsym.analysis.integrate_dx",
+                            lambda f: ExactnessCertificate(DiffPoly(), fs_expr("w")))
+        with pytest.raises(CrossCheckFailed):
+            density_search(fs, DensityAnsatz(1, 2))
 
     def test_ansatz_cap(self, fs):
         with pytest.raises(AnsatzTooLarge):

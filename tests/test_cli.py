@@ -1,10 +1,14 @@
 """Command-line driver: exit codes, JSON output, file round trips."""
 
+import hashlib
 import json
+
+import pytest
 
 from jetsym.cli import main
 from jetsym.errors import NonlocalObstruction
 from jetsym.jetalgebra import DiffPoly
+from jetsym.varcalc import ExactnessCertificate
 
 
 def run(capsys, *argv):
@@ -28,6 +32,24 @@ class TestGen:
         run(capsys, "gen", "--system", "fs", "--n", "3", "--out", str(out1))
         run(capsys, "gen", "--system", "fs", "--n", "3", "--out", str(out2))
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("alpha, size, sha256", [
+        (None, 70390,
+         "22c74be4acef0f3ffab0c3ff2fd77b7fd18f21585497fc4d5e674a85576f14ae"),
+        ("1/3", 53726,
+         "768e58fde6b78e039f9dcf772a0718a8c9ee65b73364499edf129e80e5234200"),
+    ])
+    def test_json_bytes_pinned(self, tmp_path, capsys, alpha, size, sha256):
+        out = tmp_path / "h.json"
+        flags = ["--alpha", alpha] if alpha else []
+        code, _, _ = run(capsys, "gen", "--system", "fs", "--n", "8",
+                         "--out", str(out), *flags)
+        assert code == 0
+        data = out.read_bytes()
+        assert data.endswith(b"\n")
+        doc = data[:-1]
+        assert len(doc) == size
+        assert hashlib.sha256(doc).hexdigest() == sha256
 
     def test_n_zero_is_usage_error(self, capsys):
         code, _, err = run(capsys, "gen", "--system", "fs", "--n", "0")
@@ -143,6 +165,14 @@ class TestDensities:
                               "--max-order", "0", "--max-degree", "1", "--json")
         assert code == 0
         assert json.loads(stdout)["system"] == "ts"
+
+    def test_cross_check_failure_exit_code(self, capsys, monkeypatch):
+        monkeypatch.setattr("jetsym.analysis.integrate_dx",
+                            lambda f: ExactnessCertificate(DiffPoly(), f))
+        code, _, err = run(capsys, "densities", "--system", "fs",
+                           "--max-order", "1", "--max-degree", "2", "--json")
+        assert code == 1
+        assert json.loads(err)["error"]["code"] == "error"
 
     def test_cap_exit_code(self, capsys, monkeypatch):
         monkeypatch.setenv("JETSYM_MAX_UNKNOWNS", "5")

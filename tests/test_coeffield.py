@@ -9,10 +9,43 @@ from jetsym.coeffield import (NEG_INF, AlphaPoly, BigRational,
                               RationalFunction, rf, solve_linear)
 from jetsym.errors import DivisionByZero, PoleAtParameter
 
-from conftest import random_rf
+from conftest import random_alpha_poly, random_fraction, random_rf
 
 ALPHA = RationalFunction.param()
-S = RationalFunction(AlphaPoly((-1, 2)))  # 2*alpha - 1
+S_POLY = AlphaPoly((-1, 2))  # 2*alpha - 1
+S = RationalFunction(S_POLY)
+
+
+def reference_gcd(a, b):
+    """Monic gcd by Euclid over Fraction, the algorithm gcd replaced."""
+    while not b.is_zero:
+        _, r = a.divmod(b)
+        a, b = b, r
+    return a.monic()
+
+
+def random_factor(rng):
+    """Zero, a nonzero constant, a power of 2*alpha - 1, or a random poly."""
+    kind = rng.randrange(5)
+    if kind == 0:
+        return AlphaPoly()
+    if kind == 1:
+        return AlphaPoly((random_fraction(rng) or 1,))
+    if kind == 2:
+        return S_POLY.pow(rng.randint(1, 4))
+    return random_alpha_poly(rng, 3)
+
+
+def random_canonical(rng):
+    """Canonical element whose denominator shares factors with others."""
+    pool = (S_POLY, AlphaPoly((1, 1)), AlphaPoly((-2, 3)), AlphaPoly((0, 1)))
+    num = random_alpha_poly(rng, 3)
+    if num.is_zero:
+        num = AlphaPoly((1,))
+    den = AlphaPoly((random_fraction(rng) or 1,))
+    for _ in range(rng.randint(0, 3)):
+        den = den * rng.choice(pool)
+    return RationalFunction(num, den)
 
 
 class TestBigRational:
@@ -50,6 +83,19 @@ class TestAlphaPoly:
         q = AlphaPoly((-1, 2)) * AlphaPoly((5, 2))
         g = p.gcd(q)
         assert g == AlphaPoly((Fraction(-1, 2), 1))  # monic alpha - 1/2
+
+    def test_gcd_matches_fraction_euclid(self):
+        rng = random.Random(23)
+        nontrivial = 0
+        for _ in range(2500):
+            common = random_factor(rng)
+            a = common * random_factor(rng)
+            b = common * random_factor(rng)
+            g = reference_gcd(a, b)
+            assert a.gcd(b).coeffs == g.coeffs
+            assert b.gcd(a).coeffs == g.coeffs
+            nontrivial += g.degree > 0
+        assert nontrivial > 500
 
     def test_text(self):
         assert AlphaPoly((-1, 2)).text() == "2*alpha - 1"
@@ -94,6 +140,25 @@ class TestRationalFunctionArithmetic:
             y = RationalFunction(x.num, x.den)
             assert x == y
             assert x.num.coeffs == y.num.coeffs and x.den.coeffs == y.den.coeffs
+
+    def test_product_and_sum_are_canonical(self):
+        rng = random.Random(29)
+        reduced_sums = 0
+        for _ in range(600):
+            x = random_canonical(rng)
+            y = random_canonical(rng)
+            if rng.random() < 0.3:
+                y = y - x  # so that x + y cancels part of the denominator
+            for got, want in (
+                    (x * y, RationalFunction(x.num * y.num, x.den * y.den)),
+                    (x + y, RationalFunction(x.num * y.den + y.num * x.den,
+                                             x.den * y.den))):
+                assert got.num.coeffs == want.num.coeffs
+                assert got.den.coeffs == want.den.coeffs
+            common = reference_gcd(x.den, y.den)
+            lcm_degree = x.den.degree + y.den.degree - common.degree
+            reduced_sums += (x + y).den.degree < lcm_degree
+        assert reduced_sums > 20
 
 
 class TestFieldAxioms:

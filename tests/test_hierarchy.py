@@ -150,9 +150,10 @@ class TestFsHierarchy:
             fs_hierarchy(0)
 
     def test_specialized_generation(self):
-        h = fs_hierarchy(3, Fraction(1))
-        sym = fs_hierarchy(3).member(3).specialize(Fraction(1))
-        assert h.member(3) == sym
+        symbolic = fs_hierarchy(8).members
+        for a0 in (Fraction(1, 3), Fraction(-2), Fraction(7, 5), Fraction(0)):
+            h = fs_hierarchy(8, a0)
+            assert list(h.members) == [m.specialize(a0) for m in symbolic]
 
     def test_json_round_trip(self):
         import json
