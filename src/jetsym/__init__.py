@@ -8,14 +8,11 @@ certificates, scaling homogeneity, uniqueness of the conserved density,
 the triangular companion hierarchy, and the linearizing substitution.
 """
 
-from .coeffield import (AlphaPoly, BigRational, LinearSolution,
-                        RationalFunction, rf, solve_linear)
-from .jetalgebra import (DiffPoly, EvoField, ExponentLattice, Monomial,
-                         T_GEN, X_GEN, jet, max_jet_order, specialize,
-                         total_x_derivative)
+from .coeffield import AlphaPoly, BigRational, RationalFunction, rf
+from .jetalgebra import DiffPoly, EvoField, Monomial, T_GEN, X_GEN, jet
 from .varcalc import (ExactnessCertificate, commutator, dt_along,
                       euler_operator, frechet, integrate_dx)
-from .operators import OperatorMatrix, OpTerm, apply_matrix, apply_term
+from .operators import OperatorMatrix, OpTerm
 from .systems import EvolutionSystem, builtin_system, parse_system, render_system
 from .hierarchy import (Hierarchy, TriangularCoeffs, fs_hierarchy, fs_seed,
                         fs_step, recursion_matrix, scaling_symmetry,
@@ -29,15 +26,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AlphaPoly", "BigRational", "DensityAnsatz", "DensityReport", "DiffPoly",
-    "EvoField", "EvolutionSystem", "ExactnessCertificate", "ExponentLattice",
-    "Hierarchy", "LinearSolution", "Monomial", "OperatorMatrix", "OpTerm",
-    "RationalFunction", "T_GEN", "TriangularCoeffs", "X_GEN", "apply_matrix",
-    "apply_term", "builtin_system", "commutativity_table", "commutator",
-    "density_decompose", "density_search", "dt_along", "euler_operator",
-    "frechet", "fs_hierarchy", "fs_seed", "fs_step", "integrate_dx",
-    "is_conserved_density", "is_symmetry", "jet", "max_jet_order",
+    "EvoField", "EvolutionSystem", "ExactnessCertificate", "Hierarchy",
+    "Monomial", "OperatorMatrix", "OpTerm", "RationalFunction", "T_GEN",
+    "TriangularCoeffs", "X_GEN", "builtin_system", "commutativity_table",
+    "commutator", "density_decompose", "density_search", "dt_along",
+    "euler_operator", "frechet", "fs_hierarchy", "fs_seed", "fs_step",
+    "integrate_dx", "is_conserved_density", "is_symmetry", "jet",
     "parse_system", "recursion_matrix", "render_system", "rf",
-    "scaling_symmetry", "solve_linear", "specialize", "structural_check",
-    "substitution_check", "second_recursion_matrix", "total_x_derivative",
-    "triangular_coeffs", "ts1_hierarchy", "verify_hierarchy",
+    "scaling_symmetry", "structural_check", "substitution_check",
+    "second_recursion_matrix", "triangular_coeffs", "ts1_hierarchy",
+    "verify_hierarchy",
 ]

@@ -21,8 +21,8 @@ from .errors import (AnsatzTooLarge, CrossCheckFailed, ExplicitXTDependence,
 from .hierarchy import Hierarchy, scaling_symmetry, structural_check
 from .jetalgebra import DiffPoly, EvoField, MONO_ONE, jet
 from .systems import EvolutionSystem, builtin_system
-from .varcalc import (DxChain, ExactnessCertificate, commutator, dt_along,
-                      euler_operator, frechet, integrate_dx)
+from .varcalc import (ExactnessCertificate, commutator, dt_along,
+                      euler_operator, integrate_dx)
 
 DEFAULT_UNKNOWN_CAP = 20000
 
@@ -30,27 +30,6 @@ DEFAULT_UNKNOWN_CAP = 20000
 def _unknown_cap() -> int:
     env = os.environ.get("JETSYM_MAX_UNKNOWNS")
     return int(env) if env else DEFAULT_UNKNOWN_CAP
-
-
-def _poly_scaled(field: EvoField):
-    """Scale a field by the lcm of its coefficient denominators.
-
-    Brackets and symmetry defects are linear in each argument over
-    constants, so zero checks may run on the scaled field, where every
-    coefficient operation stays in the fast polynomial path.  Returns
-    (scaled field, scalar), scalar = 1 when nothing was cleared.
-    """
-    from .coeffield import AlphaPoly
-    den = AlphaPoly((1,))
-    for comp in field:
-        for coeff in comp.terms.values():
-            if coeff.den.degree > 0:
-                g = den.gcd(coeff.den)
-                den = den * (coeff.den // g)
-    if den.degree <= 0:
-        return field, RF_ONE
-    c = RationalFunction(den)
-    return field.scalar_mul(c), c
 
 
 # ---------------------------------------------------------------------------
@@ -63,24 +42,9 @@ class SymmetryCheck:
     defect: EvoField
 
 
-def symmetry_defect(K: EvoField, system: EvolutionSystem) -> EvoField:
-    """D_t(K) - F'[K]; identically zero exactly for symmetries."""
-    scaled, scale = _poly_scaled(K)
-    chain_f = DxChain(system.rhs)
-    chain_k = DxChain(scaled)
-    comps = []
-    for c in range(len(K)):
-        comps.append(scaled[c].partial_t()
-                     + frechet(scaled[c], system.rhs, chain_f)
-                     - frechet(system.rhs[c], scaled, chain_k))
-    defect = EvoField(comps)
-    if not defect.is_zero and not scale == RF_ONE:
-        defect = defect.scalar_mul(scale.inverse())
-    return defect
-
-
 def is_symmetry(K: EvoField, system: EvolutionSystem) -> SymmetryCheck:
-    defect = symmetry_defect(K, system)
+    """K is a symmetry iff D_t(K) - F'[K] = K_t + [F, K] vanishes."""
+    defect = EvoField(k.partial_t() for k in K) + commutator(system.rhs, K)
     return SymmetryCheck(defect.is_zero, defect)
 
 
@@ -100,27 +64,17 @@ class CommutativityTable:
 
 
 def commutativity_table(h: Hierarchy) -> CommutativityTable:
-    """All-pairs commutators of the hierarchy members.
-
-    Members are scaled to polynomial coefficients first; the bracket is
-    bilinear over constants, so the zero pattern is unchanged and any
-    nonzero bracket is divided back before reporting.
-    """
+    """All-pairs commutators of the hierarchy members."""
     n = len(h.members)
-    scaled = [_poly_scaled(m) for m in h.members]
-    chains = [DxChain(m) for m, _ in scaled]
+    prepared: dict = {}
     zero = [[True] * n for _ in range(n)]
     failures = []
     for i in range(n):
         for j in range(i + 1, n):
-            (f, cf), (g, cg) = scaled[i], scaled[j]
-            bracket = EvoField(
-                frechet(g[c], f, chains[i]) - frechet(f[c], g, chains[j])
-                for c in range(len(f)))
+            bracket = commutator(h.members[i], h.members[j], prepared)
             if not bracket.is_zero:
                 zero[i][j] = zero[j][i] = False
-                failures.append(((i + 1, j + 1),
-                                 bracket.scalar_mul((cf * cg).inverse())))
+                failures.append(((i + 1, j + 1), bracket))
     return CommutativityTable(n, tuple(tuple(r) for r in zero), tuple(failures))
 
 
@@ -432,9 +386,10 @@ def verify_hierarchy(h: Hierarchy) -> VerificationReport:
             checks.append(CheckResult(f"structural form K_{n}", False, str(exc)))
     if is_fs:
         s = scaling_symmetry(h.specialized_at)
+        prepared: dict = {}
         for n in range(1, len(h.members) + 1):
             k = h.member(n)
-            defect = commutator(s, k) - k.scalar_mul(n)
+            defect = commutator(s, k, prepared) - k.scalar_mul(n)
             checks.append(CheckResult(f"scaling homogeneity [S, K_{n}] = {n} K_{n}",
                                       defect.is_zero))
         for n in range(1, len(h.members) + 1):

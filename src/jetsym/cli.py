@@ -14,9 +14,9 @@ from fractions import Fraction
 
 from .analysis import (DensityAnsatz, commutativity_table, density_search,
                        substitution_check, verify_hierarchy)
-from .errors import (AnsatzTooLarge, DuplicateEquation, JetsymError,
-                     MissingEquation, NonlocalObstruction, ParseError,
-                     PoleAtParameter)
+from .errors import (AnsatzTooLarge, DuplicateEquation, InvalidHierarchy,
+                     JetsymError, MissingEquation, NonlocalObstruction,
+                     ParseError, PoleAtParameter)
 from .hierarchy import Hierarchy, fs_hierarchy, ts1_hierarchy
 from .systems import builtin_names, builtin_system, parse_system, render_system
 
@@ -98,7 +98,10 @@ def cmd_gen(args) -> int:
 
 def _load_hierarchy(path: str) -> Hierarchy:
     with open(path, "r", encoding="utf-8") as fh:
-        return Hierarchy.from_json(json.load(fh))
+        try:
+            return Hierarchy.from_json(json.load(fh))
+        except ValueError as exc:  # not JSON or not UTF-8, bad rational or jet
+            raise InvalidHierarchy(f"{path}: {exc}") from None
 
 
 def cmd_verify(args) -> int:
@@ -130,6 +133,8 @@ def cmd_commute(args) -> int:
 
 
 def cmd_densities(args) -> int:
+    if args.max_order < 0 or args.max_degree < 0:
+        raise _UsageError("--max-order and --max-degree must be nonnegative")
     system = _load_system(args)
     if args.alpha:
         system = system.specialize(_parse_rational(args.alpha))
@@ -237,10 +242,10 @@ def main(argv=None) -> int:
     except PoleAtParameter as exc:
         _diag(args, "pole", str(exc), {"denominator": exc.den_text})
         return EXIT_USAGE
-    except (ParseError, DuplicateEquation, MissingEquation) as exc:
+    except (ParseError, DuplicateEquation, MissingEquation, InvalidHierarchy) as exc:
         _diag(args, "parse", str(exc))
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         _diag(args, "io", str(exc))
         return EXIT_USAGE
     except NonlocalObstruction as exc:

@@ -8,10 +8,9 @@ elements have identical representations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable
 
 from .errors import DivisionByZero, PoleAtParameter
 
@@ -309,15 +308,6 @@ class RationalFunction:
     def is_zero(self) -> bool:
         return not self.num.coeffs
 
-    @property
-    def is_constant(self) -> bool:
-        return len(self.num.coeffs) <= 1 and self.den.coeffs == _ONE_COEFFS
-
-    def constant_value(self) -> Fraction:
-        if not self.is_constant:
-            raise ValueError("not a constant rational function")
-        return self.num.coeffs[0] if self.num.coeffs else Fraction(0)
-
     def __eq__(self, other):
         return (isinstance(other, RationalFunction)
                 and self.num.coeffs == other.num.coeffs
@@ -403,18 +393,6 @@ class RationalFunction:
             den = den.scale(1 / lead)
         return RationalFunction._raw(num, den)
 
-    def pow(self, n: int) -> "RationalFunction":
-        if n < 0:
-            return self.inverse().pow(-n)
-        out = RF_ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
     def eval(self, value) -> Fraction:
         """Exact value at a parameter point; raises at a pole."""
         value = _as_fraction(value)
@@ -477,19 +455,6 @@ def rf(value) -> RationalFunction:
 # ---------------------------------------------------------------------------
 # Exact linear algebra
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LinearSolution:
-    """Full affine solution set of A x = b over the coefficient field."""
-
-    consistent: bool
-    particular: Optional[tuple]
-    nullspace: tuple
-
-    @property
-    def nullity(self) -> int:
-        return len(self.nullspace)
-
 
 def sparse_rref(rows: list, ncols: int):
     """Reduced row echelon form of sparse rows (dicts col -> RF).
@@ -557,43 +522,3 @@ def sparse_rref(rows: list, ncols: int):
         pivot_rows.append(row)
         pivot_cols.append(col)
     return pivot_rows, pivot_cols
-
-
-def solve_linear(A: Sequence[Sequence[RationalFunction]],
-                 b: Sequence[RationalFunction]) -> LinearSolution:
-    """Solve A x = b exactly; returns particular solution and nullspace basis.
-
-    Inconsistency is a reportable outcome, not an exception.
-    """
-    nrows = len(A)
-    if len(b) != nrows:
-        raise ValueError("matrix and right-hand side dimensions differ")
-    ncols = len(A[0]) if nrows else 0
-    for row in A:
-        if len(row) != ncols:
-            raise ValueError("ragged matrix")
-    rhs_col = ncols  # augmented column
-    rows = []
-    for i in range(nrows):
-        r = {j: A[i][j] for j in range(ncols) if not A[i][j].is_zero}
-        if not b[i].is_zero:
-            r[rhs_col] = b[i]
-        rows.append(r)
-    pivot_rows, pivot_cols = sparse_rref(rows, ncols + 1)
-    if pivot_cols and pivot_cols[-1] == rhs_col:
-        return LinearSolution(False, None, ())
-    pivot_of = dict(zip(pivot_cols, pivot_rows))
-    free_cols = [c for c in range(ncols) if c not in pivot_of]
-    particular = [RF_ZERO] * ncols
-    for c, row in pivot_of.items():
-        particular[c] = row.get(rhs_col, RF_ZERO)
-    nullspace = []
-    for f in free_cols:
-        vec = [RF_ZERO] * ncols
-        vec[f] = RF_ONE
-        for c, row in pivot_of.items():
-            coeff = row.get(f)
-            if coeff is not None:
-                vec[c] = -coeff
-        nullspace.append(tuple(vec))
-    return LinearSolution(True, tuple(particular), tuple(nullspace))

@@ -71,7 +71,7 @@ class AnsatzTooLarge(JetsymError):
 
 
 class ParseError(JetsymError):
-    """Syntax error in a system definition or operator text."""
+    """Syntax error in a system definition."""
 
     def __init__(self, line, column, message):
         self.line = line
@@ -89,3 +89,7 @@ class DuplicateEquation(JetsymError):
 
 class MissingEquation(JetsymError):
     """A declared dependent variable has no evolution equation."""
+
+
+class InvalidHierarchy(JetsymError):
+    """Hierarchy JSON names an unknown system or does not fit its system."""

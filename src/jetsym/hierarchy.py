@@ -10,11 +10,11 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from .coeffield import AlphaPoly, RF_ONE, RationalFunction, rf
-from .errors import StructuralViolation
+from .errors import InvalidHierarchy, StructuralViolation
 from .jetalgebra import (DiffPoly, EvoField, T_GEN, X_GEN, is_jet, jet,
                          jet_order, mono_degree2)
 from .operators import OperatorMatrix, OpTerm
-from .systems import EvolutionSystem, builtin_system, parse_expression
+from .systems import EvolutionSystem, builtin_names, builtin_system, parse_expression
 from .varcalc import ExactnessCertificate
 
 _FS_VARS = ("w", "z")
@@ -145,6 +145,8 @@ class Hierarchy:
 
     @staticmethod
     def from_json(obj) -> "Hierarchy":
+        if not isinstance(obj, dict) or obj.get("system") not in builtin_names():
+            raise InvalidHierarchy("hierarchy JSON must name a built-in system")
         system = builtin_system(obj["system"])
         spec_at = obj.get("specialized_at")
         value = None
@@ -152,6 +154,8 @@ class Hierarchy:
             value = Fraction(spec_at)
             system = system.specialize(value)
         members = tuple(EvoField.from_json(m) for m in obj["members"])
+        if any(len(m) != system.nvars for m in members):
+            raise InvalidHierarchy(f"members need {system.nvars} components")
         certs = tuple(
             StepCertificates(
                 c["n"],

@@ -11,7 +11,6 @@ ordinary integer exponents as even doubled ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Tuple
 
@@ -46,27 +45,6 @@ def jet_depvar(gen: int) -> int:
 
 def jet_order(gen: int) -> int:
     return (gen - _JET_BASE) % _ORDER_STRIDE
-
-
-@dataclass(frozen=True)
-class ExponentLattice:
-    """Allowed exponents per generator.
-
-    The default lattice admits nonnegative integers everywhere.  At most
-    one generator (``extended``) may instead range over half-integers of
-    either sign; that single extension is what the substitution check
-    needs for sqrt(u) and 1/u.
-    """
-
-    extended: Optional[int] = None
-
-    def permits(self, gen: int, exp2: int) -> bool:
-        if gen == self.extended:
-            return True
-        return exp2 >= 0 and exp2 % 2 == 0
-
-
-STANDARD_LATTICE = ExponentLattice()
 
 
 def mono_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -500,16 +478,3 @@ class EvoField:
 
     def __repr__(self):
         return f"EvoField({self.components!r})"
-
-
-def total_x_derivative(f: DiffPoly) -> DiffPoly:
-    """Module-level alias for the total derivative."""
-    return f.dx()
-
-
-def max_jet_order(f: DiffPoly) -> Optional[int]:
-    return f.max_jet_order()
-
-
-def specialize(f: DiffPoly, value) -> DiffPoly:
-    return f.specialize(value)

@@ -11,10 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NonlocalObstruction, ParseError
-from .jetalgebra import DiffPoly, EvoField
-from .systems import EvolutionSystem, ExprParser, _TokenStream, tokenize
-from .varcalc import integrate_dx
+from .errors import NonlocalObstruction
+from .jetalgebra import DP_ZERO, DiffPoly, EvoField
+from .varcalc import DxChain, integrate_dx
 
 
 @dataclass(frozen=True)
@@ -27,16 +26,6 @@ class OpTerm:
     def __post_init__(self):
         if self.power < -1:
             raise ValueError("operator powers below D_x^{-1} are not supported")
-
-
-def apply_term(term: OpTerm, f: DiffPoly) -> DiffPoly:
-    """coeff * D_x^power (f); raises NonlocalObstruction when f is inexact."""
-    if term.power >= 0:
-        return term.coeff * f.dx_iter(term.power)
-    cert = integrate_dx(f)
-    if not cert.is_exact:
-        raise NonlocalObstruction(cert.remainder)
-    return term.coeff * cert.antiderivative
 
 
 class OperatorMatrix:
@@ -66,16 +55,8 @@ class OperatorMatrix:
         column index.
         """
         n = self.size
-        dx_cache = [{0: K[j]} for j in range(n)]
+        chain = DxChain(K)
         dinv_cache: dict = {}
-
-        def dx_power(j, p):
-            cache = dx_cache[j]
-            top = max(cache)
-            while top < p:
-                cache[top + 1] = cache[top].dx()
-                top += 1
-            return cache[p]
 
         def dinv(i, j):
             if j not in dinv_cache:
@@ -85,14 +66,13 @@ class OperatorMatrix:
                 dinv_cache[j] = cert
             return dinv_cache[j].antiderivative
 
-        from .jetalgebra import DP_ZERO
         comps = []
         for i in range(n):
             acc = DP_ZERO
             for j in range(n):
                 for term in self.entries[i][j]:
                     if term.power >= 0:
-                        acc = acc + term.coeff * dx_power(j, term.power)
+                        acc = acc + term.coeff * chain.get(j, term.power)
                     else:
                         acc = acc + term.coeff * dinv(i, j)
             comps.append(acc)
@@ -101,140 +81,3 @@ class OperatorMatrix:
     def apply(self, K: EvoField) -> EvoField:
         result, _ = self.apply_detailed(K)
         return result
-
-    def text(self, system: EvolutionSystem) -> str:
-        """Text form of all entries, one per line, suitable for reparsing."""
-        lines = []
-        for i, row in enumerate(self.entries):
-            for j, entry in enumerate(row):
-                lines.append(f"[{i}][{j}] " + render_entry(entry, system))
-        return "\n".join(lines)
-
-
-def apply_matrix(M: OperatorMatrix, K: EvoField) -> EvoField:
-    return M.apply(K)
-
-
-def render_entry(entry, system: EvolutionSystem) -> str:
-    """Render a list of OpTerm as a parseable sum like ``(4)*w_x*Dinv``."""
-    if not entry:
-        return "(0)"
-    parts = []
-    param = system.parameter or "alpha"
-    for term in entry:
-        coeff = term.coeff.text(system.depvars, param)
-        if term.power != 0 and len(term.coeff.terms) > 1:
-            coeff = f"({coeff})"
-        if term.power == -1:
-            parts.append(f"{coeff}*Dinv")
-        elif term.power == 0:
-            parts.append(coeff)
-        elif term.power == 1:
-            parts.append(f"{coeff}*D")
-        else:
-            parts.append(f"{coeff}*D^{term.power}")
-    return " + ".join(parts)
-
-
-class _OperatorEntryParser(ExprParser):
-    """Expression parser extended with D symbols and coefficient division."""
-
-    @staticmethod
-    def _divide(num: DiffPoly, divisor: DiffPoly, tok):
-        if len(divisor.terms) != 1 or next(iter(divisor.terms)) != ():
-            raise ParseError(tok.line, tok.col,
-                             "divisor must be a parameter expression")
-        return num.scalar_mul(divisor.free_term().inverse())
-
-    def parse_term(self) -> DiffPoly:
-        # coefficient sub-expressions admit division by parameter factors
-        acc = self.parse_factor()
-        while True:
-            if self.ts.accept("sym", "*"):
-                acc = acc * self.parse_factor()
-                continue
-            tok = self.ts.peek()
-            if tok.kind == "sym" and tok.value == "/":
-                self.ts.next()
-                acc = self._divide(acc, self.parse_factor(), tok)
-                continue
-            return acc
-
-    def parse_entry(self):
-        terms = self.parse_opterm()
-        while True:
-            if self.ts.accept("sym", "+"):
-                terms = terms + self.parse_opterm()
-            elif self.ts.accept("sym", "-"):
-                terms = terms + [OpTerm(-t.coeff, t.power) for t in self.parse_opterm()]
-            else:
-                return terms
-
-    def parse_opterm(self):
-        from .jetalgebra import DP_ONE
-        coeff = DP_ONE
-        power = None
-        while True:
-            tok = self.ts.peek()
-            if tok.kind == "name" and tok.value in ("D", "Dinv"):
-                self.ts.next()
-                if power is not None:
-                    raise ParseError(tok.line, tok.col, "repeated D factor in one term")
-                if tok.value == "Dinv":
-                    power = -1
-                elif self.ts.accept("sym", "^"):
-                    power = int(self.ts.expect("int", what="a power").value)
-                else:
-                    power = 1
-            else:
-                if power is not None:
-                    raise ParseError(tok.line, tok.col,
-                                     "coefficient factors must precede the D factor")
-                factor = self.parse_factor()
-                while self.ts.peek().kind == "sym" and self.ts.peek().value == "/":
-                    sym = self.ts.next()
-                    factor = self._divide(factor, self.parse_factor(), sym)
-                coeff = coeff * factor
-            if not self.ts.accept("sym", "*"):
-                break
-        if power is None:
-            power = 0
-        return [OpTerm(coeff, power)]
-
-
-def parse_entry(text: str, system: EvolutionSystem):
-    """Inverse of render_entry, up to canonical term merging."""
-    ts = _TokenStream(tokenize(text))
-    ts.skip_newlines()
-    depvars = {v: i for i, v in enumerate(system.depvars)}
-    parser = _OperatorEntryParser(ts, depvars, system.parameter)
-    terms = parser.parse_entry()
-    ts.skip_newlines()
-    tok = ts.peek()
-    if tok.kind != "eof":
-        raise ParseError(tok.line, tok.col, f"trailing input {tok.value!r}")
-    # merge by power so equal operators compare equal
-    by_power: dict = {}
-    for t in terms:
-        by_power[t.power] = by_power.get(t.power, DiffPoly({})) + t.coeff
-    merged = [OpTerm(c, p) for p, c in sorted(by_power.items(), reverse=True)
-              if not c.is_zero]
-    return tuple(merged)
-
-
-def parse_matrix(text: str, system: EvolutionSystem) -> OperatorMatrix:
-    """Parse the multi-line format produced by OperatorMatrix.text."""
-    entries: dict = {}
-    size = 0
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if not (line.startswith("[") and "] " in line):
-            raise ParseError(1, 1, f"malformed matrix line {line!r}")
-        head, _, body = line.partition(" ")
-        i, j = (int(p) for p in head.replace("[", " ").replace("]", " ").split())
-        entries[(i, j)] = parse_entry(body, system)
-        size = max(size, i + 1, j + 1)
-    grid = [[entries.get((i, j), ()) for j in range(size)] for i in range(size)]
-    return OperatorMatrix(grid)

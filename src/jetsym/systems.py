@@ -25,7 +25,7 @@ from typing import Optional, Tuple
 from .coeffield import RationalFunction, rf
 from .errors import (DuplicateEquation, MissingEquation, ParseError,
                      UnknownIdentifier)
-from .jetalgebra import DiffPoly, EvoField, T_GEN, jet, jet_name
+from .jetalgebra import DiffPoly, EvoField, T_GEN, jet
 
 
 @dataclass(frozen=True)
@@ -54,7 +54,7 @@ class EvolutionSystem:
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer (shared with the operator-text parser)
+# Tokenizer
 # ---------------------------------------------------------------------------
 
 _SYMBOLS = "+-*/^()[]="
@@ -86,9 +86,9 @@ def tokenize(text: str) -> list:
                     j += 1
                 tokens.append(Token("name", line[i:j], lineno, col))
                 i = j
-            elif ch.isdigit():
+            elif ch.isdecimal():
                 j = i + 1
-                while j < n and line[j].isdigit():
+                while j < n and line[j].isdecimal():
                     j += 1
                 tokens.append(Token("int", line[i:j], lineno, col))
                 i = j
@@ -208,18 +208,22 @@ class ExprParser:
         if self.parameter is not None and name == self.parameter:
             return DiffPoly.constant(RationalFunction.param())
         root, sep, suffix = name.partition("_")
+        order = None
         if root in self.depvars:
-            d = self.depvars[root]
             if not sep:
+                order = 0
                 if self.ts.accept("sym", "["):
                     order = int(self.ts.expect("int", what="a derivative order").value)
                     self.ts.expect("sym", "]")
-                    return DiffPoly.var(jet(d, order))
-                return DiffPoly.var(jet(d, 0))
-            if suffix and set(suffix) == {"x"}:
-                return DiffPoly.var(jet(d, len(suffix)))
-            if suffix.isdigit():
-                return DiffPoly.var(jet(d, int(suffix)))
+            elif suffix and set(suffix) == {"x"}:
+                order = len(suffix)
+            elif suffix.isdecimal():
+                order = int(suffix)
+        if order is not None:
+            try:
+                return DiffPoly.var(jet(self.depvars[root], order))
+            except ValueError as exc:
+                raise ParseError(tok.line, tok.col, str(exc)) from None
         raise UnknownIdentifier(tok.line, tok.col, f"unknown identifier {name!r}")
 
 
@@ -357,7 +361,3 @@ def builtin_system(name: str) -> EvolutionSystem:
 
 def builtin_names() -> Tuple[str, ...]:
     return tuple(_BUILTIN_SOURCES)
-
-
-def jet_display_name(system: EvolutionSystem, depvar: int, order: int) -> str:
-    return jet_name(system.depvars[depvar], order)

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .coeffield import RF_ONE, AlphaPoly, RationalFunction
 from .errors import ExplicitXTDependence, NonIntegerExponentPath
 from .jetalgebra import DP_ZERO, DiffPoly, EvoField, is_jet, jet, jet_order
 
@@ -151,12 +152,44 @@ def frechet(f: DiffPoly, K: EvoField, chain: DxChain | None = None) -> DiffPoly:
     return out
 
 
-def commutator(F: EvoField, G: EvoField) -> EvoField:
-    """Bracket [F, G] = G'[F] - F'[G], componentwise."""
-    cf = DxChain(F)
-    cg = DxChain(G)
-    return EvoField(frechet(G[c], F, cf) - frechet(F[c], G, cg)
-                    for c in range(len(F)))
+def _poly_scaled(field: EvoField):
+    """(c * field, c) for c the lcm of the coefficient denominators."""
+    den = AlphaPoly((1,))
+    for comp in field:
+        for coeff in comp.terms.values():
+            if coeff.den.degree > 0:
+                g = den.gcd(coeff.den)
+                den = den * (coeff.den // g)
+    if den.degree <= 0:
+        return field, RF_ONE
+    c = RationalFunction(den)
+    return field.scalar_mul(c), c
+
+
+def commutator(F: EvoField, G: EvoField, prepared: dict | None = None) -> EvoField:
+    """Bracket [F, G] = G'[F] - F'[G], componentwise.
+
+    The bracket is bilinear over constants, so it is formed on both fields
+    scaled to polynomial coefficients, where every coefficient operation
+    stays in the fast polynomial path, and a nonzero result is divided
+    back by the product of the scales.  ``prepared`` is a caller-owned
+    dict from field to (scaled field, scale, DxChain); passing the same
+    dict across calls scales and differentiates each field only once.
+    """
+    if prepared is None:
+        prepared = {}
+    for field in (F, G):
+        if field not in prepared:
+            scaled, scale = _poly_scaled(field)
+            prepared[field] = (scaled, scale, DxChain(scaled))
+    f, cf, chain_f = prepared[F]
+    g, cg, chain_g = prepared[G]
+    bracket = EvoField(frechet(g[c], f, chain_f) - frechet(f[c], g, chain_g)
+                       for c in range(len(f)))
+    scale = cf * cg
+    if bracket.is_zero or scale == RF_ONE:
+        return bracket
+    return bracket.scalar_mul(scale.inverse())
 
 
 def dt_along(f: DiffPoly, system) -> DiffPoly:

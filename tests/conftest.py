@@ -68,8 +68,8 @@ def random_zero_free_poly(rng, nvars=2, max_order=2, terms=3):
             return p
 
 
-def random_evofield(rng, nvars=2, max_order=1, terms=2):
-    return EvoField(random_diffpoly(rng, nvars, max_order, terms)
+def random_evofield(rng, nvars=2, max_order=1, terms=2, rational=False):
+    return EvoField(random_diffpoly(rng, nvars, max_order, terms, rational=rational)
                     for _ in range(nvars))
 
 

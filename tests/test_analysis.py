@@ -1,5 +1,7 @@
 """Symmetry checks, commutativity, densities, and the substitution."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -8,7 +10,7 @@ from jetsym.analysis import (DensityAnsatz, commutativity_table,
                              density_decompose, density_search,
                              is_conserved_density, is_symmetry,
                              substitution_check, verify_hierarchy)
-from jetsym.coeffield import rf
+from jetsym.coeffield import AlphaPoly, RationalFunction, rf
 from jetsym.errors import AnsatzTooLarge, CrossCheckFailed, NotDecomposable
 from jetsym.hierarchy import fs_hierarchy, fs_seed, scaling_symmetry, ts1_hierarchy
 from jetsym.jetalgebra import DiffPoly, EvoField, jet
@@ -186,3 +188,33 @@ class TestVerifyHierarchy:
         report = verify_hierarchy(bad)
         assert not report.ok
         assert any("symmetry K_3" == c.name and not c.ok for c in report.checks)
+
+    def test_flipped_seed_pins(self):
+        # K_2 with one sign flipped, as in test_sign_flipped_seed_is_not_a_symmetry:
+        # its brackets have denominators, so every failure is divided back
+        from jetsym.hierarchy import Hierarchy
+        h = fs_hierarchy(4)
+        k2 = h.member(2)
+        over_s = RationalFunction(AlphaPoly((-4,)), AlphaPoly((-1, 2)))
+        flipped = EvoField((
+            k2[0],
+            fs_expr("z_xx + 4*w*z_x - 2*z^3")
+            + fs_expr("alpha*z*w_x + (2*alpha + 1)*z*w^2").scalar_mul(over_s),
+        ))
+        bad = Hierarchy(h.system, (h.members[0], flipped) + h.members[2:],
+                        h.provenance, h.certificates)
+        report = verify_hierarchy(bad)
+        assert [c.name for c in report.checks if not c.ok] == [
+            "symmetry K_2", "pairwise commutativity",
+            "scaling homogeneity [S, K_2] = 2 K_2"]
+        doc = json.dumps(report.to_json(), separators=(",", ":")).encode()
+        assert len(doc) == 6115
+        assert hashlib.sha256(doc).hexdigest() == \
+            "328dcdd8ac0e4fe71d288a8a669891d2573149334f79926b365bf5fbe24f3749"
+        failures = commutativity_table(bad).failures
+        assert [p for p, _ in failures] == [(2, 3), (2, 4)]
+        doc = json.dumps([[list(p), d.to_json()] for p, d in failures],
+                         separators=(",", ":")).encode()
+        assert len(doc) == 8769
+        assert hashlib.sha256(doc).hexdigest() == \
+            "3fdc8036cb6274909fb094e89c5380e50e858191217e8584e7e7886f7b5b413e"

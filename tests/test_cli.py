@@ -7,6 +7,7 @@ import pytest
 
 from jetsym.cli import main
 from jetsym.errors import NonlocalObstruction
+from jetsym.hierarchy import fs_hierarchy
 from jetsym.jetalgebra import DiffPoly
 from jetsym.varcalc import ExactnessCertificate
 
@@ -214,6 +215,67 @@ class TestRender:
         code, _, err = run(capsys, "render", "--file", str(path))
         assert code == 1
         assert "unknown identifier" in err
+
+    @pytest.mark.parametrize("name", ["w[5000]", "w_5000"])
+    def test_jet_order_overflow(self, tmp_path, capsys, name):
+        path = tmp_path / "big.sys"
+        path.write_text(f"system s\nvars w\neq w_t = {name}\n")
+        code, _, err = run(capsys, "render", "--file", str(path))
+        assert code == 1
+        assert err.startswith("jetsym: line 3, column 10: jet order out of range")
+
+
+def _input_file(tmp_path, content):
+    path = tmp_path / "input.json"
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content, encoding="utf-8")
+    return str(path)
+
+
+def _hierarchy_file(tmp_path, mutate):
+    doc = fs_hierarchy(2).to_json()
+    mutate(doc)
+    return _input_file(tmp_path, json.dumps(doc))
+
+
+BAD_INPUTS = {
+    "verify-not-json": lambda p: ["verify", _input_file(p, "{not json")],
+    "commute-not-json": lambda p: ["commute", _input_file(p, "{not json")],
+    "verify-not-utf8": lambda p: ["verify", _input_file(p, b"\xff\xfe")],
+    "verify-json-list": lambda p: ["verify", _input_file(p, "[]")],
+    "verify-directory": lambda p: ["verify", str(p)],
+    "commute-directory": lambda p: ["commute", str(p)],
+    "verify-unknown-system": lambda p: [
+        "verify", _hierarchy_file(p, lambda d: d.update(system="nosuch"))],
+    "commute-unknown-system": lambda p: [
+        "commute", _hierarchy_file(p, lambda d: d.update(system="nosuch"))],
+    "verify-component-count": lambda p: [
+        "verify", _hierarchy_file(p, lambda d: d["members"][1].pop())],
+    "commute-component-count": lambda p: [
+        "commute", _hierarchy_file(p, lambda d: d["members"][1].pop())],
+    "densities-negative-order": lambda p: [
+        "densities", "--system", "fs", "--max-order", "-1"],
+    "densities-negative-degree": lambda p: [
+        "densities", "--system", "fs", "--max-degree", "-1"],
+    "render-directory": lambda p: ["render", "--file", str(p)],
+    "render-not-utf8": lambda p: ["render", "--file", _input_file(p, b"\xff\xfe")],
+    "render-superscript-order": lambda p: [
+        "render", "--file", _input_file(p, "system s\nvars w\neq w_t = w_\u00b2\n")],
+    "render-superscript-number": lambda p: [
+        "render", "--file", _input_file(p, "system s\nvars w\neq w_t = \u00b2\n")],
+}
+
+
+class TestBadInputs:
+    @pytest.mark.parametrize("case", BAD_INPUTS)
+    def test_one_json_error_line(self, tmp_path, capsys, case):
+        code, _, err = run(capsys, *BAD_INPUTS[case](tmp_path), "--json")
+        assert code == 1
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert set(json.loads(lines[0])) == {"error"}
 
 
 class TestUsage:

@@ -8,8 +8,8 @@ import pytest
 from jetsym.coeffield import RationalFunction, rf
 from jetsym.errors import PoleAtParameter
 from jetsym.hierarchy import fs_seed
-from jetsym.jetalgebra import (DiffPoly, EvoField, ExponentLattice,
-                               T_GEN, X_GEN, jet, jet_name, mono_mul)
+from jetsym.jetalgebra import (DiffPoly, EvoField, T_GEN, X_GEN, jet,
+                               jet_name, mono_mul)
 from jetsym.systems import builtin_system, parse_expression
 
 from conftest import random_diffpoly
@@ -131,17 +131,6 @@ class TestMaxJetOrder:
 
 
 class TestLattice:
-    def test_standard_rejects_half(self):
-        lat = ExponentLattice()
-        assert lat.permits(jet(0, 0), 4)
-        assert not lat.permits(jet(0, 0), 1)
-        assert not lat.permits(jet(0, 0), -2)
-
-    def test_extended_single_generator(self):
-        lat = ExponentLattice(extended=jet(0, 0))
-        assert lat.permits(jet(0, 0), -1)
-        assert not lat.permits(jet(1, 0), -1)
-
     def test_monomials_closed_under_multiplication(self):
         m1 = ((jet(0, 0), -1), (jet(0, 1), 2))
         m2 = ((jet(0, 0), 3),)

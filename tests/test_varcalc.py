@@ -177,6 +177,15 @@ class TestCommutator:
                      + commutator(h, commutator(f, g)))
             assert total.is_zero
 
+    def test_prepared_changes_no_result(self):
+        rng = random.Random(97)
+        fields = [random_evofield(rng, rational=True) for _ in range(4)]
+        prepared: dict = {}
+        for f in fields:
+            for g in fields:
+                assert commutator(f, g, prepared) == commutator(f, g)
+        assert len(prepared) == len(set(fields))
+
 
 class TestDtAlong:
     def test_density_flow(self):
