@@ -172,18 +172,20 @@ def commutator(F: EvoField, G: EvoField, prepared: dict | None = None) -> EvoFie
     The bracket is bilinear over constants, so it is formed on both fields
     scaled to polynomial coefficients, where every coefficient operation
     stays in the fast polynomial path, and a nonzero result is divided
-    back by the product of the scales.  ``prepared`` is a caller-owned
-    dict from field to (scaled field, scale, DxChain); passing the same
-    dict across calls scales and differentiates each field only once.
+    back by the product of the scales.  A loop that brackets the same
+    fields again passes one dict of its own as ``prepared``, so that each
+    field is scaled and differentiated once; it changes no result.
     """
-    if prepared is None:
-        prepared = {}
+    entries = []
     for field in (F, G):
-        if field not in prepared:
+        entry = None if prepared is None else prepared.get(field)
+        if entry is None:
             scaled, scale = _poly_scaled(field)
-            prepared[field] = (scaled, scale, DxChain(scaled))
-    f, cf, chain_f = prepared[F]
-    g, cg, chain_g = prepared[G]
+            entry = (scaled, scale, DxChain(scaled))
+            if prepared is not None:
+                prepared[field] = entry
+        entries.append(entry)
+    (f, cf, chain_f), (g, cg, chain_g) = entries
     bracket = EvoField(frechet(g[c], f, chain_f) - frechet(f[c], g, chain_g)
                        for c in range(len(f)))
     scale = cf * cg

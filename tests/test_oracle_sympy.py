@@ -62,14 +62,12 @@ def sym_euler(e, which):
 
 
 def sym_frechet(e, k1, k2):
-    # jets above the top order of e have zero partials, so stop there
-    top = max((i for i in range(NORD) if e.has(WS[i]) or e.has(ZS[i])), default=-1)
     out = sp.Integer(0)
     d1, d2 = [k1], [k2]
-    for _ in range(top):
+    for _ in range(NORD - 1):
         d1.append(sym_dx(d1[-1]))
         d2.append(sym_dx(d2[-1]))
-    for i in range(top + 1):
+    for i in range(NORD):
         out += sp.diff(e, WS[i]) * d1[i] + sp.diff(e, ZS[i]) * d2[i]
     return sp.expand(out)
 
