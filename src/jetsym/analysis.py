@@ -15,13 +15,13 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Optional, Tuple
 
-from .coeffield import RF_ONE, RF_ZERO, RationalFunction, rf, sparse_rref
+from .coeffield import RF_ONE, RationalFunction, accumulate, rf, sparse_rref
 from .errors import (AnsatzTooLarge, CrossCheckFailed, ExplicitXTDependence,
                      NotDecomposable, StructuralViolation)
 from .hierarchy import Hierarchy, scaling_symmetry, structural_check
-from .jetalgebra import DiffPoly, EvoField, MONO_ONE, jet
+from .jetalgebra import DP_ZERO, DiffPoly, EvoField, MONO_ONE, jet, jet_depvar, jet_order
 from .systems import EvolutionSystem, builtin_system
-from .varcalc import (ExactnessCertificate, commutator, dt_along,
+from .varcalc import (DxChain, ExactnessCertificate, commutator, dt_along,
                       euler_operator, integrate_dx)
 
 DEFAULT_UNKNOWN_CAP = 20000
@@ -237,16 +237,11 @@ def density_search(system: EvolutionSystem, ansatz: DensityAnsatz,
         combo = rho
         for key, row, dens in reducers:
             coeff = image.get(key)
-            if coeff is None or coeff.is_zero:
+            if coeff is None:
                 continue
             combo = combo - dens.scalar_mul(coeff)
-            for k2, v2 in row.items():
-                cur = image.get(k2, RF_ZERO) - coeff * v2
-                if cur.is_zero:
-                    image.pop(k2, None)
-                else:
-                    image[k2] = cur
-        image = {k: v for k, v in image.items() if not v.is_zero}
+            neg = -coeff
+            accumulate(image, ((k2, v2 * neg) for k2, v2 in row.items()))
         if image:
             key = min(image)
             inv = image[key].inverse()
@@ -293,19 +288,14 @@ def substitution_check(alpha0: Optional[Fraction] = None,
         w_image = DiffPoly({((jet(u, 0), -2), (jet(u, 1), 2)): rf(Fraction(1, 4))})
     if z_image is None:
         z_image = DiffPoly({((jet(u, 0), -1), (jet(v, 0), 2)): rf(Fraction(-1, 2))})
-    images = {0: [w_image], 1: [z_image]}
-    order = fs.rhs.max_jet_order() or 0
-    for d in (0, 1):
-        for _ in range(order):
-            images[d].append(images[d][-1].dx())
+    images = DxChain(EvoField((w_image, z_image)))
 
     def push(expr: DiffPoly) -> DiffPoly:
-        from .jetalgebra import DP_ZERO, jet_depvar, jet_order
         acc = DP_ZERO
         for mono, coeff in expr.terms.items():
             term = DiffPoly.constant(coeff)
             for g, e2 in mono:
-                base = images[jet_depvar(g)][jet_order(g)]
+                base = images.get(jet_depvar(g), jet_order(g))
                 power = e2 // 2
                 for _ in range(power):
                     term = term * base

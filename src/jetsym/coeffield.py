@@ -261,7 +261,6 @@ def _pseudo_remainder(a: list, b: list) -> list:
 
 _APOLY_ZERO = AlphaPoly()
 _APOLY_ONE = AlphaPoly((1,))
-_ONE_COEFFS = (Fraction(1),)
 
 
 class RationalFunction:
@@ -328,7 +327,8 @@ class RationalFunction:
             return other
         if other.is_zero:
             return self
-        if self.den.coeffs == _ONE_COEFFS and other.den.coeffs == _ONE_COEFFS:
+        # denominators are monic, so a constant one is 1
+        if len(self.den.coeffs) == 1 and len(other.den.coeffs) == 1:
             num = self.num + other.num
             if not num.coeffs:
                 return RF_ZERO
@@ -363,7 +363,7 @@ class RationalFunction:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return RF_ZERO
-        if self.den.coeffs == _ONE_COEFFS and other.den.coeffs == _ONE_COEFFS:
+        if len(self.den.coeffs) == 1 and len(other.den.coeffs) == 1:
             return RationalFunction._raw(self.num * other.num, _APOLY_ONE)
         # cross-reduce before multiplying to keep the degrees down
         g1 = self.num.gcd(other.den)
@@ -403,7 +403,7 @@ class RationalFunction:
         return self.num.eval(value) / dv
 
     def text(self, param: str = "alpha") -> str:
-        if self.den.coeffs == _ONE_COEFFS:
+        if len(self.den.coeffs) == 1:
             return self.num.text(param)
         # display with an integer-primitive denominator, e.g. 2*alpha - 1
         r = self.den.int_scale()
@@ -452,6 +452,25 @@ def rf(value) -> RationalFunction:
     return RationalFunction.from_fraction(_as_fraction(value))
 
 
+def accumulate(out: dict, pairs) -> dict:
+    """Add each (key, coefficient) of pairs into out; returns out.
+
+    A key whose sum cancels to zero is deleted, so out never stores a
+    zero.  The coefficients of pairs must be nonzero.
+    """
+    for key, c in pairs:
+        cur = out.get(key)
+        if cur is None:
+            out[key] = c
+        else:
+            s = cur + c
+            if s.is_zero:
+                del out[key]
+            else:
+                out[key] = s
+    return out
+
+
 # ---------------------------------------------------------------------------
 # Exact linear algebra
 # ---------------------------------------------------------------------------
@@ -486,39 +505,24 @@ def sparse_rref(rows: list, ncols: int):
         for c in work[ridx]:
             occ[c].discard(ridx)
         work[ridx] = {}
-        # eliminate this column from every remaining row
-        for other_idx in list(occ.get(col, ())):
+        # eliminate this column from every remaining row and refresh the
+        # occupancy of the columns the pivot row touches (occ[col] is never
+        # read again); the pivot row is negated once, not once per row
+        neg_row = [(c, -v) for c, v in row.items() if c != col]
+        for other_idx in occ[col]:
             other = work[other_idx]
             factor = other.pop(col)
-            occ[col].discard(other_idx)
-            for c, v in row.items():
-                if c == col:
-                    continue
-                cur = other.get(c)
-                nv = v * (-factor) if cur is None else cur - factor * v
-                if nv is None or nv.is_zero:
-                    if cur is not None:
-                        del other[c]
-                        occ[c].discard(other_idx)
+            accumulate(other, ((c, v * factor) for c, v in neg_row))
+            for c, _ in neg_row:
+                if c in other:
+                    occ[c].add(other_idx)
                 else:
-                    if cur is None:
-                        occ.setdefault(c, set()).add(other_idx)
-                    other[c] = nv
+                    occ[c].discard(other_idx)
         # eliminate from previously found pivot rows (full RREF)
         for prow in pivot_rows:
             factor = prow.pop(col, None)
-            if factor is None:
-                continue
-            for c, v in row.items():
-                if c == col:
-                    continue
-                cur = prow.get(c)
-                nv = v * (-factor) if cur is None else cur - factor * v
-                if nv is None or nv.is_zero:
-                    if cur is not None:
-                        del prow[c]
-                else:
-                    prow[c] = nv
+            if factor is not None:
+                accumulate(prow, ((c, v * factor) for c, v in neg_row))
         pivot_rows.append(row)
         pivot_cols.append(col)
     return pivot_rows, pivot_cols

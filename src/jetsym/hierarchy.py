@@ -11,7 +11,7 @@ from typing import Optional, Tuple
 
 from .coeffield import AlphaPoly, RF_ONE, RationalFunction, rf
 from .errors import InvalidHierarchy, StructuralViolation
-from .jetalgebra import (DiffPoly, EvoField, T_GEN, X_GEN, is_jet, jet,
+from .jetalgebra import (DP_ZERO, DiffPoly, EvoField, T_GEN, X_GEN, is_jet, jet,
                          jet_order, mono_degree2)
 from .operators import OperatorMatrix, OpTerm
 from .systems import EvolutionSystem, builtin_names, builtin_system, parse_expression
@@ -148,27 +148,37 @@ class Hierarchy:
         if not isinstance(obj, dict) or obj.get("system") not in builtin_names():
             raise InvalidHierarchy("hierarchy JSON must name a built-in system")
         system = builtin_system(obj["system"])
-        spec_at = obj.get("specialized_at")
-        value = None
-        if spec_at is not None:
-            value = Fraction(spec_at)
+        try:
+            spec_at = obj.get("specialized_at")
+            value = None if spec_at is None else Fraction(spec_at)
+            members = tuple(EvoField.from_json(m) for m in obj["members"])
+            certs = tuple(
+                StepCertificates(
+                    c["n"],
+                    ExactnessCertificate(DiffPoly.from_json(c["prev"]), DP_ZERO),
+                    ExactnessCertificate(DiffPoly.from_json(c["prevprev"]), DP_ZERO))
+                for c in obj.get("certificates", ()))
+            provenance = tuple(obj.get("provenance", ()))
+            triangular = None
+            if "b_sequence" in obj:
+                bs = (rf(0),) + tuple(RationalFunction.from_json(b)
+                                      for b in obj["b_sequence"])
+                triangular = TriangularCoeffs(bs, ())
+        except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as exc:
+            raise InvalidHierarchy(f"malformed hierarchy JSON: {exc!r}") from None
+        if value is not None:
             system = system.specialize(value)
-        members = tuple(EvoField.from_json(m) for m in obj["members"])
-        if any(len(m) != system.nvars for m in members):
-            raise InvalidHierarchy(f"members need {system.nvars} components")
-        certs = tuple(
-            StepCertificates(
-                c["n"],
-                ExactnessCertificate(DiffPoly.from_json(c["prev"]), DiffPoly({})),
-                ExactnessCertificate(DiffPoly.from_json(c["prevprev"]), DiffPoly({})))
-            for c in obj.get("certificates", ()))
-        triangular = None
-        if "b_sequence" in obj:
-            bs = (rf(0),) + tuple(RationalFunction.from_json(b)
-                                  for b in obj["b_sequence"])
-            triangular = TriangularCoeffs(bs, ())
-        return Hierarchy(system, members, tuple(obj.get("provenance", ())),
-                         certs, value, triangular)
+        nvars = system.nvars
+        if any(len(m) != nvars for m in members):
+            raise InvalidHierarchy(f"members need {nvars} components")
+        polys = [p for m in members for p in m]
+        polys += [c.prev.antiderivative for c in certs]
+        polys += [c.prevprev.antiderivative for c in certs]
+        if any(d >= nvars for p in polys for d in p.depvars()):
+            raise InvalidHierarchy("a jet names a dependent variable the system lacks")
+        if any(not isinstance(c.n, int) or not 3 <= c.n <= len(members) for c in certs):
+            raise InvalidHierarchy("a certificate names no recursion step")
+        return Hierarchy(system, members, provenance, certs, value, triangular)
 
 
 def fs_step(kprev: EvoField, kprevprev: EvoField,
@@ -222,12 +232,11 @@ def triangular_coeffs(N: int) -> TriangularCoeffs:
     half_one_minus_a = (rf(1) - a) * rf(Fraction(1, 2))
     b = [rf(0), rf(1), a]
     v = 1
-    q = [DiffPoly.zero(), DiffPoly.zero(),
-         DiffPoly.var(jet(v, 0)) * DiffPoly.var(jet(v, 0))]
+    q = [DP_ZERO, DP_ZERO, DiffPoly.var(jet(v, 0)) * DiffPoly.var(jet(v, 0))]
     for n in range(3, N + 1):
         b.append(b[n - 1] - half_one_minus_a * b[n - 2])
         vterm = DiffPoly.var(jet(v, 0)) * DiffPoly.var(jet(v, n - 2))
-        q.append(q[n - 1].dx() - q[n - 2].dx_iter(2).scalar_mul(half_one_minus_a)
+        q.append(q[n - 1].dx() - q[n - 2].dx().dx().scalar_mul(half_one_minus_a)
                  + vterm)
     return TriangularCoeffs(tuple(b[:N + 1]), tuple(q[:N + 1]))
 

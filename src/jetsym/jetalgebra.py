@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Optional, Tuple
 
-from .coeffield import RF_ONE, RF_ZERO, RationalFunction, rf
+from .coeffield import RF_ONE, RF_ZERO, RationalFunction, accumulate, rf
 from .errors import PoleAtParameter
 
 X_GEN = 0
@@ -117,6 +117,14 @@ def jet_name(name: str, order: int) -> str:
     return f"{name}_{order}"
 
 
+def _lower(mono: Monomial, idx: int, coeff: RationalFunction):
+    """d/dg of the term coeff * mono, g the factor at idx: (monomial, coeff)."""
+    g, e2 = mono[idx]
+    if e2 == 2:
+        return mono[:idx] + mono[idx + 1:], coeff
+    return mono[:idx] + ((g, e2 - 2),) + mono[idx + 1:], coeff * Fraction(e2, 2)
+
+
 class DiffPoly:
     """Differential polynomial: canonical mapping monomial -> coefficient."""
 
@@ -129,10 +137,6 @@ class DiffPoly:
         raise AttributeError("DiffPoly is immutable")
 
     # -- constructors -----------------------------------------------------
-    @staticmethod
-    def zero() -> "DiffPoly":
-        return DP_ZERO
-
     @staticmethod
     def constant(value) -> "DiffPoly":
         c = rf(value) if not isinstance(value, RationalFunction) else value
@@ -155,18 +159,8 @@ class DiffPoly:
 
     @staticmethod
     def from_terms(pairs: Iterable) -> "DiffPoly":
-        terms: dict = {}
-        for mono, coeff in pairs:
-            c = coeff if isinstance(coeff, RationalFunction) else rf(coeff)
-            if c.is_zero:
-                continue
-            cur = terms.get(mono)
-            c = c if cur is None else cur + c
-            if c.is_zero:
-                terms.pop(mono, None)
-            else:
-                terms[mono] = c
-        return DiffPoly(terms)
+        coerced = ((mono, rf(coeff)) for mono, coeff in pairs)
+        return DiffPoly(accumulate({}, ((m, c) for m, c in coerced if not c.is_zero)))
 
     # -- basic queries -----------------------------------------------------
     @property
@@ -221,18 +215,7 @@ class DiffPoly:
         a, b = self.terms, other.terms
         if len(a) < len(b):
             a, b = b, a
-        out = dict(a)
-        for m, c in b.items():
-            cur = out.get(m)
-            if cur is None:
-                out[m] = c
-            else:
-                s = cur + c
-                if s.is_zero:
-                    del out[m]
-                else:
-                    out[m] = s
-        return DiffPoly(out)
+        return DiffPoly(accumulate(dict(a), b.items()))
 
     def __sub__(self, other):
         if not isinstance(other, DiffPoly):
@@ -249,21 +232,9 @@ class DiffPoly:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
-        out: dict = {}
-        for m1, c1 in a.items():
-            for m2, c2 in b.items():
-                m = mono_mul(m1, m2)
-                c = c1 * c2
-                cur = out.get(m)
-                if cur is None:
-                    out[m] = c
-                else:
-                    s = cur + c
-                    if s.is_zero:
-                        del out[m]
-                    else:
-                        out[m] = s
-        return DiffPoly(out)
+        return DiffPoly(accumulate({}, ((mono_mul(m1, m2), c1 * c2)
+                                        for m1, c1 in a.items()
+                                        for m2, c2 in b.items())))
 
     __rmul__ = __mul__
 
@@ -276,56 +247,24 @@ class DiffPoly:
     # -- calculus -----------------------------------------------------------
     def partial(self, gen: int) -> "DiffPoly":
         """Partial derivative with respect to a single generator."""
-        out: dict = {}
-        for mono, coeff in self.terms.items():
-            for idx, (g, e2) in enumerate(mono):
-                if g != gen:
-                    continue
-                c = coeff * Fraction(e2, 2)
-                ne2 = e2 - 2
-                if ne2 == 0:
-                    nm = mono[:idx] + mono[idx + 1:]
-                else:
-                    nm = mono[:idx] + ((g, ne2),) + mono[idx + 1:]
-                cur = out.get(nm)
-                s = c if cur is None else cur + c
-                if s.is_zero:
-                    out.pop(nm, None)
-                else:
-                    out[nm] = s
-                break
-        return DiffPoly(out)
+        # dividing by gen is injective on monomials: no two terms merge
+        return DiffPoly(dict(_lower(mono, idx, coeff)
+                             for mono, coeff in self.terms.items()
+                             for idx, (g, _) in enumerate(mono) if g == gen))
 
     def dx(self) -> "DiffPoly":
         """Total x-derivative: bumps jets, differentiates explicit x."""
-        out: dict = {}
+        return DiffPoly(accumulate({}, self._dx_terms()))
+
+    def _dx_terms(self):
         for mono, coeff in self.terms.items():
-            for idx, (g, e2) in enumerate(mono):
+            for idx, (g, _) in enumerate(mono):
                 if g == T_GEN:
                     continue
-                c = coeff * Fraction(e2, 2)
-                ne2 = e2 - 2
-                if ne2 == 0:
-                    base = mono[:idx] + mono[idx + 1:]
-                else:
-                    base = mono[:idx] + ((g, ne2),) + mono[idx + 1:]
-                if g == X_GEN:
-                    nm = base
-                else:
-                    nm = mono_mul(base, ((jet(jet_depvar(g), jet_order(g) + 1), 2),))
-                cur = out.get(nm)
-                s = c if cur is None else cur + c
-                if s.is_zero:
-                    out.pop(nm, None)
-                else:
-                    out[nm] = s
-        return DiffPoly(out)
-
-    def dx_iter(self, n: int) -> "DiffPoly":
-        cur = self
-        for _ in range(n):
-            cur = cur.dx()
-        return cur
+                base, c = _lower(mono, idx, coeff)
+                if g != X_GEN:
+                    base = mono_mul(base, ((jet(jet_depvar(g), jet_order(g) + 1), 2),))
+                yield base, c
 
     def partial_t(self) -> "DiffPoly":
         return self.partial(T_GEN)
@@ -338,13 +277,8 @@ class DiffPoly:
                 v = coeff.eval(value)
             except PoleAtParameter as exc:
                 raise PoleAtParameter(exc.value, exc.den_text, monomial=mono) from None
-            if v == 0:
-                continue
-            cur = out.get(mono)
-            nc = RationalFunction.from_fraction(v)
-            s = nc if cur is None else cur + nc
-            if not s.is_zero:
-                out[mono] = s
+            if v:
+                out[mono] = RationalFunction.from_fraction(v)
         return DiffPoly(out)
 
     # -- rendering ------------------------------------------------------------
@@ -385,7 +319,8 @@ class DiffPoly:
 
     @staticmethod
     def from_json(obj) -> "DiffPoly":
-        terms = {}
+        """Inverse of to_json; raises ValueError for a malformed monomial."""
+        pairs = []
         for item in obj:
             mono = []
             for gj, e in item["exps"]:
@@ -393,16 +328,23 @@ class DiffPoly:
                     g = X_GEN
                 elif gj == "t":
                     g = T_GEN
-                else:
+                elif isinstance(gj[0], int) and isinstance(gj[1], int) and gj[0] >= 0:
                     g = jet(gj[0], gj[1])
+                else:
+                    raise ValueError(f"invalid generator {gj!r}")
                 if isinstance(e, str):
-                    e2 = int(e.split("/")[0])
+                    num, two = e.split("/")
+                    e2 = int(num) if two == "2" else 0
                 else:
                     e2 = 2 * e
+                if not isinstance(e2, int) or e2 == 0:
+                    raise ValueError(f"invalid exponent {e!r}")
                 mono.append((g, e2))
             mono.sort()
-            terms[tuple(mono)] = RationalFunction.from_json(item["coeff"])
-        return DiffPoly(terms)
+            if len({g for g, _ in mono}) < len(mono):
+                raise ValueError("a generator repeats within a monomial")
+            pairs.append((tuple(mono), RationalFunction.from_json(item["coeff"])))
+        return DiffPoly.from_terms(pairs)
 
     def __repr__(self):
         names = tuple(f"q{i}" for i in range(8))

@@ -77,7 +77,3 @@ class OperatorMatrix:
                         acc = acc + term.coeff * dinv(i, j)
             comps.append(acc)
         return EvoField(comps), dict(dinv_cache)
-
-    def apply(self, K: EvoField) -> EvoField:
-        result, _ = self.apply_detailed(K)
-        return result

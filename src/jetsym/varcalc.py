@@ -29,19 +29,19 @@ class ExactnessCertificate:
 
 
 def euler_operator(f: DiffPoly, depvar: int) -> DiffPoly:
-    """Variational derivative sum_i (-D_x)^i d f / d(depvar_i)."""
+    """Variational derivative sum_i (-D_x)^i d f / d(depvar_i).
+
+    Evaluated in Horner form d_0 f - D_x(d_1 f - D_x(d_2 f - ...)), which
+    takes one D_x per jet order instead of i for the i-th term.
+    """
     if f.contains_xt():
         raise ExplicitXTDependence("Euler operator needs an x,t-free input")
     top = f.max_jet_order()
     if top is None:
         return DP_ZERO
     out = DP_ZERO
-    for i in range(top + 1):
-        p = f.partial(jet(depvar, i))
-        if p.is_zero:
-            continue
-        p = p.dx_iter(i)
-        out = out + p if i % 2 == 0 else out - p
+    for i in range(top, -1, -1):
+        out = f.partial(jet(depvar, i)) - out.dx()
     return out
 
 

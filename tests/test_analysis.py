@@ -13,7 +13,7 @@ from jetsym.analysis import (DensityAnsatz, commutativity_table,
 from jetsym.coeffield import AlphaPoly, RationalFunction, rf
 from jetsym.errors import AnsatzTooLarge, CrossCheckFailed, NotDecomposable
 from jetsym.hierarchy import fs_hierarchy, fs_seed, scaling_symmetry, ts1_hierarchy
-from jetsym.jetalgebra import DiffPoly, EvoField, jet
+from jetsym.jetalgebra import DP_ZERO, DiffPoly, EvoField, jet
 from jetsym.systems import parse_expression
 from jetsym.varcalc import ExactnessCertificate
 
@@ -31,7 +31,7 @@ class TestIsSymmetry:
         assert is_symmetry(scaling_symmetry(), fs).ok
 
     def test_non_symmetry_has_defect(self, fs):
-        bad = EvoField((fs_expr("w"), DiffPoly.zero()))
+        bad = EvoField((fs_expr("w"), DP_ZERO))
         res = is_symmetry(bad, fs)
         assert not res.ok
         assert not res.defect.is_zero
@@ -49,8 +49,8 @@ class TestCommutativity:
 
     def test_detects_nonzero(self, fs):
         from jetsym.hierarchy import Hierarchy
-        f = EvoField((fs_expr("w^2"), DiffPoly.zero()))
-        g = EvoField((fs_expr("w^3"), DiffPoly.zero()))
+        f = EvoField((fs_expr("w^2"), DP_ZERO))
+        g = EvoField((fs_expr("w^3"), DP_ZERO))
         h = Hierarchy(fs, (f, g), ("seed", "seed"), ())
         table = commutativity_table(h)
         assert not table.all_zero

@@ -234,8 +234,8 @@ def _input_file(tmp_path, content):
     return str(path)
 
 
-def _hierarchy_file(tmp_path, mutate):
-    doc = fs_hierarchy(2).to_json()
+def _hierarchy_file(tmp_path, mutate, n=2):
+    doc = fs_hierarchy(n).to_json()
     mutate(doc)
     return _input_file(tmp_path, json.dumps(doc))
 
@@ -255,6 +255,15 @@ BAD_INPUTS = {
         "verify", _hierarchy_file(p, lambda d: d["members"][1].pop())],
     "commute-component-count": lambda p: [
         "commute", _hierarchy_file(p, lambda d: d["members"][1].pop())],
+    "verify-no-members": lambda p: [
+        "verify", _hierarchy_file(p, lambda d: d.pop("members"))],
+    "verify-members-not-list": lambda p: [
+        "verify", _hierarchy_file(p, lambda d: d.update(members=3))],
+    "verify-depvar-out-of-range": lambda p: [
+        "verify", _hierarchy_file(
+            p, lambda d: d["members"][0][0][0].update(exps=[[[2, 1], 1]]))],
+    "verify-certificate-no-prev": lambda p: [
+        "verify", _hierarchy_file(p, lambda d: d["certificates"][0].pop("prev"), n=3)],
     "densities-negative-order": lambda p: [
         "densities", "--system", "fs", "--max-order", "-1"],
     "densities-negative-degree": lambda p: [

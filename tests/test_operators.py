@@ -20,7 +20,7 @@ def fs_expr(src):
 
 def apply_term(term, f):
     """A single operator term applied as a 1x1 matrix to a scalar field."""
-    return OperatorMatrix([[(term,)]]).apply(EvoField((f,)))[0]
+    return OperatorMatrix([[(term,)]]).apply_detailed(EvoField((f,)))[0][0]
 
 
 class TestApplyTerm:
@@ -49,18 +49,18 @@ class TestApplyMatrix:
     def test_rec_first_row_on_seed(self):
         k1, _ = fs_seed()
         rec = recursion_matrix()
-        out = rec.apply(k1)
+        out = rec.apply_detailed(k1)[0]
         assert out[0] == fs_expr("w_xx + 8*w*w_x")
 
     def test_zero_matrix(self):
         _, k2 = fs_seed()
         zero = OperatorMatrix([[(), ()], [(), ()]])
-        assert zero.apply(k2).is_zero
+        assert zero.apply_detailed(k2)[0].is_zero
 
     def test_second_recursion_matrix_second_component_on_seed(self):
         k1, _ = fs_seed()
         m = second_recursion_matrix()
-        out = m.apply(k1)
+        out = m.apply_detailed(k1)[0]
         s = AlphaPoly((-1, 2))
         alpha = AlphaPoly((0, 1))
         two_a_over_s = RationalFunction(AlphaPoly((0, 2)), s)
@@ -82,7 +82,7 @@ class TestApplyMatrix:
         rec = recursion_matrix()
         bad = EvoField((fs_expr("w_x^2"), fs_expr("z_x")))
         with pytest.raises(NonlocalObstruction) as exc:
-            rec.apply(bad)
+            rec.apply_detailed(bad)
         assert exc.value.entry == (0, 0)
 
     def test_linearity(self):
@@ -95,8 +95,9 @@ class TestApplyMatrix:
             k = EvoField((k[0].dx(), k[1]))
             l = EvoField((l[0].dx(), l[1]))
             a, b = rf(3), rf(-2)
-            lhs = rec.apply(k.scalar_mul(a) + l.scalar_mul(b))
-            rhs = rec.apply(k).scalar_mul(a) + rec.apply(l).scalar_mul(b)
+            lhs = rec.apply_detailed(k.scalar_mul(a) + l.scalar_mul(b))[0]
+            rhs = (rec.apply_detailed(k)[0].scalar_mul(a)
+                   + rec.apply_detailed(l)[0].scalar_mul(b))
             assert lhs == rhs
 
     def test_dinv_local_consistency(self):

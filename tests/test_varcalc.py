@@ -6,7 +6,7 @@ import pytest
 
 from jetsym.errors import ExplicitXTDependence, NonIntegerExponentPath
 from jetsym.hierarchy import fs_seed, scaling_symmetry
-from jetsym.jetalgebra import DiffPoly, EvoField, X_GEN, jet
+from jetsym.jetalgebra import DP_ZERO, DiffPoly, EvoField, X_GEN, jet
 from jetsym.systems import builtin_system, parse_expression
 from jetsym.varcalc import (commutator, dt_along, euler_operator, frechet,
                             integrate_dx)
@@ -126,7 +126,7 @@ class TestFrechet:
             assert frechet(rho0, k) == k[0]
 
     def test_cubic(self):
-        k = EvoField((DiffPoly.zero(), fs_expr("z_x")))
+        k = EvoField((DP_ZERO, fs_expr("z_x")))
         assert frechet(fs_expr("z^3"), k) == fs_expr("3*z^2*z_x")
 
     def test_derivation_in_f(self):
