@@ -8,7 +8,7 @@ certificates, scaling homogeneity, uniqueness of the conserved density,
 the triangular companion hierarchy, and the linearizing substitution.
 """
 
-from .coeffield import AlphaPoly, BigRational, RationalFunction, rf
+from .coeffield import AlphaPoly, RationalFunction, rf
 from .jetalgebra import DiffPoly, EvoField, Monomial, T_GEN, X_GEN, jet
 from .varcalc import (ExactnessCertificate, commutator, dt_along,
                       euler_operator, frechet, integrate_dx)
@@ -25,7 +25,7 @@ from .analysis import (DensityAnsatz, DensityReport, commutativity_table,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlphaPoly", "BigRational", "DensityAnsatz", "DensityReport", "DiffPoly",
+    "AlphaPoly", "DensityAnsatz", "DensityReport", "DiffPoly",
     "EvoField", "EvolutionSystem", "ExactnessCertificate", "Hierarchy",
     "Monomial", "OperatorMatrix", "OpTerm", "RationalFunction", "T_GEN",
     "TriangularCoeffs", "X_GEN", "builtin_system", "commutativity_table",

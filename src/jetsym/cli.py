@@ -14,9 +14,10 @@ from fractions import Fraction
 
 from .analysis import (DensityAnsatz, commutativity_table, density_search,
                        substitution_check, verify_hierarchy)
+from .coeffield import parse_rational
 from .errors import (AnsatzTooLarge, DuplicateEquation, InvalidHierarchy,
                      JetsymError, MissingEquation, NonlocalObstruction,
-                     ParseError, PoleAtParameter)
+                     NumberTooLong, ParseError, PoleAtParameter)
 from .hierarchy import Hierarchy, fs_hierarchy, ts1_hierarchy
 from .systems import builtin_names, builtin_system, parse_system, render_system
 
@@ -48,7 +49,7 @@ def _diag(args, code: str, message: str, extra=None):
 
 def _parse_rational(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        return parse_rational(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise _UsageError(f"invalid rational {text!r}: {exc}") from None
 
@@ -255,6 +256,9 @@ def main(argv=None) -> int:
         return EXIT_NONLOCAL
     except AnsatzTooLarge as exc:
         _diag(args, "resource", str(exc), {"count": exc.count, "cap": exc.cap})
+        return EXIT_RESOURCE
+    except NumberTooLong as exc:
+        _diag(args, "resource", str(exc))
         return EXIT_RESOURCE
     except JetsymError as exc:
         _diag(args, "error", str(exc))

@@ -12,11 +12,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable
 
-from .errors import DivisionByZero, PoleAtParameter
-
-# Arbitrary-precision rationals: numerator/denominator coprime, denominator
-# positive, zero stored as 0/1.  fractions.Fraction guarantees all three.
-BigRational = Fraction
+from .errors import DivisionByZero, NumberTooLong, PoleAtParameter
 
 #: degree of the zero polynomial; compares below every integer degree
 NEG_INF = float("-inf")
@@ -28,8 +24,28 @@ def _as_fraction(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        return parse_rational(value)
     raise TypeError(f"cannot coerce {value!r} to a rational number")
+
+
+def parse_rational(text: str) -> Fraction:
+    """The rational that text spells as ``p``, ``p/q`` or a decimal.
+
+    An exponent is refused: ``1e999999999`` would make Fraction build an
+    integer of unbounded size past Python's limit on parsed digits.
+    """
+    if "e" in text or "E" in text:
+        raise ValueError("an exponent is not accepted")
+    return Fraction(text)
+
+
+def rational_text(q: Fraction) -> str:
+    """str(q), or NumberTooLong past Python's limit on printed digits."""
+    try:
+        return str(q)
+    except ValueError:
+        bits = max(abs(q.numerator), q.denominator).bit_length()
+        raise NumberTooLong(f"a number of {bits} bits is too long to print") from None
 
 
 class AlphaPoly:
@@ -43,16 +59,15 @@ class AlphaPoly:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
 
+    @staticmethod
+    def _of(coeffs: tuple) -> "AlphaPoly":
+        """Trusted constructor: Fractions whose last entry is nonzero."""
+        p = object.__new__(AlphaPoly)
+        object.__setattr__(p, "coeffs", coeffs)
+        return p
+
     def __setattr__(self, name, value):
         raise AttributeError("AlphaPoly is immutable")
-
-    @staticmethod
-    def const(value) -> "AlphaPoly":
-        return AlphaPoly((value,))
-
-    @staticmethod
-    def param() -> "AlphaPoly":
-        return AlphaPoly((0, 1))
 
     @property
     def degree(self):
@@ -75,7 +90,7 @@ class AlphaPoly:
         return hash(self.coeffs)
 
     def __neg__(self):
-        return AlphaPoly(tuple(-c for c in self.coeffs))
+        return AlphaPoly._of(tuple(-c for c in self.coeffs))
 
     def __add__(self, other):
         a, b = self.coeffs, other.coeffs
@@ -84,16 +99,10 @@ class AlphaPoly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return AlphaPoly(out)
-
-    def __sub__(self, other):
-        out = list(self.coeffs)
-        b = other.coeffs
-        if len(out) < len(b):
-            out.extend([Fraction(0)] * (len(b) - len(out)))
-        for i, c in enumerate(b):
-            out[i] -= c
-        return AlphaPoly(out)
+        # the leading terms of a sum can cancel; a product's cannot
+        while out and not out[-1]:
+            out.pop()
+        return AlphaPoly._of(tuple(out))
 
     def __mul__(self, other):
         a, b = self.coeffs, other.coeffs
@@ -101,21 +110,21 @@ class AlphaPoly:
             return _APOLY_ZERO
         if len(a) == 1:
             c = a[0]
-            return AlphaPoly(tuple(c * x for x in b))
+            return AlphaPoly._of(tuple(c * x for x in b))
         if len(b) == 1:
             c = b[0]
-            return AlphaPoly(tuple(c * x for x in a))
+            return AlphaPoly._of(tuple(c * x for x in a))
         out = [Fraction(0)] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
                 for j, cb in enumerate(b):
                     out[i + j] += ca * cb
-        return AlphaPoly(out)
+        return AlphaPoly._of(tuple(out))
 
     def scale(self, q: Fraction) -> "AlphaPoly":
         if q == 0:
             return _APOLY_ZERO
-        return AlphaPoly(tuple(q * c for c in self.coeffs))
+        return AlphaPoly._of(tuple(q * c for c in self.coeffs))
 
     def monic(self) -> "AlphaPoly":
         if not self.coeffs:
@@ -143,7 +152,9 @@ class AlphaPoly:
                 quo[i] = q
                 for j, oc in enumerate(ob):
                     rem[i + j] -= q * oc
-        return AlphaPoly(quo), AlphaPoly(rem)
+        while rem and not rem[-1]:
+            rem.pop()
+        return AlphaPoly._of(tuple(quo)), AlphaPoly._of(tuple(rem))
 
     def __floordiv__(self, other):
         q, _ = self.divmod(other)
@@ -169,7 +180,7 @@ class AlphaPoly:
             r = _pseudo_remainder(a, b)
             if not r:
                 lead = b[-1]
-                return AlphaPoly(Fraction(c, lead) for c in b)
+                return AlphaPoly._of(tuple(Fraction(c, lead) for c in b))
             a, b = b, _content_free(r)
         return _APOLY_ONE
 
@@ -178,16 +189,6 @@ class AlphaPoly:
         for c in reversed(self.coeffs):
             acc = acc * value + c
         return acc
-
-    def pow(self, n: int) -> "AlphaPoly":
-        out = _APOLY_ONE
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def int_scale(self) -> Fraction:
         """Rational r such that r * self has coprime integer coefficients
@@ -208,11 +209,11 @@ class AlphaPoly:
             c = self.coeffs[deg]
             if c == 0:
                 continue
+            mag = rational_text(abs(c))
             if deg == 0:
-                body = str(abs(c))
+                body = mag
             else:
-                mag = abs(c)
-                head = "" if mag == 1 else f"{mag}*"
+                head = "" if mag == "1" else f"{mag}*"
                 body = f"{head}{param}" if deg == 1 else f"{head}{param}^{deg}"
             if not parts:
                 parts.append(body if c > 0 else f"-{body}")
@@ -270,11 +271,11 @@ class RationalFunction:
 
     def __init__(self, num, den=None):
         if isinstance(num, (int, Fraction, str)):
-            num = AlphaPoly.const(_as_fraction(num))
+            num = AlphaPoly((num,))
         if den is None:
             den = _APOLY_ONE
         elif isinstance(den, (int, Fraction, str)):
-            den = AlphaPoly.const(_as_fraction(den))
+            den = AlphaPoly((den,))
         num, den = _reduce(num, den)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
@@ -291,17 +292,8 @@ class RationalFunction:
         return rf
 
     @staticmethod
-    def from_fraction(q) -> "RationalFunction":
-        q = _as_fraction(q)
-        if q == 0:
-            return RF_ZERO
-        if q == 1:
-            return RF_ONE
-        return RationalFunction._raw(AlphaPoly.const(q), _APOLY_ONE)
-
-    @staticmethod
     def param() -> "RationalFunction":
-        return RationalFunction._raw(AlphaPoly.param(), _APOLY_ONE)
+        return RationalFunction._raw(AlphaPoly((0, 1)), _APOLY_ONE)
 
     @property
     def is_zero(self) -> bool:
@@ -386,12 +378,7 @@ class RationalFunction:
     def inverse(self) -> "RationalFunction":
         if self.is_zero:
             raise DivisionByZero("inverse of zero in the coefficient field")
-        num, den = self.den, self.num
-        lead = den.leading
-        if lead != 1:
-            num = num.scale(1 / lead)
-            den = den.scale(1 / lead)
-        return RationalFunction._raw(num, den)
+        return RationalFunction._raw(*_monic_den(self.den, self.num))
 
     def eval(self, value) -> Fraction:
         """Exact value at a parameter point; raises at a pole."""
@@ -412,8 +399,8 @@ class RationalFunction:
         return f"({num.text(param)})/({den.text(param)})"
 
     def to_json(self):
-        return {"num": [str(c) for c in self.num.coeffs],
-                "den": [str(c) for c in self.den.coeffs]}
+        return {"num": [rational_text(c) for c in self.num.coeffs],
+                "den": [rational_text(c) for c in self.den.coeffs]}
 
     @staticmethod
     def from_json(obj) -> "RationalFunction":
@@ -434,11 +421,16 @@ def _reduce(num: AlphaPoly, den: AlphaPoly):
         if g.degree > 0:
             num = num // g
             den = den // g
+    return _monic_den(num, den)
+
+
+def _monic_den(num: AlphaPoly, den: AlphaPoly):
+    """num/den with both scaled so that den is monic."""
     lead = den.leading
-    if lead != 1:
-        num = num.scale(1 / lead)
-        den = den.scale(1 / lead)
-    return num, den
+    if lead == 1:
+        return num, den
+    inv = 1 / lead
+    return num.scale(inv), den.scale(inv)
 
 
 RF_ZERO = RationalFunction._raw(_APOLY_ZERO, _APOLY_ONE)
@@ -449,7 +441,21 @@ def rf(value) -> RationalFunction:
     """Coerce an int, Fraction, or string to a constant field element."""
     if isinstance(value, RationalFunction):
         return value
-    return RationalFunction.from_fraction(_as_fraction(value))
+    q = _as_fraction(value)
+    if q == 0:
+        return RF_ZERO
+    if q == 1:
+        return RF_ONE
+    return RationalFunction._raw(AlphaPoly._of((q,)), _APOLY_ONE)
+
+
+def common_denominator(coeffs) -> RationalFunction:
+    """The monic lcm of the denominators of coeffs, as a field element."""
+    den = _APOLY_ONE
+    for c in coeffs:
+        if len(c.den.coeffs) > 1:
+            den = den * (c.den // den.gcd(c.den))
+    return RationalFunction._raw(den, _APOLY_ONE)
 
 
 def accumulate(out: dict, pairs) -> dict:

@@ -70,6 +70,10 @@ class AnsatzTooLarge(JetsymError):
         super().__init__(f"ansatz has {count} unknowns, cap is {cap}")
 
 
+class NumberTooLong(JetsymError):
+    """A rational has more digits than Python will print."""
+
+
 class ParseError(JetsymError):
     """Syntax error in a system definition."""
 

@@ -9,7 +9,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from .coeffield import AlphaPoly, RF_ONE, RationalFunction, rf
+from .coeffield import (AlphaPoly, RF_ONE, RationalFunction, parse_rational,
+                        rational_text, rf)
 from .errors import InvalidHierarchy, StructuralViolation
 from .jetalgebra import (DP_ZERO, DiffPoly, EvoField, T_GEN, X_GEN, is_jet, jet,
                          jet_order, mono_degree2)
@@ -129,7 +130,7 @@ class Hierarchy:
         out = {
             "system": self.system.name,
             "parameter": self.system.parameter,
-            "specialized_at": str(self.specialized_at)
+            "specialized_at": rational_text(self.specialized_at)
             if self.specialized_at is not None else None,
             "members": [m.to_json() for m in self.members],
             "provenance": list(self.provenance),
@@ -148,9 +149,12 @@ class Hierarchy:
         if not isinstance(obj, dict) or obj.get("system") not in builtin_names():
             raise InvalidHierarchy("hierarchy JSON must name a built-in system")
         system = builtin_system(obj["system"])
+        if "parameter" not in obj or obj["parameter"] != system.parameter:
+            raise InvalidHierarchy(
+                f"system {system.name} has the parameter {system.parameter!r}")
         try:
             spec_at = obj.get("specialized_at")
-            value = None if spec_at is None else Fraction(spec_at)
+            value = None if spec_at is None else parse_rational(spec_at)
             members = tuple(EvoField.from_json(m) for m in obj["members"])
             certs = tuple(
                 StepCertificates(

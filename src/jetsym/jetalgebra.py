@@ -278,7 +278,7 @@ class DiffPoly:
             except PoleAtParameter as exc:
                 raise PoleAtParameter(exc.value, exc.den_text, monomial=mono) from None
             if v:
-                out[mono] = RationalFunction.from_fraction(v)
+                out[mono] = rf(v)
         return DiffPoly(out)
 
     # -- rendering ------------------------------------------------------------

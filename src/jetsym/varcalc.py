@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeffield import RF_ONE, AlphaPoly, RationalFunction
+from .coeffield import RF_ONE, common_denominator
 from .errors import ExplicitXTDependence, NonIntegerExponentPath
 from .jetalgebra import DP_ZERO, DiffPoly, EvoField, is_jet, jet, jet_order
 
@@ -154,15 +154,9 @@ def frechet(f: DiffPoly, K: EvoField, chain: DxChain | None = None) -> DiffPoly:
 
 def _poly_scaled(field: EvoField):
     """(c * field, c) for c the lcm of the coefficient denominators."""
-    den = AlphaPoly((1,))
-    for comp in field:
-        for coeff in comp.terms.values():
-            if coeff.den.degree > 0:
-                g = den.gcd(coeff.den)
-                den = den * (coeff.den // g)
-    if den.degree <= 0:
+    c = common_denominator(coeff for comp in field for coeff in comp.terms.values())
+    if c == RF_ONE:
         return field, RF_ONE
-    c = RationalFunction(den)
     return field.scalar_mul(c), c
 
 

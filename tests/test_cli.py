@@ -87,6 +87,19 @@ class TestGen:
         assert code == 0
         assert json.loads(stdout)["system"] == "ts1"
 
+    def test_number_too_long_to_print(self, capsys):
+        # a 3,000-digit alpha parses, but K_6 has coefficients past Python's
+        # limit of 4,300 printed digits
+        code, stdout, err = run(capsys, "gen", "--system", "fs", "--n", "6",
+                                "--alpha", "3" * 3000 + "/7", "--json")
+        assert code == 4
+        assert stdout == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert error["code"] == "resource"
+        assert error["message"].endswith("bits is too long to print")
+
     def test_nonlocal_exit_code(self, capsys, monkeypatch):
         def boom(n, alpha0=None):
             raise NonlocalObstruction(DiffPoly.constant(1), entry=(0, 0))
@@ -259,6 +272,20 @@ BAD_INPUTS = {
         "verify", _hierarchy_file(p, lambda d: d.pop("members"))],
     "verify-members-not-list": lambda p: [
         "verify", _hierarchy_file(p, lambda d: d.update(members=3))],
+    "gen-alpha-exponent": lambda p: [
+        "gen", "--system", "fs", "--n", "3", "--alpha", "1e5000"],
+    "verify-specialized-at-exponent": lambda p: [
+        "verify", _hierarchy_file(p, lambda d: d.update(specialized_at="1e5000"), n=4)],
+    "verify-specialized-at-huge-exponent": lambda p: [
+        "verify", _hierarchy_file(
+            p, lambda d: d.update(specialized_at="1e999999999"), n=4)],
+    "verify-coefficient-exponent": lambda p: [
+        "verify", _hierarchy_file(
+            p, lambda d: d["members"][0][0][0]["coeff"].update(num=["1e5000"]))],
+    "verify-parameter-differs": lambda p: [
+        "verify", _hierarchy_file(p, lambda d: d.update(parameter="beta"), n=4)],
+    "verify-parameter-missing": lambda p: [
+        "verify", _hierarchy_file(p, lambda d: d.pop("parameter"))],
     "verify-depvar-out-of-range": lambda p: [
         "verify", _hierarchy_file(
             p, lambda d: d["members"][0][0][0].update(exps=[[[2, 1], 1]]))],
