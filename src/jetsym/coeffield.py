@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable
 
-from .errors import DivisionByZero, NumberTooLong, PoleAtParameter
+from .errors import CrossCheckFailed, DivisionByZero, NumberTooLong, PoleAtParameter
 
 #: degree of the zero polynomial; compares below every integer degree
 NEG_INF = float("-inf")
@@ -283,6 +283,11 @@ class RationalFunction:
     def __setattr__(self, name, value):
         raise AttributeError("RationalFunction is immutable")
 
+    def size(self) -> int:
+        """64-bit words held by the coefficients, a measure of product cost."""
+        return sum(1 + (abs(q.numerator).bit_length() + q.denominator.bit_length()) // 64
+                   for q in self.num.coeffs + self.den.coeffs)
+
     @staticmethod
     def _raw(num: AlphaPoly, den: AlphaPoly) -> "RationalFunction":
         """Trusted constructor: arguments already canonical."""
@@ -298,6 +303,9 @@ class RationalFunction:
     @property
     def is_zero(self) -> bool:
         return not self.num.coeffs
+
+    def __bool__(self):
+        return bool(self.num.coeffs)
 
     def __eq__(self, other):
         return (isinstance(other, RationalFunction)
@@ -346,11 +354,15 @@ class RationalFunction:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            q = _as_fraction(other)
-            if q == 0 or self.is_zero:
+        if isinstance(other, int):
+            if not other or self.is_zero:
                 return RF_ZERO
-            return RationalFunction._raw(self.num.scale(q), self.den)
+            return RationalFunction._raw(
+                AlphaPoly._of(tuple(c * other for c in self.num.coeffs)), self.den)
+        if isinstance(other, Fraction):
+            if not other or self.is_zero:
+                return RF_ZERO
+            return RationalFunction._raw(self.num.scale(other), self.den)
         if not isinstance(other, RationalFunction):
             return NotImplemented
         if self.is_zero or other.is_zero:
@@ -449,20 +461,64 @@ def rf(value) -> RationalFunction:
     return RationalFunction._raw(AlphaPoly._of((q,)), _APOLY_ONE)
 
 
-def common_denominator(coeffs) -> RationalFunction:
-    """The monic lcm of the denominators of coeffs, as a field element."""
+def clear_denominators(coeffs) -> tuple:
+    """(s, polys): s * coeffs[k] is the integer polynomial polys[k].
+
+    s is the monic lcm of the denominators times the lcm of the rational
+    coefficients' denominators that remain; each of polys is a tuple of
+    ints, lowest degree first.
+    """
     den = _APOLY_ONE
     for c in coeffs:
         if len(c.den.coeffs) > 1:
             den = den * (c.den // den.gcd(c.den))
-    return RationalFunction._raw(den, _APOLY_ONE)
+    nums = [c.num * (den // c.den) if len(den.coeffs) > 1 else c.num for c in coeffs]
+    ints = lcm(*(q.denominator for p in nums for q in p.coeffs))
+    polys = [tuple(q.numerator * (ints // q.denominator) for q in p.coeffs) for p in nums]
+    return RationalFunction._raw(den.scale(Fraction(ints)), _APOLY_ONE), polys
+
+
+def kronecker_pack(poly: tuple, bits: int) -> int:
+    """p(2^bits) for the integer polynomial p, lowest degree first.
+
+    Evaluation at 2^bits is a ring homomorphism Z[alpha] -> Z (Kronecker
+    substitution), so sums and products of packed values are the packed
+    sums and products.
+    """
+    acc = 0
+    for c in reversed(poly):
+        acc = (acc << bits) + c
+    return acc
+
+
+def kronecker_unpack(value, bits: int, halvings: int) -> RationalFunction:
+    """The polynomial p / 2^halvings, where p(2^bits) = value * 2^halvings.
+
+    p is read off as balanced base-2^bits digits, which is exact when
+    every coefficient of p lies strictly between -2^(bits-1) and
+    2^(bits-1).  value is an int, or a Fraction when halvings > 0.
+    """
+    value = value * (1 << halvings)
+    if value.denominator != 1:
+        raise CrossCheckFailed("a packed value has a denominator beyond its halvings")
+    value = value.numerator
+    base, half = 1 << bits, 1 << (bits - 1)
+    digits = []
+    while value:
+        d = value & (base - 1)
+        if d >= half:
+            d -= base
+        digits.append(Fraction(d, 1 << halvings))
+        value = (value - d) >> bits
+    return RationalFunction._raw(AlphaPoly._of(tuple(digits)), _APOLY_ONE)
 
 
 def accumulate(out: dict, pairs) -> dict:
     """Add each (key, coefficient) of pairs into out; returns out.
 
     A key whose sum cancels to zero is deleted, so out never stores a
-    zero.  The coefficients of pairs must be nonzero.
+    zero.  The coefficients of pairs must be nonzero; any ring whose zero
+    is falsy will do (field elements, ints, Fractions).
     """
     for key, c in pairs:
         cur = out.get(key)
@@ -470,7 +526,7 @@ def accumulate(out: dict, pairs) -> dict:
             out[key] = c
         else:
             s = cur + c
-            if s.is_zero:
+            if not s:
                 del out[key]
             else:
                 out[key] = s

@@ -117,16 +117,25 @@ def jet_name(name: str, order: int) -> str:
     return f"{name}_{order}"
 
 
-def _lower(mono: Monomial, idx: int, coeff: RationalFunction):
+def _lower(mono: Monomial, idx: int, coeff):
     """d/dg of the term coeff * mono, g the factor at idx: (monomial, coeff)."""
     g, e2 = mono[idx]
     if e2 == 2:
         return mono[:idx] + mono[idx + 1:], coeff
-    return mono[:idx] + ((g, e2 - 2),) + mono[idx + 1:], coeff * Fraction(e2, 2)
+    factor = e2 // 2 if e2 % 2 == 0 else Fraction(e2, 2)
+    return mono[:idx] + ((g, e2 - 2),) + mono[idx + 1:], coeff * factor
 
 
 class DiffPoly:
-    """Differential polynomial: canonical mapping monomial -> coefficient."""
+    """Differential polynomial: canonical mapping monomial -> coefficient.
+
+    Coefficients are field elements (``RationalFunction``) everywhere but
+    inside ``varcalc.commutator``, which runs the same arithmetic, calculus
+    and ``frechet`` on Kronecker-packed ints.  Arithmetic and calculus
+    need no more of a coefficient than ring operations, an int or
+    Fraction factor and a falsy zero; rendering, JSON and ``specialize``
+    need field elements.
+    """
 
     __slots__ = ("terms",)
 
@@ -239,8 +248,7 @@ class DiffPoly:
     __rmul__ = __mul__
 
     def scalar_mul(self, c) -> "DiffPoly":
-        c = c if isinstance(c, RationalFunction) else rf(c)
-        if c.is_zero or not self.terms:
+        if not c or not self.terms:
             return DP_ZERO
         return DiffPoly({m: v * c for m, v in self.terms.items()})
 

@@ -25,7 +25,7 @@ from typing import Optional, Tuple
 from .coeffield import RationalFunction, rf
 from .errors import (DuplicateEquation, MissingEquation, ParseError,
                      UnknownIdentifier)
-from .jetalgebra import DiffPoly, EvoField, T_GEN, jet
+from .jetalgebra import DP_ONE, DiffPoly, EvoField, T_GEN, jet
 
 
 @dataclass(frozen=True)
@@ -172,9 +172,10 @@ class ExprParser:
 
     def parse_factor(self) -> DiffPoly:
         base = self.parse_base()
-        if self.ts.accept("sym", "^"):
+        caret = self.ts.accept("sym", "^")
+        if caret:
             tok = self.ts.expect("int", what="a natural exponent")
-            return _dp_pow(base, int(tok.value))
+            return _dp_pow(base, _nat(tok), caret)
         return base
 
     def parse_base(self) -> DiffPoly:
@@ -189,13 +190,12 @@ class ExprParser:
             return inner
         if tok.kind == "int":
             self.ts.next()
-            value = Fraction(int(tok.value))
+            value = Fraction(_nat(tok))
             if self.ts.peek().kind == "sym" and self.ts.peek().value == "/":
                 nxt = self.ts.tokens[self.ts.pos + 1]
                 if nxt.kind == "int":
                     self.ts.next()
-                    den = int(self.ts.next().value)
-                    value = Fraction(int(tok.value), den)
+                    value = Fraction(value.numerator, _nat(self.ts.next()))
             return DiffPoly.constant(rf(value))
         if tok.kind == "name":
             self.ts.next()
@@ -213,12 +213,12 @@ class ExprParser:
             if not sep:
                 order = 0
                 if self.ts.accept("sym", "["):
-                    order = int(self.ts.expect("int", what="a derivative order").value)
+                    order = _nat(self.ts.expect("int", what="a derivative order"))
                     self.ts.expect("sym", "]")
             elif suffix and set(suffix) == {"x"}:
                 order = len(suffix)
             elif suffix.isdecimal():
-                order = int(suffix)
+                order = _nat(tok, suffix)
         if order is not None:
             try:
                 return DiffPoly.var(jet(self.depvars[root], order))
@@ -227,16 +227,42 @@ class ExprParser:
         raise UnknownIdentifier(tok.line, tok.col, f"unknown identifier {name!r}")
 
 
-def _dp_pow(base: DiffPoly, n: int) -> DiffPoly:
-    from .jetalgebra import DP_ONE
+#: a power is refused when one of its products would multiply more pairs
+#: of coefficient words (``RationalFunction.size``) than this
+POWER_BUDGET = 10 ** 5
+
+
+def _nat(tok: Token, digits: Optional[str] = None) -> int:
+    """The natural number a token spells (or digits, a part of it)."""
+    digits = tok.value if digits is None else digits
+    try:
+        return int(digits)
+    except ValueError:  # past Python's limit on parsed digits
+        raise ParseError(tok.line, tok.col,
+                         f"a number of {len(digits)} digits is too long") from None
+
+
+def _size(p: DiffPoly) -> int:
+    return sum(c.size() for c in p.terms.values())
+
+
+def _dp_pow(base: DiffPoly, n: int, caret: Token) -> DiffPoly:
+    """base^n by repeated squaring, within POWER_BUDGET per product."""
+
+    def times(a: DiffPoly, b: DiffPoly) -> DiffPoly:
+        if _size(a) * _size(b) > POWER_BUDGET:
+            raise ParseError(caret.line, caret.col, "power exceeds the expansion budget")
+        return a * b
+
     out = DP_ONE
     cur = base
-    while n:
+    while True:
         if n & 1:
-            out = out * cur
-        cur = cur * cur
+            out = times(out, cur)
         n >>= 1
-    return out
+        if not n:
+            return out
+        cur = times(cur, cur)
 
 
 # ---------------------------------------------------------------------------

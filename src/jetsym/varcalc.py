@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeffield import RF_ONE, common_denominator
+from .coeffield import clear_denominators, kronecker_pack, kronecker_unpack
 from .errors import ExplicitXTDependence, NonIntegerExponentPath
 from .jetalgebra import DP_ZERO, DiffPoly, EvoField, is_jet, jet, jet_order
 
@@ -152,40 +152,101 @@ def frechet(f: DiffPoly, K: EvoField, chain: DxChain | None = None) -> DiffPoly:
     return out
 
 
-def _poly_scaled(field: EvoField):
-    """(c * field, c) for c the lcm of the coefficient denominators."""
-    c = common_denominator(coeff for comp in field for coeff in comp.terms.values())
-    if c == RF_ONE:
-        return field, RF_ONE
-    return field.scalar_mul(c), c
+class _IntegerField:
+    """A field scaled into Z[alpha] coefficients, with its height data.
+
+    ``scale * field`` has the integer polynomial coefficients of ``comps``
+    (one dict monomial -> int tuple per component).  For the height bound
+    it keeps ``norm``, the sum of the L1 norms of all coefficients;
+    ``weight``, the largest sum of |exponent| over the factors of one
+    monomial (at least 1), which bounds the factor one D_x or one
+    jet-summed partial derivative puts on the norm; ``growth``, what one
+    D_x can add to that weight (0 while every exponent is a positive
+    integer, else 2); ``top``, the highest jet order; and ``halves``,
+    whether some exponent is a half-integer.
+    """
+
+    def __init__(self, field: EvoField):
+        self.scale, polys = clear_denominators(
+            [coeff for comp in field for coeff in comp.terms.values()])
+        it = iter(polys)
+        self.comps = [{m: next(it) for m in comp.terms} for comp in field]
+        self.norm = sum(abs(c) for p in polys for c in p)
+        exps = [[e2 for _, e2 in m] for comp in field for m in comp.terms]
+        self.weight = max([1] + [(sum(map(abs, e)) + 1) // 2 for e in exps])
+        self.growth = 0 if all(e2 >= 2 and e2 % 2 == 0 for e in exps for e2 in e) else 2
+        self.top = field.max_jet_order() or 0
+        self.halves = any(e2 % 2 for e in exps for e2 in e)
+        self._packed: dict = {}
+
+    def dx_gain(self, i: int) -> int:
+        """Bound on norm(D_x^i c) / norm(c) for a component c."""
+        gain = 1
+        for j in range(i):
+            gain *= self.weight + j * self.growth
+        return gain
+
+    def packed(self, bits: int):
+        """(field, DxChain) with every coefficient packed at 2^bits."""
+        entry = self._packed.get(bits)
+        if entry is None:
+            field = EvoField(DiffPoly({m: kronecker_pack(p, bits) for m, p in comp.items()})
+                             for comp in self.comps)
+            entry = self._packed[bits] = (field, DxChain(field))
+        return entry
+
+
+def _slot_bits(f: _IntegerField, g: _IntegerField):
+    """(bits, halvings) that make the packed bracket of f and g exact.
+
+    Each coefficient of [g, f]'s components is at most norm(f) norm(g)
+    (weight(g) dx_gain_f(top g) + weight(f) dx_gain_g(top f)) in absolute
+    value, by |pq|_1 <= |p|_1 |q|_1 and the weight bounds on D_x and the
+    partials.  A half-integer exponent puts at most 1 + top halvings into
+    a term, so 2^halvings times the bracket has integer coefficients.
+    Balanced digits of width bits hold every such coefficient, so a
+    packed value is zero exactly when its polynomial is; any wider slot
+    would do as well.
+    """
+    height = f.norm * g.norm * (g.weight * f.dx_gain(g.top) + f.weight * g.dx_gain(f.top))
+    halvings = 1 + max(f.top, g.top) if f.halves or g.halves else 0
+    bits = (height << halvings).bit_length() + 1
+    # whole words: pairs that round to the same width share packed fields
+    return -(-bits // 64) * 64, halvings
 
 
 def commutator(F: EvoField, G: EvoField, prepared: dict | None = None) -> EvoField:
     """Bracket [F, G] = G'[F] - F'[G], componentwise.
 
     The bracket is bilinear over constants, so it is formed on both fields
-    scaled to polynomial coefficients, where every coefficient operation
-    stays in the fast polynomial path, and a nonzero result is divided
-    back by the product of the scales.  A loop that brackets the same
-    fields again passes one dict of its own as ``prepared``, so that each
-    field is scaled and differentiated once; it changes no result.
+    scaled to integer polynomial coefficients, each packed into one int by
+    Kronecker substitution at a slot width taken from a height bound
+    (``_slot_bits``).  ``frechet`` then runs on plain ints.  A zero result
+    is returned as it is; a nonzero one is unpacked exactly and divided by
+    the product of the scales.  A loop that brackets the same fields again
+    passes one dict of its own as ``prepared``, so that each field is
+    scaled once and packed and differentiated once per slot width; it
+    changes no result.
     """
     entries = []
     for field in (F, G):
         entry = None if prepared is None else prepared.get(field)
         if entry is None:
-            scaled, scale = _poly_scaled(field)
-            entry = (scaled, scale, DxChain(scaled))
+            entry = _IntegerField(field)
             if prepared is not None:
                 prepared[field] = entry
         entries.append(entry)
-    (f, cf, chain_f), (g, cg, chain_g) = entries
-    bracket = EvoField(frechet(g[c], f, chain_f) - frechet(f[c], g, chain_g)
-                       for c in range(len(f)))
-    scale = cf * cg
-    if bracket.is_zero or scale == RF_ONE:
+    f, g = entries
+    bits, halvings = _slot_bits(f, g)
+    (pf, chain_f), (pg, chain_g) = f.packed(bits), g.packed(bits)
+    bracket = EvoField(frechet(pg[c], pf, chain_f) - frechet(pf[c], pg, chain_g)
+                       for c in range(len(pf)))
+    if bracket.is_zero:
         return bracket
-    return bracket.scalar_mul(scale.inverse())
+    unscale = (f.scale * g.scale).inverse()
+    return EvoField(DiffPoly({m: kronecker_unpack(v, bits, halvings) * unscale
+                              for m, v in comp.terms.items()})
+                    for comp in bracket)
 
 
 def dt_along(f: DiffPoly, system) -> DiffPoly:

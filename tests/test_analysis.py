@@ -47,6 +47,13 @@ class TestCommutativity:
         table = commutativity_table(ts1_hierarchy(4))
         assert table.all_zero
 
+    def test_fs_table_n8(self, fs_hierarchy_8):
+        assert commutativity_table(fs_hierarchy_8).all_zero
+
+    @pytest.mark.slow
+    def test_fs_table_n10(self):
+        assert commutativity_table(fs_hierarchy(10)).all_zero
+
     def test_detects_nonzero(self, fs):
         from jetsym.hierarchy import Hierarchy
         f = EvoField((fs_expr("w^2"), DP_ZERO))

@@ -301,7 +301,25 @@ BAD_INPUTS = {
         "render", "--file", _input_file(p, "system s\nvars w\neq w_t = w_\u00b2\n")],
     "render-superscript-number": lambda p: [
         "render", "--file", _input_file(p, "system s\nvars w\neq w_t = \u00b2\n")],
+    "render-long-literal": lambda p: [
+        "render", "--file", _input_file(p, f"system s\nvars w\neq w_t = {'7' * 5000}*w_x\n")],
+    "render-long-jet-order": lambda p: [
+        "render", "--file", _input_file(p, f"system s\nvars w\neq w_t = w_{'1' * 5000}\n")],
+    "render-power-budget": lambda p: [
+        "render", "--file", _input_file(p, "system s\nvars w\neq w_t = (w + w_x)^100000\n")],
 }
+
+
+class TestHalfIntegerExponents:
+    @pytest.mark.parametrize("exp", ["3/2", "-1/2"])
+    def test_commute_exits_cleanly(self, tmp_path, capsys, exp):
+        def mutate(doc):
+            doc["members"][2][0][0]["exps"][0][1] = exp
+        path = _hierarchy_file(tmp_path, mutate, n=3)
+        for flags in ((), ("--json",)):
+            code, _, err = run(capsys, "commute", path, *flags)
+            assert code in (0, 3)
+            assert "Traceback" not in err
 
 
 class TestBadInputs:

@@ -1,7 +1,9 @@
 """Seeded fuzz of the CLI's input files: every outcome is an exit code.
 
 Mutations of a ``gen --system fs --n 3`` hierarchy and of the ``fs``
-system text go through ``cli.main`` in-process.  Each run must return
+system text go through ``cli.main`` in-process.  A system text mutation
+may also put in a number literal too long to parse or a power past the
+expansion budget of ``^``.  Each run must return
 one of the documented exit codes 0-4 and print no traceback.
 """
 
@@ -81,7 +83,7 @@ def _mutate_hierarchy(rng, doc):
 
 
 def _mutate_system(rng, text: str):
-    kind = rng.choice(("drop", "retype", "swap", "truncate", "bytes"))
+    kind = rng.choice(("drop", "retype", "swap", "truncate", "bytes", "literal", "power"))
     if kind in ("truncate", "bytes"):
         return kind, _damage(rng, text.encode(), kind)
     lines = text.splitlines()
@@ -90,10 +92,21 @@ def _mutate_system(rng, text: str):
     elif kind == "swap":
         i, j = rng.sample(range(len(lines)), 2)
         lines[i], lines[j] = lines[j], lines[i]
-    else:
+    elif kind == "retype":
         i = rng.randrange(len(lines))
         words = lines[i].split(" ")
         words[rng.randrange(len(words))] = rng.choice(TOKENS)
+        lines[i] = " ".join(words)
+    else:
+        # one factor of a right-hand side replaced, so the parser reaches it
+        if kind == "literal":  # past Python's limit on parsed digits
+            token = str(rng.randint(1, 9)) * rng.randint(4301, 6000)
+        else:  # past the expansion budget of ^
+            token = f"(w + w_x + w_xx + z + z_x)^{rng.randint(10 ** 3, 10 ** 6)}"
+        i = rng.choice([k for k, line in enumerate(lines) if line.startswith("eq ")])
+        words = lines[i].split(" ")
+        factors = [k for k in range(3, len(words)) if words[k] not in ("+", "-")]
+        words[rng.choice(factors)] = token
         lines[i] = " ".join(words)
     return kind, "\n".join(lines).encode()
 

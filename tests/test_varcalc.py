@@ -4,14 +4,16 @@ import random
 
 import pytest
 
+from jetsym.coeffield import AlphaPoly, RationalFunction, kronecker_pack
 from jetsym.errors import ExplicitXTDependence, NonIntegerExponentPath
 from jetsym.hierarchy import fs_seed, scaling_symmetry
-from jetsym.jetalgebra import DP_ZERO, DiffPoly, EvoField, X_GEN, jet
+from jetsym.jetalgebra import DP_ZERO, DiffPoly, EvoField, T_GEN, X_GEN, jet
 from jetsym.systems import builtin_system, parse_expression
-from jetsym.varcalc import (commutator, dt_along, euler_operator, frechet,
-                            integrate_dx)
+from jetsym.varcalc import (_IntegerField, _slot_bits, commutator, dt_along,
+                            euler_operator, frechet, integrate_dx)
 
-from conftest import (random_diffpoly, random_evofield, random_zero_free_poly)
+from conftest import (random_diffpoly, random_evofield, random_nonzero_rf,
+                      random_zero_free_poly)
 
 W, Z = 0, 1
 
@@ -185,6 +187,76 @@ class TestCommutator:
             for g in fields:
                 assert commutator(f, g, prepared) == commutator(f, g)
         assert len(prepared) == len(set(fields))
+
+
+def reference_bracket(f, g):
+    """G'[F] - F'[G] formed by frechet over field coefficients, unpacked."""
+    return EvoField(frechet(g[c], f) - frechet(f[c], g) for c in range(len(f)))
+
+
+def random_half_field(rng, terms=3):
+    """A field whose monomials carry k/2 exponents, negative ones included."""
+    gens = [jet(d, i) for d in range(2) for i in range(3)] + [X_GEN, T_GEN]
+    comps = []
+    for _ in range(2):
+        pairs = []
+        for _ in range(rng.randint(1, terms)):
+            mono = {g: rng.choice((-3, -1, 1, 2, 3, 4)) for g in rng.sample(gens, 2)}
+            pairs.append((tuple(sorted(mono.items())), random_nonzero_rf(rng, True)))
+        comps.append(DiffPoly.from_terms(pairs))
+    return EvoField(comps)
+
+
+class TestPackedBracket:
+    def test_bound_exceeds_a_wrapping_width(self):
+        # [F, G] has the coefficient 2^64 - alpha, which vanishes at 2^64:
+        # packed at 64-bit slots it would read zero
+        b0 = 64
+        w2 = ((jet(W, 0), 4),)
+        f = EvoField((DiffPoly({w2: RationalFunction(AlphaPoly((-2 ** b0, 1)))}), DP_ZERO))
+        g = EvoField((fs_expr("w"), DP_ZERO))
+        ref = reference_bracket(f, g)
+        p = ref[0].coefficient(w2)
+        assert not p.is_zero and p.eval(2 ** b0) == 0
+        assert kronecker_pack((2 ** b0, -1), b0) == 0
+        pf, pg = _IntegerField(f), _IntegerField(g)
+        bits, halvings = _slot_bits(pf, pg)
+        assert bits > b0 and halvings == 0
+        scaled = ref.scalar_mul(pf.scale * pg.scale)
+        for comp in scaled:
+            for coeff in comp.terms.values():
+                assert coeff == RationalFunction(coeff.num)
+                assert all(abs(c) < 2 ** (bits - 1) for c in coeff.num.coeffs)
+        assert commutator(f, g) == ref
+
+    @pytest.mark.parametrize("rational", [False, True])
+    def test_matches_reference(self, rational):
+        rng = random.Random(113 + rational)
+        zero = nonzero = 0
+        for i in range(40):
+            f = EvoField(random_diffpoly(rng, max_order=2, terms=3, rational=rational,
+                                         with_xt=i % 4 == 0) for _ in range(2))
+            kind = i % 3
+            if kind == 0:
+                g = random_evofield(rng, max_order=2, terms=3, rational=rational)
+            elif kind == 1:
+                g = f.scalar_mul(random_nonzero_rf(rng, rational))
+            else:
+                f = EvoField((fs_expr("w_x"), fs_expr("z_x")))
+                g = random_evofield(rng, max_order=2, terms=3, rational=rational)
+            got = commutator(f, g)
+            assert got == reference_bracket(f, g)
+            zero += got.is_zero
+            nonzero += not got.is_zero
+        assert zero >= 20 and nonzero >= 10
+
+    def test_half_integer_exponents(self):
+        rng = random.Random(131)
+        for _ in range(30):
+            f, g = random_half_field(rng), random_half_field(rng)
+            pf, pg = _IntegerField(f), _IntegerField(g)
+            assert _slot_bits(pf, pg)[1] > 0
+            assert commutator(f, g) == reference_bracket(f, g)
 
 
 class TestDtAlong:
