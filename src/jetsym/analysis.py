@@ -143,9 +143,25 @@ class DensityAnsatz:
             for combo in combinations_with_replacement(gens, deg):
                 counts: dict = {}
                 for g in combo:
-                    counts[g] = counts.get(g, 0) + 2
+                    counts[g] = counts.get(g, 0) + 1
                 monos.append(tuple(sorted(counts.items())))
         return monos
+
+    def size(self, system: EvolutionSystem) -> Optional[int]:
+        """len(self.monomials(system)), without building them; None past 2^64.
+
+        That is C(n + D, D) for n jets and degree D, formed as the product
+        of (max(n, D) + i) / i over i <= min(n, D), whose partial products
+        are binomials that at least double at each step.
+        """
+        ngens = system.nvars * (self.max_order + 1)
+        low, high = sorted((ngens, self.max_degree))
+        count = 1
+        for i in range(1, low + 1):
+            count = count * (high + i) // i
+            if count >> 64:
+                return None
+        return count
 
 
 @dataclass(frozen=True)
@@ -198,9 +214,10 @@ def density_search(system: EvolutionSystem, ansatz: DensityAnsatz,
     if ansatz.max_order < 0 or ansatz.max_degree < 0:
         raise ValueError("ansatz bounds must be nonnegative")
     cap = cap if cap is not None else _unknown_cap()
+    count = ansatz.size(system)
+    if count is None or count > cap:
+        raise AnsatzTooLarge(count, cap)
     monos = ansatz.monomials(system)
-    if len(monos) > cap:
-        raise AnsatzTooLarge(len(monos), cap)
     nvars = system.nvars
     # assemble: one equation per (euler variable, image monomial)
     rows: dict = {}
@@ -272,38 +289,46 @@ def substitution_check(alpha0: Optional[Fraction] = None,
                        w_image: Optional[DiffPoly] = None,
                        z_image: Optional[DiffPoly] = None) -> SubstitutionReport:
     """Check that w = u_x/(4u), z = -v/(2 sqrt u) maps the triangular
-    system into the Burgers-type system, as an identity of
-    Laurent-half-integer differential polynomials in the (u, v) jets.
+    system into the Burgers-type system.
 
-    The optional images override the substitution (used by mutation
-    tests); exponents are handled on the half-integer lattice of u.
+    Written in s = sqrt u the map is w = s_x/(2s), z = -v/(2s), and the
+    check is an identity of Laurent differential polynomials in the
+    (s, v) jets: the triangular system is pushed through u = s^2 and
+    s_t = u_t/(2s).  u^(k/2) -> s^k is an isomorphism of differential
+    rings, so the identity holds in (s, v) exactly when it holds in
+    (u, v).  The optional (s, v) images override the substitution (used
+    by mutation tests).
     """
     ts = builtin_system("ts")
     fs = builtin_system("fs")
     if alpha0 is not None:
         ts = ts.specialize(alpha0)
         fs = fs.specialize(alpha0)
-    u, v = 0, 1
+    s, v = 0, 1
     if w_image is None:
-        w_image = DiffPoly({((jet(u, 0), -2), (jet(u, 1), 2)): rf(Fraction(1, 4))})
+        w_image = DiffPoly({((jet(s, 0), -1), (jet(s, 1), 1)): rf(Fraction(1, 2))})
     if z_image is None:
-        z_image = DiffPoly({((jet(u, 0), -1), (jet(v, 0), 2)): rf(Fraction(-1, 2))})
-    images = DxChain(EvoField((w_image, z_image)))
+        z_image = DiffPoly({((jet(s, 0), -1), (jet(v, 0), 1)): rf(Fraction(-1, 2))})
 
-    def push(expr: DiffPoly) -> DiffPoly:
+    def push(expr: DiffPoly, images: DxChain) -> DiffPoly:
         acc = DP_ZERO
         for mono, coeff in expr.terms.items():
             term = DiffPoly.constant(coeff)
-            for g, e2 in mono:
+            for g, e in mono:
                 base = images.get(jet_depvar(g), jet_order(g))
-                power = e2 // 2
-                for _ in range(power):
+                for _ in range(e):
                     term = term * base
             acc = acc + term
         return acc
 
-    d1 = dt_along(w_image, ts) - push(fs.rhs[0])
-    d2 = dt_along(z_image, ts) - push(fs.rhs[1])
+    s_var, v_var = DiffPoly.var(jet(s, 0)), DiffPoly.var(jet(v, 0))
+    squared = DxChain(EvoField((s_var * s_var, v_var)))
+    half_over_s = DiffPoly.gen_power(jet(s, 0), -1, Fraction(1, 2))
+    ts_sv = EvolutionSystem(ts.name, ("s", "v"), ts.parameter, EvoField((
+        push(ts.rhs[0], squared) * half_over_s, push(ts.rhs[1], squared))))
+    images = DxChain(EvoField((w_image, z_image)))
+    d1 = dt_along(w_image, ts_sv) - push(fs.rhs[0], images)
+    d2 = dt_along(z_image, ts_sv) - push(fs.rhs[1], images)
     return SubstitutionReport(d1.is_zero and d2.is_zero, (d1, d2))
 
 
@@ -412,7 +437,7 @@ def verify_hierarchy(h: Hierarchy) -> VerificationReport:
         ok = True
         detail = ""
         for n in range(1, len(h.members) + 1):
-            lead = h.member(n)[0].coefficient(((jet(0, n), 2),))
+            lead = h.member(n)[0].coefficient(((jet(0, n), 1),))
             if n < len(bs) and lead != bs[n]:
                 ok = False
                 detail = f"u_{n} coefficient differs from b_{n}"

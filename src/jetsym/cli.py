@@ -19,6 +19,7 @@ from .errors import (AnsatzTooLarge, DuplicateEquation, InvalidHierarchy,
                      JetsymError, MissingEquation, NonlocalObstruction,
                      NumberTooLong, ParseError, PoleAtParameter)
 from .hierarchy import Hierarchy, fs_hierarchy, ts1_hierarchy
+from .jetalgebra import jet
 from .systems import builtin_names, builtin_system, parse_system, render_system
 
 EXIT_OK = 0
@@ -136,6 +137,10 @@ def cmd_commute(args) -> int:
 def cmd_densities(args) -> int:
     if args.max_order < 0 or args.max_degree < 0:
         raise _UsageError("--max-order and --max-degree must be nonnegative")
+    try:
+        jet(0, args.max_order)
+    except ValueError as exc:
+        raise _UsageError(f"--max-order: {exc}") from None
     system = _load_system(args)
     if args.alpha:
         system = system.specialize(_parse_rational(args.alpha))
@@ -158,7 +163,7 @@ def cmd_densities(args) -> int:
 def cmd_subst_check(args) -> int:
     alpha0 = _parse_rational(args.alpha) if args.alpha else None
     report = substitution_check(alpha0)
-    names = ("u", "v")
+    names = ("s", "v")
     payload = {
         "ok": report.ok,
         "defects": [d.to_json() for d in report.defects],

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable
 
-from .errors import CrossCheckFailed, DivisionByZero, NumberTooLong, PoleAtParameter
+from .errors import DivisionByZero, NumberTooLong, PoleAtParameter
 
 #: degree of the zero polynomial; compares below every integer degree
 NEG_INF = float("-inf")
@@ -491,24 +491,20 @@ def kronecker_pack(poly: tuple, bits: int) -> int:
     return acc
 
 
-def kronecker_unpack(value, bits: int, halvings: int) -> RationalFunction:
-    """The polynomial p / 2^halvings, where p(2^bits) = value * 2^halvings.
+def kronecker_unpack(value: int, bits: int) -> RationalFunction:
+    """The integer polynomial p with p(2^bits) = value.
 
     p is read off as balanced base-2^bits digits, which is exact when
     every coefficient of p lies strictly between -2^(bits-1) and
-    2^(bits-1).  value is an int, or a Fraction when halvings > 0.
+    2^(bits-1).
     """
-    value = value * (1 << halvings)
-    if value.denominator != 1:
-        raise CrossCheckFailed("a packed value has a denominator beyond its halvings")
-    value = value.numerator
     base, half = 1 << bits, 1 << (bits - 1)
     digits = []
     while value:
         d = value & (base - 1)
         if d >= half:
             d -= base
-        digits.append(Fraction(d, 1 << halvings))
+        digits.append(Fraction(d))
         value = (value - d) >> bits
     return RationalFunction._raw(AlphaPoly._of(tuple(digits)), _APOLY_ONE)
 

@@ -27,7 +27,7 @@ class ExplicitXTDependence(JetsymError):
 
 
 class NonIntegerExponentPath(JetsymError):
-    """Formal integration in a single generator left the exponent lattice."""
+    """Formal integration in a single generator would need a logarithm."""
 
 
 class NonlocalObstruction(JetsymError):
@@ -65,9 +65,10 @@ class AnsatzTooLarge(JetsymError):
     """Density ansatz exceeds the configured unknown-count cap."""
 
     def __init__(self, count, cap):
-        self.count = count
+        self.count = count  # None past 2^64
         self.cap = cap
-        super().__init__(f"ansatz has {count} unknowns, cap is {cap}")
+        shown = "over 2^64" if count is None else count
+        super().__init__(f"ansatz has {shown} unknowns, cap is {cap}")
 
 
 class NumberTooLong(JetsymError):

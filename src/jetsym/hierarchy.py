@@ -13,7 +13,7 @@ from .coeffield import (AlphaPoly, RF_ONE, RationalFunction, parse_rational,
                         rational_text, rf)
 from .errors import InvalidHierarchy, StructuralViolation
 from .jetalgebra import (DP_ZERO, DiffPoly, EvoField, T_GEN, X_GEN, is_jet, jet,
-                         jet_order, mono_degree2)
+                         jet_order, mono_degree)
 from .operators import OperatorMatrix, OpTerm
 from .systems import EvolutionSystem, builtin_names, builtin_system, parse_expression
 from .varcalc import ExactnessCertificate
@@ -301,9 +301,9 @@ def structural_check(K: EvoField, j: int) -> StructuralForm:
         raise StructuralViolation("field depends explicitly on x or t")
     leading = []
     for c, comp in enumerate(K.components):
-        lead_mono = ((jet(c, j), 2),)
+        lead_mono = ((jet(c, j), 1),)
         lead = comp.coefficient(lead_mono)
-        tail = comp - DiffPoly.gen_power(jet(c, j), 2, lead)
+        tail = comp - DiffPoly.gen_power(jet(c, j), 1, lead)
         top = tail.max_jet_order()
         if top is not None and top >= j:
             offender = next(m for m in tail.terms
@@ -315,7 +315,7 @@ def structural_check(K: EvoField, j: int) -> StructuralForm:
             raise StructuralViolation(
                 f"component {c} tail has a free term", monomial=(), component=c)
         for mono in tail.terms:
-            if mono_degree2(mono) == 2:
+            if mono_degree(mono) == 1:
                 raise StructuralViolation(
                     f"component {c} tail has a linear term",
                     monomial=mono, component=c)

@@ -3,10 +3,8 @@
 Generators are small integers: ``X_GEN`` and ``T_GEN`` for the explicit
 independent variables, and ``jet(d, i)`` for the i-th x-derivative of
 dependent variable number d.  A monomial is a tuple of (generator,
-doubled exponent) pairs sorted by generator; exponents are stored twice
-their mathematical value so that the half-integer powers needed by the
-linearizing substitution stay exact integers.  Everything else sees
-ordinary integer exponents as even doubled ones.
+exponent) pairs sorted by generator; every exponent is a nonzero int,
+negative ones included.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ T_GEN = 1
 _JET_BASE = 2
 _ORDER_STRIDE = 4096
 
-#: a monomial: ((generator, doubled exponent), ...) sorted by generator
+#: a monomial: ((generator, exponent), ...) sorted by generator
 Monomial = Tuple[Tuple[int, int], ...]
 
 MONO_ONE: Monomial = ()
@@ -75,13 +73,13 @@ def mono_mul(a: Monomial, b: Monomial) -> Monomial:
     return tuple(out)
 
 
-def mono_weight2(m: Monomial) -> int:
-    """Twice the total differential order sum(order * exponent)."""
+def mono_weight(m: Monomial) -> int:
+    """The total differential order sum(order * exponent)."""
     return sum(jet_order(g) * e for g, e in m if g >= _JET_BASE)
 
 
-def mono_degree2(m: Monomial) -> int:
-    """Twice the total polynomial degree (jet generators only)."""
+def mono_degree(m: Monomial) -> int:
+    """The total polynomial degree (jet generators only)."""
     return sum(e for g, e in m if g >= _JET_BASE)
 
 
@@ -99,13 +97,7 @@ def mono_sort_key(m: Monomial):
     # graded by total differential order, then lexicographic; within a
     # weight class this puts the pure top jet above products, so the
     # first rendered term is the leading linear part
-    return (mono_weight2(m), m)
-
-
-def _exp_text(e2: int) -> str:
-    if e2 % 2 == 0:
-        return str(e2 // 2)
-    return f"({e2}/2)"
+    return (mono_weight(m), m)
 
 
 def jet_name(name: str, order: int) -> str:
@@ -119,11 +111,10 @@ def jet_name(name: str, order: int) -> str:
 
 def _lower(mono: Monomial, idx: int, coeff):
     """d/dg of the term coeff * mono, g the factor at idx: (monomial, coeff)."""
-    g, e2 = mono[idx]
-    if e2 == 2:
+    g, e = mono[idx]
+    if e == 1:
         return mono[:idx] + mono[idx + 1:], coeff
-    factor = e2 // 2 if e2 % 2 == 0 else Fraction(e2, 2)
-    return mono[:idx] + ((g, e2 - 2),) + mono[idx + 1:], coeff * factor
+    return mono[:idx] + ((g, e - 1),) + mono[idx + 1:], coeff * e
 
 
 class DiffPoly:
@@ -132,8 +123,8 @@ class DiffPoly:
     Coefficients are field elements (``RationalFunction``) everywhere but
     inside ``varcalc.commutator``, which runs the same arithmetic, calculus
     and ``frechet`` on Kronecker-packed ints.  Arithmetic and calculus
-    need no more of a coefficient than ring operations, an int or
-    Fraction factor and a falsy zero; rendering, JSON and ``specialize``
+    need no more of a coefficient than ring operations, an int factor
+    and a falsy zero; rendering, JSON and ``specialize``
     need field elements.
     """
 
@@ -154,17 +145,17 @@ class DiffPoly:
         return DiffPoly({MONO_ONE: c})
 
     @staticmethod
-    def gen_power(gen: int, exp2: int, coeff=None) -> "DiffPoly":
+    def gen_power(gen: int, exp: int, coeff=None) -> "DiffPoly":
         c = RF_ONE if coeff is None else (coeff if isinstance(coeff, RationalFunction) else rf(coeff))
-        if exp2 == 0:
+        if exp == 0:
             return DiffPoly.constant(c)
         if c.is_zero:
             return DP_ZERO
-        return DiffPoly({((gen, exp2),): c})
+        return DiffPoly({((gen, exp),): c})
 
     @staticmethod
     def var(gen: int) -> "DiffPoly":
-        return DiffPoly({((gen, 2),): RF_ONE})
+        return DiffPoly({((gen, 1),): RF_ONE})
 
     @staticmethod
     def from_terms(pairs: Iterable) -> "DiffPoly":
@@ -271,7 +262,7 @@ class DiffPoly:
                     continue
                 base, c = _lower(mono, idx, coeff)
                 if g != X_GEN:
-                    base = mono_mul(base, ((jet(jet_depvar(g), jet_order(g) + 1), 2),))
+                    base = mono_mul(base, ((jet(jet_depvar(g), jet_order(g) + 1), 1),))
                 yield base, c
 
     def partial_t(self) -> "DiffPoly":
@@ -296,17 +287,14 @@ class DiffPoly:
         parts = []
         for mono, coeff in self.sorted_terms():
             factors = [f"({coeff.text(param)})"]
-            for g, e2 in mono:
+            for g, e in mono:
                 if g == X_GEN:
                     base = "x"
                 elif g == T_GEN:
                     base = "t"
                 else:
                     base = jet_name(names[jet_depvar(g)], jet_order(g))
-                if e2 == 2:
-                    factors.append(base)
-                else:
-                    factors.append(f"{base}^{_exp_text(e2)}")
+                factors.append(base if e == 1 else f"{base}^{e}")
             parts.append("*".join(factors))
         return " + ".join(parts)
 
@@ -314,14 +302,14 @@ class DiffPoly:
         out = []
         for mono, coeff in self.sorted_terms():
             exps = []
-            for g, e2 in mono:
+            for g, e in mono:
                 if g == X_GEN:
                     gj = "x"
                 elif g == T_GEN:
                     gj = "t"
                 else:
                     gj = [jet_depvar(g), jet_order(g)]
-                exps.append([gj, e2 // 2 if e2 % 2 == 0 else f"{e2}/2"])
+                exps.append([gj, e])
             out.append({"exps": exps, "coeff": coeff.to_json()})
         return out
 
@@ -340,14 +328,9 @@ class DiffPoly:
                     g = jet(gj[0], gj[1])
                 else:
                     raise ValueError(f"invalid generator {gj!r}")
-                if isinstance(e, str):
-                    num, two = e.split("/")
-                    e2 = int(num) if two == "2" else 0
-                else:
-                    e2 = 2 * e
-                if not isinstance(e2, int) or e2 == 0:
+                if type(e) is not int or e == 0:
                     raise ValueError(f"invalid exponent {e!r}")
-                mono.append((g, e2))
+                mono.append((g, e))
             mono.sort()
             if len({g for g, _ in mono}) < len(mono):
                 raise ValueError("a generator repeats within a monomial")

@@ -166,9 +166,11 @@ class ExprParser:
 
     def parse_term(self) -> DiffPoly:
         acc = self.parse_factor()
-        while self.ts.accept("sym", "*"):
-            acc = acc * self.parse_factor()
-        return acc
+        while True:
+            star = self.ts.accept("sym", "*")
+            if not star:
+                return acc
+            acc = _budgeted_mul(acc, self.parse_factor(), star)
 
     def parse_factor(self) -> DiffPoly:
         base = self.parse_base()
@@ -195,7 +197,10 @@ class ExprParser:
                 nxt = self.ts.tokens[self.ts.pos + 1]
                 if nxt.kind == "int":
                     self.ts.next()
-                    value = Fraction(value.numerator, _nat(self.ts.next()))
+                    den = _nat(self.ts.next())
+                    if not den:
+                        raise ParseError(nxt.line, nxt.col, "division by zero")
+                    value = Fraction(value.numerator, den)
             return DiffPoly.constant(rf(value))
         if tok.kind == "name":
             self.ts.next()
@@ -227,8 +232,8 @@ class ExprParser:
         raise UnknownIdentifier(tok.line, tok.col, f"unknown identifier {name!r}")
 
 
-#: a power is refused when one of its products would multiply more pairs
-#: of coefficient words (``RationalFunction.size``) than this
+#: a product, of ``*`` or inside ``^``, is refused when it would multiply
+#: more pairs of coefficient words (``RationalFunction.size``) than this
 POWER_BUDGET = 10 ** 5
 
 
@@ -246,23 +251,25 @@ def _size(p: DiffPoly) -> int:
     return sum(c.size() for c in p.terms.values())
 
 
+def _budgeted_mul(a: DiffPoly, b: DiffPoly, op: Token) -> DiffPoly:
+    """a * b, or a ParseError at the operator op past POWER_BUDGET."""
+    if _size(a) * _size(b) > POWER_BUDGET:
+        kind = "power" if op.value == "^" else "product"
+        raise ParseError(op.line, op.col, f"{kind} exceeds the expansion budget")
+    return a * b
+
+
 def _dp_pow(base: DiffPoly, n: int, caret: Token) -> DiffPoly:
     """base^n by repeated squaring, within POWER_BUDGET per product."""
-
-    def times(a: DiffPoly, b: DiffPoly) -> DiffPoly:
-        if _size(a) * _size(b) > POWER_BUDGET:
-            raise ParseError(caret.line, caret.col, "power exceeds the expansion budget")
-        return a * b
-
     out = DP_ONE
     cur = base
     while True:
         if n & 1:
-            out = times(out, cur)
+            out = _budgeted_mul(out, cur, caret)
         n >>= 1
         if not n:
             return out
-        cur = times(cur, cur)
+        cur = _budgeted_mul(cur, cur, caret)
 
 
 # ---------------------------------------------------------------------------

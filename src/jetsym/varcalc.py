@@ -48,25 +48,23 @@ def euler_operator(f: DiffPoly, depvar: int) -> DiffPoly:
 def _formal_integral(f: DiffPoly, gen: int) -> DiffPoly:
     """Antiderivative of f in the single generator gen.
 
-    Coefficients may involve other generators; the result must have
-    integer exponents, otherwise the exponent lattice would silently be
-    extended and we abort instead.
+    Coefficients may involve other generators.  Exponent -1 would need a
+    logarithm, which is no differential polynomial, and aborts.
     """
     terms = {}
     for mono, coeff in f.terms.items():
-        e2 = 0
+        e = 0
         rest = []
-        for g, e in mono:
+        for g, eg in mono:
             if g == gen:
-                e2 = e
+                e = eg
             else:
-                rest.append((g, e))
-        if e2 == -2 or e2 % 2 != 0:
+                rest.append((g, eg))
+        if e == -1:
             raise NonIntegerExponentPath(
-                f"integration in a single generator hit exponent {e2}/2")
-        ne2 = e2 + 2
-        nm = tuple(sorted(rest + [(gen, ne2)]))
-        terms[nm] = coeff * Fraction(2, ne2)
+                "integration in a single generator hit exponent -1, a logarithm")
+        nm = tuple(sorted(rest + [(gen, e + 1)]))
+        terms[nm] = coeff * Fraction(1, e + 1)
     return DiffPoly(terms)
 
 
@@ -74,10 +72,10 @@ def _top_block_linear(f: DiffPoly, k: int) -> bool:
     """True when every monomial of f is at most linear in order-k jets."""
     for mono in f.terms:
         top = 0
-        for g, e2 in mono:
+        for g, e in mono:
             if is_jet(g) and jet_order(g) == k:
-                top += e2
-        if top > 2:
+                top += e
+        if top > 1:
             return False
     return True
 
@@ -162,8 +160,7 @@ class _IntegerField:
     monomial (at least 1), which bounds the factor one D_x or one
     jet-summed partial derivative puts on the norm; ``growth``, what one
     D_x can add to that weight (0 while every exponent is a positive
-    integer, else 2); ``top``, the highest jet order; and ``halves``,
-    whether some exponent is a half-integer.
+    integer, else 2); and ``top``, the highest jet order.
     """
 
     def __init__(self, field: EvoField):
@@ -172,11 +169,10 @@ class _IntegerField:
         it = iter(polys)
         self.comps = [{m: next(it) for m in comp.terms} for comp in field]
         self.norm = sum(abs(c) for p in polys for c in p)
-        exps = [[e2 for _, e2 in m] for comp in field for m in comp.terms]
-        self.weight = max([1] + [(sum(map(abs, e)) + 1) // 2 for e in exps])
-        self.growth = 0 if all(e2 >= 2 and e2 % 2 == 0 for e in exps for e2 in e) else 2
+        exps = [[e for _, e in m] for comp in field for m in comp.terms]
+        self.weight = max([1] + [sum(map(abs, e)) for e in exps])
+        self.growth = 0 if all(e > 0 for es in exps for e in es) else 2
         self.top = field.max_jet_order() or 0
-        self.halves = any(e2 % 2 for e in exps for e2 in e)
         self._packed: dict = {}
 
     def dx_gain(self, i: int) -> int:
@@ -196,23 +192,20 @@ class _IntegerField:
         return entry
 
 
-def _slot_bits(f: _IntegerField, g: _IntegerField):
-    """(bits, halvings) that make the packed bracket of f and g exact.
+def _slot_bits(f: _IntegerField, g: _IntegerField) -> int:
+    """Slot width in bits that makes the packed bracket of f and g exact.
 
     Each coefficient of [g, f]'s components is at most norm(f) norm(g)
     (weight(g) dx_gain_f(top g) + weight(f) dx_gain_g(top f)) in absolute
     value, by |pq|_1 <= |p|_1 |q|_1 and the weight bounds on D_x and the
-    partials.  A half-integer exponent puts at most 1 + top halvings into
-    a term, so 2^halvings times the bracket has integer coefficients.
-    Balanced digits of width bits hold every such coefficient, so a
-    packed value is zero exactly when its polynomial is; any wider slot
-    would do as well.
+    partials.  Balanced digits of width bits hold every such coefficient,
+    so a packed value is zero exactly when its polynomial is; any wider
+    slot would do as well.
     """
     height = f.norm * g.norm * (g.weight * f.dx_gain(g.top) + f.weight * g.dx_gain(f.top))
-    halvings = 1 + max(f.top, g.top) if f.halves or g.halves else 0
-    bits = (height << halvings).bit_length() + 1
+    bits = height.bit_length() + 1
     # whole words: pairs that round to the same width share packed fields
-    return -(-bits // 64) * 64, halvings
+    return -(-bits // 64) * 64
 
 
 def commutator(F: EvoField, G: EvoField, prepared: dict | None = None) -> EvoField:
@@ -237,14 +230,14 @@ def commutator(F: EvoField, G: EvoField, prepared: dict | None = None) -> EvoFie
                 prepared[field] = entry
         entries.append(entry)
     f, g = entries
-    bits, halvings = _slot_bits(f, g)
+    bits = _slot_bits(f, g)
     (pf, chain_f), (pg, chain_g) = f.packed(bits), g.packed(bits)
     bracket = EvoField(frechet(pg[c], pf, chain_f) - frechet(pf[c], pg, chain_g)
                        for c in range(len(pf)))
     if bracket.is_zero:
         return bracket
     unscale = (f.scale * g.scale).inverse()
-    return EvoField(DiffPoly({m: kronecker_unpack(v, bits, halvings) * unscale
+    return EvoField(DiffPoly({m: kronecker_unpack(v, bits) * unscale
                               for m, v in comp.terms.items()})
                     for comp in bracket)
 

@@ -46,7 +46,7 @@ def random_monomial(rng, nvars=2, max_order=2, max_factors=3, with_xt=False):
     counts = {}
     for _ in range(rng.randint(0, max_factors)):
         g = rng.choice(gens)
-        counts[g] = counts.get(g, 0) + 2
+        counts[g] = counts.get(g, 0) + 1
     return tuple(sorted(counts.items()))
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -152,6 +153,20 @@ class TestDensitySearch:
         with pytest.raises(AnsatzTooLarge):
             density_search(fs, DensityAnsatz(2, 6), cap=100)
 
+    @pytest.mark.parametrize("order, degree, count", [
+        (2, 6, 924), (0, 2, 6), (2, 4, 210), (3, 4, 495), (1, 3, 35)])
+    def test_ansatz_size(self, fs, order, degree, count):
+        ansatz = DensityAnsatz(order, degree)
+        assert ansatz.size(fs) == len(ansatz.monomials(fs)) == count
+        assert count == math.comb(2 * (order + 1) + degree, degree)
+
+    def test_ansatz_size_past_64_bits(self, fs):
+        assert DensityAnsatz(2, 60).size(fs) == math.comb(66, 60)
+        assert DensityAnsatz(4095, 10 ** 18).size(fs) is None
+        with pytest.raises(AnsatzTooLarge) as info:
+            density_search(fs, DensityAnsatz(0, 10 ** 18), cap=10 ** 40)
+        assert info.value.count is None
+
     def test_report_json(self, fs):
         import json
         report = density_search(fs, DensityAnsatz(0, 2))
@@ -163,13 +178,14 @@ class TestSubstitution:
     def test_symbolic(self):
         assert substitution_check().ok
 
-    @pytest.mark.parametrize("alpha0", [0, 1, Fraction(1, 3), Fraction(1, 2)])
+    @pytest.mark.parametrize("alpha0", [0, 1, Fraction(1, 3), Fraction(1, 2), -2,
+                                        Fraction(7, 5)])
     def test_specializations(self, alpha0):
         assert substitution_check(Fraction(alpha0)).ok
 
     def test_mutated_constant_fails(self):
         wrong_w = DiffPoly({
-            ((jet(0, 0), -2), (jet(0, 1), 2)): rf(Fraction(1, 3))})
+            ((jet(0, 0), -1), (jet(0, 1), 1)): rf(Fraction(1, 3))})
         report = substitution_check(w_image=wrong_w)
         assert not report.ok
         assert not report.defects[0].is_zero

@@ -188,12 +188,55 @@ class TestDensities:
         assert code == 1
         assert json.loads(err)["error"]["code"] == "error"
 
+    @pytest.mark.parametrize("order, degree, count", [
+        ("2", "60", 90858768),  # building the monomials would exhaust memory
+        ("4095", str(10 ** 18), None),  # a count past 2^64 is not formed
+    ])
+    def test_cap_checked_before_enumeration(self, capsys, order, degree, count):
+        code, stdout, err = run(capsys, "densities", "--system", "fs",
+                                "--max-order", order, "--max-degree", degree, "--json")
+        assert code == 4
+        assert stdout == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert error["code"] == "resource"
+        assert error["count"] == count
+
     def test_cap_exit_code(self, capsys, monkeypatch):
         monkeypatch.setenv("JETSYM_MAX_UNKNOWNS", "5")
         code, _, err = run(capsys, "densities", "--system", "fs",
                            "--max-order", "2", "--max-degree", "4", "--json")
         assert code == 4
         assert json.loads(err)["error"]["code"] == "resource"
+
+
+class TestPinnedStdout:
+    """sha256 of the whole stdout, trailing newline included."""
+
+    @pytest.mark.parametrize("system, size, sha256", [
+        ("fs", 21703,
+         "6ffc2d6cc55feb10b94caede11d576db5fbafae8c40d148ac0d435def0b2d891"),
+        ("ts1", 21704,
+         "745bc96389fd1f1835f86a6cdff3ff3b35ac8cb9406d92f9a778eda6168fe59d"),
+    ])
+    def test_densities(self, capsys, system, size, sha256):
+        code, stdout, _ = run(capsys, "densities", "--system", system,
+                              "--max-order", "2", "--max-degree", "4", "--json")
+        assert code == 0
+        data = stdout.encode()
+        assert len(data) == size
+        assert hashlib.sha256(data).hexdigest() == sha256
+
+    def test_verify(self, tmp_path, capsys):
+        out = tmp_path / "h.json"
+        run(capsys, "gen", "--system", "fs", "--n", "6", "--out", str(out))
+        code, stdout, _ = run(capsys, "verify", str(out), "--json")
+        assert code == 0
+        data = stdout.encode()
+        assert len(data) == 2378
+        assert hashlib.sha256(data).hexdigest() == \
+            "75ffa931b06c5e479f84173bda8f8f0029ae874a2448ff744ffaacf6793832a4"
 
 
 class TestSubstCheck:
@@ -307,19 +350,31 @@ BAD_INPUTS = {
         "render", "--file", _input_file(p, f"system s\nvars w\neq w_t = w_{'1' * 5000}\n")],
     "render-power-budget": lambda p: [
         "render", "--file", _input_file(p, "system s\nvars w\neq w_t = (w + w_x)^100000\n")],
+    "render-product-budget": lambda p: [
+        "render", "--file", _input_file(
+            p, "system s\nvars w z\neq w_t = "
+            + "*".join(["(w + w_x + w_xx + z + z_x)^4"] * 10) + "\neq z_t = z_x\n")],
+    "render-zero-denominator": lambda p: [
+        "render", "--file", _input_file(p, "system s\nvars w\neq w_t = 1/0*w\n")],
+    "densities-long-order": lambda p: [
+        "densities", "--system", "fs", "--max-order", "4096"],
 }
 
 
 class TestHalfIntegerExponents:
-    @pytest.mark.parametrize("exp", ["3/2", "-1/2"])
+    """Exponents are nonzero ints; the old "k/2" form is malformed."""
+
+    @pytest.mark.parametrize("exp", ["3/2", "-1/2", 1.5, True])
     def test_commute_exits_cleanly(self, tmp_path, capsys, exp):
         def mutate(doc):
             doc["members"][2][0][0]["exps"][0][1] = exp
         path = _hierarchy_file(tmp_path, mutate, n=3)
-        for flags in ((), ("--json",)):
-            code, _, err = run(capsys, "commute", path, *flags)
-            assert code in (0, 3)
-            assert "Traceback" not in err
+        code, stdout, err = run(capsys, "commute", path, "--json")
+        assert code == 1
+        assert stdout == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["code"] == "parse"
 
 
 class TestBadInputs:

@@ -2,8 +2,9 @@
 
 Mutations of a ``gen --system fs --n 3`` hierarchy and of the ``fs``
 system text go through ``cli.main`` in-process.  A system text mutation
-may also put in a number literal too long to parse or a power past the
-expansion budget of ``^``.  Each run must return
+may also put in a number literal too long to parse, a power past the
+expansion budget of ``^`` or a chain of ``*`` past that budget.  Each
+run must return
 one of the documented exit codes 0-4 and print no traceback.
 """
 
@@ -83,7 +84,8 @@ def _mutate_hierarchy(rng, doc):
 
 
 def _mutate_system(rng, text: str):
-    kind = rng.choice(("drop", "retype", "swap", "truncate", "bytes", "literal", "power"))
+    kind = rng.choice(("drop", "retype", "swap", "truncate", "bytes", "literal", "power",
+                       "product"))
     if kind in ("truncate", "bytes"):
         return kind, _damage(rng, text.encode(), kind)
     lines = text.splitlines()
@@ -101,8 +103,10 @@ def _mutate_system(rng, text: str):
         # one factor of a right-hand side replaced, so the parser reaches it
         if kind == "literal":  # past Python's limit on parsed digits
             token = str(rng.randint(1, 9)) * rng.randint(4301, 6000)
-        else:  # past the expansion budget of ^
+        elif kind == "power":  # past the expansion budget of ^
             token = f"(w + w_x + w_xx + z + z_x)^{rng.randint(10 ** 3, 10 ** 6)}"
+        else:  # a chain of * whose partial products pass the budget
+            token = "*".join(["(w + w_x + w_xx + z + z_x)^4"] * rng.randint(3, 12))
         i = rng.choice([k for k, line in enumerate(lines) if line.startswith("eq ")])
         words = lines[i].split(" ")
         factors = [k for k in range(3, len(words)) if words[k] not in ("+", "-")]

@@ -62,7 +62,7 @@ class TestSeeds:
 
     def test_cubic_coefficient(self):
         _, k2 = fs_seed()
-        assert k2[1].coefficient(((jet(1, 0), 6),)) == rf(-2)
+        assert k2[1].coefficient(((jet(1, 0), 3),)) == rf(-2)
 
     def test_sign_flipped_seed_is_not_a_symmetry(self):
         # flipping the middle fraction of the second component breaks the
@@ -87,11 +87,11 @@ class TestRecursionStep:
 
     def test_k3_named_coefficients(self):
         k3 = fs_hierarchy(3).member(3)
-        assert k3[0].coefficient(((jet(0, 3), 2),)) == over_s(-1, -1)
-        wzz1 = tuple(sorted([(jet(0, 0), 2), (jet(1, 0), 2), (jet(1, 1), 2)]))
+        assert k3[0].coefficient(((jet(0, 3), 1),)) == over_s(-1, -1)
+        wzz1 = tuple(sorted([(jet(0, 0), 1), (jet(1, 0), 1), (jet(1, 1), 1)]))
         assert k3[0].coefficient(wzz1) == rf(12)
-        assert k3[1].coefficient(((jet(1, 3), 2),)) == rf(1)
-        wz3 = tuple(sorted([(jet(0, 0), 2), (jet(1, 0), 6)]))
+        assert k3[1].coefficient(((jet(1, 3), 1),)) == rf(1)
+        wz3 = tuple(sorted([(jet(0, 0), 1), (jet(1, 0), 3)]))
         assert k3[1].coefficient(wz3) == rf(-12)
 
     def test_k3_term_counts(self):
@@ -185,7 +185,7 @@ class TestTriangularHierarchy:
         for n in range(3, 9):
             assert bs[n] == bs[n - 1] - (rf(1) - a) * rf(Fraction(1, 2)) * bs[n - 2]
         for n in range(1, 9):
-            lead = h.member(n)[0].coefficient(((jet(0, n), 2),))
+            lead = h.member(n)[0].coefficient(((jet(0, n), 1),))
             assert lead == bs[n]
 
     def test_second_component_is_pure_jet(self):
@@ -202,12 +202,12 @@ class TestTriangularHierarchy:
 class TestScalingSymmetry:
     def test_t_wxx_coefficient(self):
         s = scaling_symmetry()
-        mono = tuple(sorted([(T_GEN, 2), (jet(0, 2), 2)]))
+        mono = tuple(sorted([(T_GEN, 1), (jet(0, 2), 1)]))
         assert s[0].coefficient(mono) == rf(2)
 
     def test_x_wx_coefficient(self):
         s = scaling_symmetry()
-        mono = tuple(sorted([(X_GEN, 2), (jet(0, 1), 2)]))
+        mono = tuple(sorted([(X_GEN, 1), (jet(0, 1), 1)]))
         assert s[0].coefficient(mono) == rf(1)
 
     def test_definition_remainder(self):

@@ -66,17 +66,17 @@ class TestApplyMatrix:
         two_a_over_s = RationalFunction(AlphaPoly((0, 2)), s)
         comp = out[1]
         assert comp.coefficient(
-            tuple(sorted([(jet(1, 0), 2), (jet(0, 2), 2)]))) == two_a_over_s
+            tuple(sorted([(jet(1, 0), 1), (jet(0, 2), 1)]))) == two_a_over_s
         assert comp.coefficient(
-            tuple(sorted([(jet(0, 0), 2), (jet(1, 0), 2), (jet(0, 1), 2)]))) \
+            tuple(sorted([(jet(0, 0), 1), (jet(1, 0), 1), (jet(0, 1), 1)]))) \
             == RationalFunction(AlphaPoly((0, 24)), s)
         assert comp.coefficient(
-            tuple(sorted([(jet(0, 0), 6), (jet(1, 0), 2)]))) \
+            tuple(sorted([(jet(0, 0), 3), (jet(1, 0), 1)]))) \
             == RationalFunction(AlphaPoly((0, 32)), s)
         assert comp.coefficient(
-            tuple(sorted([(jet(0, 0), 2), (jet(1, 0), 6)]))) == rf(-4)
+            tuple(sorted([(jet(0, 0), 1), (jet(1, 0), 3)]))) == rf(-4)
         assert comp.coefficient(
-            tuple(sorted([(jet(1, 0), 4), (jet(1, 1), 2)]))) == rf(-2)
+            tuple(sorted([(jet(1, 0), 2), (jet(1, 1), 1)]))) == rf(-2)
 
     def test_obstruction_names_entry(self):
         rec = recursion_matrix()
