@@ -17,7 +17,7 @@ from typing import Optional, Tuple
 
 from .coeffield import RF_ONE, RationalFunction, accumulate, rf, sparse_rref
 from .errors import (AnsatzTooLarge, CrossCheckFailed, ExplicitXTDependence,
-                     NotDecomposable, StructuralViolation)
+                     InvalidSetting, NotDecomposable, StructuralViolation)
 from .hierarchy import Hierarchy, scaling_symmetry, structural_check
 from .jetalgebra import DP_ZERO, DiffPoly, EvoField, MONO_ONE, jet, jet_depvar, jet_order
 from .systems import EvolutionSystem, builtin_system
@@ -28,8 +28,16 @@ DEFAULT_UNKNOWN_CAP = 20000
 
 
 def _unknown_cap() -> int:
+    """JETSYM_MAX_UNKNOWNS, a nonnegative decimal integer of at most 18
+    digits, or DEFAULT_UNKNOWN_CAP when it is unset or empty."""
     env = os.environ.get("JETSYM_MAX_UNKNOWNS")
-    return int(env) if env else DEFAULT_UNKNOWN_CAP
+    if not env:
+        return DEFAULT_UNKNOWN_CAP
+    if not (env.isascii() and env.isdigit() and len(env) <= 18):
+        shown = env if len(env) <= 40 else f"{env[:20]}... ({len(env)} characters)"
+        raise InvalidSetting(f"JETSYM_MAX_UNKNOWNS must be a nonnegative decimal "
+                             f"integer of at most 18 digits, not {shown!r}")
+    return int(env)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from .analysis import (DensityAnsatz, commutativity_table, density_search,
                        substitution_check, verify_hierarchy)
 from .coeffield import parse_rational
 from .errors import (AnsatzTooLarge, DuplicateEquation, InvalidHierarchy,
-                     JetsymError, MissingEquation, NonlocalObstruction,
+                     InvalidSetting, JetsymError, MissingEquation, NonlocalObstruction,
                      NumberTooLong, ParseError, PoleAtParameter)
 from .hierarchy import Hierarchy, fs_hierarchy, ts1_hierarchy
 from .jetalgebra import jet
@@ -242,7 +242,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except _UsageError as exc:
+    except (_UsageError, InvalidSetting) as exc:
         _diag(args, "usage", str(exc))
         return EXIT_USAGE
     except PoleAtParameter as exc:

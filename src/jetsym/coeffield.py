@@ -18,13 +18,15 @@ from .errors import DivisionByZero, NumberTooLong, PoleAtParameter
 NEG_INF = float("-inf")
 
 
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
+def _as_rational(value):
+    """An int or a Fraction; a string is parsed once, by int() if it can."""
+    if isinstance(value, (int, Fraction)):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
     if isinstance(value, str):
-        return parse_rational(value)
+        try:
+            return int(value)
+        except ValueError:
+            return parse_rational(value)
     raise TypeError(f"cannot coerce {value!r} to a rational number")
 
 
@@ -41,59 +43,93 @@ def parse_rational(text: str) -> Fraction:
 
 def rational_text(q: Fraction) -> str:
     """str(q), or NumberTooLong past Python's limit on printed digits."""
+    return _ratio_text(q.numerator, q.denominator)
+
+
+def _ratio_text(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for coprime n and d > 0, or NumberTooLong."""
     try:
-        return str(q)
+        return str(n) if d == 1 else f"{n}/{d}"
     except ValueError:
-        bits = max(abs(q.numerator), q.denominator).bit_length()
+        bits = max(abs(n), d).bit_length()
         raise NumberTooLong(f"a number of {bits} bits is too long to print") from None
 
 
 class AlphaPoly:
-    """Polynomial in the parameter with rational coefficients, dense ascending."""
+    """Polynomial in the parameter with rational coefficients.
 
-    __slots__ = ("coeffs",)
+    Stored as ``ints``, integer numerators in ascending degree with a
+    nonzero last entry, over ``den``, one positive integer denominator, in
+    canonical form gcd(den, *ints) = 1; zero is ((), 1).  Equal
+    polynomials therefore have equal fields, and no arithmetic runs on
+    Fractions.
+    """
+
+    __slots__ = ("ints", "den")
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
+        cs = [_as_rational(c) for c in coeffs]
+        while cs and not cs[-1]:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        # the lcm of reduced denominators shares no prime with every numerator
+        den = lcm(*(c.denominator for c in cs))
+        object.__setattr__(self, "ints",
+                           tuple(c.numerator * (den // c.denominator) for c in cs))
+        object.__setattr__(self, "den", den)
 
     @staticmethod
-    def _of(coeffs: tuple) -> "AlphaPoly":
-        """Trusted constructor: Fractions whose last entry is nonzero."""
+    def _of(ints: tuple, den: int = 1) -> "AlphaPoly":
+        """Trusted constructor: canonical ints and den."""
         p = object.__new__(AlphaPoly)
-        object.__setattr__(p, "coeffs", coeffs)
+        object.__setattr__(p, "ints", ints)
+        object.__setattr__(p, "den", den)
         return p
 
     def __setattr__(self, name, value):
         raise AttributeError("AlphaPoly is immutable")
 
     @property
+    def coeffs(self) -> tuple:
+        """The coefficients as Fractions, lowest degree first: a read-only
+        view for display and inspection, which no arithmetic reads."""
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.ints)
+
+    @property
     def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self.ints) - 1 if self.ints else NEG_INF
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def leading(self) -> Fraction:
-        if not self.coeffs:
-            return Fraction(0)
-        return self.coeffs[-1]
+        return not self.ints
 
     def __eq__(self, other):
-        return isinstance(other, AlphaPoly) and self.coeffs == other.coeffs
+        return (isinstance(other, AlphaPoly)
+                and self.ints == other.ints and self.den == other.den)
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.ints, self.den))
 
     def __neg__(self):
-        return AlphaPoly._of(tuple(-c for c in self.coeffs))
+        return AlphaPoly._of(tuple(-c for c in self.ints), self.den)
 
     def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
+        a, b = self.ints, other.ints
+        if not a:
+            return other
+        if not b:
+            return self
+        da, db = self.den, other.den
+        if da == db:
+            den = da
+        else:
+            g = gcd(da, db)
+            ma, mb = db // g, da // g
+            if ma != 1:
+                a = [ma * c for c in a]
+            if mb != 1:
+                b = [mb * c for c in b]
+            den = da * ma
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
@@ -102,59 +138,51 @@ class AlphaPoly:
         # the leading terms of a sum can cancel; a product's cannot
         while out and not out[-1]:
             out.pop()
-        return AlphaPoly._of(tuple(out))
+        if not out:
+            return _APOLY_ZERO
+        return _canonical(out, den)
 
     def __mul__(self, other):
-        a, b = self.coeffs, other.coeffs
+        a, b = self.ints, other.ints
         if not a or not b:
             return _APOLY_ZERO
         if len(a) == 1:
             c = a[0]
-            return AlphaPoly._of(tuple(c * x for x in b))
-        if len(b) == 1:
+            out = [c * x for x in b]
+        elif len(b) == 1:
             c = b[0]
-            return AlphaPoly._of(tuple(c * x for x in a))
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return AlphaPoly._of(tuple(out))
+            out = [c * x for x in a]
+        else:
+            out = [0] * (len(a) + len(b) - 1)
+            for i, ca in enumerate(a):
+                if ca:
+                    for j, cb in enumerate(b):
+                        out[i + j] += ca * cb
+        return _canonical(out, self.den * other.den)
 
-    def scale(self, q: Fraction) -> "AlphaPoly":
-        if q == 0:
+    def scale(self, q) -> "AlphaPoly":
+        """q * self for a rational (Fraction or int) q."""
+        if not q or not self.ints:
             return _APOLY_ZERO
-        return AlphaPoly._of(tuple(q * c for c in self.coeffs))
+        n = q.numerator
+        return _canonical([n * c for c in self.ints], self.den * q.denominator)
 
     def monic(self) -> "AlphaPoly":
-        if not self.coeffs:
+        if not self.ints:
             return self
-        lead = self.coeffs[-1]
-        if lead == 1:
-            return self
-        return self.scale(1 / lead)
+        return _monic_ints(self.ints)
 
     def divmod(self, other: "AlphaPoly"):
         """Exact polynomial division with remainder."""
         if other.is_zero:
             raise DivisionByZero("polynomial division by zero")
-        rem = list(self.coeffs)
-        ob = other.coeffs
-        dq = len(rem) - len(ob)
-        if dq < 0:
+        if len(self.ints) < len(other.ints):
             return _APOLY_ZERO, self
-        quo = [Fraction(0)] * (dq + 1)
-        olead = ob[-1]
-        for i in range(dq, -1, -1):
-            c = rem[i + len(ob) - 1]
-            if c:
-                q = c / olead
-                quo[i] = q
-                for j, oc in enumerate(ob):
-                    rem[i + j] -= q * oc
-        while rem and not rem[-1]:
-            rem.pop()
-        return AlphaPoly._of(tuple(quo)), AlphaPoly._of(tuple(rem))
+        quo, rem, s = _pseudo_divmod(self.ints, other.ints)
+        # s * self.ints = quo * other.ints + rem, with s > 0
+        den = s * self.den
+        quo = _canonical([other.den * c for c in quo], den)
+        return quo, _canonical(rem, den) if rem else _APOLY_ZERO
 
     def __floordiv__(self, other):
         q, _ = self.divmod(other)
@@ -166,47 +194,51 @@ class AlphaPoly:
         Each pseudo-remainder is cut to its primitive part (Brown 1971), so
         no rational arithmetic runs inside the loop.
         """
-        a, b = self.coeffs, other.coeffs
+        a, b = self.ints, other.ints
         if len(a) == 1 or len(b) == 1:
             return _APOLY_ONE
         if not b:
             return self.monic()
         if not a:
             return other.monic()
-        a, b = _primitive(a), _primitive(b)
+        a, b = _content_free(a), _content_free(b)
         if len(a) < len(b):
             a, b = b, a
         while len(b) > 1:
             r = _pseudo_remainder(a, b)
             if not r:
-                lead = b[-1]
-                return AlphaPoly._of(tuple(Fraction(c, lead) for c in b))
+                return _monic_ints(b)
             a, b = b, _content_free(r)
         return _APOLY_ONE
 
     def eval(self, value: Fraction) -> Fraction:
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * value + c
-        return acc
+        # homogeneous Horner: sum ints[i] n^i d^(k-i) over d^k den
+        ints = self.ints
+        if not ints:
+            return Fraction(0)
+        n, d = value.numerator, value.denominator
+        acc, dk = ints[-1], 1
+        for c in reversed(ints[:-1]):
+            dk *= d
+            acc = acc * n + c * dk
+        return Fraction(acc, self.den * dk)
 
     def int_scale(self) -> Fraction:
         """Rational r such that r * self has coprime integer coefficients
         and a positive leading coefficient."""
-        if not self.coeffs:
+        if not self.ints:
             return Fraction(1)
-        den = lcm(*(c.denominator for c in self.coeffs))
-        num = gcd(*(c.numerator for c in self.coeffs))
-        r = Fraction(den, num)
-        return -r if self.coeffs[-1] < 0 else r
+        r = Fraction(self.den, gcd(*self.ints))
+        return -r if self.ints[-1] < 0 else r
 
     def text(self, param: str = "alpha") -> str:
         """Human form, descending degree, e.g. ``2*alpha - 1``."""
-        if not self.coeffs:
+        coeffs = self.coeffs
+        if not coeffs:
             return "0"
         parts = []
-        for deg in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[deg]
+        for deg in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[deg]
             if c == 0:
                 continue
             mag = rational_text(abs(c))
@@ -225,39 +257,80 @@ class AlphaPoly:
         return f"AlphaPoly({self.text()})"
 
 
-def _primitive(coeffs) -> list:
-    """Integer multiple of a nonzero rational polynomial with content 1."""
-    den = lcm(*(c.denominator for c in coeffs))
-    return _content_free([c.numerator * (den // c.denominator) for c in coeffs])
+def _canonical(ints: list, den: int) -> AlphaPoly:
+    """ints over den > 0 in canonical form; ints has a nonzero last entry."""
+    if den != 1:
+        g = gcd(den, *ints)
+        if g != 1:
+            return AlphaPoly._of(tuple(c // g for c in ints), den // g)
+    return AlphaPoly._of(tuple(ints), den)
 
 
-def _content_free(ints: list) -> list:
+def _monic_ints(ints) -> AlphaPoly:
+    """The monic multiple of the nonzero integer polynomial ints."""
+    lead = ints[-1]
+    if lead < 0:
+        return _canonical([-c for c in ints], -lead)
+    return _canonical(ints, lead)
+
+
+def _content_free(ints) -> list:
     g = gcd(*ints)
     return ints if g == 1 else [c // g for c in ints]
 
 
-def _pseudo_remainder(a: list, b: list) -> list:
+def _pseudo_remainder(a, b) -> list:
     """Remainder of a by b over Z, up to a nonzero integer factor.
 
     deg a >= deg b >= 1.  Each step scales the running remainder by
     lc(b)/g and subtracts (lc(r)/g) x^k b, with g = gcd(lc(r), lc(b)).
     """
     r = list(a)
-    nb = len(b)
     lb = b[-1]
-    while len(r) >= nb:
-        lr = r[-1]
+    low = b[:-1]
+    nb = len(low)
+    while len(r) > nb:
+        lr = r.pop()
         g = gcd(lr, lb)
-        sr, sb = lb // g, lr // g
-        if sr != 1:
-            r = [sr * c for c in r]
+        m, c = lb // g, lr // g
+        if m != 1:
+            r = [m * x for x in r]
         shift = len(r) - nb
-        for j in range(nb - 1):
-            r[shift + j] -= sb * b[j]
-        r.pop()
+        for j, x in enumerate(low):
+            r[shift + j] -= c * x
         while r and not r[-1]:
             r.pop()
     return r
+
+
+def _pseudo_divmod(a, b):
+    """(q, r, s) with s * a = q * b + r over Z, s > 0 and deg r < deg b.
+
+    deg a >= deg b >= 0.  As in _pseudo_remainder, with g signed like
+    lc(b) so that the scale m = lc(b)/g stays positive, and the quotient
+    scaled along with the remainder.
+    """
+    r = list(a)
+    lb = b[-1]
+    low = b[:-1]
+    nb = len(low)
+    q = [0] * (len(a) - nb)
+    s = 1
+    while len(r) > nb:
+        lr = r.pop()
+        g = gcd(lr, lb) if lb > 0 else -gcd(lr, lb)
+        m, c = lb // g, lr // g
+        if m != 1:
+            r = [m * x for x in r]
+            q = [m * x for x in q]
+            s *= m
+        shift = len(r) - nb
+        q[shift] = c
+        for j, x in enumerate(low):
+            r[shift + j] -= c * x
+        while r and not r[-1]:
+            r.pop()
+    return q, r, s
 
 
 _APOLY_ZERO = AlphaPoly()
@@ -302,18 +375,17 @@ class RationalFunction:
 
     @property
     def is_zero(self) -> bool:
-        return not self.num.coeffs
+        return not self.num.ints
 
     def __bool__(self):
-        return bool(self.num.coeffs)
+        return bool(self.num.ints)
 
     def __eq__(self, other):
         return (isinstance(other, RationalFunction)
-                and self.num.coeffs == other.num.coeffs
-                and self.den.coeffs == other.den.coeffs)
+                and self.num == other.num and self.den == other.den)
 
     def __hash__(self):
-        return hash((self.num.coeffs, self.den.coeffs))
+        return hash((self.num, self.den))
 
     def __neg__(self):
         if self.is_zero:
@@ -328,12 +400,12 @@ class RationalFunction:
         if other.is_zero:
             return self
         # denominators are monic, so a constant one is 1
-        if len(self.den.coeffs) == 1 and len(other.den.coeffs) == 1:
+        if len(self.den.ints) == 1 and len(other.den.ints) == 1:
             num = self.num + other.num
-            if not num.coeffs:
+            if not num.ints:
                 return RF_ZERO
             return RationalFunction._raw(num, _APOLY_ONE)
-        if self.den.coeffs == other.den.coeffs:
+        if self.den == other.den:
             return RationalFunction(self.num + other.num, self.den)
         # Henrici's sum: with d1 = gcd(u', v'), the numerator
         # t = u (v'/d1) + v (u'/d1) shares with (u'/d1) v' only factors of d1
@@ -342,7 +414,7 @@ class RationalFunction:
         if d1.degree > 0:
             u1, v1 = u1 // d1, v1 // d1
         t = self.num * v1 + other.num * u1
-        if not t.coeffs:
+        if not t.ints:
             return RF_ZERO
         d2 = t.gcd(d1)
         v2 = other.den
@@ -357,8 +429,11 @@ class RationalFunction:
         if isinstance(other, int):
             if not other or self.is_zero:
                 return RF_ZERO
+            num = self.num
+            g = gcd(num.den, other)
+            k = other // g
             return RationalFunction._raw(
-                AlphaPoly._of(tuple(c * other for c in self.num.coeffs)), self.den)
+                AlphaPoly._of(tuple(c * k for c in num.ints), num.den // g), self.den)
         if isinstance(other, Fraction):
             if not other or self.is_zero:
                 return RF_ZERO
@@ -367,7 +442,7 @@ class RationalFunction:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return RF_ZERO
-        if len(self.den.coeffs) == 1 and len(other.den.coeffs) == 1:
+        if len(self.den.ints) == 1 and len(other.den.ints) == 1:
             return RationalFunction._raw(self.num * other.num, _APOLY_ONE)
         # cross-reduce before multiplying to keep the degrees down
         g1 = self.num.gcd(other.den)
@@ -394,7 +469,7 @@ class RationalFunction:
 
     def eval(self, value) -> Fraction:
         """Exact value at a parameter point; raises at a pole."""
-        value = _as_fraction(value)
+        value = _as_rational(value)
         dv = self.den.eval(value)
         if dv == 0:
             shown = self.den.scale(self.den.int_scale())
@@ -402,7 +477,7 @@ class RationalFunction:
         return self.num.eval(value) / dv
 
     def text(self, param: str = "alpha") -> str:
-        if len(self.den.coeffs) == 1:
+        if len(self.den.ints) == 1:
             return self.num.text(param)
         # display with an integer-primitive denominator, e.g. 2*alpha - 1
         r = self.den.int_scale()
@@ -411,8 +486,7 @@ class RationalFunction:
         return f"({num.text(param)})/({den.text(param)})"
 
     def to_json(self):
-        return {"num": [rational_text(c) for c in self.num.coeffs],
-                "den": [rational_text(c) for c in self.den.coeffs]}
+        return {"num": _coeff_texts(self.num), "den": _coeff_texts(self.den)}
 
     @staticmethod
     def from_json(obj) -> "RationalFunction":
@@ -420,6 +494,15 @@ class RationalFunction:
 
     def __repr__(self):
         return f"RF({self.text()})"
+
+
+def _coeff_texts(p: AlphaPoly) -> list:
+    """rational_text of each coefficient of p, lowest degree first."""
+    out = []
+    for c in p.ints:
+        g = gcd(c, p.den)
+        out.append(_ratio_text(c // g, p.den // g))
+    return out
 
 
 def _reduce(num: AlphaPoly, den: AlphaPoly):
@@ -438,11 +521,12 @@ def _reduce(num: AlphaPoly, den: AlphaPoly):
 
 def _monic_den(num: AlphaPoly, den: AlphaPoly):
     """num/den with both scaled so that den is monic."""
-    lead = den.leading
-    if lead == 1:
+    lead = den.ints[-1]
+    if lead == den.den:
         return num, den
-    inv = 1 / lead
-    return num.scale(inv), den.scale(inv)
+    # multiply both by den.den / lead, with the sign on the numerator
+    n, d = (den.den, lead) if lead > 0 else (-den.den, -lead)
+    return _canonical([n * c for c in num.ints], num.den * d), _monic_ints(den.ints)
 
 
 RF_ZERO = RationalFunction._raw(_APOLY_ZERO, _APOLY_ONE)
@@ -453,12 +537,12 @@ def rf(value) -> RationalFunction:
     """Coerce an int, Fraction, or string to a constant field element."""
     if isinstance(value, RationalFunction):
         return value
-    q = _as_fraction(value)
+    q = _as_rational(value)
     if q == 0:
         return RF_ZERO
     if q == 1:
         return RF_ONE
-    return RationalFunction._raw(AlphaPoly._of((q,)), _APOLY_ONE)
+    return RationalFunction._raw(AlphaPoly._of((q.numerator,), q.denominator), _APOLY_ONE)
 
 
 def clear_denominators(coeffs) -> tuple:
@@ -470,12 +554,12 @@ def clear_denominators(coeffs) -> tuple:
     """
     den = _APOLY_ONE
     for c in coeffs:
-        if len(c.den.coeffs) > 1:
+        if len(c.den.ints) > 1:
             den = den * (c.den // den.gcd(c.den))
-    nums = [c.num * (den // c.den) if len(den.coeffs) > 1 else c.num for c in coeffs]
-    ints = lcm(*(q.denominator for p in nums for q in p.coeffs))
-    polys = [tuple(q.numerator * (ints // q.denominator) for q in p.coeffs) for p in nums]
-    return RationalFunction._raw(den.scale(Fraction(ints)), _APOLY_ONE), polys
+    nums = [c.num * (den // c.den) if len(den.ints) > 1 else c.num for c in coeffs]
+    ints = lcm(*(p.den for p in nums))
+    polys = [tuple(c * (ints // p.den) for c in p.ints) for p in nums]
+    return RationalFunction._raw(den.scale(ints), _APOLY_ONE), polys
 
 
 def kronecker_pack(poly: tuple, bits: int) -> int:
@@ -504,7 +588,7 @@ def kronecker_unpack(value: int, bits: int) -> RationalFunction:
         d = value & (base - 1)
         if d >= half:
             d -= base
-        digits.append(Fraction(d))
+        digits.append(d)
         value = (value - d) >> bits
     return RationalFunction._raw(AlphaPoly._of(tuple(digits)), _APOLY_ONE)
 

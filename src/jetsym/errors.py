@@ -98,3 +98,7 @@ class MissingEquation(JetsymError):
 
 class InvalidHierarchy(JetsymError):
     """Hierarchy JSON names an unknown system or does not fit its system."""
+
+
+class InvalidSetting(JetsymError):
+    """An environment setting holds a value the package cannot use."""

@@ -6,6 +6,7 @@ pass/fail line is printed per criterion (run with ``pytest -s`` to see
 them on passing runs).
 """
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -57,6 +58,11 @@ def h8():
     return fs_hierarchy(8)
 
 
+@pytest.fixture(scope="module")
+def h12():
+    return fs_hierarchy(12)
+
+
 def test_ac01_printed_k3_reproduction(tmp_path, fs):
     out = tmp_path / "h3.json"
     code = main(["gen", "--system", "fs", "--n", "3", "--out", str(out)])
@@ -90,17 +96,34 @@ def test_ac02_seed_symmetry(fs):
     _report("AC2 seed fields K1, K2 satisfy the symmetry condition", ok)
 
 
-def test_ac03_hierarchy_locality_n8(h8):
-    ok = len(h8.members) == 8
-    for cert in h8.certificates:
+def _locality(h, n):
+    ok = len(h.members) == n
+    for cert in h.certificates:
         ok = ok and cert.prev.is_exact and cert.prevprev.is_exact
         ok = ok and cert.prev.remainder.is_zero
-        ok = ok and cert.prev.antiderivative.dx() == h8.member(cert.n - 1)[0]
-        ok = ok and cert.prevprev.antiderivative.dx() == h8.member(cert.n - 2)[0]
+        ok = ok and cert.prev.antiderivative.dx() == h.member(cert.n - 1)[0]
+        ok = ok and cert.prevprev.antiderivative.dx() == h.member(cert.n - 2)[0]
     # every member is local and x,t-free
-    ok = ok and all(not m.contains_xt() for m in h8.members)
-    _report("AC3 locality for N = 8: all antiderivative applications exact",
-            ok, f"{len(h8.certificates)} recursion steps certified")
+    ok = ok and all(not m.contains_xt() for m in h.members)
+    _report(f"AC3 locality for N = {n}: all antiderivative applications exact",
+            ok, f"{len(h.certificates)} recursion steps certified")
+
+
+def test_ac03_hierarchy_locality_n8(h8):
+    _locality(h8, 8)
+
+
+def test_ac03_hierarchy_locality_n12(h12):
+    _locality(h12, 12)
+
+
+def test_gen_n12_json_pinned(h12):
+    # the compact JSON that ``jetsym gen --system fs --n 12`` writes, less
+    # its trailing newline
+    doc = json.dumps(h12.to_json(), separators=(",", ":")).encode("utf-8")
+    assert len(doc) == 540412
+    assert hashlib.sha256(doc).hexdigest() == \
+        "11c02253aaac2aa92f984f030b16ab9d9f286398ceb37296c1179c6699315e88"
 
 
 def test_ac04_symmetry_and_commutativity_n6(h8, fs):

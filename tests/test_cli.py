@@ -2,9 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import jetsym
 from jetsym.cli import main
 from jetsym.errors import NonlocalObstruction
 from jetsym.hierarchy import fs_hierarchy
@@ -210,6 +215,28 @@ class TestDensities:
         assert code == 4
         assert json.loads(err)["error"]["code"] == "resource"
 
+    @pytest.mark.parametrize("value", ["abc", "1.5", "-5", " 12", "9" * 5000])
+    def test_cap_setting_must_be_a_natural_number(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("JETSYM_MAX_UNKNOWNS", value)
+        code, stdout, err = run(capsys, "densities", "--system", "fs",
+                                "--max-order", "0", "--max-degree", "1", "--json")
+        assert code == 1
+        assert stdout == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["code"] == "usage"
+
+    def test_cap_setting_is_the_cap(self, capsys, monkeypatch):
+        monkeypatch.setenv("JETSYM_MAX_UNKNOWNS", "12")
+        code, stdout, _ = run(capsys, "densities", "--system", "fs",
+                              "--max-order", "0", "--max-degree", "1", "--json")
+        assert code == 0
+        assert json.loads(stdout)["unknowns"] == 3
+        code, _, err = run(capsys, "densities", "--system", "fs",
+                           "--max-order", "2", "--max-degree", "4", "--json")
+        assert code == 4
+        assert json.loads(err)["error"]["cap"] == 12
+
 
 class TestPinnedStdout:
     """sha256 of the whole stdout, trailing newline included."""
@@ -390,6 +417,14 @@ class TestBadInputs:
 class TestUsage:
     def test_missing_subcommand(self, capsys):
         assert run(capsys, )[0] == 1
+
+    def test_python_dash_m(self, capsys):
+        src = str(Path(jetsym.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-m", "jetsym", "render", "--system", "fs"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        code, stdout, _ = run(capsys, "render", "--system", "fs")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, stdout, "")
 
     def test_gen_requires_system(self, capsys):
         code, _, err = run(capsys, "gen", "--n", "2")

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import zip_longest
+from math import gcd
 
 import pytest
 
@@ -51,6 +52,15 @@ def random_canonical(rng):
     return RationalFunction(num, den)
 
 
+def assert_canonical(p):
+    """int numerators with a nonzero last entry over a positive int
+    denominator that shares no factor with all of them."""
+    assert type(p.ints) is tuple and all(type(c) is int for c in p.ints)
+    assert not p.ints or p.ints[-1] != 0
+    assert type(p.den) is int and p.den > 0
+    assert gcd(p.den, *p.ints) == 1
+
+
 class TestAlphaPoly:
     def test_zero_degree_sentinel(self):
         assert AlphaPoly().degree == NEG_INF
@@ -59,7 +69,7 @@ class TestAlphaPoly:
 
     def test_leading_normalization(self):
         p = AlphaPoly((1, 2, 0))
-        assert p.degree == 1 and p.leading == 2
+        assert p.degree == 1 and p.coeffs[-1] == 2
 
     def test_divmod_exact(self):
         p = AlphaPoly((-1, 0, 4))  # 4a^2 - 1
@@ -99,6 +109,109 @@ class TestAlphaPoly:
         assert AlphaPoly().text() == "0"
 
 
+def _trim(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def _ref_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _trim(out)
+
+
+def _ref_divmod(a, b):
+    """Long division of Fraction lists, the schoolbook way."""
+    rem = list(a)
+    if len(rem) < len(b):
+        return (), _trim(rem)
+    quo = [Fraction(0)] * (len(rem) - len(b) + 1)
+    for i in range(len(quo) - 1, -1, -1):
+        q = rem[i + len(b) - 1] / b[-1]
+        quo[i] = q
+        for j, y in enumerate(b):
+            rem[i + j] -= q * y
+    return _trim(quo), _trim(rem)
+
+
+def _ref_gcd(a, b):
+    while b:
+        a, b = b, _ref_divmod(a, b)[1]
+    return tuple(c / a[-1] for c in a)
+
+
+def _ref_eval(a, x):
+    acc = Fraction(0)
+    for c in reversed(a):
+        acc = acc * x + c
+    return acc
+
+
+def _random_coeffs(rng, degree, dens):
+    """degree + 1 rationals of up to 18-bit numerators over dens, some 0."""
+    return [Fraction(0) if rng.random() < 0.15 else
+            Fraction(rng.randint(-2 ** 18, 2 ** 18), rng.choice(dens))
+            for _ in range(degree + 1)]
+
+
+class TestAgainstFractionLists:
+    """AlphaPoly arithmetic on ints against the same operations on lists of
+    Fractions, on mixed and on power-of-2 denominators."""
+
+    DENS = ((1, 2, 3, 5, 6, 7, 12), (1, 2, 4, 8, 16))
+
+    def test_operations_match(self):
+        rng = random.Random(241)
+        checked = 0
+        nontrivial_gcds = 0
+        for trial in range(1200):
+            dens = self.DENS[trial % 2]
+            da, db = (4, 3) if trial % 3 == 0 else (rng.randint(0, 4), rng.randint(0, 4))
+            a = _trim(_random_coeffs(rng, da, dens))
+            b = _trim(_random_coeffs(rng, db, dens))
+            common = _trim(_random_coeffs(rng, rng.randint(1, 2), dens))
+            p, q = AlphaPoly(a), AlphaPoly(b)
+            assert p.coeffs == a and q.coeffs == b
+            assert_canonical(p)
+            q_frac = Fraction(rng.randint(-40, 40), rng.choice(dens))
+            x = Fraction(rng.randint(-9, 9), rng.choice(dens))
+            cases = [
+                (p + q, _trim(u + v for u, v in zip_longest(a, b, fillvalue=0))),
+                (p * q, _ref_mul(a, b)),
+                (-p, tuple(-c for c in a)),
+                (p.scale(q_frac), _trim(q_frac * c for c in a)),
+                (p.scale(3), _trim(3 * c for c in a)),
+                (p.monic(), tuple(c / a[-1] for c in a) if a else ()),
+            ]
+            if b:
+                quo, rem = p.divmod(q)
+                want_quo, want_rem = _ref_divmod(a, b)
+                cases += [(quo, want_quo), (rem, want_rem), (p // q, want_quo)]
+            pc, qc = AlphaPoly(_ref_mul(a, common)), AlphaPoly(_ref_mul(b, common))
+            if a or b:
+                g = _ref_gcd(_ref_mul(a, common), _ref_mul(b, common))
+                cases += [(pc.gcd(qc), g), (qc.gcd(pc), g)]
+                nontrivial_gcds += len(g) > 1
+            for got, want in cases:
+                assert_canonical(got)
+                assert got.coeffs == want
+                checked += 1
+            assert p.eval(x) == _ref_eval(a, x)
+            assert p.eval(3) == _ref_eval(a, 3)
+            if a:
+                r = p.int_scale()
+                scaled = [r * c for c in a]
+                assert all(c.denominator == 1 for c in scaled)
+                assert gcd(*(c.numerator for c in scaled)) == 1 and scaled[-1] > 0
+        assert checked > 10000 and nontrivial_gcds > 500
+
+
 class TestRationalFunctionArithmetic:
     def test_add_one_and_alpha(self):
         assert (rf(1) + ALPHA) == RationalFunction(AlphaPoly((1, 1)))
@@ -117,7 +230,7 @@ class TestRationalFunctionArithmetic:
 
     def test_canonical_monic_denominator(self):
         x = RationalFunction(AlphaPoly((1,)), AlphaPoly((-1, 2)))
-        assert x.den.leading == 1
+        assert x.den.coeffs[-1] == 1
         assert x.num == AlphaPoly((Fraction(1, 2),))
 
     def test_eval(self):
@@ -138,11 +251,8 @@ class TestRationalFunctionArithmetic:
             assert x.num.coeffs == y.num.coeffs and x.den.coeffs == y.den.coeffs
 
     def test_product_and_sum_are_canonical(self):
-        def assert_canonical(p):
-            # arithmetic builds its results through the trusted AlphaPoly._of,
-            # so it must hand over Fractions with a nonzero last entry
-            assert all(type(c) is Fraction for c in p.coeffs)
-            assert not p.coeffs or p.coeffs[-1] != 0
+        # arithmetic builds its results through the trusted AlphaPoly._of,
+        # so it must hand over the canonical form itself
 
         rng = random.Random(29)
         reduced_sums = 0
@@ -164,7 +274,7 @@ class TestRationalFunctionArithmetic:
                 assert got.den.coeffs == want.den.coeffs
             p, q = x.num, y.num
             # same degree as p, opposite leading coefficient: p + m cancels
-            m = AlphaPoly((1,) * (len(p.coeffs) - 1) + (-p.leading,))
+            m = AlphaPoly((1,) * (len(p.coeffs) - 1) + (-p.coeffs[-1],))
             product = [0] * (len(p.coeffs) + len(q.coeffs))
             for i, a in enumerate(p.coeffs):
                 for j, b in enumerate(q.coeffs):
