@@ -255,6 +255,21 @@ class TestPinnedStdout:
         assert len(data) == size
         assert hashlib.sha256(data).hexdigest() == sha256
 
+    @pytest.mark.parametrize("extra, size, sha256", [
+        # top order 3 changes the jet-order term of the density height bound
+        (("--max-order", "3", "--max-degree", "4"), 89702,
+         "0fe24afac61f398236c407dd66d15200f3b564fc380f065fc4319ef60be6f234"),
+        # every rhs coefficient a multiple of 1/3: the images are unscaled by 1/3
+        (("--max-order", "2", "--max-degree", "4", "--alpha", "1/3"), 21703,
+         "6ffc2d6cc55feb10b94caede11d576db5fbafae8c40d148ac0d435def0b2d891"),
+    ])
+    def test_densities_fs(self, capsys, extra, size, sha256):
+        code, stdout, _ = run(capsys, "densities", "--system", "fs", *extra, "--json")
+        assert code == 0
+        data = stdout.encode()
+        assert len(data) == size
+        assert hashlib.sha256(data).hexdigest() == sha256
+
     def test_verify(self, tmp_path, capsys):
         out = tmp_path / "h.json"
         run(capsys, "gen", "--system", "fs", "--n", "6", "--out", str(out))
