@@ -22,7 +22,7 @@ from .hierarchy import Hierarchy, scaling_symmetry, structural_check
 from .jetalgebra import DP_ZERO, DiffPoly, EvoField, MONO_ONE, jet, jet_depvar, jet_order
 from .systems import EvolutionSystem, builtin_system
 from .varcalc import (DxChain, ExactnessCertificate, commutator, dt_along,
-                      euler_operator, integrate_dx)
+                      dt_euler_rows, euler_operator, integrate_dx)
 
 DEFAULT_UNKNOWN_CAP = 20000
 
@@ -214,7 +214,9 @@ def density_search(system: EvolutionSystem, ansatz: DensityAnsatz,
     """Exact search for conserved densities within the ansatz.
 
     Sets up the Euler images of D_t(rho) as a homogeneous linear system
-    over the coefficient field, solves it exactly, and reduces the
+    over the coefficient field (assembled on Kronecker-packed ints by
+    ``dt_euler_rows``, one column per ansatz monomial, exact by a height
+    bound), solves it exactly, and reduces the
     solution space modulo Im D_x and constants: basis elements whose own
     Euler images vanish are exact up to their free term and reported
     with certificates, the rest form the nontrivial quotient basis.
@@ -227,15 +229,8 @@ def density_search(system: EvolutionSystem, ansatz: DensityAnsatz,
         raise AnsatzTooLarge(count, cap)
     monos = ansatz.monomials(system)
     nvars = system.nvars
-    # assemble: one equation per (euler variable, image monomial)
-    rows: dict = {}
-    for col, m in enumerate(monos):
-        rho_m = DiffPoly({m: RF_ONE})
-        dt = dt_along(rho_m, system)
-        for d in range(nvars):
-            image = euler_operator(dt, d)
-            for mu, coeff in image.terms.items():
-                rows.setdefault((d, mu), {})[col] = coeff
+    # one equation per (euler variable, image monomial)
+    rows = dt_euler_rows(monos, system.rhs)
     pivot_rows, pivot_cols = sparse_rref(list(rows.values()), len(monos))
     pivot_of = dict(zip(pivot_cols, pivot_rows))
     free_cols = [c for c in range(len(monos)) if c not in pivot_of]

@@ -1,5 +1,6 @@
 """Variational calculus: Euler operator, constructive D_x^{-1}, Frechet
-derivative, commutator of evolutionary fields, and D_t along a system.
+derivative, commutator of evolutionary fields, D_t along a system, and
+the Euler images of D_t that a density search solves for.
 
 The integration constant of D_x^{-1} is always zero: antiderivatives are
 produced with no free term, and a free term in the integrand is an
@@ -13,7 +14,8 @@ from fractions import Fraction
 
 from .coeffield import clear_denominators, kronecker_pack, kronecker_unpack
 from .errors import ExplicitXTDependence, NonIntegerExponentPath
-from .jetalgebra import DP_ZERO, DiffPoly, EvoField, is_jet, jet, jet_order
+from .jetalgebra import (DP_ZERO, DiffPoly, EvoField, is_jet, jet, jet_order, mono_degree,
+                         mono_max_order)
 
 
 @dataclass(frozen=True)
@@ -203,9 +205,49 @@ def _slot_bits(f: _IntegerField, g: _IntegerField) -> int:
     slot would do as well.
     """
     height = f.norm * g.norm * (g.weight * f.dx_gain(g.top) + f.weight * g.dx_gain(f.top))
+    return _word_bits(height)
+
+
+def _word_bits(height: int) -> int:
+    """Width of balanced digits that hold every int of absolute value at
+    most height, rounded up to whole 64-bit words so that brackets whose
+    widths round alike share packed fields."""
     bits = height.bit_length() + 1
-    # whole words: pairs that round to the same width share packed fields
     return -(-bits // 64) * 64
+
+
+def _density_slot_bits(k: _IntegerField, degree: int, order: int) -> int:
+    """Slot width in bits that makes the packed Euler images of D_t m exact.
+
+    m is a jet monomial with positive exponents, of degree at most
+    D = ``degree`` and jet order at most r = ``order``, and u_t = K is the
+    field of k, scaled; write g for its growth and T = r + top.
+    - D_t m = sum over (d, i) of (dm/du_{d,i}) D_x^i K_d.  The exponents
+      of m sum to at most D, so its norm is at most D norm dx_gain(r);
+      each of its monomials has |exponent| sum at most
+      W = D - 1 + weight + r g, and jet order at most T.
+    - A jet partial multiplies the norm by at most W and raises the
+      |exponent| sum by at most g/2 (only a negative exponent grows).
+      One D_x multiplies the norm by at most the largest |exponent| sum,
+      which is at most V = W + g/2 + T g, and raises that sum by at
+      most g.  So the Euler image sum_{i <= T} (-D_x)^i d(D_t m)/du_{d,i},
+      and every partial sum its Horner evaluation forms, has norm at most
+      H = D norm dx_gain(r) W sum_{i <= T} V^i.  The shared D_x table of
+      K and the products in ``frechet`` stay below D norm dx_gain(r),
+      which is at most H when D >= 1; D = 0 gives H = 0, since D_t of a
+      constant is zero.
+    Balanced digits of width ``_word_bits(H)`` therefore hold every
+    coefficient the assembly forms, so a packed value is zero exactly when
+    its polynomial is, and sums cancel where they cancel over the field.
+    While every exponent is positive (g = 0), V = W and H is
+    D norm dx_gain(r) sum_{i <= T} W^(i+1).
+    """
+    g = k.growth
+    top = order + k.top
+    w = degree - 1 + k.weight + order * g
+    v = w + g // 2 + top * g
+    height = degree * k.norm * k.dx_gain(order) * w * sum(v ** i for i in range(top + 1))
+    return _word_bits(height)
 
 
 def commutator(F: EvoField, G: EvoField, prepared: dict | None = None) -> EvoField:
@@ -245,3 +287,34 @@ def commutator(F: EvoField, G: EvoField, prepared: dict | None = None) -> EvoFie
 def dt_along(f: DiffPoly, system) -> DiffPoly:
     """Total time derivative of f along the flow of a system."""
     return f.partial_t() + frechet(f, system.rhs)
+
+
+def dt_euler_rows(monos, field: EvoField) -> dict:
+    """The Euler images of D_t m along u_t = field, one row per image term.
+
+    monos are jet monomials with positive exponents.  Returns
+    {(d, mu): {col: c}}, c the coefficient of mu in E_d(D_t monos[col]),
+    with rows and entries in first-seen order.  The field is scaled to
+    integer polynomial coefficients and packed once, at the width
+    ``_density_slot_bits`` gives, so ``frechet`` and ``euler_operator``
+    run on ints over one shared ``DxChain``; each distinct packed image
+    coefficient is unpacked and unscaled once.
+    """
+    if any(not is_jet(g) or e < 0 for m in monos for g, e in m):
+        raise ValueError("density monomials must be jets with positive exponents")
+    k = _IntegerField(field)
+    bits = _density_slot_bits(k, max(map(mono_degree, monos), default=0),
+                              max((mono_max_order(m) or 0 for m in monos), default=0))
+    packed, chain = k.packed(bits)
+    unscale = k.scale.inverse()
+    unpacked: dict = {}
+    rows: dict = {}
+    for col, m in enumerate(monos):
+        dt = frechet(DiffPoly({m: 1}), packed, chain)
+        for d in range(len(field)):
+            for mu, v in euler_operator(dt, d).terms.items():
+                coeff = unpacked.get(v)
+                if coeff is None:
+                    coeff = unpacked[v] = kronecker_unpack(v, bits) * unscale
+                rows.setdefault((d, mu), {})[col] = coeff
+    return rows

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,12 +12,15 @@ from jetsym.analysis import (DensityAnsatz, commutativity_table,
                              density_decompose, density_search,
                              is_conserved_density, is_symmetry,
                              substitution_check, verify_hierarchy)
-from jetsym.coeffield import AlphaPoly, RationalFunction, rf
+from jetsym.coeffield import RF_ONE, AlphaPoly, RationalFunction, rf
 from jetsym.errors import AnsatzTooLarge, CrossCheckFailed, NotDecomposable
 from jetsym.hierarchy import fs_hierarchy, fs_seed, scaling_symmetry, ts1_hierarchy
 from jetsym.jetalgebra import DP_ZERO, DiffPoly, EvoField, jet
-from jetsym.systems import parse_expression
-from jetsym.varcalc import ExactnessCertificate
+from jetsym.systems import EvolutionSystem, parse_expression
+from jetsym.varcalc import (ExactnessCertificate, _density_slot_bits, _IntegerField,
+                            dt_along, dt_euler_rows, euler_operator)
+
+from conftest import random_evofield, random_nonzero_rf
 
 
 def fs_expr(src):
@@ -149,6 +153,13 @@ class TestDensitySearch:
         with pytest.raises(CrossCheckFailed):
             density_search(fs, DensityAnsatz(1, 2))
 
+    @pytest.mark.slow
+    def test_fs_uniqueness_degree_8(self, fs):
+        report = density_search(fs, DensityAnsatz(2, 8))
+        assert report.unknowns == 3003
+        assert report.solution_dimension == 496
+        assert report.nontrivial_dimension == 1
+
     def test_ansatz_cap(self, fs):
         with pytest.raises(AnsatzTooLarge):
             density_search(fs, DensityAnsatz(2, 6), cap=100)
@@ -172,6 +183,79 @@ class TestDensitySearch:
         report = density_search(fs, DensityAnsatz(0, 2))
         doc = json.dumps(report.to_json())
         assert json.loads(doc)["nontrivial_dimension"] == report.nontrivial_dimension
+
+
+def reference_rows(system, monos):
+    """The density rows over field coefficients: dt_along, then euler_operator."""
+    rows: dict = {}
+    for col, m in enumerate(monos):
+        dt = dt_along(DiffPoly({m: RF_ONE}), system)
+        for d in range(system.nvars):
+            for mu, coeff in euler_operator(dt, d).terms.items():
+                rows.setdefault((d, mu), {})[col] = coeff
+    return rows
+
+
+def assert_same_rows(got, ref):
+    assert list(got) == list(ref)
+    for key, row in ref.items():
+        assert list(got[key].items()) == list(row.items())
+
+
+def random_laurent_rhs(rng):
+    """Two components whose jet monomials carry negative exponents too."""
+    gens = [jet(d, i) for d in range(2) for i in range(2)]
+    comps = []
+    for _ in range(2):
+        pairs = []
+        for _ in range(rng.randint(1, 3)):
+            mono = {g: rng.choice((-2, -1, 1, 2)) for g in rng.sample(gens, 2)}
+            pairs.append((tuple(sorted(mono.items())), random_nonzero_rf(rng, True)))
+        comps.append(DiffPoly.from_terms(pairs))
+    return EvoField(comps)
+
+
+class TestPackedDensityRows:
+    def test_matches_reference(self, monkeypatch):
+        rng = random.Random(211)
+        poly_scales = laurent = nonempty = 0
+        for i in range(30):
+            if i % 6 == 5:
+                rhs = random_laurent_rhs(rng)
+                laurent += 1
+            else:
+                rhs = random_evofield(rng, max_order=rng.randint(0, 2), terms=3, rational=True)
+            system = EvolutionSystem(f"random{i}", ("w", "z"), "alpha", rhs)
+            ansatz = DensityAnsatz(rng.randint(0, 2), rng.randint(0, 3))
+            monos = ansatz.monomials(system)
+            ref = reference_rows(system, monos)
+            assert_same_rows(dt_euler_rows(monos, rhs), ref)
+            poly_scales += len(_IntegerField(rhs).scale.num.ints) > 1
+            nonempty += bool(ref)
+            got = json.dumps(density_search(system, ansatz).to_json())
+            with monkeypatch.context() as patch:
+                patch.setattr("jetsym.analysis.dt_euler_rows", lambda monos, field: ref)
+                assert json.dumps(density_search(system, ansatz).to_json()) == got
+        assert poly_scales >= 5 and laurent == 5 and nonempty >= 20
+
+    def test_bound_exceeds_a_wrapping_width(self):
+        # w_t = c*w*w_xx: E(D_t w^2) = 8c*w*w_xx + 4c*w_x^2, past 2^63 for
+        # c near 2^62, so 64-bit slots would read 8c and 4c as polynomials
+        c = 2 ** 62 + 3
+        w, w_xx = jet(0, 0), jet(0, 2)
+        rhs = EvoField((DiffPoly({((w, 1), (w_xx, 1)): rf(c)}),))
+        system = EvolutionSystem("wrap", ("w",), None, rhs)
+        ansatz = DensityAnsatz(1, 2)
+        monos = ansatz.monomials(system)
+        ref = reference_rows(system, monos)
+        assert max(abs(v.num.ints[0]) for row in ref.values() for v in row.values()) >= 2 ** 63
+        assert _density_slot_bits(_IntegerField(rhs), 2, 1) > 64
+        assert_same_rows(dt_euler_rows(monos, rhs), ref)
+
+    def test_rejects_non_ansatz_monomials(self):
+        rhs = EvoField((fs_expr("w_xx"),))
+        with pytest.raises(ValueError):
+            dt_euler_rows([((jet(0, 0), -1),)], rhs)
 
 
 class TestSubstitution:
