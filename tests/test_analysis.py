@@ -275,6 +275,20 @@ class TestSubstitution:
         assert not report.defects[0].is_zero
 
 
+def flip_k2(h):
+    """h with one sign of K_2 flipped, as in test_sign_flipped_seed_is_not_a_symmetry."""
+    from jetsym.hierarchy import Hierarchy
+    k2 = h.member(2)
+    over_s = RationalFunction(AlphaPoly((-4,)), AlphaPoly((-1, 2)))
+    flipped = EvoField((
+        k2[0],
+        fs_expr("z_xx + 4*w*z_x - 2*z^3")
+        + fs_expr("alpha*z*w_x + (2*alpha + 1)*z*w^2").scalar_mul(over_s),
+    ))
+    return Hierarchy(h.system, (h.members[0], flipped) + h.members[2:],
+                     h.provenance, h.certificates)
+
+
 class TestVerifyHierarchy:
     def test_fs_report_passes(self):
         report = verify_hierarchy(fs_hierarchy(4))
@@ -297,19 +311,8 @@ class TestVerifyHierarchy:
         assert any("symmetry K_3" == c.name and not c.ok for c in report.checks)
 
     def test_flipped_seed_pins(self):
-        # K_2 with one sign flipped, as in test_sign_flipped_seed_is_not_a_symmetry:
         # its brackets have denominators, so every failure is divided back
-        from jetsym.hierarchy import Hierarchy
-        h = fs_hierarchy(4)
-        k2 = h.member(2)
-        over_s = RationalFunction(AlphaPoly((-4,)), AlphaPoly((-1, 2)))
-        flipped = EvoField((
-            k2[0],
-            fs_expr("z_xx + 4*w*z_x - 2*z^3")
-            + fs_expr("alpha*z*w_x + (2*alpha + 1)*z*w^2").scalar_mul(over_s),
-        ))
-        bad = Hierarchy(h.system, (h.members[0], flipped) + h.members[2:],
-                        h.provenance, h.certificates)
+        bad = flip_k2(fs_hierarchy(4))
         report = verify_hierarchy(bad)
         assert [c.name for c in report.checks if not c.ok] == [
             "symmetry K_2", "pairwise commutativity",
@@ -325,3 +328,13 @@ class TestVerifyHierarchy:
         assert len(doc) == 8769
         assert hashlib.sha256(doc).hexdigest() == \
             "3fdc8036cb6274909fb094e89c5380e50e858191217e8584e7e7886f7b5b413e"
+
+    def test_flipped_table_n8_pinned(self, fs_hierarchy_8):
+        # brackets of very different heights, all unpacked from one slot width
+        failures = commutativity_table(flip_k2(fs_hierarchy_8)).failures
+        assert [p for p, _ in failures] == [(2, j) for j in range(3, 9)]
+        doc = json.dumps([[list(p), d.to_json()] for p, d in failures],
+                         separators=(",", ":")).encode()
+        assert len(doc) == 123250
+        assert hashlib.sha256(doc).hexdigest() == \
+            "3327960fcce4616f4715ace8e7e1478f2cca6f771bf2c3a00c9bd6ac73bf57d3"
