@@ -10,7 +10,7 @@ the triangular companion hierarchy, and the linearizing substitution.
 
 from .coeffield import AlphaPoly, RationalFunction, rf
 from .jetalgebra import DiffPoly, EvoField, Monomial, T_GEN, X_GEN, jet
-from .varcalc import (ExactnessCertificate, commutator, dt_along,
+from .varcalc import (ExactnessCertificate, commutator, commutators, dt_along,
                       euler_operator, frechet, integrate_dx)
 from .operators import OperatorMatrix, OpTerm
 from .systems import EvolutionSystem, builtin_system, parse_system, render_system
@@ -29,7 +29,7 @@ __all__ = [
     "EvoField", "EvolutionSystem", "ExactnessCertificate", "Hierarchy",
     "Monomial", "OperatorMatrix", "OpTerm", "RationalFunction", "T_GEN",
     "TriangularCoeffs", "X_GEN", "builtin_system", "commutativity_table",
-    "commutator", "density_decompose", "density_search", "dt_along",
+    "commutator", "commutators", "density_decompose", "density_search", "dt_along",
     "euler_operator", "frechet", "fs_hierarchy", "fs_seed", "fs_step",
     "integrate_dx", "is_conserved_density", "is_symmetry", "jet",
     "parse_system", "recursion_matrix", "render_system", "rf",

@@ -21,8 +21,8 @@ from .errors import (AnsatzTooLarge, CrossCheckFailed, ExplicitXTDependence,
 from .hierarchy import Hierarchy, scaling_symmetry, structural_check
 from .jetalgebra import DP_ZERO, DiffPoly, EvoField, MONO_ONE, jet, jet_depvar, jet_order
 from .systems import EvolutionSystem, builtin_system
-from .varcalc import (DxChain, ExactnessCertificate, commutator, dt_along,
-                      dt_euler_rows, euler_operator, integrate_dx)
+from .varcalc import (DxChain, ExactnessCertificate, commutator, commutators,
+                      dt_along, dt_euler_rows, euler_operator, integrate_dx)
 
 DEFAULT_UNKNOWN_CAP = 20000
 
@@ -74,15 +74,13 @@ class CommutativityTable:
 def commutativity_table(h: Hierarchy) -> CommutativityTable:
     """All-pairs commutators of the hierarchy members."""
     n = len(h.members)
-    prepared: dict = {}
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     zero = [[True] * n for _ in range(n)]
     failures = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            bracket = commutator(h.members[i], h.members[j], prepared)
-            if not bracket.is_zero:
-                zero[i][j] = zero[j][i] = False
-                failures.append(((i + 1, j + 1), bracket))
+    for (i, j), bracket in zip(pairs, commutators(h.members, pairs)):
+        if not bracket.is_zero:
+            zero[i][j] = zero[j][i] = False
+            failures.append(((i + 1, j + 1), bracket))
     return CommutativityTable(n, tuple(tuple(r) for r in zero), tuple(failures))
 
 
@@ -209,8 +207,7 @@ class DensityReport:
         }
 
 
-def density_search(system: EvolutionSystem, ansatz: DensityAnsatz,
-                   cap: Optional[int] = None) -> DensityReport:
+def density_search(system: EvolutionSystem, ansatz: DensityAnsatz) -> DensityReport:
     """Exact search for conserved densities within the ansatz.
 
     Sets up the Euler images of D_t(rho) as a homogeneous linear system
@@ -223,7 +220,7 @@ def density_search(system: EvolutionSystem, ansatz: DensityAnsatz,
     """
     if ansatz.max_order < 0 or ansatz.max_degree < 0:
         raise ValueError("ansatz bounds must be nonnegative")
-    cap = cap if cap is not None else _unknown_cap()
+    cap = _unknown_cap()
     count = ansatz.size(system)
     if count is None or count > cap:
         raise AnsatzTooLarge(count, cap)
@@ -288,9 +285,7 @@ class SubstitutionReport:
     defects: Tuple[DiffPoly, DiffPoly]
 
 
-def substitution_check(alpha0: Optional[Fraction] = None,
-                       w_image: Optional[DiffPoly] = None,
-                       z_image: Optional[DiffPoly] = None) -> SubstitutionReport:
+def substitution_check(alpha0: Optional[Fraction] = None) -> SubstitutionReport:
     """Check that w = u_x/(4u), z = -v/(2 sqrt u) maps the triangular
     system into the Burgers-type system.
 
@@ -299,8 +294,7 @@ def substitution_check(alpha0: Optional[Fraction] = None,
     (s, v) jets: the triangular system is pushed through u = s^2 and
     s_t = u_t/(2s).  u^(k/2) -> s^k is an isomorphism of differential
     rings, so the identity holds in (s, v) exactly when it holds in
-    (u, v).  The optional (s, v) images override the substitution (used
-    by mutation tests).
+    (u, v).
     """
     ts = builtin_system("ts")
     fs = builtin_system("fs")
@@ -308,10 +302,8 @@ def substitution_check(alpha0: Optional[Fraction] = None,
         ts = ts.specialize(alpha0)
         fs = fs.specialize(alpha0)
     s, v = 0, 1
-    if w_image is None:
-        w_image = DiffPoly({((jet(s, 0), -1), (jet(s, 1), 1)): rf(Fraction(1, 2))})
-    if z_image is None:
-        z_image = DiffPoly({((jet(s, 0), -1), (jet(v, 0), 1)): rf(Fraction(-1, 2))})
+    w_image = DiffPoly({((jet(s, 0), -1), (jet(s, 1), 1)): rf(Fraction(1, 2))})
+    z_image = DiffPoly({((jet(s, 0), -1), (jet(v, 0), 1)): rf(Fraction(-1, 2))})
 
     def push(expr: DiffPoly, images: DxChain) -> DiffPoly:
         acc = DP_ZERO
@@ -403,11 +395,10 @@ def verify_hierarchy(h: Hierarchy) -> VerificationReport:
         except StructuralViolation as exc:
             checks.append(CheckResult(f"structural form K_{n}", False, str(exc)))
     if is_fs:
-        s = scaling_symmetry(h.specialized_at)
-        prepared: dict = {}
-        for n in range(1, len(h.members) + 1):
-            k = h.member(n)
-            defect = commutator(s, k, prepared) - k.scalar_mul(n)
+        fields = (scaling_symmetry(h.specialized_at), *h.members)
+        brackets = commutators(fields, [(0, n) for n in range(1, len(fields))])
+        for n, bracket in enumerate(brackets, 1):
+            defect = bracket - h.member(n).scalar_mul(n)
             checks.append(CheckResult(f"scaling homogeneity [S, K_{n}] = {n} K_{n}",
                                       defect.is_zero))
         for n in range(1, len(h.members) + 1):

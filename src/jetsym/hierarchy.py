@@ -185,12 +185,8 @@ class Hierarchy:
         return Hierarchy(system, members, provenance, certs, value, triangular)
 
 
-def fs_step(kprev: EvoField, kprevprev: EvoField,
-            rec: Optional[OperatorMatrix] = None,
-            m: Optional[OperatorMatrix] = None):
+def fs_step(kprev: EvoField, kprevprev: EvoField, rec: OperatorMatrix, m: OperatorMatrix):
     """One application of the two-term recursion; returns (K_n, certificates)."""
-    rec = rec if rec is not None else recursion_matrix()
-    m = m if m is not None else second_recursion_matrix()
     first, certs1 = rec.apply_detailed(kprev)
     second, certs2 = m.apply_detailed(kprevprev)
     return first + second, certs1.get(0), certs2.get(0)

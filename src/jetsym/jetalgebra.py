@@ -121,7 +121,7 @@ class DiffPoly:
     """Differential polynomial: canonical mapping monomial -> coefficient.
 
     Coefficients are field elements (``RationalFunction``) everywhere but
-    inside ``varcalc.commutator`` and ``varcalc.dt_euler_rows``, which run
+    inside ``varcalc.commutators`` and ``varcalc.dt_euler_rows``, which run
     the same arithmetic, calculus, ``frechet`` and Euler operator on
     Kronecker-packed ints.  Arithmetic and calculus
     need no more of a coefficient than ring operations, an int factor

@@ -162,7 +162,9 @@ class _IntegerField:
     monomial (at least 1), which bounds the factor one D_x or one
     jet-summed partial derivative puts on the norm; ``growth``, what one
     D_x can add to that weight (0 while every exponent is a positive
-    integer, else 2); and ``top``, the highest jet order.
+    integer, else 2); and ``top``, the highest jet order.  ``packed``
+    packs afresh on each call; ``commutators`` and ``dt_euler_rows`` call
+    it once per field, at the one width their bound gives.
     """
 
     def __init__(self, field: EvoField):
@@ -175,7 +177,6 @@ class _IntegerField:
         self.weight = max([1] + [sum(map(abs, e)) for e in exps])
         self.growth = 0 if all(e > 0 for es in exps for e in es) else 2
         self.top = field.max_jet_order() or 0
-        self._packed: dict = {}
 
     def dx_gain(self, i: int) -> int:
         """Bound on norm(D_x^i c) / norm(c) for a component c."""
@@ -186,12 +187,9 @@ class _IntegerField:
 
     def packed(self, bits: int):
         """(field, DxChain) with every coefficient packed at 2^bits."""
-        entry = self._packed.get(bits)
-        if entry is None:
-            field = EvoField(DiffPoly({m: kronecker_pack(p, bits) for m, p in comp.items()})
-                             for comp in self.comps)
-            entry = self._packed[bits] = (field, DxChain(field))
-        return entry
+        field = EvoField(DiffPoly({m: kronecker_pack(p, bits) for m, p in comp.items()})
+                         for comp in self.comps)
+        return field, DxChain(field)
 
 
 def _slot_bits(f: _IntegerField, g: _IntegerField) -> int:
@@ -210,10 +208,8 @@ def _slot_bits(f: _IntegerField, g: _IntegerField) -> int:
 
 def _word_bits(height: int) -> int:
     """Width of balanced digits that hold every int of absolute value at
-    most height, rounded up to whole 64-bit words so that brackets whose
-    widths round alike share packed fields."""
-    bits = height.bit_length() + 1
-    return -(-bits // 64) * 64
+    most height."""
+    return height.bit_length() + 1
 
 
 def _density_slot_bits(k: _IntegerField, degree: int, order: int) -> int:
@@ -250,38 +246,39 @@ def _density_slot_bits(k: _IntegerField, degree: int, order: int) -> int:
     return _word_bits(height)
 
 
-def commutator(F: EvoField, G: EvoField, prepared: dict | None = None) -> EvoField:
-    """Bracket [F, G] = G'[F] - F'[G], componentwise.
+def commutators(fields, pairs):
+    """Yield the bracket [fields[i], fields[j]] for each index pair (i, j), in order.
 
-    The bracket is bilinear over constants, so it is formed on both fields
-    scaled to integer polynomial coefficients, each packed into one int by
-    Kronecker substitution at a slot width taken from a height bound
-    (``_slot_bits``).  ``frechet`` then runs on plain ints.  A zero result
-    is returned as it is; a nonzero one is unpacked exactly and divided by
-    the product of the scales.  A loop that brackets the same fields again
-    passes one dict of its own as ``prepared``, so that each field is
-    scaled once and packed and differentiated once per slot width; it
-    changes no result.
+    The bracket [F, G] = G'[F] - F'[G] is bilinear over constants, so it is
+    formed on the fields scaled to integer polynomial coefficients, each
+    packed into one int by Kronecker substitution.  Every field that a
+    pair names is scaled, packed and given one ``DxChain`` once, at one slot
+    width for the whole family: the largest ``_slot_bits`` over its pairs,
+    which makes each of them exact.  ``frechet`` then runs on plain ints.
+    A zero bracket is yielded as it is; a nonzero one is unpacked exactly
+    and divided by the product of the scales.  No pairs, no width.
     """
-    entries = []
-    for field in (F, G):
-        entry = None if prepared is None else prepared.get(field)
-        if entry is None:
-            entry = _IntegerField(field)
-            if prepared is not None:
-                prepared[field] = entry
-        entries.append(entry)
-    f, g = entries
-    bits = _slot_bits(f, g)
-    (pf, chain_f), (pg, chain_g) = f.packed(bits), g.packed(bits)
-    bracket = EvoField(frechet(pg[c], pf, chain_f) - frechet(pf[c], pg, chain_g)
-                       for c in range(len(pf)))
-    if bracket.is_zero:
-        return bracket
-    unscale = (f.scale * g.scale).inverse()
-    return EvoField(DiffPoly({m: kronecker_unpack(v, bits) * unscale
-                              for m, v in comp.terms.items()})
-                    for comp in bracket)
+    pairs = list(pairs)
+    if not pairs:
+        return
+    scaled = {i: _IntegerField(fields[i]) for i in {i for pair in pairs for i in pair}}
+    bits = max(_slot_bits(scaled[i], scaled[j]) for i, j in pairs)
+    packed = {i: f.packed(bits) for i, f in scaled.items()}
+    for i, j in pairs:
+        (pf, chain_f), (pg, chain_g) = packed[i], packed[j]
+        bracket = EvoField(frechet(pg[c], pf, chain_f) - frechet(pf[c], pg, chain_g)
+                           for c in range(len(pf)))
+        if not bracket.is_zero:
+            unscale = (scaled[i].scale * scaled[j].scale).inverse()
+            bracket = EvoField(DiffPoly({m: kronecker_unpack(v, bits) * unscale
+                                         for m, v in comp.terms.items()})
+                               for comp in bracket)
+        yield bracket
+
+
+def commutator(F: EvoField, G: EvoField) -> EvoField:
+    """Bracket [F, G] = G'[F] - F'[G], componentwise: ``commutators`` of one pair."""
+    return next(commutators((F, G), [(0, 1)]))
 
 
 def dt_along(f: DiffPoly, system) -> DiffPoly:

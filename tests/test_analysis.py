@@ -16,7 +16,8 @@ from jetsym.coeffield import RF_ONE, AlphaPoly, RationalFunction, rf
 from jetsym.errors import AnsatzTooLarge, CrossCheckFailed, NotDecomposable
 from jetsym.hierarchy import fs_hierarchy, fs_seed, scaling_symmetry, ts1_hierarchy
 from jetsym.jetalgebra import DP_ZERO, DiffPoly, EvoField, jet
-from jetsym.systems import EvolutionSystem, parse_expression
+from jetsym.systems import (_BUILTIN_CACHE, _BUILTIN_SOURCES, EvolutionSystem,
+                            parse_expression, parse_system)
 from jetsym.varcalc import (ExactnessCertificate, _density_slot_bits, _IntegerField,
                             dt_along, dt_euler_rows, euler_operator)
 
@@ -160,9 +161,10 @@ class TestDensitySearch:
         assert report.solution_dimension == 496
         assert report.nontrivial_dimension == 1
 
-    def test_ansatz_cap(self, fs):
+    def test_ansatz_cap(self, fs, monkeypatch):
+        monkeypatch.setenv("JETSYM_MAX_UNKNOWNS", "100")
         with pytest.raises(AnsatzTooLarge):
-            density_search(fs, DensityAnsatz(2, 6), cap=100)
+            density_search(fs, DensityAnsatz(2, 6))
 
     @pytest.mark.parametrize("order, degree, count", [
         (2, 6, 924), (0, 2, 6), (2, 4, 210), (3, 4, 495), (1, 3, 35)])
@@ -171,11 +173,12 @@ class TestDensitySearch:
         assert ansatz.size(fs) == len(ansatz.monomials(fs)) == count
         assert count == math.comb(2 * (order + 1) + degree, degree)
 
-    def test_ansatz_size_past_64_bits(self, fs):
+    def test_ansatz_size_past_64_bits(self, fs, monkeypatch):
         assert DensityAnsatz(2, 60).size(fs) == math.comb(66, 60)
         assert DensityAnsatz(4095, 10 ** 18).size(fs) is None
+        monkeypatch.setenv("JETSYM_MAX_UNKNOWNS", "9" * 18)
         with pytest.raises(AnsatzTooLarge) as info:
-            density_search(fs, DensityAnsatz(0, 10 ** 18), cap=10 ** 40)
+            density_search(fs, DensityAnsatz(0, 10 ** 18))
         assert info.value.count is None
 
     def test_report_json(self, fs):
@@ -267,12 +270,16 @@ class TestSubstitution:
     def test_specializations(self, alpha0):
         assert substitution_check(Fraction(alpha0)).ok
 
-    def test_mutated_constant_fails(self):
-        wrong_w = DiffPoly({
-            ((jet(0, 0), -1), (jet(0, 1), 1)): rf(Fraction(1, 3))})
-        report = substitution_check(w_image=wrong_w)
+    def test_mutated_constant_fails(self, monkeypatch):
+        # fs with 8*w*w_x changed to 7*w*w_x, read by the check in place of fs
+        source = _BUILTIN_SOURCES["fs"]
+        assert source.count("8*w*w_x") == 1
+        monkeypatch.setitem(_BUILTIN_CACHE, "fs",
+                            parse_system(source.replace("8*w*w_x", "7*w*w_x")))
+        report = substitution_check()
         assert not report.ok
         assert not report.defects[0].is_zero
+        assert report.defects[1].is_zero
 
 
 def flip_k2(h):
@@ -298,6 +305,11 @@ class TestVerifyHierarchy:
 
     def test_ts1_report_passes(self):
         assert verify_hierarchy(ts1_hierarchy(4)).ok
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_short_hierarchies_pass(self, n):
+        # 0 and 1 table pairs
+        assert verify_hierarchy(fs_hierarchy(n)).ok
 
     def test_corruption_detected(self):
         from jetsym.hierarchy import Hierarchy

@@ -13,7 +13,8 @@ import pytest
 from jetsym.coeffield import AlphaPoly, RationalFunction, rf
 from jetsym.errors import StructuralViolation
 from jetsym.hierarchy import (Hierarchy, fs_hierarchy, fs_seed, fs_step,
-                              scaling_symmetry, structural_check,
+                              recursion_matrix, scaling_symmetry,
+                              second_recursion_matrix, structural_check,
                               triangular_coeffs, ts1_hierarchy)
 from jetsym.jetalgebra import DiffPoly, EvoField, T_GEN, X_GEN, jet
 from jetsym.systems import parse_expression
@@ -115,13 +116,14 @@ class TestRecursionStep:
 
     def test_explicit_step_equals_hierarchy(self):
         k1, k2 = fs_seed()
-        k3, _, _ = fs_step(k2, k1)
+        k3, _, _ = fs_step(k2, k1, recursion_matrix(), second_recursion_matrix())
         assert k3 == fs_hierarchy(3).member(3)
 
     def test_every_member_satisfies_recursion(self, fs_hierarchy_8):
+        rec, m = recursion_matrix(), second_recursion_matrix()
         for n in range(3, 9):
-            kn, _, _ = fs_step(fs_hierarchy_8.member(n - 1),
-                               fs_hierarchy_8.member(n - 2))
+            kn, _, _ = fs_step(fs_hierarchy_8.member(n - 1), fs_hierarchy_8.member(n - 2),
+                               rec, m)
             assert kn == fs_hierarchy_8.member(n)
 
 

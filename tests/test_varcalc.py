@@ -9,7 +9,7 @@ from jetsym.errors import ExplicitXTDependence, NonIntegerExponentPath
 from jetsym.hierarchy import fs_seed, scaling_symmetry
 from jetsym.jetalgebra import DP_ZERO, DiffPoly, EvoField, T_GEN, X_GEN, jet
 from jetsym.systems import builtin_system, parse_expression
-from jetsym.varcalc import (_IntegerField, _slot_bits, commutator, dt_along,
+from jetsym.varcalc import (_IntegerField, _slot_bits, commutator, commutators, dt_along,
                             euler_operator, frechet, integrate_dx)
 
 from conftest import (random_diffpoly, random_evofield, random_nonzero_rf,
@@ -179,15 +179,6 @@ class TestCommutator:
                      + commutator(h, commutator(f, g)))
             assert total.is_zero
 
-    def test_prepared_changes_no_result(self):
-        rng = random.Random(97)
-        fields = [random_evofield(rng, rational=True) for _ in range(4)]
-        prepared: dict = {}
-        for f in fields:
-            for g in fields:
-                assert commutator(f, g, prepared) == commutator(f, g)
-        assert len(prepared) == len(set(fields))
-
 
 def reference_bracket(f, g):
     """G'[F] - F'[G] formed by frechet over field coefficients, unpacked."""
@@ -207,13 +198,20 @@ def random_laurent_field(rng, terms=3):
     return EvoField(comps)
 
 
+def wrapping_field():
+    """(2^64 - alpha) w^2 in the first component: its bracket with (w, 0)
+    has a coefficient that vanishes at 2^64."""
+    w2 = ((jet(W, 0), 2),)
+    return EvoField((DiffPoly({w2: RationalFunction(AlphaPoly((-2 ** 64, 1)))}), DP_ZERO))
+
+
 class TestPackedBracket:
     def test_bound_exceeds_a_wrapping_width(self):
         # [F, G] has the coefficient 2^64 - alpha, which vanishes at 2^64:
         # packed at 64-bit slots it would read zero
         b0 = 64
         w2 = ((jet(W, 0), 2),)
-        f = EvoField((DiffPoly({w2: RationalFunction(AlphaPoly((-2 ** b0, 1)))}), DP_ZERO))
+        f = wrapping_field()
         g = EvoField((fs_expr("w"), DP_ZERO))
         ref = reference_bracket(f, g)
         p = ref[0].coefficient(w2)
@@ -257,6 +255,43 @@ class TestPackedBracket:
             pf, pg = _IntegerField(f), _IntegerField(g)
             assert max(pf.growth, pg.growth) == 2
             assert commutator(f, g) == reference_bracket(f, g)
+
+
+class TestCommutators:
+    def test_family_matches_pairs(self, monkeypatch):
+        rng = random.Random(97)
+        fields = [random_evofield(rng, rational=True) for _ in range(3)]
+        fields += [random_laurent_field(rng) for _ in range(2)]
+        fields += [EvoField(random_diffpoly(rng, max_order=2, terms=3, rational=True,
+                                            with_xt=True) for _ in range(2))
+                   for _ in range(2)]
+        fields.append(wrapping_field())
+        n = len(fields)
+        pairs = [(i, i) for i in range(n)] + [(i, j) for i in range(n) for j in range(i + 1, n)]
+        pairs += [(j, i) for i, j in pairs[n::3]]
+        scaled = [_IntegerField(f) for f in fields]
+        widths = [_slot_bits(scaled[i], scaled[j]) for i, j in pairs]
+        # the family packs every pair at the widest pair's slot
+        assert sum(w < max(widths) for w in widths) > len(pairs) // 2
+        built = []
+        monkeypatch.setattr("jetsym.varcalc._IntegerField",
+                            lambda f: built.append(f) or _IntegerField(f))
+        got = list(commutators(fields, pairs))
+        monkeypatch.undo()
+        assert len(got) == len(pairs)
+        assert len(built) == n  # each field is scaled once per family
+        nonzero = 0
+        for (i, j), bracket in zip(pairs, got):
+            assert bracket == commutator(fields[i], fields[j])
+            assert bracket == reference_bracket(fields[i], fields[j])
+            nonzero += not bracket.is_zero
+        assert nonzero >= len(pairs) // 2
+
+    def test_no_pairs_no_width(self, monkeypatch):
+        def no_width(f, g):
+            raise AssertionError("a width was computed")
+        monkeypatch.setattr("jetsym.varcalc._slot_bits", no_width)
+        assert list(commutators([fs_expr("w")], [])) == []
 
 
 class TestDtAlong:
