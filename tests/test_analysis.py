@@ -261,6 +261,32 @@ class TestPackedDensityRows:
             dt_euler_rows([((jet(0, 0), -1),)], rhs)
 
 
+QUOTIENT_PINS = {
+    # 81 nontrivial; trivial combinations of up to 3 nontrivial densities
+    "transport": ("system transport\nvars w z\neq w_t = w_x\neq z_t = z_x\n", 3, 3,
+                  81, 84, 33101,
+                  "5e22ad62ee22dedc02c859dd81c0440b37339bd19f9ccbcdba52e52a48a2c6fd"),
+    "kdv": ("system kdv\nvars u\neq u_t = u_xxx + 6*u*u_x\n", 3, 3, 3, 20, 5100,
+            "7361351eddc42cb54f6a82d0c22f32bf9423e123b67e5eca23b2f9d753a2f8c1"),
+    "mixed": ("system mixed\nvars w z\nparam a\neq w_t = w_x + a*z_x\n"
+              "eq z_t = (a + 1)*z_x\n", 2, 3, 20, 35, 12230,
+              "bff49eb478f8ace5c2c9d22a32273113545b13aadbb75b715aa016b0be2cddf0"),
+}
+
+
+class TestQuotientPins:
+    """Quotients of dimension above 1, where several densities reduce each other."""
+
+    @pytest.mark.parametrize("name", QUOTIENT_PINS)
+    def test_report_pinned(self, name):
+        src, order, degree, nontrivial, trivial, size, sha256 = QUOTIENT_PINS[name]
+        report = density_search(parse_system(src), DensityAnsatz(order, degree))
+        assert (report.nontrivial_dimension, len(report.trivial_parts)) == (nontrivial, trivial)
+        doc = json.dumps(report.to_json(), separators=(",", ":")).encode()
+        assert len(doc) == size
+        assert hashlib.sha256(doc).hexdigest() == sha256
+
+
 class TestSubstitution:
     def test_symbolic(self):
         assert substitution_check().ok
