@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 from typing import Optional, Tuple
 
-from .coeffield import RF_ONE, RationalFunction, accumulate, rf, sparse_rref
+from .coeffield import RationalFunction, accumulate, rf, sparse_nullspace
 from .errors import (AnsatzTooLarge, CrossCheckFailed, ExplicitXTDependence,
                      InvalidSetting, NotDecomposable, StructuralViolation)
 from .hierarchy import Hierarchy, scaling_symmetry, structural_check
@@ -213,10 +213,11 @@ def density_search(system: EvolutionSystem, ansatz: DensityAnsatz) -> DensityRep
     Sets up the Euler images of D_t(rho) as a homogeneous linear system
     over the coefficient field (assembled on Kronecker-packed ints by
     ``dt_euler_rows``, one column per ansatz monomial, exact by a height
-    bound), solves it exactly, and reduces the
-    solution space modulo Im D_x and constants: basis elements whose own
-    Euler images vanish are exact up to their free term and reported
-    with certificates, the rest form the nontrivial quotient basis.
+    bound), and takes its nullspace exactly.  The quotient modulo Im D_x
+    and constants is the kernel of the Euler-image map on that solution
+    basis, a second nullspace: the pivot densities form the nontrivial
+    quotient basis, and each kernel vector combines to a density that is
+    exact up to its free term, reported with its certificate.
     """
     if ansatz.max_order < 0 or ansatz.max_degree < 0:
         raise ValueError("ansatz bounds must be nonnegative")
@@ -225,53 +226,29 @@ def density_search(system: EvolutionSystem, ansatz: DensityAnsatz) -> DensityRep
     if count is None or count > cap:
         raise AnsatzTooLarge(count, cap)
     monos = ansatz.monomials(system)
-    nvars = system.nvars
     # one equation per (euler variable, image monomial)
     rows = dt_euler_rows(monos, system.rhs)
-    pivot_rows, pivot_cols = sparse_rref(list(rows.values()), len(monos))
-    pivot_of = dict(zip(pivot_cols, pivot_rows))
-    free_cols = [c for c in range(len(monos)) if c not in pivot_of]
-    solution_dim = len(free_cols)
-    # nullspace basis, one density per free column
-    densities = []
-    for fcol in free_cols:
-        terms = {monos[fcol]: RF_ONE}
-        for pcol, prow in pivot_of.items():
-            coeff = prow.get(fcol)
-            if coeff is not None and not coeff.is_zero:
-                terms[monos[pcol]] = -coeff
-        densities.append(DiffPoly(terms))
-    # quotient modulo Im D_x and constants via Euler images; the reduced
-    # combination is tracked so Euler-trivial leftovers can be certified
-    nontrivial = []
-    trivial = []
-    reducers = []  # (pivot key, normalized image row, matching density)
-    for rho in densities:
-        image: dict = {}
-        for d in range(nvars):
+    _, solutions = sparse_nullspace(list(rows.values()), len(monos))
+    densities = [DiffPoly({monos[c]: v for c, v in vec.items()}) for vec in solutions]
+    # quotient modulo Im D_x and constants: the kernel of the Euler-image
+    # map on the densities; each kernel vector combines to an exact density
+    images: dict = {}
+    for i, rho in enumerate(densities):
+        for d in range(system.nvars):
             for mu, coeff in euler_operator(rho, d).terms.items():
-                image[(d, mu)] = coeff
-        combo = rho
-        for key, row, dens in reducers:
-            coeff = image.get(key)
-            if coeff is None:
-                continue
-            combo = combo - dens.scalar_mul(coeff)
-            neg = -coeff
-            accumulate(image, ((k2, v2 * neg) for k2, v2 in row.items()))
-        if image:
-            key = min(image)
-            inv = image[key].inverse()
-            row = {k: v * inv for k, v in image.items()}
-            reducers.append((key, row, combo.scalar_mul(inv)))
-            nontrivial.append(rho)
-        else:
-            const = combo.free_term()
-            cert = integrate_dx(combo - DiffPoly.constant(const))
-            if not cert.is_exact:
-                raise CrossCheckFailed("Euler-trivial density failed integration")
-            trivial.append(TrivialDensity(combo, const, cert))
-    return DensityReport(system.name, ansatz, len(monos), solution_dim,
+                images.setdefault((d, mu), {})[i] = coeff
+    pivot_cols, kernel = sparse_nullspace(list(images.values()), len(densities))
+    nontrivial = [densities[c] for c in pivot_cols]
+    trivial = []
+    for vec in kernel:
+        combo = DiffPoly(accumulate({}, ((m, v * c) for i, c in vec.items()
+                                         for m, v in densities[i].terms.items())))
+        const = combo.free_term()
+        cert = integrate_dx(combo - DiffPoly.constant(const))
+        if not cert.is_exact:
+            raise CrossCheckFailed("Euler-trivial density failed integration")
+        trivial.append(TrivialDensity(combo, const, cert))
+    return DensityReport(system.name, ansatz, len(monos), len(densities),
                          tuple(nontrivial), tuple(trivial))
 
 

@@ -668,3 +668,21 @@ def sparse_rref(rows: list, ncols: int):
         pivot_rows.append(row)
         pivot_cols.append(col)
     return pivot_rows, pivot_cols
+
+
+def sparse_nullspace(rows: list, ncols: int):
+    """Pivot columns and a kernel basis of sparse rows (dicts col -> RF).
+
+    Returns (pivot_cols, kernel): the pivot columns of the RREF, and one
+    vector {f: 1, c: -r_c[f]} per free column f, in column order, where
+    r_c is the reduced row of pivot column c; only pivot columns before f
+    can appear in it.
+    """
+    pivot_rows, pivot_cols = sparse_rref(rows, ncols)
+    pivots = set(pivot_cols)
+    kernel = []
+    for f in (f for f in range(ncols) if f not in pivots):
+        vec = {f: RF_ONE}
+        vec.update((c, -row[f]) for c, row in zip(pivot_cols, pivot_rows) if f in row)
+        kernel.append(vec)
+    return pivot_cols, kernel

@@ -12,7 +12,8 @@ from jetsym.analysis import (DensityAnsatz, commutativity_table,
                              density_decompose, density_search,
                              is_conserved_density, is_symmetry,
                              substitution_check, verify_hierarchy)
-from jetsym.coeffield import RF_ONE, AlphaPoly, RationalFunction, rf
+from jetsym.coeffield import (RF_ONE, AlphaPoly, RationalFunction, accumulate, rf,
+                              sparse_nullspace)
 from jetsym.errors import AnsatzTooLarge, CrossCheckFailed, NotDecomposable
 from jetsym.hierarchy import fs_hierarchy, fs_seed, scaling_symmetry, ts1_hierarchy
 from jetsym.jetalgebra import DP_ZERO, DiffPoly, EvoField, jet
@@ -199,6 +200,49 @@ def reference_rows(system, monos):
     return rows
 
 
+def reference_quotient(densities, nvars):
+    """(nontrivial, trivial) by incremental elimination of Euler images,
+    the reducer loop density_search ran before sparse_nullspace.
+
+    A density whose image stays nonzero after reduction by the earlier
+    reducers is nontrivial and becomes a reducer, pivoted at its smallest
+    image key; the others are returned as the reduced combinations.
+    """
+    nontrivial, trivial = [], []
+    reducers = []  # (pivot key, normalized image row, matching density)
+    for rho in densities:
+        image: dict = {}
+        for d in range(nvars):
+            for mu, coeff in euler_operator(rho, d).terms.items():
+                image[(d, mu)] = coeff
+        combo = rho
+        for key, row, dens in reducers:
+            coeff = image.get(key)
+            if coeff is None:
+                continue
+            combo = combo - dens.scalar_mul(coeff)
+            neg = -coeff
+            accumulate(image, ((k2, v2 * neg) for k2, v2 in row.items()))
+        if image:
+            key = min(image)
+            inv = image[key].inverse()
+            row = {k: v * inv for k, v in image.items()}
+            reducers.append((key, row, combo.scalar_mul(inv)))
+            nontrivial.append(rho)
+        else:
+            trivial.append(combo)
+    return nontrivial, trivial
+
+
+def assert_reference_quotient(report, system, monos, rows):
+    """The report's quotient equals reference_quotient on the nullspace of rows."""
+    _, kernel = sparse_nullspace(list(rows.values()), len(monos))
+    densities = [DiffPoly({monos[c]: v for c, v in vec.items()}) for vec in kernel]
+    nontrivial, trivial = reference_quotient(densities, system.nvars)
+    assert list(report.nontrivial_basis) == nontrivial
+    assert [t.density for t in report.trivial_parts] == trivial
+
+
 def assert_same_rows(got, ref):
     assert list(got) == list(ref)
     for key, row in ref.items():
@@ -235,7 +279,9 @@ class TestPackedDensityRows:
             assert_same_rows(dt_euler_rows(monos, rhs), ref)
             poly_scales += len(_IntegerField(rhs).scale.num.ints) > 1
             nonempty += bool(ref)
-            got = json.dumps(density_search(system, ansatz).to_json())
+            report = density_search(system, ansatz)
+            assert_reference_quotient(report, system, monos, ref)
+            got = json.dumps(report.to_json())
             with monkeypatch.context() as patch:
                 patch.setattr("jetsym.analysis.dt_euler_rows", lambda monos, field: ref)
                 assert json.dumps(density_search(system, ansatz).to_json()) == got
@@ -285,6 +331,15 @@ class TestQuotientPins:
         doc = json.dumps(report.to_json(), separators=(",", ":")).encode()
         assert len(doc) == size
         assert hashlib.sha256(doc).hexdigest() == sha256
+
+    @pytest.mark.parametrize("name", QUOTIENT_PINS)
+    def test_matches_reference_quotient(self, name):
+        src, order, degree = QUOTIENT_PINS[name][:3]
+        system = parse_system(src)
+        ansatz = DensityAnsatz(order, degree)
+        monos = ansatz.monomials(system)
+        assert_reference_quotient(density_search(system, ansatz), system, monos,
+                                  reference_rows(system, monos))
 
 
 class TestSubstitution:

@@ -7,10 +7,11 @@ from math import gcd
 
 import pytest
 
-from jetsym.coeffield import NEG_INF, AlphaPoly, RationalFunction, rf, sparse_rref
+from jetsym.coeffield import (NEG_INF, AlphaPoly, RationalFunction, rf, sparse_nullspace,
+                              sparse_rref)
 from jetsym.errors import DivisionByZero, PoleAtParameter
 
-from conftest import random_alpha_poly, random_fraction, random_rf
+from conftest import random_alpha_poly, random_fraction, random_nonzero_rf, random_rf
 
 ALPHA = RationalFunction.param()
 S_POLY = AlphaPoly((-1, 2))  # 2*alpha - 1
@@ -332,28 +333,27 @@ class TestFieldAxioms:
 
 def rref_nullspace(rows, ncols):
     """sparse_rref with its invariants checked; returns the pivot columns
-    and the nullspace basis built from the free columns, as density_search
-    builds it, after checking that it annihilates every input row."""
+    and sparse_nullspace's basis as dense tuples, after checking that it
+    annihilates every input row."""
     pivot_rows, pivot_cols = sparse_rref(rows, ncols)
     for prow, pcol in zip(pivot_rows, pivot_cols):
         assert prow[pcol] == rf(1)
         assert not any(c in prow for c in pivot_cols if c != pcol)
         assert not any(v.is_zero for v in prow.values())
-    basis = []
-    for free in (c for c in range(ncols) if c not in pivot_cols):
-        vec = [rf(0)] * ncols
-        vec[free] = rf(1)
-        for prow, pcol in zip(pivot_rows, pivot_cols):
-            if free in prow:
-                vec[pcol] = -prow[free]
-        basis.append(tuple(vec))
-    for vec in basis:
+    pivots, kernel = sparse_nullspace(rows, ncols)
+    assert pivots == pivot_cols
+    assert_annihilates(rows, kernel)
+    return pivot_cols, [tuple(vec.get(c, rf(0)) for c in range(ncols)) for vec in kernel]
+
+
+def assert_annihilates(rows, kernel):
+    for vec in kernel:
         for row in rows:
             acc = rf(0)
             for c, v in row.items():
-                acc = acc + v * vec[c]
+                if c in vec:
+                    acc = acc + v * vec[c]
             assert acc.is_zero
-    return pivot_cols, basis
 
 
 def solve(a, b):
@@ -403,6 +403,42 @@ class TestSolveLinear:
                         acc = acc + a[i][j] * sol[0][j]
                     assert acc == b[i]
         assert consistent > 0
+
+
+class TestSparseNullspace:
+    @pytest.mark.parametrize("rows, ncols, pivots, kernel", [
+        ([], 0, [], []),
+        ([], 1, [], [{0: rf(1)}]),
+        ([{0: S}], 1, [0], []),
+        ([{0: S}, {0: rf(3)}], 1, [0], []),
+        ([{1: ALPHA}, {1: ALPHA}], 2, [1], [{0: rf(1)}]),
+    ], ids=["no-columns", "no-rows", "one-pivot", "rank-one", "duplicate-rows"])
+    def test_small_cases(self, rows, ncols, pivots, kernel):
+        assert sparse_nullspace(rows, ncols) == (pivots, kernel)
+
+    def test_kernel_properties_random(self):
+        rng = random.Random(23)
+        ranks = set()
+        for _ in range(80):
+            ncols = rng.randint(0, 6)
+            rows = []
+            for _ in range(rng.randint(0, 5) if ncols else 0):
+                cols = rng.sample(range(ncols), rng.randint(1, ncols))
+                rows.append({c: random_nonzero_rf(rng) for c in cols})
+            if rows and rng.random() < 0.5:  # a duplicate, or a multiple
+                row = rng.choice(rows)
+                scale = rf(1) if rng.random() < 0.5 else random_nonzero_rf(rng)
+                rows.append({c: v * scale for c, v in row.items()})
+            pivots, kernel = sparse_nullspace(rows, ncols)
+            assert len(pivots) + len(kernel) == ncols
+            free = [c for c in range(ncols) if c not in pivots]
+            for f, vec in zip(free, kernel):
+                assert vec[f] == rf(1)
+                assert all(c == f or (c < f and c in pivots) for c in vec)
+                assert not any(v.is_zero for v in vec.values())
+            assert_annihilates(rows, kernel)
+            ranks.add((len(pivots), len(kernel)))
+        assert len(ranks) >= 10
 
 
 class TestSerialization:
