@@ -16,8 +16,8 @@ from .analysis import (DensityAnsatz, commutativity_table, density_search,
                        substitution_check, verify_hierarchy)
 from .coeffield import parse_rational
 from .errors import (AnsatzTooLarge, DuplicateEquation, InvalidHierarchy,
-                     InvalidSetting, JetsymError, MissingEquation, NonlocalObstruction,
-                     NumberTooLong, ParseError, PoleAtParameter)
+                     InvalidSetting, JetOrderOutOfRange, JetsymError, MissingEquation,
+                     NonlocalObstruction, NumberTooLong, ParseError, PoleAtParameter)
 from .hierarchy import Hierarchy, fs_hierarchy, ts1_hierarchy
 from .jetalgebra import jet
 from .systems import builtin_names, builtin_system, parse_system, render_system
@@ -262,7 +262,7 @@ def main(argv=None) -> int:
     except AnsatzTooLarge as exc:
         _diag(args, "resource", str(exc), {"count": exc.count, "cap": exc.cap})
         return EXIT_RESOURCE
-    except NumberTooLong as exc:
+    except (NumberTooLong, JetOrderOutOfRange) as exc:  # D_x past the top jet order
         _diag(args, "resource", str(exc))
         return EXIT_RESOURCE
     except JetsymError as exc:

@@ -71,6 +71,14 @@ class AnsatzTooLarge(JetsymError):
         super().__init__(f"ansatz has {shown} unknowns, cap is {cap}")
 
 
+class JetOrderOutOfRange(JetsymError, ValueError):
+    """A jet order is negative or past the generator encoding's ceiling.
+
+    Input readers turn it into a parse or usage error; raised by D_x on a
+    valid input, it is a resource limit.
+    """
+
+
 class NumberTooLong(JetsymError):
     """A rational has more digits than Python will print."""
 

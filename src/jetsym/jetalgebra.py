@@ -13,7 +13,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Tuple
 
 from .coeffield import RF_ONE, RF_ZERO, RationalFunction, accumulate, rf
-from .errors import PoleAtParameter
+from .errors import JetOrderOutOfRange, PoleAtParameter
 
 X_GEN = 0
 T_GEN = 1
@@ -29,7 +29,7 @@ MONO_ONE: Monomial = ()
 def jet(depvar: int, order: int) -> int:
     """Generator id of the order-th x-derivative of dependent variable depvar."""
     if order < 0 or order >= _ORDER_STRIDE:
-        raise ValueError(f"jet order out of range: {order}")
+        raise JetOrderOutOfRange(f"jet order out of range: {order}")
     return _JET_BASE + depvar * _ORDER_STRIDE + order
 
 

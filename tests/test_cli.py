@@ -400,7 +400,44 @@ BAD_INPUTS = {
         "render", "--file", _input_file(p, "system s\nvars w\neq w_t = 1/0*w\n")],
     "densities-long-order": lambda p: [
         "densities", "--system", "fs", "--max-order", "4096"],
+    "densities-jet-order-4096": lambda p: [
+        "densities", "--file", _input_file(p, "system s\nvars w\neq w_t = w[4096]\n")],
+    "commute-jet-order-4096": lambda p: [
+        "commute", _hierarchy_file(
+            p, lambda d: d["members"][0][0][0].update(exps=[[[0, 4096], 1]]))],
 }
+
+
+def _top_order_k1(doc):
+    doc["members"][0][0][0]["exps"] = [[[0, 4095], 1]]
+
+
+def _top_order_certificate(doc):
+    doc["certificates"][0]["prev"][0]["exps"] = [[[0, 4095], 1]]
+
+
+# verify reaches a top-order K_1 only after D_x^4095 of the fs rhs, about
+# 90 s, so it meets the ceiling in a certificate's D_x instead
+TOP_ORDER_INPUTS = {
+    "densities": lambda p: [
+        "densities", "--file", _input_file(p, "system s\nvars w\neq w_t = w[4095]\n"),
+        "--max-order", "1", "--max-degree", "1"],
+    "commute": lambda p: ["commute", _hierarchy_file(p, _top_order_k1)],
+    "verify": lambda p: ["verify", _hierarchy_file(p, _top_order_certificate, n=3)],
+}
+
+
+class TestJetOrderCeiling:
+    """Inputs of the top jet order 4095 are valid; D_x past it is a resource limit."""
+
+    @pytest.mark.parametrize("case", TOP_ORDER_INPUTS)
+    def test_dx_past_the_top_order(self, tmp_path, capsys, case):
+        code, stdout, err = run(capsys, *TOP_ORDER_INPUTS[case](tmp_path), "--json")
+        assert (code, stdout) == (4, "")
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": {"code": "resource", "message": "jet order out of range: 4096"}}
 
 
 class TestHalfIntegerExponents:
