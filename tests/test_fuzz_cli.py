@@ -3,9 +3,10 @@
 Mutations of a ``gen --system fs --n 3`` hierarchy and of the ``fs``
 system text go through ``cli.main`` in-process.  A system text mutation
 may also put in a number literal too long to parse, a power past the
-expansion budget of ``^`` or a chain of ``*`` past that budget.  Each
-run must return
-one of the documented exit codes 0-4 and print no traceback.
+expansion budget of ``^``, a chain of ``*`` past that budget or a jet of
+order 4093-4095; a hierarchy mutation may set a certificate's jet order
+to 4090-4095.  Each run must return one of the documented exit codes
+0-4 and print no traceback.
 """
 
 import copy
@@ -55,11 +56,18 @@ def _damage(rng, data: bytes, kind: str) -> bytes:
 
 
 def _mutate_hierarchy(rng, doc):
-    kind = rng.choice(("drop", "retype", "swap", "truncate", "bytes"))
+    kind = rng.choice(("drop", "retype", "swap", "truncate", "bytes", "deep"))
     if kind in ("truncate", "bytes"):
         return kind, _damage(rng, json.dumps(doc).encode(), kind)
     doc = copy.deepcopy(doc)
     paths = list(_paths(doc))
+    if kind == "deep":
+        # one certificate jet order near the top order 4095; a member's would
+        # make the symmetry check expand D_x^k of the fs rhs for k near 4095,
+        # which no budget bounds yet
+        jets = [p for p in paths if p[0] == "certificates" and p[-2:] == ("exps", 0)]
+        _at(doc, rng.choice(jets))[0][1] = rng.randint(4090, 4095)
+        return kind, json.dumps(doc).encode()
     # half the picks near the top, where the schema lives
     shallow = [p for p in paths if len(p) <= 3]
 
@@ -85,7 +93,7 @@ def _mutate_hierarchy(rng, doc):
 
 def _mutate_system(rng, text: str):
     kind = rng.choice(("drop", "retype", "swap", "truncate", "bytes", "literal", "power",
-                       "product"))
+                       "product", "deep"))
     if kind in ("truncate", "bytes"):
         return kind, _damage(rng, text.encode(), kind)
     lines = text.splitlines()
@@ -105,8 +113,10 @@ def _mutate_system(rng, text: str):
             token = str(rng.randint(1, 9)) * rng.randint(4301, 6000)
         elif kind == "power":  # past the expansion budget of ^
             token = f"(w + w_x + w_xx + z + z_x)^{rng.randint(10 ** 3, 10 ** 6)}"
-        else:  # a chain of * whose partial products pass the budget
+        elif kind == "product":  # a chain of * whose partial products pass the budget
             token = "*".join(["(w + w_x + w_xx + z + z_x)^4"] * rng.randint(3, 12))
+        else:  # a jet near the top order 4095
+            token = f"w[{rng.randint(4093, 4095)}]"
         i = rng.choice([k for k, line in enumerate(lines) if line.startswith("eq ")])
         words = lines[i].split(" ")
         factors = [k for k in range(3, len(words)) if words[k] not in ("+", "-")]
