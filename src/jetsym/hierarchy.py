@@ -119,9 +119,6 @@ class Hierarchy:
     specialized_at: Optional[Fraction] = None
     triangular: Optional[TriangularCoeffs] = None
 
-    def __len__(self):
-        return len(self.members)
-
     def member(self, n: int) -> EvoField:
         """1-indexed access matching the K_n numbering."""
         return self.members[n - 1]

@@ -383,9 +383,6 @@ class EvoField:
     def __sub__(self, other):
         return EvoField(a - b for a, b in zip(self.components, other.components))
 
-    def __neg__(self):
-        return EvoField(-a for a in self.components)
-
     def scalar_mul(self, c) -> "EvoField":
         return EvoField(a.scalar_mul(c) for a in self.components)
 

@@ -44,9 +44,6 @@ class OperatorMatrix:
     def size(self) -> int:
         return len(self.entries)
 
-    def __eq__(self, other):
-        return isinstance(other, OperatorMatrix) and self.entries == other.entries
-
     def apply_detailed(self, K: EvoField):
         """Matrix-vector action; returns (result, antiderivative certificates).
 
