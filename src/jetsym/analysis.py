@@ -231,7 +231,8 @@ def density_search(system: EvolutionSystem, ansatz: DensityAnsatz) -> DensityRep
     _, solutions = sparse_nullspace(list(rows.values()), len(monos))
     densities = [DiffPoly({monos[c]: v for c, v in vec.items()}) for vec in solutions]
     # quotient modulo Im D_x and constants: the kernel of the Euler-image
-    # map on the densities; each kernel vector combines to an exact density
+    # map on the densities; each kernel vector combines to a density that
+    # is exact up to its free term
     images: dict = {}
     for i, rho in enumerate(densities):
         for d in range(system.nvars):

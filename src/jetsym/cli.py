@@ -262,7 +262,7 @@ def main(argv=None) -> int:
     except AnsatzTooLarge as exc:
         _diag(args, "resource", str(exc), {"count": exc.count, "cap": exc.cap})
         return EXIT_RESOURCE
-    except (NumberTooLong, JetOrderOutOfRange) as exc:  # D_x past the top jet order
+    except (NumberTooLong, JetOrderOutOfRange) as exc:
         _diag(args, "resource", str(exc))
         return EXIT_RESOURCE
     except JetsymError as exc:
