@@ -15,7 +15,7 @@ from fractions import Fraction
 from .analysis import (DensityAnsatz, commutativity_table, density_search,
                        substitution_check, verify_hierarchy)
 from .coeffield import parse_rational
-from .errors import (AnsatzTooLarge, DuplicateEquation, InvalidHierarchy,
+from .errors import (AnsatzTooLarge, DuplicateEquation, DxBudgetExceeded, InvalidHierarchy,
                      InvalidSetting, JetOrderOutOfRange, JetsymError, MissingEquation,
                      NonlocalObstruction, NumberTooLong, ParseError, PoleAtParameter)
 from .hierarchy import Hierarchy, fs_hierarchy, ts1_hierarchy
@@ -261,6 +261,9 @@ def main(argv=None) -> int:
         return EXIT_NONLOCAL
     except AnsatzTooLarge as exc:
         _diag(args, "resource", str(exc), {"count": exc.count, "cap": exc.cap})
+        return EXIT_RESOURCE
+    except DxBudgetExceeded as exc:
+        _diag(args, "resource", str(exc), {"terms": exc.terms, "budget": exc.budget})
         return EXIT_RESOURCE
     except (NumberTooLong, JetOrderOutOfRange) as exc:
         _diag(args, "resource", str(exc))

@@ -79,6 +79,16 @@ class JetOrderOutOfRange(JetsymError, ValueError):
     """
 
 
+class DxBudgetExceeded(JetsymError):
+    """D_x formed more terms than its budget allows, in the D_x table of one
+    field or in the Euler images of one polynomial."""
+
+    def __init__(self, terms, budget):
+        self.terms = terms
+        self.budget = budget
+        super().__init__(f"D_x formed {terms} terms, budget is {budget}")
+
+
 class NumberTooLong(JetsymError):
     """A rational has more digits than Python will print."""
 

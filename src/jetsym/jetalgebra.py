@@ -19,6 +19,8 @@ X_GEN = 0
 T_GEN = 1
 _JET_BASE = 2
 _ORDER_STRIDE = 4096
+#: the highest jet order the generator encoding holds
+TOP_ORDER = _ORDER_STRIDE - 1
 
 #: a monomial: ((generator, exponent), ...) sorted by generator
 Monomial = Tuple[Tuple[int, int], ...]
@@ -28,7 +30,7 @@ MONO_ONE: Monomial = ()
 
 def jet(depvar: int, order: int) -> int:
     """Generator id of the order-th x-derivative of dependent variable depvar."""
-    if order < 0 or order >= _ORDER_STRIDE:
+    if order < 0 or order > TOP_ORDER:
         raise JetOrderOutOfRange(f"jet order out of range: {order}")
     return _JET_BASE + depvar * _ORDER_STRIDE + order
 
@@ -118,16 +120,8 @@ def _lower(mono: Monomial, idx: int, coeff):
 
 
 class DiffPoly:
-    """Differential polynomial: canonical mapping monomial -> coefficient.
-
-    Coefficients are field elements (``RationalFunction``) everywhere but
-    inside ``varcalc.commutators`` and ``varcalc.dt_euler_rows``, which run
-    the same arithmetic, calculus, ``frechet`` and Euler operator on
-    Kronecker-packed ints.  Arithmetic and calculus
-    need no more of a coefficient than ring operations, an int factor
-    and a falsy zero; rendering, JSON and ``specialize``
-    need field elements.
-    """
+    """Differential polynomial: canonical mapping monomial -> field
+    coefficient (``RationalFunction``)."""
 
     __slots__ = ("terms",)
 

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .coeffield import clear_denominators, kronecker_pack, kronecker_unpack
-from .errors import ExplicitXTDependence, NonIntegerExponentPath
-from .jetalgebra import (DP_ZERO, DiffPoly, EvoField, is_jet, jet, jet_order, mono_degree,
-                         mono_max_order)
+from .errors import (DxBudgetExceeded, ExplicitXTDependence, JetOrderOutOfRange,
+                     NonIntegerExponentPath)
+from .jetalgebra import (DP_ZERO, TOP_ORDER, DiffPoly, EvoField, is_jet, jet, jet_depvar,
+                         jet_order, mono_degree, mono_max_order)
 
 
 @dataclass(frozen=True)
@@ -156,15 +157,15 @@ class _IntegerField:
     """A field scaled into Z[alpha] coefficients, with its height data.
 
     ``scale * field`` has the integer polynomial coefficients of ``comps``
-    (one dict monomial -> int tuple per component).  For the height bound
+    (one dict monomial -> int tuple per component).  For the height bounds
     it keeps ``norm``, the sum of the L1 norms of all coefficients;
     ``weight``, the largest sum of |exponent| over the factors of one
     monomial (at least 1), which bounds the factor one D_x or one
     jet-summed partial derivative puts on the norm; ``growth``, what one
     D_x can add to that weight (0 while every exponent is a positive
-    integer, else 2); and ``top``, the highest jet order.  ``packed``
-    packs afresh on each call; ``commutators`` and ``dt_euler_rows`` call
-    it once per field, at the one width their bound gives.
+    integer, else 2); ``top``, the highest jet order; and ``nvars``, one
+    past the highest dependent variable it names, at least its component
+    count.
     """
 
     def __init__(self, field: EvoField):
@@ -177,6 +178,7 @@ class _IntegerField:
         self.weight = max([1] + [sum(map(abs, e)) for e in exps])
         self.growth = 0 if all(e > 0 for es in exps for e in es) else 2
         self.top = field.max_jet_order() or 0
+        self.nvars = max([len(field)] + [d + 1 for comp in field for d in comp.depvars()])
 
     def dx_gain(self, i: int) -> int:
         """Bound on norm(D_x^i c) / norm(c) for a component c."""
@@ -184,12 +186,6 @@ class _IntegerField:
         for j in range(i):
             gain *= self.weight + j * self.growth
         return gain
-
-    def packed(self, bits: int):
-        """(field, DxChain) with every coefficient packed at 2^bits."""
-        field = EvoField(DiffPoly({m: kronecker_pack(p, bits) for m, p in comp.items()})
-                         for comp in self.comps)
-        return field, DxChain(field)
 
 
 def _slot_bits(f: _IntegerField, g: _IntegerField) -> int:
@@ -206,10 +202,35 @@ def _slot_bits(f: _IntegerField, g: _IntegerField) -> int:
     return _word_bits(height)
 
 
+def _exponent_bits(f: _IntegerField, g: _IntegerField) -> int:
+    """Exponent slot width in bits that keeps the packed bracket of f and g exact.
+
+    A jet partial raises a monomial's |exponent| sum by at most growth/2,
+    and D_x^i raises it by at most i growth.  So every monomial that the
+    bracket forms (in the D_x tables, the partials and the products of
+    the Frechet derivatives) has |exponent| sum at most
+    weight(g) + growth(g)/2 + weight(f) + top(g) growth(f), or the same
+    with f and g swapped.  One exponent is at most that sum in absolute
+    value, and balanced digits of ``_word_bits`` of it hold it.
+    """
+    return _word_bits(max(g.weight + g.growth // 2 + f.weight + g.top * f.growth,
+                          f.weight + f.growth // 2 + g.weight + f.top * g.growth))
+
+
 def _word_bits(height: int) -> int:
     """Width of balanced digits that hold every int of absolute value at
     most height."""
     return height.bit_length() + 1
+
+
+def _density_weights(k: _IntegerField, degree: int, order: int):
+    """(W, V, T) of ``_density_slot_bits``' bound: the largest |exponent|
+    sum of a monomial of D_t m, of any monomial the Euler images form, and
+    the highest jet order of D_t m."""
+    g = k.growth
+    top = order + k.top
+    w = degree - 1 + k.weight + order * g
+    return w, w + g // 2 + top * g, top
 
 
 def _density_slot_bits(k: _IntegerField, degree: int, order: int) -> int:
@@ -229,21 +250,250 @@ def _density_slot_bits(k: _IntegerField, degree: int, order: int) -> int:
       most g.  So the Euler image sum_{i <= T} (-D_x)^i d(D_t m)/du_{d,i},
       and every partial sum its Horner evaluation forms, has norm at most
       H = D norm dx_gain(r) W sum_{i <= T} V^i.  The shared D_x table of
-      K and the products in ``frechet`` stay below D norm dx_gain(r),
-      which is at most H when D >= 1; D = 0 gives H = 0, since D_t of a
-      constant is zero.
+      K and the products in the Frechet derivative stay below
+      D norm dx_gain(r), which is at most H when D >= 1; D = 0 gives
+      H = 0, since D_t of a constant is zero.
     Balanced digits of width ``_word_bits(H)`` therefore hold every
     coefficient the assembly forms, so a packed value is zero exactly when
     its polynomial is, and sums cancel where they cancel over the field.
     While every exponent is positive (g = 0), V = W and H is
     D norm dx_gain(r) sum_{i <= T} W^(i+1).
     """
-    g = k.growth
-    top = order + k.top
-    w = degree - 1 + k.weight + order * g
-    v = w + g // 2 + top * g
+    w, v, top = _density_weights(k, degree, order)
     height = degree * k.norm * k.dx_gain(order) * w * sum(v ** i for i in range(top + 1))
     return _word_bits(height)
+
+
+def _density_exponent_bits(k: _IntegerField, degree: int, order: int) -> int:
+    """Exponent slot width in bits that keeps the packed Euler images of
+    D_t m exact: by ``_density_slot_bits``' argument every monomial formed
+    has |exponent| sum at most V, and the D_x table of K, whose sums are at
+    most weight + r g, holds K itself."""
+    _, v, _ = _density_weights(k, degree, order)
+    return _word_bits(max(v, k.weight))
+
+
+#: most terms that D_x may form in the packed D_x table of one field, or in
+#: the Euler images of one polynomial.  The largest table of the symbolic
+#: N = 12 commutativity table has 117,564 terms; the largest Euler images
+#: of the fs density search at order 2, degree 8 form 901 terms.  A jet
+#: near the top order in a member or a system makes D_x run up to that
+#: order on a growing polynomial; this stops it within seconds.
+_DX_BUDGET = 400_000
+
+
+class _Kernel:
+    """Packed exponent vectors: a monomial is one int, a polynomial one dict.
+
+    Generator x gets slot 0, t slot 1, and the jet (d, i) slot
+    2 + i nvars + d.  A monomial is the int sum_s e_s 2^(s bits), its
+    exponents read back as balanced digits of width ``bits``; the
+    monomial 1 is 0.  While every exponent lies strictly between
+    -2^(bits-1) and 2^(bits-1) this is one-to-one, and it turns monomial
+    arithmetic into int arithmetic (Monagan and Pearce, "Polynomial
+    division using dynamic arrays, heaps, and packed exponent vectors",
+    2007):
+    - a product of monomials is the sum of their ints;
+    - dividing by the generator at shift sh subtracts 1 << sh;
+    - D_x of the jet (d, i) adds (1 << (sh + nvars bits)) - (1 << sh),
+      which bumps it to (d, i + 1).
+    ``_exponent_bits`` and ``_density_exponent_bits`` size ``bits`` from
+    a bound before any work, since an exponent that carries into the next
+    slot would read back as a wrong monomial.  A polynomial is a dict
+    packed monomial -> nonzero Kronecker-packed int.  Sums, products,
+    ``dx`` and ``partials`` keep the term order of the same operations on
+    ``DiffPoly``, so images come out in the order the field path gives.
+    """
+
+    def __init__(self, nvars: int, bits: int):
+        self.nvars, self.bits = nvars, bits
+        self.mask, self.half = (1 << bits) - 1, 1 << (bits - 1)
+        self.step = (1 << nvars * bits) - 1  # a D_x bump adds step << sh
+        self.jets = 2 * bits  # shifts below this are x and t
+        self.ceiling = (2 + TOP_ORDER * nvars) * bits  # shift of the first top-order jet
+        self._factors: dict = {}  # (shift, exponent) -> (generator, exponent)
+
+    def pack(self, mono) -> int:
+        """The packed form of a tuple monomial; the generator ids of x and t
+        are their slots."""
+        nvars = self.nvars
+        return sum(e << (g if not is_jet(g) else 2 + jet_order(g) * nvars + jet_depvar(g))
+                   * self.bits for g, e in mono)
+
+    def pack_field(self, f: _IntegerField, coeff_bits: int) -> list:
+        """The components of f, monomials packed, coefficients packed at
+        2^coeff_bits."""
+        return [{self.pack(m): kronecker_pack(p, coeff_bits) for m, p in comp.items()}
+                for comp in f.comps]
+
+    def factors(self, m: int) -> list:
+        """(depvar, shift, exponent) of every generator of the monomial m, in
+        generator order: x and t (depvar -2 and -1), then the jets by
+        dependent variable and order."""
+        bits, mask, half, nvars = self.bits, self.mask, self.half, self.nvars
+        out = []
+        while m:
+            slot = ((m & -m).bit_length() - 1) // bits
+            sh = slot * bits
+            e = (m >> sh) & mask
+            if e >= half:
+                e -= mask + 1
+            m -= e << sh
+            out.append(((slot - 2) % nvars if slot >= 2 else slot - 2, sh, e))
+        if nvars > 1:
+            out.sort()
+        return out
+
+    def unpack(self, m: int):
+        """The tuple monomial of m."""
+        mono = []
+        for depvar, sh, e in self.factors(m):
+            factor = self._factors.get((sh, e))
+            if factor is None:
+                slot = sh // self.bits
+                gen = jet(depvar, (slot - 2) // self.nvars) if depvar >= 0 else slot
+                # one tuple per factor, shared by every monomial that has it
+                factor = self._factors[sh, e] = (gen, e)
+            mono.append(factor)
+        return tuple(mono)
+
+    def dx(self, p: dict) -> dict:
+        """Total x-derivative: bumps jets, differentiates explicit x; in the
+        term order of ``DiffPoly.dx``."""
+        step, jets, ceiling = self.step, self.jets, self.ceiling
+        out: dict = {}
+        get = out.get
+        for m, c in p.items():
+            for _, sh, e in self.factors(m):
+                if sh >= jets:
+                    if sh >= ceiling:
+                        raise JetOrderOutOfRange(f"jet order out of range: {TOP_ORDER + 1}")
+                    key = m + (step << sh)
+                elif sh:
+                    continue  # D_x t = 0
+                else:
+                    key = m - 1
+                cur = get(key)
+                if cur is None:
+                    out[key] = c * e
+                else:
+                    cur += c * e
+                    if cur:
+                        out[key] = cur
+                    else:
+                        del out[key]
+        return out
+
+    def partials(self, p: dict) -> dict:
+        """{(d, i): dp/du_(d,i)} over the jets of p, in (d, i) order."""
+        by_jet: dict = {}
+        for m, c in p.items():
+            for depvar, sh, e in self.factors(m):
+                if depvar >= 0:
+                    # dividing by one generator is injective: no two terms merge
+                    by_jet.setdefault((depvar, sh), {})[m - (1 << sh)] = c * e
+        width = self.nvars * self.bits
+        return {(d, (sh - self.jets) // width): q for (d, sh), q in sorted(by_jet.items())}
+
+    def frechet(self, parts: dict, table: "_DxTable") -> dict:
+        """f'[K] for parts the ``partials`` of f and table the D_x table of K."""
+        out: dict = {}
+        for (depvar, order), q in parts.items():
+            out = _add(out, _mul(q, table.get(depvar, order)))
+        return out
+
+    def euler(self, p: dict, nvars: int) -> list:
+        """The Euler images of p, one per dependent variable, each in the
+        Horner form d_0 p - D_x(d_1 p - D_x(d_2 p - ...))."""
+        if any(m & ((1 << self.jets) - 1) for m in p):
+            raise ExplicitXTDependence("Euler operator needs an x,t-free input")
+        parts = self.partials(p)
+        images = []
+        formed = 0
+        for depvar in range(nvars):
+            out: dict = {}
+            for i in range(max((i for d, i in parts if d == depvar), default=-1), -1, -1):
+                dx = self.dx(out)
+                formed += len(dx)
+                if formed > _DX_BUDGET:
+                    raise DxBudgetExceeded(formed, _DX_BUDGET)
+                out = _add(parts.get((depvar, i), {}), _neg(dx))
+            images.append(out)
+        return images
+
+
+def _add(a: dict, b: dict) -> dict:
+    """a + b, in the term order of ``DiffPoly.__add__``.
+
+    The sum is formed in the larger operand, which the caller must own.
+    As in ``accumulate``, a key whose sum cancels is deleted, so it moves
+    to the end if a later term brings it back.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    get = a.get
+    for key, c in b.items():
+        cur = get(key)
+        if cur is None:
+            a[key] = c
+        else:
+            cur += c
+            if cur:
+                a[key] = cur
+            else:
+                del a[key]
+    return a
+
+
+def _neg(a: dict) -> dict:
+    """-a, in the term order of a."""
+    return {m: -c for m, c in a.items()}
+
+
+def _mul(a: dict, b: dict) -> dict:
+    """a * b, in the term order of ``DiffPoly.__mul__``."""
+    if len(a) > len(b):
+        a, b = b, a
+    if len(a) == 1:  # no two terms merge
+        (m1, c1), = a.items()
+        return {m1 + m2: c1 * c2 for m2, c2 in b.items()}
+    out: dict = {}
+    get = out.get
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            key = m1 + m2
+            cur = get(key)
+            if cur is None:
+                out[key] = c1 * c2
+            else:
+                cur += c1 * c2
+                if cur:
+                    out[key] = cur
+                else:
+                    del out[key]
+    return out
+
+
+class _DxTable:
+    """One field's lazily extended table of packed D_x powers.
+
+    Raises ``DxBudgetExceeded`` once it holds more than ``_DX_BUDGET``
+    terms.
+    """
+
+    def __init__(self, kernel: _Kernel, comps: list):
+        self.kernel = kernel
+        self.rows = [[c] for c in comps]
+        self.terms = sum(map(len, comps))
+
+    def get(self, depvar: int, order: int) -> dict:
+        row = self.rows[depvar]
+        while len(row) <= order:
+            row.append(self.kernel.dx(row[-1]))
+            self.terms += len(row[-1])
+            if self.terms > _DX_BUDGET:
+                raise DxBudgetExceeded(self.terms, _DX_BUDGET)
+        return row[order]
 
 
 def commutators(fields, pairs):
@@ -251,29 +501,34 @@ def commutators(fields, pairs):
 
     The bracket [F, G] = G'[F] - F'[G] is bilinear over constants, so it is
     formed on the fields scaled to integer polynomial coefficients, each
-    packed into one int by Kronecker substitution.  Every field that a
-    pair names is scaled, packed and given one ``DxChain`` once, at one slot
-    width for the whole family: the largest ``_slot_bits`` over its pairs,
-    which makes each of them exact.  ``frechet`` then runs on plain ints.
-    A zero bracket is yielded as it is; a nonzero one is unpacked exactly
-    and divided by the product of the scales.  No pairs, no width.
+    packed into one int by Kronecker substitution, with packed monomials
+    (``_Kernel``).  Every field that a pair names is scaled, packed and
+    given one D_x table once, at one coefficient width and one exponent
+    width for the whole family: the largest ``_slot_bits`` and
+    ``_exponent_bits`` over its pairs, which make each of them exact.  A
+    zero bracket is yielded as zero; a nonzero one is unpacked exactly and
+    divided by the product of the scales.  No pairs, no width.
     """
     pairs = list(pairs)
     if not pairs:
         return
     scaled = {i: _IntegerField(fields[i]) for i in {i for pair in pairs for i in pair}}
     bits = max(_slot_bits(scaled[i], scaled[j]) for i, j in pairs)
-    packed = {i: f.packed(bits) for i, f in scaled.items()}
+    kernel = _Kernel(max(f.nvars for f in scaled.values()),
+                     max(_exponent_bits(scaled[i], scaled[j]) for i, j in pairs))
+    packed = {i: kernel.pack_field(f, bits) for i, f in scaled.items()}
+    tables = {i: _DxTable(kernel, comps) for i, comps in packed.items()}
+    parts = {i: [kernel.partials(c) for c in comps] for i, comps in packed.items()}
     for i, j in pairs:
-        (pf, chain_f), (pg, chain_g) = packed[i], packed[j]
-        bracket = EvoField(frechet(pg[c], pf, chain_f) - frechet(pf[c], pg, chain_g)
-                           for c in range(len(pf)))
-        if not bracket.is_zero:
-            unscale = (scaled[i].scale * scaled[j].scale).inverse()
-            bracket = EvoField(DiffPoly({m: kronecker_unpack(v, bits) * unscale
-                                         for m, v in comp.terms.items()})
-                               for comp in bracket)
-        yield bracket
+        bracket = [_add(kernel.frechet(parts[j][c], tables[i]),
+                        _neg(kernel.frechet(parts[i][c], tables[j])))
+                   for c in range(len(packed[i]))]
+        if not any(bracket):
+            yield EvoField(DP_ZERO for _ in bracket)
+            continue
+        unscale = (scaled[i].scale * scaled[j].scale).inverse()
+        yield EvoField(DiffPoly({kernel.unpack(m): kronecker_unpack(v, bits) * unscale
+                                 for m, v in comp.items()}) for comp in bracket)
 
 
 def commutator(F: EvoField, G: EvoField) -> EvoField:
@@ -292,26 +547,30 @@ def dt_euler_rows(monos, field: EvoField) -> dict:
     monos are jet monomials with positive exponents.  Returns
     {(d, mu): {col: c}}, c the coefficient of mu in E_d(D_t monos[col]),
     with rows and entries in first-seen order.  The field is scaled to
-    integer polynomial coefficients and packed once, at the width
-    ``_density_slot_bits`` gives, so ``frechet`` and ``euler_operator``
-    run on ints over one shared ``DxChain``; each distinct packed image
-    coefficient is unpacked and unscaled once.
+    integer polynomial coefficients and packed once (``_Kernel``), at the
+    coefficient width ``_density_slot_bits`` gives and the exponent width
+    ``_density_exponent_bits`` gives, so the Frechet derivative and the
+    Euler operator run on ints over one shared D_x table; each distinct
+    packed image coefficient is unpacked and unscaled once.
     """
     if any(not is_jet(g) or e < 0 for m in monos for g, e in m):
         raise ValueError("density monomials must be jets with positive exponents")
     k = _IntegerField(field)
-    bits = _density_slot_bits(k, max(map(mono_degree, monos), default=0),
-                              max((mono_max_order(m) or 0 for m in monos), default=0))
-    packed, chain = k.packed(bits)
+    degree = max(map(mono_degree, monos), default=0)
+    order = max((mono_max_order(m) or 0 for m in monos), default=0)
+    bits = _density_slot_bits(k, degree, order)
+    kernel = _Kernel(k.nvars, _density_exponent_bits(k, degree, order))
+    table = _DxTable(kernel, kernel.pack_field(k, bits))
     unscale = k.scale.inverse()
     unpacked: dict = {}
     rows: dict = {}
     for col, m in enumerate(monos):
-        dt = frechet(DiffPoly({m: 1}), packed, chain)
-        for d in range(len(field)):
-            for mu, v in euler_operator(dt, d).terms.items():
+        dt = kernel.frechet(kernel.partials({kernel.pack(m): 1}), table)
+        for d, image in enumerate(kernel.euler(dt, len(field))):
+            for mu, v in image.items():
                 coeff = unpacked.get(v)
                 if coeff is None:
                     coeff = unpacked[v] = kronecker_unpack(v, bits) * unscale
                 rows.setdefault((d, mu), {})[col] = coeff
-    return rows
+    # popped as they are converted, so the packed keys free as the tuples grow
+    return {(key[0], kernel.unpack(key[1])): rows.pop(key) for key in list(rows)}

@@ -14,7 +14,7 @@ from jetsym.analysis import (DensityAnsatz, commutativity_table,
                              substitution_check, verify_hierarchy)
 from jetsym.coeffield import (RF_ONE, AlphaPoly, RationalFunction, accumulate, rf,
                               sparse_nullspace)
-from jetsym.errors import AnsatzTooLarge, CrossCheckFailed, NotDecomposable
+from jetsym.errors import AnsatzTooLarge, CrossCheckFailed, DxBudgetExceeded, NotDecomposable
 from jetsym.hierarchy import fs_hierarchy, fs_seed, scaling_symmetry, ts1_hierarchy
 from jetsym.jetalgebra import DP_ZERO, DiffPoly, EvoField, jet
 from jetsym.systems import (_BUILTIN_CACHE, _BUILTIN_SOURCES, EvolutionSystem,
@@ -57,9 +57,12 @@ class TestCommutativity:
     def test_fs_table_n8(self, fs_hierarchy_8):
         assert commutativity_table(fs_hierarchy_8).all_zero
 
-    @pytest.mark.slow
     def test_fs_table_n10(self):
         assert commutativity_table(fs_hierarchy(10)).all_zero
+
+    @pytest.mark.slow
+    def test_fs_table_n12(self):
+        assert commutativity_table(fs_hierarchy(12)).all_zero
 
     def test_detects_nonzero(self, fs):
         from jetsym.hierarchy import Hierarchy
@@ -300,6 +303,17 @@ class TestPackedDensityRows:
         assert max(abs(v.num.ints[0]) for row in ref.values() for v in row.values()) >= 2 ** 63
         assert _density_slot_bits(_IntegerField(rhs), 2, 1) > 64
         assert_same_rows(dt_euler_rows(monos, rhs), ref)
+
+    def test_euler_budget(self, monkeypatch):
+        # E(D_t w) for w_t = w_30*w*w_x runs D_x 30 times on a growing
+        # polynomial: 269 terms in all
+        system = parse_system("system s\nvars w\neq w_t = w[30]*w*w_x\n")
+        monos = DensityAnsatz(0, 1).monomials(system)
+        assert dt_euler_rows(monos, system.rhs)
+        monkeypatch.setattr("jetsym.varcalc._DX_BUDGET", 200)
+        with pytest.raises(DxBudgetExceeded) as info:
+            dt_euler_rows(monos, system.rhs)
+        assert info.value.terms > 200
 
     def test_rejects_non_ansatz_monomials(self):
         rhs = EvoField((fs_expr("w_xx"),))

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import jetsym
+from jetsym import varcalc
 from jetsym.cli import main
 from jetsym.errors import NonlocalObstruction
 from jetsym.hierarchy import fs_hierarchy
@@ -416,8 +417,9 @@ def _top_order_certificate(doc):
     doc["certificates"][0]["prev"][0]["exps"] = [[[0, 4095], 1]]
 
 
-# verify reaches a top-order K_1 only after D_x^4095 of the fs rhs, about
-# 90 s, so it meets the ceiling in a certificate's D_x instead
+# verify on a top-order K_1 would need D_x^4095 of the fs rhs and stops at
+# the D_x budget first (TestDxBudget), so it meets the ceiling in
+# a certificate's D_x instead
 TOP_ORDER_INPUTS = {
     "densities": lambda p: [
         "densities", "--file", _input_file(p, "system s\nvars w\neq w_t = w[4095]\n"),
@@ -438,6 +440,34 @@ class TestJetOrderCeiling:
         assert len(lines) == 1
         assert json.loads(lines[0]) == {
             "error": {"code": "resource", "message": "jet order out of range: 4096"}}
+
+
+def _deep_k3(doc):
+    doc["members"][2][0][0]["exps"] = [[[0, 4091], 1]]
+
+
+# a member jet near the top order makes a bracket expand D_x^k of another
+# member for k near that order
+DEEP_MEMBER_INPUTS = {
+    "verify-k1-top-order": lambda p: ["verify", _hierarchy_file(p, _top_order_k1)],
+    "commute-k3-order-4091": lambda p: ["commute", _hierarchy_file(p, _deep_k3, n=3)],
+}
+
+
+class TestDxBudget:
+    """A bracket stops at the D_x budget with a resource error."""
+
+    @pytest.mark.parametrize("case", DEEP_MEMBER_INPUTS)
+    def test_deep_member_exits_4(self, tmp_path, capsys, case):
+        code, stdout, err = run(capsys, *DEEP_MEMBER_INPUTS[case](tmp_path), "--json")
+        assert (code, stdout) == (4, "")
+        lines = err.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert error["code"] == "resource"
+        assert error["budget"] == varcalc._DX_BUDGET < error["terms"]
+        assert error["message"] == \
+            f"D_x formed {error['terms']} terms, budget is {error['budget']}"
 
 
 class TestHalfIntegerExponents:

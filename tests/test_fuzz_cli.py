@@ -2,11 +2,12 @@
 
 Mutations of a ``gen --system fs --n 3`` hierarchy and of the ``fs``
 system text go through ``cli.main`` in-process.  A system text mutation
-may also put in a number literal too long to parse, a power past the
-expansion budget of ``^``, a chain of ``*`` past that budget or a jet of
-order 4093-4095; a hierarchy mutation may set a certificate's jet order
-to 4090-4095.  Each run must return one of the documented exit codes
-0-4 and print no traceback.
+may also replace one factor of a right-hand side with a number literal
+too long to parse, a power past the expansion budget of ``^``, a chain of
+``*`` past that budget or a jet of order 4093-4095; a hierarchy mutation
+may set the jet order of a member or a certificate to 4090-4095.  Each
+run must return one of the documented exit codes 0-4 and print no
+traceback.
 """
 
 import copy
@@ -62,10 +63,10 @@ def _mutate_hierarchy(rng, doc):
     doc = copy.deepcopy(doc)
     paths = list(_paths(doc))
     if kind == "deep":
-        # one certificate jet order near the top order 4095; a member's would
-        # make the symmetry check expand D_x^k of the fs rhs for k near 4095,
-        # which no budget bounds yet
-        jets = [p for p in paths if p[0] == "certificates" and p[-2:] == ("exps", 0)]
+        # one member or certificate jet order near the top order 4095; a
+        # member's makes a bracket expand D_x^k of another field for k near
+        # 4095, up to the D_x budget
+        jets = [p for p in paths if p[-2:] == ("exps", 0)]
         _at(doc, rng.choice(jets))[0][1] = rng.randint(4090, 4095)
         return kind, json.dumps(doc).encode()
     # half the picks near the top, where the schema lives
@@ -89,6 +90,24 @@ def _mutate_hierarchy(rng, doc):
         _at(doc, a[:-1])[a[-1]] = vb
         _at(doc, b[:-1])[b[-1]] = va
     return kind, json.dumps(doc).encode()
+
+
+def _factor_spans(line: str, start: int):
+    """(begin, end) of each top-level factor of line[start:]: a parenthesised
+    coefficient, or a run of characters outside parentheses between '*',
+    '+' and spaces."""
+    spans, depth, begin = [], 0, None
+    for k in range(start, len(line) + 1):
+        ch = line[k] if k < len(line) else " "
+        if depth == 0 and ch in "*+ ":
+            if begin is not None:
+                spans.append((begin, k))
+                begin = None
+            continue
+        if begin is None:
+            begin = k
+        depth += (ch == "(") - (ch == ")")
+    return spans
 
 
 def _mutate_system(rng, text: str):
@@ -118,10 +137,9 @@ def _mutate_system(rng, text: str):
         else:  # a jet near the top order 4095
             token = f"w[{rng.randint(4093, 4095)}]"
         i = rng.choice([k for k, line in enumerate(lines) if line.startswith("eq ")])
-        words = lines[i].split(" ")
-        factors = [k for k in range(3, len(words)) if words[k] not in ("+", "-")]
-        words[rng.choice(factors)] = token
-        lines[i] = " ".join(words)
+        line = lines[i]
+        begin, end = rng.choice(_factor_spans(line, line.index("=") + 1))
+        lines[i] = line[:begin] + token + line[end:]
     return kind, "\n".join(lines).encode()
 
 

@@ -4,13 +4,15 @@ import random
 
 import pytest
 
-from jetsym.coeffield import AlphaPoly, RationalFunction, kronecker_pack
-from jetsym.errors import ExplicitXTDependence, NonIntegerExponentPath
+from jetsym.coeffield import AlphaPoly, RationalFunction, kronecker_pack, rf
+from jetsym.errors import (DxBudgetExceeded, ExplicitXTDependence, JetOrderOutOfRange,
+                           NonIntegerExponentPath)
 from jetsym.hierarchy import fs_seed, scaling_symmetry
-from jetsym.jetalgebra import DP_ZERO, DiffPoly, EvoField, T_GEN, X_GEN, jet
+from jetsym.jetalgebra import DP_ZERO, TOP_ORDER, DiffPoly, EvoField, T_GEN, X_GEN, jet
 from jetsym.systems import builtin_system, parse_expression
-from jetsym.varcalc import (_IntegerField, _slot_bits, commutator, commutators, dt_along,
-                            euler_operator, frechet, integrate_dx)
+from jetsym.varcalc import (_exponent_bits, _IntegerField, _Kernel, _slot_bits, _word_bits,
+                            commutator, commutators, dt_along, euler_operator, frechet,
+                            integrate_dx)
 
 from conftest import (random_diffpoly, random_evofield, random_nonzero_rf,
                       random_zero_free_poly)
@@ -292,6 +294,89 @@ class TestCommutators:
             raise AssertionError("a width was computed")
         monkeypatch.setattr("jetsym.varcalc._slot_bits", no_width)
         assert list(commutators([fs_expr("w")], [])) == []
+
+
+def random_packable_mono(rng, nvars, top, exps):
+    """A monomial over x, t and the jets of nvars variables up to order top,
+    with exponents drawn from exps; the top order itself is drawn often."""
+    gens = [X_GEN, T_GEN] + [jet(d, i) for d in range(nvars)
+                             for i in {0, 1, 2, top - 1, top, rng.randint(0, top)}]
+    return tuple(sorted((g, rng.choice(exps)) for g in rng.sample(gens, rng.randint(0, 4))))
+
+
+class TestPackedMonomials:
+    """The packed exponent vectors of the bracket and density kernel."""
+
+    def test_round_trip(self):
+        rng = random.Random(401)
+        for _ in range(300):
+            nvars = rng.randint(1, 3)
+            bits = rng.randint(2, 9)
+            big = (1 << (bits - 1)) - 1  # the largest exponent the width holds
+            exps = [e for e in (-big, -2, -1, 1, 2, 3, big) if e and abs(e) <= big]
+            kernel = _Kernel(nvars, bits)
+            a = random_packable_mono(rng, nvars, TOP_ORDER, exps)
+            b = random_packable_mono(rng, nvars, TOP_ORDER, exps)
+            pa, pb = kernel.pack(a), kernel.pack(b)
+            assert kernel.unpack(pa) == a and kernel.unpack(pb) == b
+            # a product is a sum of ints, while its exponents stay in range
+            prod = dict(a)
+            for g, e in b:
+                prod[g] = prod.get(g, 0) + e
+            if all(abs(e) <= big for e in prod.values()):
+                assert kernel.unpack(pa + pb) == tuple(
+                    sorted((g, e) for g, e in prod.items() if e))
+        assert kernel.pack(()) == 0 and kernel.unpack(0) == ()
+
+    def test_dx_matches_diffpoly(self):
+        rng = random.Random(409)
+        for _ in range(120):
+            nvars = rng.randint(1, 3)
+            top = rng.choice((3, 40, TOP_ORDER - 2))
+            monos = {random_packable_mono(rng, nvars, top, (-2, -1, 1, 2, 3))
+                     for _ in range(rng.randint(1, 6))}
+            # coefficients that cancel some of the merged D_x terms
+            p = DiffPoly({m: rf(rng.choice((-2, -1, 1, 2))) for m in monos})
+            bits = _word_bits(2 + max(sum(abs(e) for _, e in m) for m in monos))
+            kernel = _Kernel(nvars, bits)
+            packed = {kernel.pack(m): c.num.ints[0] for m, c in p.terms.items()}
+            for _ in range(2):
+                want = p.dx()
+                packed, p = kernel.dx(packed), want
+                # the same terms, in the same order
+                assert [(kernel.unpack(m), rf(c)) for m, c in packed.items()] == \
+                    list(want.terms.items())
+
+    def test_dx_past_the_top_order(self):
+        top = ((jet(1, TOP_ORDER), 1),)
+        kernel = _Kernel(2, 3)
+        with pytest.raises(JetOrderOutOfRange, match="4096"):
+            DiffPoly({top: rf(1)}).dx()
+        with pytest.raises(JetOrderOutOfRange, match="4096"):
+            kernel.dx({kernel.pack(top): 1})
+
+    def test_bound_exceeds_a_carrying_width(self, monkeypatch):
+        # [w^8, w*w_x] = w^8*w_x: at the computed width w's exponent 8 is a
+        # digit; one bit narrower it carries into the slot of w_x
+        f = EvoField((fs_expr("w^8"),))
+        g = EvoField((fs_expr("w*w_x"),))
+        ref = reference_bracket(f, g)
+        assert ref[0] == fs_expr("w^8*w_x")
+        bits = _exponent_bits(_IntegerField(f), _IntegerField(g))
+        assert 8 >= 1 << (bits - 2)
+        assert commutator(f, g) == ref
+        monkeypatch.setattr("jetsym.varcalc._exponent_bits", lambda f, g: bits - 1)
+        assert commutator(f, g) != ref
+
+    def test_dx_table_budget(self, monkeypatch):
+        # the bracket with w_40 builds D_x^0..40 of the fs rhs, 968 terms
+        fs = builtin_system("fs")
+        deep = EvoField((fs_expr("w[40]"), DP_ZERO))
+        assert not commutator(fs.rhs, deep).is_zero
+        monkeypatch.setattr("jetsym.varcalc._DX_BUDGET", 500)
+        with pytest.raises(DxBudgetExceeded) as info:
+            commutator(fs.rhs, deep)
+        assert info.value.budget == 500 and info.value.terms > 500
 
 
 class TestDtAlong:
