@@ -304,7 +304,14 @@ class TestPackedDensityRows:
         assert _density_slot_bits(_IntegerField(rhs), 2, 1) > 64
         assert_same_rows(dt_euler_rows(monos, rhs), ref)
 
-    def test_euler_budget(self, monkeypatch):
+    def test_rejects_non_ansatz_monomials(self):
+        rhs = EvoField((fs_expr("w_xx"),))
+        with pytest.raises(ValueError):
+            dt_euler_rows([((jet(0, 0), -1),)], rhs)
+
+
+class TestDensityDxBudget:
+    def test_euler_images(self, monkeypatch):
         # E(D_t w) for w_t = w_30*w*w_x runs D_x 30 times on a growing
         # polynomial: 269 terms in all
         system = parse_system("system s\nvars w\neq w_t = w[30]*w*w_x\n")
@@ -314,11 +321,6 @@ class TestPackedDensityRows:
         with pytest.raises(DxBudgetExceeded) as info:
             dt_euler_rows(monos, system.rhs)
         assert info.value.terms > 200
-
-    def test_rejects_non_ansatz_monomials(self):
-        rhs = EvoField((fs_expr("w_xx"),))
-        with pytest.raises(ValueError):
-            dt_euler_rows([((jet(0, 0), -1),)], rhs)
 
 
 QUOTIENT_PINS = {
