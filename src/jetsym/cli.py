@@ -263,7 +263,7 @@ def main(argv=None) -> int:
         _diag(args, "resource", str(exc), {"count": exc.count, "cap": exc.cap})
         return EXIT_RESOURCE
     except DxBudgetExceeded as exc:
-        _diag(args, "resource", str(exc), {"terms": exc.terms, "budget": exc.budget})
+        _diag(args, "resource", str(exc), {"bits": exc.bits, "budget": exc.budget})
         return EXIT_RESOURCE
     except (NumberTooLong, JetOrderOutOfRange) as exc:
         _diag(args, "resource", str(exc))

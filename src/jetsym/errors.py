@@ -80,13 +80,13 @@ class JetOrderOutOfRange(JetsymError, ValueError):
 
 
 class DxBudgetExceeded(JetsymError):
-    """D_x formed more terms than its budget allows, in the D_x table of one
-    field or in the Euler images of one polynomial."""
+    """D_x would pass one of its budgets in bits: the growth bound of a D_x
+    table or of an Euler evaluation, or the packed terms one of them forms."""
 
-    def __init__(self, terms, budget):
-        self.terms = terms
+    def __init__(self, what, bits, budget):
+        self.bits = bits
         self.budget = budget
-        super().__init__(f"D_x formed {terms} terms, budget is {budget}")
+        super().__init__(f"{what} {bits} bits, budget is {budget}")
 
 
 class NumberTooLong(JetsymError):

@@ -133,7 +133,7 @@ class DxChain:
         return row[order]
 
 
-def frechet(f: DiffPoly, K: EvoField, chain: DxChain | None = None) -> DiffPoly:
+def frechet(f: DiffPoly, K: EvoField) -> DiffPoly:
     """Directional derivative of f along K, summed over jet variables only.
 
     Explicit x and t in f are treated as constants.
@@ -141,8 +141,7 @@ def frechet(f: DiffPoly, K: EvoField, chain: DxChain | None = None) -> DiffPoly:
     top = f.max_jet_order()
     if top is None:
         return DP_ZERO
-    if chain is None:
-        chain = DxChain(K)
+    chain = DxChain(K)
     out = DP_ZERO
     for d in sorted(f.depvars()):
         for i in range(top + 1):
@@ -273,13 +272,28 @@ def _density_exponent_bits(k: _IntegerField, degree: int, order: int) -> int:
     return _word_bits(max(v, k.weight))
 
 
-#: most terms that D_x may form in the packed D_x table of one field, or in
-#: the Euler images of one polynomial.  The largest table of the symbolic
-#: N = 12 commutativity table has 117,564 terms; the largest Euler images
-#: of the fs density search at order 2, degree 8 form 901 terms.  A jet
-#: near the top order in a member or a system makes D_x run up to that
-#: order on a growing polynomial; this stops it within seconds.
-_DX_BUDGET = 400_000
+#: most bits that the norm growth bound of a D_x tower may have: the
+#: ``dx_gain`` of a D_x table at the order it is extended to, or the
+#: ``horner_gain`` of an Euler image, each checked before that D_x work.
+#: It grows by about log2(weight) bits per order of a nonlinear field and
+#: not at all for a linear one, so it refuses a jet near the top order in
+#: a nonlinear tower at once: the fs rhs (weight 3) has a table up to
+#: order 646.  The largest of the brackets of the fs hierarchy is 65 bits
+#: at N = 16 and 87 bits at N = 20.
+_GAIN_BITS = 1024
+
+#: most bits of packed monomials and coefficients that D_x may form in the
+#: D_x table of one field, or in the Euler images of one polynomial (512
+#: MB).  The largest table of the symbolic fs commutativity table takes
+#: 105,551,097 bits at N = 12, 442,366,232 at N = 14 and 1,674,624,280 at
+#: N = 16 (58,481,804 and 206,407,123 at N = 14 and 16 at alpha = 1/3);
+#: the largest Euler images of the fs density search, 75,020 bits.
+_DX_BUDGET = 1 << 32
+
+
+def _dict_bits(p: dict) -> int:
+    """Bits of the packed monomials and coefficients of p."""
+    return sum(map(int.bit_length, p)) + sum(map(int.bit_length, p.values()))
 
 
 class _Kernel:
@@ -402,21 +416,43 @@ class _Kernel:
             out = _add(out, _mul(q, table.get(depvar, order)))
         return out
 
-    def euler(self, p: dict, nvars: int) -> list:
+    def horner_gain(self, parts: dict, depvar: int, orders, growth: int) -> int:
+        """Bound on what the D_x of the Horner form of ``euler``, over the
+        jet orders ``orders`` from the top down, put on the norm of the
+        image for depvar: each multiplies it by at most the largest
+        |exponent| sum W of what it differentiates, and W grows by at most
+        growth per D_x or becomes that of the next partial."""
+        gain, weight = 1, 0
+        for i in orders:
+            gain *= max(weight, 1)
+            weight = max([weight + growth] + [sum(abs(e) for _, _, e in self.factors(m))
+                                              for m in parts.get((depvar, i), ())])
+        return gain
+
+    def euler(self, p: dict, nvars: int, growth: int, weight: int) -> list:
         """The Euler images of p, one per dependent variable, each in the
-        Horner form d_0 p - D_x(d_1 p - D_x(d_2 p - ...))."""
+        Horner form d_0 p - D_x(d_1 p - D_x(d_2 p - ...)).
+
+        growth is what one D_x can add to a monomial's |exponent| sum, and
+        weight bounds that sum over every monomial formed.  Where
+        weight^(top + 1) may pass 2^``_GAIN_BITS``, the ``horner_gain`` of
+        the image is checked before its D_x.
+        """
         if any(m & ((1 << self.jets) - 1) for m in p):
             raise ExplicitXTDependence("Euler operator needs an x,t-free input")
         parts = self.partials(p)
         images = []
         formed = 0
         for depvar in range(nvars):
+            orders = range(max((i for d, i in parts if d == depvar), default=-1), -1, -1)
+            if len(orders) * weight.bit_length() > _GAIN_BITS:
+                _check_gain(self.horner_gain(parts, depvar, orders, growth))
             out: dict = {}
-            for i in range(max((i for d, i in parts if d == depvar), default=-1), -1, -1):
+            for i in orders:
                 dx = self.dx(out)
-                formed += len(dx)
+                formed += _dict_bits(dx)
                 if formed > _DX_BUDGET:
-                    raise DxBudgetExceeded(formed, _DX_BUDGET)
+                    raise DxBudgetExceeded("D_x formed", formed, _DX_BUDGET)
                 out = _add(parts.get((depvar, i), {}), _neg(dx))
             images.append(out)
         return images
@@ -477,23 +513,33 @@ def _mul(a: dict, b: dict) -> dict:
 class _DxTable:
     """One field's lazily extended table of packed D_x powers.
 
-    Raises ``DxBudgetExceeded`` once it holds more than ``_DX_BUDGET``
-    terms.
+    Raises ``DxBudgetExceeded`` before it extends a row to an order whose
+    ``dx_gain`` has more than ``_GAIN_BITS`` bits, and once it holds more
+    than ``_DX_BUDGET`` bits.
     """
 
-    def __init__(self, kernel: _Kernel, comps: list):
-        self.kernel = kernel
+    def __init__(self, kernel: _Kernel, field: _IntegerField, comps: list):
+        self.kernel, self.field = kernel, field
         self.rows = [[c] for c in comps]
-        self.terms = sum(map(len, comps))
+        self.bits = sum(map(_dict_bits, comps))
 
     def get(self, depvar: int, order: int) -> dict:
         row = self.rows[depvar]
+        if len(row) <= order:
+            _check_gain(self.field.dx_gain(order))
         while len(row) <= order:
             row.append(self.kernel.dx(row[-1]))
-            self.terms += len(row[-1])
-            if self.terms > _DX_BUDGET:
-                raise DxBudgetExceeded(self.terms, _DX_BUDGET)
+            self.bits += _dict_bits(row[-1])
+            if self.bits > _DX_BUDGET:
+                raise DxBudgetExceeded("D_x formed", self.bits, _DX_BUDGET)
         return row[order]
+
+
+def _check_gain(gain: int):
+    """Raise ``DxBudgetExceeded`` when a norm growth bound passes
+    ``_GAIN_BITS``."""
+    if gain.bit_length() > _GAIN_BITS:
+        raise DxBudgetExceeded("D_x growth bound needs", gain.bit_length(), _GAIN_BITS)
 
 
 def commutators(fields, pairs):
@@ -517,7 +563,7 @@ def commutators(fields, pairs):
     kernel = _Kernel(max(f.nvars for f in scaled.values()),
                      max(_exponent_bits(scaled[i], scaled[j]) for i, j in pairs))
     packed = {i: kernel.pack_field(f, bits) for i, f in scaled.items()}
-    tables = {i: _DxTable(kernel, comps) for i, comps in packed.items()}
+    tables = {i: _DxTable(kernel, scaled[i], comps) for i, comps in packed.items()}
     parts = {i: [kernel.partials(c) for c in comps] for i, comps in packed.items()}
     for i, j in pairs:
         bracket = [_add(kernel.frechet(parts[j][c], tables[i]),
@@ -559,14 +605,15 @@ def dt_euler_rows(monos, field: EvoField) -> dict:
     degree = max(map(mono_degree, monos), default=0)
     order = max((mono_max_order(m) or 0 for m in monos), default=0)
     bits = _density_slot_bits(k, degree, order)
+    _, weight, _ = _density_weights(k, degree, order)
     kernel = _Kernel(k.nvars, _density_exponent_bits(k, degree, order))
-    table = _DxTable(kernel, kernel.pack_field(k, bits))
+    table = _DxTable(kernel, k, kernel.pack_field(k, bits))
     unscale = k.scale.inverse()
     unpacked: dict = {}
     rows: dict = {}
     for col, m in enumerate(monos):
         dt = kernel.frechet(kernel.partials({kernel.pack(m): 1}), table)
-        for d, image in enumerate(kernel.euler(dt, len(field))):
+        for d, image in enumerate(kernel.euler(dt, len(field), k.growth, weight)):
             for mu, v in image.items():
                 coeff = unpacked.get(v)
                 if coeff is None:

@@ -20,7 +20,7 @@ from jetsym.jetalgebra import DP_ZERO, DiffPoly, EvoField, jet
 from jetsym.systems import (_BUILTIN_CACHE, _BUILTIN_SOURCES, EvolutionSystem,
                             parse_expression, parse_system)
 from jetsym.varcalc import (ExactnessCertificate, _density_slot_bits, _IntegerField,
-                            dt_along, dt_euler_rows, euler_operator)
+                            _Kernel, dt_along, dt_euler_rows, euler_operator)
 
 from conftest import random_evofield, random_nonzero_rf
 
@@ -63,6 +63,11 @@ class TestCommutativity:
     @pytest.mark.slow
     def test_fs_table_n12(self):
         assert commutativity_table(fs_hierarchy(12)).all_zero
+
+    @pytest.mark.slow
+    def test_fs_table_n14(self):
+        # the largest D_x table, of 442,366,232 bits, stays under the budget
+        assert commutativity_table(fs_hierarchy(14)).all_zero
 
     def test_detects_nonzero(self, fs):
         from jetsym.hierarchy import Hierarchy
@@ -317,10 +322,30 @@ class TestDensityDxBudget:
         system = parse_system("system s\nvars w\neq w_t = w[30]*w*w_x\n")
         monos = DensityAnsatz(0, 1).monomials(system)
         assert dt_euler_rows(monos, system.rhs)
-        monkeypatch.setattr("jetsym.varcalc._DX_BUDGET", 200)
+        monkeypatch.setattr("jetsym.varcalc._DX_BUDGET", 2000)
+        with pytest.raises(DxBudgetExceeded, match="^D_x formed ") as info:
+            dt_euler_rows(monos, system.rhs)
+        assert info.value.bits > 2000
+
+    def test_euler_growth_bound(self, monkeypatch):
+        # E(D_t w) for w_t = w_4094*w*w_x runs D_x 4094 times on w*w_x and
+        # its D_x powers, with a norm growth bound of 2^4094: refused first
+        system = parse_system("system s\nvars w\neq w_t = w[4094]*w*w_x\n")
+        monos = DensityAnsatz(0, 1).monomials(system)
+
+        def no_dx(self, p):
+            raise AssertionError("D_x ran")
+        monkeypatch.setattr(_Kernel, "dx", no_dx)
         with pytest.raises(DxBudgetExceeded) as info:
             dt_euler_rows(monos, system.rhs)
-        assert info.value.terms > 200
+        assert str(info.value) == "D_x growth bound needs 4095 bits, budget is 1024"
+
+    def test_linear_chain_has_no_growth(self):
+        # E(D_t w^2) for w_t = w_4093 + w*w_x differentiates 2*w, whose D_x
+        # powers stay one term each
+        system = parse_system("system s\nvars w\neq w_t = w[4093] + w*w_x\n")
+        monos = DensityAnsatz(0, 2).monomials(system)
+        assert_same_rows(dt_euler_rows(monos, system.rhs), reference_rows(system, monos))
 
 
 QUOTIENT_PINS = {

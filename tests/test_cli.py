@@ -418,7 +418,7 @@ def _top_order_certificate(doc):
 
 
 # verify on a top-order K_1 would need D_x^4095 of the fs rhs and stops at
-# the D_x budget first (TestDxBudget), so it meets the ceiling in
+# the D_x growth bound first (TestDxBudget), so it meets the ceiling in
 # a certificate's D_x instead
 TOP_ORDER_INPUTS = {
     "densities": lambda p: [
@@ -447,27 +447,31 @@ def _deep_k3(doc):
 
 
 # a member jet near the top order makes a bracket expand D_x^k of another
-# member for k near that order
-DEEP_MEMBER_INPUTS = {
+# member for k near that order, and a system jet near it makes the Euler
+# operator do so on D_t m
+DEEP_INPUTS = {
     "verify-k1-top-order": lambda p: ["verify", _hierarchy_file(p, _top_order_k1)],
     "commute-k3-order-4091": lambda p: ["commute", _hierarchy_file(p, _deep_k3, n=3)],
+    "densities-product-order-4094": lambda p: [
+        "densities", "--file", _input_file(p, "system s\nvars w\neq w_t = w[4094]*w\n"),
+        "--max-order", "1", "--max-degree", "2"],
 }
 
 
 class TestDxBudget:
-    """A bracket stops at the D_x budget with a resource error."""
+    """D_x stops at its growth bound with a resource error, before the work."""
 
-    @pytest.mark.parametrize("case", DEEP_MEMBER_INPUTS)
-    def test_deep_member_exits_4(self, tmp_path, capsys, case):
-        code, stdout, err = run(capsys, *DEEP_MEMBER_INPUTS[case](tmp_path), "--json")
+    @pytest.mark.parametrize("case", DEEP_INPUTS)
+    def test_deep_jet_exits_4(self, tmp_path, capsys, case):
+        code, stdout, err = run(capsys, *DEEP_INPUTS[case](tmp_path), "--json")
         assert (code, stdout) == (4, "")
         lines = err.splitlines()
         assert len(lines) == 1
         error = json.loads(lines[0])["error"]
         assert error["code"] == "resource"
-        assert error["budget"] == varcalc._DX_BUDGET < error["terms"]
+        assert error["budget"] == varcalc._GAIN_BITS < error["bits"]
         assert error["message"] == \
-            f"D_x formed {error['terms']} terms, budget is {error['budget']}"
+            f"D_x growth bound needs {error['bits']} bits, budget is {error['budget']}"
 
 
 class TestHalfIntegerExponents:

@@ -369,14 +369,41 @@ class TestPackedMonomials:
         assert commutator(f, g) != ref
 
     def test_dx_table_budget(self, monkeypatch):
-        # the bracket with w_40 builds D_x^0..40 of the fs rhs, 968 terms
+        # the bracket with w_40 builds D_x^0..40 of the fs rhs, 220,840 bits
         fs = builtin_system("fs")
         deep = EvoField((fs_expr("w[40]"), DP_ZERO))
         assert not commutator(fs.rhs, deep).is_zero
-        monkeypatch.setattr("jetsym.varcalc._DX_BUDGET", 500)
+        monkeypatch.setattr("jetsym.varcalc._DX_BUDGET", 100_000)
+        with pytest.raises(DxBudgetExceeded, match="^D_x formed ") as info:
+            commutator(fs.rhs, deep)
+        assert info.value.budget == 100_000 < info.value.bits
+
+    def test_dx_table_growth_bound(self, monkeypatch):
+        # dx_gain of the fs rhs (weight 3) at order i is 3^i: 20 bits at
+        # order 12, 21 at order 13
+        fs = builtin_system("fs")
+        monkeypatch.setattr("jetsym.varcalc._GAIN_BITS", 20)
+        assert not commutator(fs.rhs, EvoField((fs_expr("w[12]"), DP_ZERO))).is_zero
+        with pytest.raises(DxBudgetExceeded) as info:
+            commutator(fs.rhs, EvoField((fs_expr("w[13]"), DP_ZERO)))
+        assert (info.value.bits, info.value.budget) == (21, 20)
+
+    def test_growth_bound_comes_before_any_dx(self, monkeypatch):
+        fs = builtin_system("fs")
+        deep = EvoField((fs_expr("w[700]"), DP_ZERO))
+
+        def no_dx(self, p):
+            raise AssertionError("D_x ran")
+        monkeypatch.setattr(_Kernel, "dx", no_dx)
         with pytest.raises(DxBudgetExceeded) as info:
             commutator(fs.rhs, deep)
-        assert info.value.budget == 500 and info.value.terms > 500
+        assert info.value.bits == (3 ** 700).bit_length() > info.value.budget == 1024
+        assert str(info.value) == "D_x growth bound needs 1110 bits, budget is 1024"
+
+    def test_linear_table_reaches_any_order(self):
+        # D_x does not grow a linear field, so its table has no growth bound
+        f = EvoField((fs_expr("w_x"),))
+        assert commutator(f, EvoField((fs_expr("w[4000]"),))).is_zero
 
 
 class TestDtAlong:
