@@ -9,7 +9,7 @@ elements have identical representations.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from typing import Iterable
 
 from .errors import DivisionByZero, NumberTooLong, PoleAtParameter
@@ -189,9 +189,21 @@ class AlphaPoly:
         return q
 
     def gcd(self, other: "AlphaPoly") -> "AlphaPoly":
-        """Monic gcd: Euclid on primitive integer coefficient lists.
+        """Monic gcd, by a closed form when one argument is c*(d*alpha - n)^k.
 
-        Each pseudo-remainder is cut to its primitive part (Brown 1971), so
+        That shape is read off in O(k) integer operations: n/d is
+        -ints[k-1] / (k*ints[k]) in lowest terms with d > 0, and the
+        coefficients must satisfy ints[i-1]*(k-i+1)*d == -n*i*ints[i] for
+        i = 1..k, the ratio of consecutive binomial terms.  The gcd is then
+        (alpha - n/d)^j, j <= k the multiplicity of d*alpha - n in the
+        other argument.  Since gcd(n, d) = 1, d*alpha - n is primitive, so
+        by Gauss's lemma it divides an integer polynomial over Q exactly
+        when it divides it over Z: j is found by exact integer division.
+        ``other`` is tried first (it is the denominator in the canonical
+        form and in products), then ``self``.
+
+        Any other pair runs Euclid on primitive integer coefficient lists:
+        each pseudo-remainder is cut to its primitive part (Brown 1971), so
         no rational arithmetic runs inside the loop.
         """
         a, b = self.ints, other.ints
@@ -201,6 +213,12 @@ class AlphaPoly:
             return self.monic()
         if not a:
             return other.monic()
+        root = _linear_power_root(b)
+        if root is not None:
+            return _root_power(a, *root, len(b) - 1)
+        root = _linear_power_root(a)
+        if root is not None:
+            return _root_power(b, *root, len(a) - 1)
         a, b = _content_free(a), _content_free(b)
         if len(a) < len(b):
             a, b = b, a
@@ -272,6 +290,54 @@ def _monic_ints(ints) -> AlphaPoly:
     if lead < 0:
         return _canonical([-c for c in ints], -lead)
     return _canonical(ints, lead)
+
+
+def _linear_power_root(ints):
+    """(n, d) with ints = c*(d*alpha - n)^k, gcd(n, d) = 1 and d > 0, else None.
+
+    k = len(ints) - 1 >= 1.  n/d is fixed by the top two coefficients, so
+    the check at i = k holds by construction and only i < k is tested.
+    """
+    k = len(ints) - 1
+    lead = k * ints[k]
+    g = gcd(ints[k - 1], lead)
+    n, d = -ints[k - 1] // g, lead // g
+    if d < 0:
+        n, d = -n, -d
+    for i in range(k - 1, 0, -1):
+        if ints[i - 1] * (k - i + 1) * d != -n * i * ints[i]:
+            return None
+    return n, d
+
+
+def _root_power(a, n: int, d: int, k: int) -> AlphaPoly:
+    """(alpha - n/d)^j, j <= k the multiplicity of d*alpha - n in a.
+
+    a is a nonzero integer polynomial.  Each step divides it by
+    d*alpha - n from the top, q[i-1] = (a[i] + n*q[i]) / d, and stops at
+    the first inexact division or nonzero remainder a[0] + n*q[0].
+    """
+    j = 0
+    while j < k:
+        q = [0] * (len(a) - 1)
+        r = 0
+        for i in range(len(a) - 1, 0, -1):
+            r, rem = divmod(a[i] + n * r, d)
+            if rem:
+                break
+            q[i - 1] = r
+        else:
+            if a[0] + n * r == 0:
+                a = q
+                j += 1
+                continue
+        break
+    if not j:
+        return _APOLY_ONE
+    # (d*alpha - n)^j over d^j: lead d^j and constant (-n)^j are coprime,
+    # so this is the canonical form
+    return AlphaPoly._of(tuple(comb(j, i) * d ** i * (-n) ** (j - i) for i in range(j + 1)),
+                         d ** j)
 
 
 def _content_free(ints) -> list:

@@ -552,8 +552,10 @@ def commutators(fields, pairs):
     given one D_x table once, at one coefficient width and one exponent
     width for the whole family: the largest ``_slot_bits`` and
     ``_exponent_bits`` over its pairs, which make each of them exact.  A
-    zero bracket is yielded as zero; a nonzero one is unpacked exactly and
-    divided by the product of the scales.  No pairs, no width.
+    field's packed form and table are dropped after the last pair that
+    names it, so only the live tables are held.  A zero bracket is yielded
+    as zero; a nonzero one is unpacked exactly and divided by the product
+    of the scales.  No pairs, no width.
     """
     pairs = list(pairs)
     if not pairs:
@@ -565,10 +567,14 @@ def commutators(fields, pairs):
     packed = {i: kernel.pack_field(f, bits) for i, f in scaled.items()}
     tables = {i: _DxTable(kernel, scaled[i], comps) for i, comps in packed.items()}
     parts = {i: [kernel.partials(c) for c in comps] for i, comps in packed.items()}
-    for i, j in pairs:
+    last = {i: k for k, pair in enumerate(pairs) for i in pair}
+    for k, (i, j) in enumerate(pairs):
         bracket = [_add(kernel.frechet(parts[j][c], tables[i]),
                         _neg(kernel.frechet(parts[i][c], tables[j])))
                    for c in range(len(packed[i]))]
+        for f in {i, j}:
+            if last[f] == k:
+                del packed[f], parts[f], tables[f]
         if not any(bracket):
             yield EvoField(DP_ZERO for _ in bracket)
             continue

@@ -7,6 +7,7 @@ from math import gcd
 
 import pytest
 
+from jetsym import coeffield
 from jetsym.coeffield import (NEG_INF, AlphaPoly, RationalFunction, rf, sparse_nullspace,
                               sparse_rref)
 from jetsym.errors import DivisionByZero, PoleAtParameter
@@ -39,6 +40,37 @@ def random_factor(rng):
             p = p * S_POLY
         return p
     return random_alpha_poly(rng, 3)
+
+
+def random_root(rng):
+    """n/d with d up to 7, of either sign; zero and 1/2 are drawn often."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Fraction(0)
+    if kind == 1:
+        return Fraction(1, 2)
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+
+
+def random_content(rng):
+    """A nonzero rational of either sign, for a non-monic, non-primitive poly."""
+    return Fraction(rng.choice((-1, 1)) * rng.randint(1, 12), rng.randint(1, 5))
+
+
+def power_of_linear(r, k):
+    """(alpha - r)^k."""
+    p = AlphaPoly((1,))
+    for _ in range(k):
+        p = p * AlphaPoly((-r, 1))
+    return p
+
+
+def cofactor(rng, r, min_degree=0):
+    """A poly of degree min_degree to 3 that does not vanish at r."""
+    while True:
+        q = random_alpha_poly(rng, 3)
+        if q.degree >= min_degree and q.eval(r):
+            return q
 
 
 def random_canonical(rng):
@@ -103,6 +135,48 @@ class TestAlphaPoly:
             assert b.gcd(a).coeffs == g.coeffs
             nontrivial += g.degree > 0
         assert nontrivial > 500
+
+    def test_gcd_power_of_linear(self):
+        """c*(d*alpha - n)^k against a multiple (alpha - n/d)^m * q, q(n/d) != 0,
+        whose gcd is (alpha - n/d)^min(k, m), in both argument orders."""
+        rng = random.Random(131)
+        for _ in range(600):
+            r = random_root(rng)
+            k = rng.randint(1, 6)
+            m = rng.randint(0, k + 2)
+            p = power_of_linear(r, k).scale(random_content(rng))
+            other = power_of_linear(r, m) * cofactor(rng, r)
+            g = power_of_linear(r, min(k, m))
+            assert reference_gcd(p, other) == g
+            assert p.gcd(other) == g
+            assert other.gcd(p) == g
+
+    def test_gcd_near_power_of_linear_runs_euclid(self, monkeypatch):
+        """(alpha - r)^k + c and (alpha - r)^k * (alpha - s) are not of the
+        power-of-linear shape: gcd agrees with the reference through Euclid."""
+        calls = []
+        remainder = coeffield._pseudo_remainder
+        monkeypatch.setattr(coeffield, "_pseudo_remainder",
+                            lambda a, b: calls.append(1) or remainder(a, b))
+        rng = random.Random(137)
+        for _ in range(400):
+            r = random_root(rng)
+            k = rng.randint(2, 6)
+            power = power_of_linear(r, k)
+            if rng.randrange(2):
+                s = r
+                while s == r:
+                    s = random_root(rng)
+                near = power * power_of_linear(s, 1)
+            else:
+                near = power + AlphaPoly((random_content(rng),))
+            near = near.scale(random_content(rng))
+            # two distinct roots, so this one is not of the shape either
+            other = power_of_linear(r, rng.randint(1, k + 2)) * cofactor(rng, r, 1)
+            for a, b in ((near, other), (other, near)):
+                calls.clear()
+                assert a.gcd(b) == reference_gcd(a, b)
+                assert calls
 
     def test_text(self):
         assert AlphaPoly((-1, 2)).text() == "2*alpha - 1"

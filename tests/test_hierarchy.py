@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from jetsym import coeffield
 from jetsym.coeffield import AlphaPoly, RationalFunction, rf
 from jetsym.errors import StructuralViolation
 from jetsym.hierarchy import (Hierarchy, fs_hierarchy, fs_seed, fs_step,
@@ -150,6 +151,17 @@ class TestFsHierarchy:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             fs_hierarchy(0)
+
+    def test_denominators_skip_euclid(self, monkeypatch):
+        """Every denominator of the recursion is a power of 2*alpha - 1, so
+        each gcd of the symbolic run is a constant or a power of a linear
+        factor, and the gcd's closed form leaves nothing to Euclid."""
+        calls = []
+        remainder = coeffield._pseudo_remainder
+        monkeypatch.setattr(coeffield, "_pseudo_remainder",
+                            lambda a, b: calls.append(1) or remainder(a, b))
+        fs_hierarchy(8)
+        assert not calls
 
     def test_specialized_generation(self):
         symbolic = fs_hierarchy(8).members
