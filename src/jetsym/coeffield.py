@@ -346,35 +346,17 @@ def _content_free(ints) -> list:
 
 
 def _pseudo_remainder(a, b) -> list:
-    """Remainder of a by b over Z, up to a nonzero integer factor.
-
-    deg a >= deg b >= 1.  Each step scales the running remainder by
-    lc(b)/g and subtracts (lc(r)/g) x^k b, with g = gcd(lc(r), lc(b)).
-    """
-    r = list(a)
-    lb = b[-1]
-    low = b[:-1]
-    nb = len(low)
-    while len(r) > nb:
-        lr = r.pop()
-        g = gcd(lr, lb)
-        m, c = lb // g, lr // g
-        if m != 1:
-            r = [m * x for x in r]
-        shift = len(r) - nb
-        for j, x in enumerate(low):
-            r[shift + j] -= c * x
-        while r and not r[-1]:
-            r.pop()
-    return r
+    """Remainder of a by b over Z, up to a nonzero integer factor; deg a >=
+    deg b >= 1.  Euclid's one step, kept by name so that it can be counted."""
+    return _pseudo_divmod(a, b)[1]
 
 
 def _pseudo_divmod(a, b):
     """(q, r, s) with s * a = q * b + r over Z, s > 0 and deg r < deg b.
 
-    deg a >= deg b >= 0.  As in _pseudo_remainder, with g signed like
-    lc(b) so that the scale m = lc(b)/g stays positive, and the quotient
-    scaled along with the remainder.
+    deg a >= deg b >= 0.  Each step scales the running remainder and
+    quotient by m = lc(b)/g and subtracts (lc(r)/g) x^k b, with
+    g = gcd(lc(r), lc(b)) signed like lc(b) so that m stays positive.
     """
     r = list(a)
     lb = b[-1]

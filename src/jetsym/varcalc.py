@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeffield import clear_denominators, kronecker_pack, kronecker_unpack
+from .coeffield import accumulate, clear_denominators, kronecker_pack, kronecker_unpack
 from .errors import (DxBudgetExceeded, ExplicitXTDependence, JetOrderOutOfRange,
                      NonIntegerExponentPath)
 from .jetalgebra import (DP_ZERO, TOP_ORDER, DiffPoly, EvoField, is_jet, jet, jet_depvar,
@@ -314,9 +314,8 @@ class _Kernel:
     ``_exponent_bits`` and ``_density_exponent_bits`` size ``bits`` from
     a bound before any work, since an exponent that carries into the next
     slot would read back as a wrong monomial.  A polynomial is a dict
-    packed monomial -> nonzero Kronecker-packed int.  Sums, products,
-    ``dx`` and ``partials`` keep the term order of the same operations on
-    ``DiffPoly``, so images come out in the order the field path gives.
+    packed monomial -> nonzero Kronecker-packed int, in no particular
+    term order; every sum it forms goes through ``accumulate``.
     """
 
     def __init__(self, nvars: int, bits: int):
@@ -342,8 +341,8 @@ class _Kernel:
 
     def factors(self, m: int) -> list:
         """(depvar, shift, exponent) of every generator of the monomial m, in
-        generator order: x and t (depvar -2 and -1), then the jets by
-        dependent variable and order."""
+        slot order: x and t (depvar -2 and -1), then the jets by order and
+        dependent variable."""
         bits, mask, half, nvars = self.bits, self.mask, self.half, self.nvars
         out = []
         while m:
@@ -354,14 +353,13 @@ class _Kernel:
                 e -= mask + 1
             m -= e << sh
             out.append(((slot - 2) % nvars if slot >= 2 else slot - 2, sh, e))
-        if nvars > 1:
-            out.sort()
         return out
 
     def unpack(self, m: int):
-        """The tuple monomial of m."""
+        """The tuple monomial of m, in generator order: x and t, then the
+        jets by dependent variable and order."""
         mono = []
-        for depvar, sh, e in self.factors(m):
+        for depvar, sh, e in sorted(self.factors(m)):
             factor = self._factors.get((sh, e))
             if factor is None:
                 slot = sh // self.bits
@@ -372,34 +370,22 @@ class _Kernel:
         return tuple(mono)
 
     def dx(self, p: dict) -> dict:
-        """Total x-derivative: bumps jets, differentiates explicit x; in the
-        term order of ``DiffPoly.dx``."""
+        """Total x-derivative: bumps jets, differentiates explicit x."""
+        return accumulate({}, self._dx_terms(p))
+
+    def _dx_terms(self, p: dict):
         step, jets, ceiling = self.step, self.jets, self.ceiling
-        out: dict = {}
-        get = out.get
         for m, c in p.items():
             for _, sh, e in self.factors(m):
                 if sh >= jets:
                     if sh >= ceiling:
                         raise JetOrderOutOfRange(f"jet order out of range: {TOP_ORDER + 1}")
-                    key = m + (step << sh)
-                elif sh:
-                    continue  # D_x t = 0
-                else:
-                    key = m - 1
-                cur = get(key)
-                if cur is None:
-                    out[key] = c * e
-                else:
-                    cur += c * e
-                    if cur:
-                        out[key] = cur
-                    else:
-                        del out[key]
-        return out
+                    yield m + (step << sh), c * e
+                elif not sh:  # D_x t = 0
+                    yield m - 1, c * e
 
     def partials(self, p: dict) -> dict:
-        """{(d, i): dp/du_(d,i)} over the jets of p, in (d, i) order."""
+        """{(d, i): dp/du_(d,i)} over the jets of p."""
         by_jet: dict = {}
         for m, c in p.items():
             for depvar, sh, e in self.factors(m):
@@ -407,14 +393,14 @@ class _Kernel:
                     # dividing by one generator is injective: no two terms merge
                     by_jet.setdefault((depvar, sh), {})[m - (1 << sh)] = c * e
         width = self.nvars * self.bits
-        return {(d, (sh - self.jets) // width): q for (d, sh), q in sorted(by_jet.items())}
+        return {(d, (sh - self.jets) // width): q for (d, sh), q in by_jet.items()}
 
     def frechet(self, parts: dict, table: "_DxTable") -> dict:
         """f'[K] for parts the ``partials`` of f and table the D_x table of K."""
-        out: dict = {}
-        for (depvar, order), q in parts.items():
-            out = _add(out, _mul(q, table.get(depvar, order)))
-        return out
+        return accumulate({}, ((m1 + m2, c1 * c2)
+                               for (depvar, order), q in parts.items()
+                               for m1, c1 in q.items()
+                               for m2, c2 in table.get(depvar, order).items()))
 
     def horner_gain(self, parts: dict, depvar: int, orders, growth: int) -> int:
         """Bound on what the D_x of the Horner form of ``euler``, over the
@@ -459,55 +445,15 @@ class _Kernel:
 
 
 def _add(a: dict, b: dict) -> dict:
-    """a + b, in the term order of ``DiffPoly.__add__``.
-
-    The sum is formed in the larger operand, which the caller must own.
-    As in ``accumulate``, a key whose sum cancels is deleted, so it moves
-    to the end if a later term brings it back.
-    """
+    """a + b, formed in the larger operand, which the caller must own."""
     if len(a) < len(b):
         a, b = b, a
-    get = a.get
-    for key, c in b.items():
-        cur = get(key)
-        if cur is None:
-            a[key] = c
-        else:
-            cur += c
-            if cur:
-                a[key] = cur
-            else:
-                del a[key]
-    return a
+    return accumulate(a, b.items())
 
 
 def _neg(a: dict) -> dict:
-    """-a, in the term order of a."""
+    """-a."""
     return {m: -c for m, c in a.items()}
-
-
-def _mul(a: dict, b: dict) -> dict:
-    """a * b, in the term order of ``DiffPoly.__mul__``."""
-    if len(a) > len(b):
-        a, b = b, a
-    if len(a) == 1:  # no two terms merge
-        (m1, c1), = a.items()
-        return {m1 + m2: c1 * c2 for m2, c2 in b.items()}
-    out: dict = {}
-    get = out.get
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            key = m1 + m2
-            cur = get(key)
-            if cur is None:
-                out[key] = c1 * c2
-            else:
-                cur += c1 * c2
-                if cur:
-                    out[key] = cur
-                else:
-                    del out[key]
-    return out
 
 
 class _DxTable:
@@ -598,7 +544,7 @@ def dt_euler_rows(monos, field: EvoField) -> dict:
 
     monos are jet monomials with positive exponents.  Returns
     {(d, mu): {col: c}}, c the coefficient of mu in E_d(D_t monos[col]),
-    with rows and entries in first-seen order.  The field is scaled to
+    with rows and entries in no particular order.  The field is scaled to
     integer polynomial coefficients and packed once (``_Kernel``), at the
     coefficient width ``_density_slot_bits`` gives and the exponent width
     ``_density_exponent_bits`` gives, so the Frechet derivative and the

@@ -196,6 +196,29 @@ class TestDensitySearch:
         doc = json.dumps(report.to_json())
         assert json.loads(doc)["nontrivial_dimension"] == report.nontrivial_dimension
 
+    @pytest.mark.parametrize("alpha0", [None, Fraction(1, 3)])
+    def test_report_ignores_row_order(self, fs, monkeypatch, alpha0):
+        # the report reads no order of the rows or of their entries
+        system = fs if alpha0 is None else fs.specialize(alpha0)
+        ansatz = DensityAnsatz(2, 4)
+        want = json.dumps(density_search(system, ansatz).to_json())
+        rows = dt_euler_rows(ansatz.monomials(system), system.rhs)
+        rng = random.Random(97)
+
+        def shuffled(monos, field):
+            keys = list(rows)
+            rng.shuffle(keys)
+            out = {}
+            for key in keys:
+                entries = list(rows[key].items())
+                rng.shuffle(entries)
+                out[key] = dict(entries)
+            return out
+
+        monkeypatch.setattr("jetsym.analysis.dt_euler_rows", shuffled)
+        for _ in range(3):
+            assert json.dumps(density_search(system, ansatz).to_json()) == want
+
 
 def reference_rows(system, monos):
     """The density rows over field coefficients: dt_along, then euler_operator."""
@@ -252,9 +275,9 @@ def assert_reference_quotient(report, system, monos, rows):
 
 
 def assert_same_rows(got, ref):
-    assert list(got) == list(ref)
-    for key, row in ref.items():
-        assert list(got[key].items()) == list(row.items())
+    # the same keys, entries and values; the order is free, since the
+    # search reduces the rows to their unique RREF
+    assert got == ref
 
 
 def random_laurent_rhs(rng):
