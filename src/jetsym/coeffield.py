@@ -492,6 +492,11 @@ class RationalFunction:
             return RF_ZERO
         if len(self.den.ints) == 1 and len(other.den.ints) == 1:
             return RationalFunction._raw(self.num * other.num, _APOLY_ONE)
+        # a nonzero constant factor leaves num/den reduced and den monic
+        if len(other.den.ints) == 1 and len(other.num.ints) == 1:
+            return RationalFunction._raw(self.num * other.num, self.den)
+        if len(self.den.ints) == 1 and len(self.num.ints) == 1:
+            return RationalFunction._raw(self.num * other.num, other.den)
         # cross-reduce before multiplying to keep the degrees down
         g1 = self.num.gcd(other.den)
         g2 = other.num.gcd(self.den)

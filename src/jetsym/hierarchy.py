@@ -16,7 +16,7 @@ from .jetalgebra import (DP_ZERO, DiffPoly, EvoField, T_GEN, X_GEN, is_jet, jet,
                          jet_order, mono_degree)
 from .operators import OperatorMatrix, OpTerm
 from .systems import EvolutionSystem, builtin_names, builtin_system, parse_expression
-from .varcalc import ExactnessCertificate
+from .varcalc import DxChain, ExactnessCertificate
 
 _FS_VARS = ("w", "z")
 _S_POLY = AlphaPoly((-1, 2))  # 2*alpha - 1
@@ -182,10 +182,11 @@ class Hierarchy:
         return Hierarchy(system, members, provenance, certs, value, triangular)
 
 
-def fs_step(kprev: EvoField, kprevprev: EvoField, rec: OperatorMatrix, m: OperatorMatrix):
-    """One application of the two-term recursion; returns (K_n, certificates)."""
-    first, certs1 = rec.apply_detailed(kprev)
-    second, certs2 = m.apply_detailed(kprevprev)
+def fs_step(prev: DxChain, prevprev: DxChain, rec: OperatorMatrix, m: OperatorMatrix):
+    """One application of the two-term recursion to the chains of K_{n-1}
+    and K_{n-2}; returns (K_n, certificates)."""
+    first, certs1 = rec.apply_detailed(prev)
+    second, certs2 = m.apply_detailed(prevprev)
     return first + second, certs1.get(0), certs2.get(0)
 
 
@@ -210,9 +211,13 @@ def fs_hierarchy(N: int, alpha0: Optional[Fraction] = None) -> Hierarchy:
     members = [k1, k2][:N]
     provenance = ["seed", "seed"][:N]
     certificates = []
+    # each member is read twice, by rec as K_{n-1} and then by m as K_{n-2}:
+    # its chain holds its D_x powers and antiderivative for both steps
+    chains = [DxChain(k) for k in members]
     while len(members) < N:
         n = len(members) + 1
-        kn, cert_prev, cert_prevprev = fs_step(members[-1], members[-2], rec, m)
+        kn, cert_prev, cert_prevprev = fs_step(chains[-1], chains[-2], rec, m)
+        chains = [chains[-1], DxChain(kn)]
         members.append(kn)
         provenance.append("recursion")
         certificates.append(StepCertificates(n, cert_prev, cert_prevprev))

@@ -224,6 +224,10 @@ class DiffPoly:
             return NotImplemented
         if not self.terms or not other.terms:
             return DP_ZERO
+        if self == DP_ONE:
+            return other
+        if other == DP_ONE:
+            return self
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a

@@ -11,8 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .coeffield import accumulate
 from .errors import NonlocalObstruction
-from .jetalgebra import DP_ZERO, DiffPoly, EvoField
+from .jetalgebra import DiffPoly, EvoField
 from .varcalc import DxChain, integrate_dx
 
 
@@ -44,33 +45,36 @@ class OperatorMatrix:
     def size(self) -> int:
         return len(self.entries)
 
-    def apply_detailed(self, K: EvoField):
-        """Matrix-vector action; returns (result, antiderivative certificates).
+    def apply_detailed(self, chain: DxChain):
+        """Matrix-vector action on ``chain.field``; returns (result,
+        antiderivative certificates).
 
-        The antiderivative of component j is computed once and shared by
-        every D_x^{-1} term in column j.  Certificates are keyed by the
-        column index.
+        The D_x powers and the antiderivatives come from the chain, so
+        they are formed once per field however many matrices read it: the
+        antiderivative of component j is stored in ``chain.certificates``
+        and shared by every D_x^{-1} term in column j.  A non-exact one
+        raises NonlocalObstruction naming the entry (i, j) that needed it,
+        at every reading.  The returned certificates are keyed by the
+        column index, one for each column this matrix integrates.
         """
         n = self.size
-        chain = DxChain(K)
-        dinv_cache: dict = {}
+        used: dict = {}
 
         def dinv(i, j):
-            if j not in dinv_cache:
-                cert = integrate_dx(K[j])
-                if not cert.is_exact:
-                    raise NonlocalObstruction(cert.remainder, entry=(i, j))
-                dinv_cache[j] = cert
-            return dinv_cache[j].antiderivative
+            cert = chain.certificates.get(j)
+            if cert is None:
+                cert = chain.certificates[j] = integrate_dx(chain.field[j])
+            if not cert.is_exact:
+                raise NonlocalObstruction(cert.remainder, entry=(i, j))
+            used[j] = cert
+            return cert.antiderivative
 
         comps = []
         for i in range(n):
-            acc = DP_ZERO
+            acc: dict = {}
             for j in range(n):
                 for term in self.entries[i][j]:
-                    if term.power >= 0:
-                        acc = acc + term.coeff * chain.get(j, term.power)
-                    else:
-                        acc = acc + term.coeff * dinv(i, j)
-            comps.append(acc)
-        return EvoField(comps), dict(dinv_cache)
+                    image = chain.get(j, term.power) if term.power >= 0 else dinv(i, j)
+                    accumulate(acc, (term.coeff * image).terms.items())
+            comps.append(DiffPoly(acc))
+        return EvoField(comps), used

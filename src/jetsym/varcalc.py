@@ -121,9 +121,17 @@ def integrate_dx(f: DiffPoly) -> ExactnessCertificate:
 
 
 class DxChain:
-    """Lazily extended table of D_x powers of an evolutionary field."""
+    """Lazily extended table of D_x powers of an evolutionary field.
+
+    ``certificates`` maps a component index to the ``integrate_dx``
+    certificate of that component, for callers that apply D_x^{-1} to the
+    field more than once; exact or not, a stored certificate is the one
+    every later reader gets.
+    """
 
     def __init__(self, field: EvoField):
+        self.field = field
+        self.certificates: dict = {}
         self._rows = [[c] for c in field.components]
 
     def get(self, depvar: int, order: int) -> DiffPoly:

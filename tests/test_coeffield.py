@@ -372,6 +372,33 @@ class TestRationalFunctionArithmetic:
             reduced_sums += (x + y).den.degree < lcm_degree
         assert reduced_sums > 20
 
+    def test_product_with_constant_skips_gcd(self, monkeypatch):
+        """A constant factor scales the numerator: the product equals the
+        reduced quotient of the plain products, is canonical, and takes no
+        gcd, for x over powers of 2*alpha - 1 and over general
+        denominators, in both orders."""
+        rng = random.Random(31)
+        gcds = []
+        gcd_of = AlphaPoly.gcd
+        monkeypatch.setattr(AlphaPoly, "gcd", lambda a, b: gcds.append(1) or gcd_of(a, b))
+        constants = [rf(1), rf(-1), rf(Fraction(3, 7)),
+                     RationalFunction(AlphaPoly((Fraction(-12, 5),)))]
+        for k in range(60):
+            if k % 2:
+                x = random_canonical(rng)
+            else:
+                x = RationalFunction(random_alpha_poly(rng, 3),
+                                     power_of_linear(Fraction(1, 2), rng.randint(0, 6)))
+            for q in constants + [rf(random_fraction(rng) or 1)]:
+                want = RationalFunction(x.num * q.num, x.den * q.den)
+                del gcds[:]
+                products = (x * q, q * x)
+                assert not gcds
+                for got in products:
+                    assert got == want
+                    assert_canonical(got.num)
+                    assert_canonical(got.den)
+
 
 class TestFieldAxioms:
     def test_field_axioms_random(self):

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from jetsym import coeffield
+from jetsym import coeffield, operators
 from jetsym.coeffield import AlphaPoly, RationalFunction, rf
 from jetsym.errors import StructuralViolation
 from jetsym.hierarchy import (Hierarchy, fs_hierarchy, fs_seed, fs_step,
@@ -19,7 +19,7 @@ from jetsym.hierarchy import (Hierarchy, fs_hierarchy, fs_seed, fs_step,
                               triangular_coeffs, ts1_hierarchy)
 from jetsym.jetalgebra import DiffPoly, EvoField, T_GEN, X_GEN, jet
 from jetsym.systems import parse_expression
-from jetsym.varcalc import integrate_dx
+from jetsym.varcalc import DxChain, integrate_dx
 
 S_POLY = AlphaPoly((-1, 2))  # 2*alpha - 1
 
@@ -117,14 +117,15 @@ class TestRecursionStep:
 
     def test_explicit_step_equals_hierarchy(self):
         k1, k2 = fs_seed()
-        k3, _, _ = fs_step(k2, k1, recursion_matrix(), second_recursion_matrix())
+        k3, _, _ = fs_step(DxChain(k2), DxChain(k1), recursion_matrix(),
+                           second_recursion_matrix())
         assert k3 == fs_hierarchy(3).member(3)
 
     def test_every_member_satisfies_recursion(self, fs_hierarchy_8):
         rec, m = recursion_matrix(), second_recursion_matrix()
         for n in range(3, 9):
-            kn, _, _ = fs_step(fs_hierarchy_8.member(n - 1), fs_hierarchy_8.member(n - 2),
-                               rec, m)
+            kn, _, _ = fs_step(DxChain(fs_hierarchy_8.member(n - 1)),
+                               DxChain(fs_hierarchy_8.member(n - 2)), rec, m)
             assert kn == fs_hierarchy_8.member(n)
 
 
@@ -162,6 +163,20 @@ class TestFsHierarchy:
                             lambda a, b: calls.append(1) or remainder(a, b))
         fs_hierarchy(8)
         assert not calls
+
+    def test_members_share_chains(self, monkeypatch):
+        """Each member is read by two recursion steps through one DxChain:
+        its first component is integrated once, K_1..K_7 at N = 8, and the
+        second step reuses the D_x powers the first one formed (105 D_x
+        and 12 antiderivatives when every step built its own)."""
+        integrals, derivatives = [], []
+        integrate, dx = operators.integrate_dx, DiffPoly.dx
+        monkeypatch.setattr(operators, "integrate_dx",
+                            lambda f: integrals.append(1) or integrate(f))
+        monkeypatch.setattr(DiffPoly, "dx", lambda p: derivatives.append(1) or dx(p))
+        fs_hierarchy(8)
+        assert len(integrals) == 7
+        assert len(derivatives) <= 64
 
     def test_specialized_generation(self):
         symbolic = fs_hierarchy(8).members

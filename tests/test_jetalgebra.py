@@ -8,7 +8,7 @@ import pytest
 from jetsym.coeffield import RationalFunction, rf
 from jetsym.errors import PoleAtParameter
 from jetsym.hierarchy import fs_seed
-from jetsym.jetalgebra import (DiffPoly, EvoField, T_GEN, X_GEN, jet,
+from jetsym.jetalgebra import (DP_ONE, DiffPoly, EvoField, T_GEN, X_GEN, jet,
                                jet_name, mono_mul)
 from jetsym.systems import builtin_system, parse_expression
 
@@ -45,6 +45,17 @@ class TestArithmetic:
         assert (f - f).terms == {}
         g = fs_expr("z_xx*w - w^2")
         assert ((f + g) - g).terms == f.terms
+
+    def test_unit_product_returns_other_operand(self):
+        f = fs_expr("w*w_x + 3*z")
+        one = DiffPoly.constant(1)
+        assert one * f is f and f * one is f
+        assert DP_ONE * f is f and f * DP_ONE is f
+        for c in (DiffPoly.constant(2), DiffPoly.constant(-1), w):
+            want = DiffPoly.from_terms((mono_mul(m, n), a * b) for m, a in c.terms.items()
+                                       for n, b in f.terms.items())
+            for got in (c * f, f * c):
+                assert got is not f and got == want
 
 
 class TestTotalDerivative:

@@ -10,6 +10,7 @@ from jetsym.hierarchy import fs_seed, recursion_matrix, second_recursion_matrix
 from jetsym.jetalgebra import DiffPoly, EvoField, jet
 from jetsym.operators import OperatorMatrix, OpTerm
 from jetsym.systems import parse_expression
+from jetsym.varcalc import DxChain
 
 from conftest import random_evofield
 
@@ -20,7 +21,7 @@ def fs_expr(src):
 
 def apply_term(term, f):
     """A single operator term applied as a 1x1 matrix to a scalar field."""
-    return OperatorMatrix([[(term,)]]).apply_detailed(EvoField((f,)))[0][0]
+    return OperatorMatrix([[(term,)]]).apply_detailed(DxChain(EvoField((f,))))[0][0]
 
 
 class TestApplyTerm:
@@ -49,18 +50,18 @@ class TestApplyMatrix:
     def test_rec_first_row_on_seed(self):
         k1, _ = fs_seed()
         rec = recursion_matrix()
-        out = rec.apply_detailed(k1)[0]
+        out = rec.apply_detailed(DxChain(k1))[0]
         assert out[0] == fs_expr("w_xx + 8*w*w_x")
 
     def test_zero_matrix(self):
         _, k2 = fs_seed()
         zero = OperatorMatrix([[(), ()], [(), ()]])
-        assert zero.apply_detailed(k2)[0].is_zero
+        assert zero.apply_detailed(DxChain(k2))[0].is_zero
 
     def test_second_recursion_matrix_second_component_on_seed(self):
         k1, _ = fs_seed()
         m = second_recursion_matrix()
-        out = m.apply_detailed(k1)[0]
+        out = m.apply_detailed(DxChain(k1))[0]
         s = AlphaPoly((-1, 2))
         alpha = AlphaPoly((0, 1))
         two_a_over_s = RationalFunction(AlphaPoly((0, 2)), s)
@@ -82,8 +83,30 @@ class TestApplyMatrix:
         rec = recursion_matrix()
         bad = EvoField((fs_expr("w_x^2"), fs_expr("z_x")))
         with pytest.raises(NonlocalObstruction) as exc:
-            rec.apply_detailed(bad)
+            rec.apply_detailed(DxChain(bad))
         assert exc.value.entry == (0, 0)
+
+    def test_cached_obstruction_raises_at_every_reading(self, monkeypatch):
+        """A chain stores the non-exact certificate of its first component;
+        every matrix that reads it raises with its own entry and the same
+        remainder, and the component is integrated once."""
+        from jetsym import operators
+        calls = []
+        integrate = operators.integrate_dx
+        monkeypatch.setattr(operators, "integrate_dx",
+                            lambda f: calls.append(f) or integrate(f))
+        chain = DxChain(EvoField((fs_expr("w_x^2"), fs_expr("z_x"))))
+        lower = OperatorMatrix([[(), ()], [(OpTerm(DiffPoly.constant(1), -1),), ()]])
+        remainders = []
+        for matrix, entry in ((recursion_matrix(), (0, 0)),
+                              (second_recursion_matrix(), (0, 0)),
+                              (lower, (1, 0))):
+            with pytest.raises(NonlocalObstruction) as exc:
+                matrix.apply_detailed(chain)
+            assert exc.value.entry == entry
+            remainders.append(exc.value.remainder)
+        assert len(calls) == 1 and not chain.certificates[0].is_exact
+        assert remainders == [chain.certificates[0].remainder] * 3
 
     def test_linearity(self):
         rng = random.Random(83)
@@ -95,9 +118,9 @@ class TestApplyMatrix:
             k = EvoField((k[0].dx(), k[1]))
             l = EvoField((l[0].dx(), l[1]))
             a, b = rf(3), rf(-2)
-            lhs = rec.apply_detailed(k.scalar_mul(a) + l.scalar_mul(b))[0]
-            rhs = (rec.apply_detailed(k)[0].scalar_mul(a)
-                   + rec.apply_detailed(l)[0].scalar_mul(b))
+            lhs = rec.apply_detailed(DxChain(k.scalar_mul(a) + l.scalar_mul(b)))[0]
+            rhs = (rec.apply_detailed(DxChain(k))[0].scalar_mul(a)
+                   + rec.apply_detailed(DxChain(l))[0].scalar_mul(b))
             assert lhs == rhs
 
     def test_dinv_local_consistency(self):
