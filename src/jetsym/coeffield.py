@@ -311,7 +311,13 @@ def _linear_power_root(ints):
 
 
 def _root_power(a, n: int, d: int, k: int) -> AlphaPoly:
-    """(alpha - n/d)^j, j <= k the multiplicity of d*alpha - n in a.
+    """(alpha - n/d)^j, j <= k the multiplicity of d*alpha - n in a, a
+    nonzero integer polynomial."""
+    return _monic_root_power(n, d, _root_divide(a, n, d, k)[0])
+
+
+def _root_divide(a, n: int, d: int, k: int):
+    """(j, q) with a = (d*alpha - n)^j q, j <= k as large as it can be.
 
     a is a nonzero integer polynomial.  Each step divides it by
     d*alpha - n from the top, q[i-1] = (a[i] + n*q[i]) / d, and stops at
@@ -332,6 +338,11 @@ def _root_power(a, n: int, d: int, k: int) -> AlphaPoly:
                 j += 1
                 continue
         break
+    return j, a
+
+
+def _monic_root_power(n: int, d: int, j: int) -> AlphaPoly:
+    """(alpha - n/d)^j for coprime n and d > 0."""
     if not j:
         return _APOLY_ONE
     # (d*alpha - n)^j over d^j: lead d^j and constant (-n)^j are coprime,
@@ -454,7 +465,8 @@ class RationalFunction:
                 return RF_ZERO
             return RationalFunction._raw(num, _APOLY_ONE)
         if self.den == other.den:
-            return RationalFunction(self.num + other.num, self.den)
+            # the sum can only cancel a factor of the monic denominator
+            return RationalFunction._raw(*_reduce(self.num + other.num, self.den))
         # Henrici's sum: with d1 = gcd(u', v'), the numerator
         # t = u (v'/d1) + v (u'/d1) shares with (u'/d1) v' only factors of d1
         d1 = self.den.gcd(other.den)
@@ -603,16 +615,57 @@ def clear_denominators(coeffs) -> tuple:
 
     s is the monic lcm of the denominators times the lcm of the rational
     coefficients' denominators that remain; each of polys is a tuple of
-    ints, lowest degree first.
+    ints, lowest degree first.  Both lcms and the quotients of s by each
+    denominator are taken once per distinct denominator.
     """
+    dens = {c.den for c in coeffs}
     den = _APOLY_ONE
-    for c in coeffs:
-        if len(c.den.ints) > 1:
-            den = den * (c.den // den.gcd(c.den))
-    nums = [c.num * (den // c.den) if len(den.ints) > 1 else c.num for c in coeffs]
-    ints = lcm(*(p.den for p in nums))
+    for d in dens:
+        if len(d.ints) > 1:
+            den = den * (d // den.gcd(d))
+    if len(den.ints) > 1:
+        quotients = {d: den // d for d in dens}
+        nums = [c.num * quotients[c.den] for c in coeffs]
+    else:
+        nums = [c.num for c in coeffs]
+    ints = lcm(*{p.den for p in nums})
     polys = [tuple(c * (ints // p.den) for c in p.ints) for p in nums]
     return RationalFunction._raw(den.scale(ints), _APOLY_ONE), polys
+
+
+def dividing_by(s: RationalFunction):
+    """The map p -> p / s on polynomials p (field elements with denominator
+    1), for a nonzero polynomial s.
+
+    When s is c (d*alpha - n)^k with k >= 1 (every scale of the symbolic
+    fs recursion is), its shape is read once.  Then p = (d*alpha - n)^j q,
+    j <= k as large as it can be, comes from exact integer division by
+    d*alpha - n (``_root_divide``), and
+    p / s = q / (c d^(k-j)) / (alpha - n/d)^(k-j) is already canonical: q
+    is prime to d*alpha - n, unless j = k, and the denominator is monic.
+    So no gcd runs.  Any other s is a product with its inverse.
+    """
+    num = s.num
+    root = _linear_power_root(num.ints) if len(num.ints) > 1 else None
+    if root is None:
+        inverse = s.inverse()
+        return lambda p: p * inverse
+    n, d = root
+    k = len(num.ints) - 1
+    # s = c (d*alpha - n)^k / num.den with an int c, by Gauss's lemma
+    c = num.ints[-1] // d ** k
+    sign = num.den if c > 0 else -num.den
+    # (int part, monic part) of c (d*alpha - n)^m, for each m = k - j
+    dens = [(abs(c) * d ** m, _monic_root_power(n, d, m)) for m in range(k + 1)]
+
+    def divide(p: RationalFunction) -> RationalFunction:
+        if not p.num.ints:
+            return p
+        j, q = _root_divide(p.num.ints, n, d, k)
+        scale, den = dens[k - j]
+        return RationalFunction._raw(_canonical([sign * x for x in q], p.num.den * scale),
+                                     den)
+    return divide
 
 
 def kronecker_pack(poly: tuple, bits: int) -> int:

@@ -14,7 +14,7 @@ from .coeffield import (AlphaPoly, RF_ONE, RationalFunction, parse_rational,
 from .errors import InvalidHierarchy, StructuralViolation
 from .jetalgebra import (DP_ZERO, DiffPoly, EvoField, T_GEN, X_GEN, is_jet, jet,
                          jet_order, mono_degree)
-from .operators import OperatorMatrix, OpTerm
+from .operators import OperatorMatrix, OpTerm, apply_sum
 from .systems import EvolutionSystem, builtin_names, builtin_system, parse_expression
 from .varcalc import DxChain, ExactnessCertificate
 
@@ -184,10 +184,14 @@ class Hierarchy:
 
 def fs_step(prev: DxChain, prevprev: DxChain, rec: OperatorMatrix, m: OperatorMatrix):
     """One application of the two-term recursion to the chains of K_{n-1}
-    and K_{n-2}; returns (K_n, certificates)."""
-    first, certs1 = rec.apply_detailed(prev)
-    second, certs2 = m.apply_detailed(prevprev)
-    return first + second, certs1.get(0), certs2.get(0)
+    and K_{n-2}; returns (K_n, certificates).
+
+    K_n = rec K_{n-1} + m K_{n-2} is formed by one ``apply_sum``: both
+    matrix applications run on packed ints at one scale, and only the
+    antiderivatives, stored in the chains, are formed over the field.
+    """
+    kn, (certs1, certs2) = apply_sum([(rec, prev), (m, prevprev)])
+    return kn, certs1.get(0), certs2.get(0)
 
 
 def fs_hierarchy(N: int, alpha0: Optional[Fraction] = None) -> Hierarchy:
@@ -212,7 +216,7 @@ def fs_hierarchy(N: int, alpha0: Optional[Fraction] = None) -> Hierarchy:
     provenance = ["seed", "seed"][:N]
     certificates = []
     # each member is read twice, by rec as K_{n-1} and then by m as K_{n-2}:
-    # its chain holds its D_x powers and antiderivative for both steps
+    # its chain holds its antiderivative for both steps
     chains = [DxChain(k) for k in members]
     while len(members) < N:
         n = len(members) + 1

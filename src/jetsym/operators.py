@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from .coeffield import accumulate
 from .errors import NonlocalObstruction
 from .jetalgebra import DiffPoly, EvoField
-from .varcalc import DxChain, integrate_dx
+from .varcalc import DxChain, integrate_dx, operator_sum
 
 
 @dataclass(frozen=True)
@@ -46,35 +46,70 @@ class OperatorMatrix:
         return len(self.entries)
 
     def apply_detailed(self, chain: DxChain):
-        """Matrix-vector action on ``chain.field``; returns (result,
-        antiderivative certificates).
+        """Matrix-vector action on ``chain.field`` over field coefficients;
+        returns (result, antiderivative certificates).
 
-        The D_x powers and the antiderivatives come from the chain, so
-        they are formed once per field however many matrices read it: the
-        antiderivative of component j is stored in ``chain.certificates``
-        and shared by every D_x^{-1} term in column j.  A non-exact one
-        raises NonlocalObstruction naming the entry (i, j) that needed it,
-        at every reading.  The returned certificates are keyed by the
-        column index, one for each column this matrix integrates.
+        It is the reference that ``apply_sum``, the packed path, is tested
+        against.  The D_x powers and the antiderivatives come from the
+        chain, so they are formed once per field however many matrices
+        read it.  The returned certificates are keyed by the column index,
+        one for each column this matrix integrates.
         """
         n = self.size
         used: dict = {}
-
-        def dinv(i, j):
-            cert = chain.certificates.get(j)
-            if cert is None:
-                cert = chain.certificates[j] = integrate_dx(chain.field[j])
-            if not cert.is_exact:
-                raise NonlocalObstruction(cert.remainder, entry=(i, j))
-            used[j] = cert
-            return cert.antiderivative
-
         comps = []
         for i in range(n):
             acc: dict = {}
             for j in range(n):
                 for term in self.entries[i][j]:
-                    image = chain.get(j, term.power) if term.power >= 0 else dinv(i, j)
+                    if term.power >= 0:
+                        image = chain.get(j, term.power)
+                    else:
+                        used[j] = _certificate(chain, i, j)
+                        image = used[j].antiderivative
                     accumulate(acc, (term.coeff * image).terms.items())
             comps.append(DiffPoly(acc))
         return EvoField(comps), used
+
+
+def _certificate(chain: DxChain, i: int, j: int):
+    """The exact ``integrate_dx`` certificate of component j of
+    ``chain.field``, for the D_x^{-1} term of entry (i, j).
+
+    It is stored in ``chain.certificates`` and shared by every reader; a
+    non-exact one raises NonlocalObstruction naming (i, j), at every
+    reading.
+    """
+    cert = chain.certificates.get(j)
+    if cert is None:
+        cert = chain.certificates[j] = integrate_dx(chain.field[j])
+    if not cert.is_exact:
+        raise NonlocalObstruction(cert.remainder, entry=(i, j))
+    return cert
+
+
+def apply_sum(pairs):
+    """The sum of matrix.field over (matrix, chain) pairs, on ints;
+    returns (result, one dict of certificates per pair).
+
+    Each D_x^{-1} term reads its certificate as ``apply_detailed`` does,
+    pair by pair and entry by entry, before any product is formed, so a
+    non-exact antiderivative raises for the same entry.  Then one
+    ``varcalc.operator_sum`` forms every product at one scale, with the
+    D_x powers in packed tables, and the result equals the sum of the
+    ``apply_detailed`` results.
+    """
+    n = pairs[0][0].size
+    used = [{} for _ in pairs]
+    integrals: dict = {}
+    rows: list = [[] for _ in range(n)]
+    for k, (matrix, chain) in enumerate(pairs):
+        for i, row in enumerate(matrix.entries):
+            for j, entry in enumerate(row):
+                for term in entry:
+                    if term.power < 0:
+                        cert = used[k][j] = _certificate(chain, i, j)
+                        integrals[k, j] = cert.antiderivative
+                    rows[i].append((term.coeff, k, j, term.power))
+    fields = [chain.field for _, chain in pairs]
+    return EvoField(operator_sum(fields, integrals, rows)), used

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .coeffield import accumulate, clear_denominators, kronecker_pack, kronecker_unpack
+from .coeffield import (accumulate, clear_denominators, dividing_by, kronecker_pack,
+                        kronecker_unpack)
 from .errors import (DxBudgetExceeded, ExplicitXTDependence, JetOrderOutOfRange,
                      NonIntegerExponentPath)
 from .jetalgebra import (DP_ZERO, TOP_ORDER, DiffPoly, EvoField, is_jet, jet, jet_depvar,
@@ -164,26 +165,34 @@ class _IntegerField:
     """A field scaled into Z[alpha] coefficients, with its height data.
 
     ``scale * field`` has the integer polynomial coefficients of ``comps``
-    (one dict monomial -> int tuple per component).  For the height bounds
-    it keeps ``norm``, the sum of the L1 norms of all coefficients;
-    ``weight``, the largest sum of |exponent| over the factors of one
-    monomial (at least 1), which bounds the factor one D_x or one
-    jet-summed partial derivative puts on the norm; ``growth``, what one
-    D_x can add to that weight (0 while every exponent is a positive
-    integer, else 2); ``top``, the highest jet order; and ``nvars``, one
-    past the highest dependent variable it names, at least its component
-    count.
+    (one dict monomial -> int tuple per component).  ``scale`` and the
+    integer coefficients, in the field's term order, may be given, as
+    ``_scaled_together`` does for fields that share one scale.  For the
+    height bounds it keeps ``norms``, the sum of the L1 norms of the
+    coefficients of each component, and ``norm``, their sum; ``weights``,
+    the largest sum of |exponent| over the factors of one monomial of each
+    component, and ``weight``, the largest of them and 1, which bounds the
+    factor one D_x or one jet-summed partial derivative puts on the norm;
+    ``growth``, what one D_x can add to that weight (0 while every exponent
+    is a positive integer, else 2); ``top``, the highest jet order; and
+    ``nvars``, one past the highest dependent variable it names, at least
+    its component count.
     """
 
-    def __init__(self, field: EvoField):
-        self.scale, polys = clear_denominators(
-            [coeff for comp in field for coeff in comp.terms.values()])
+    def __init__(self, field: EvoField, scale=None, polys=()):
+        if scale is None:
+            scale, polys = clear_denominators(
+                [coeff for comp in field for coeff in comp.terms.values()])
+        self.scale = scale
         it = iter(polys)
         self.comps = [{m: next(it) for m in comp.terms} for comp in field]
-        self.norm = sum(abs(c) for p in polys for c in p)
-        exps = [[e for _, e in m] for comp in field for m in comp.terms]
-        self.weight = max([1] + [sum(map(abs, e)) for e in exps])
-        self.growth = 0 if all(e > 0 for es in exps for e in es) else 2
+        self.norms = [sum(abs(c) for p in comp.values() for c in p) for comp in self.comps]
+        self.norm = sum(self.norms)
+        self.weights = [max((sum(abs(e) for _, e in m) for m in comp.terms), default=0)
+                        for comp in field]
+        self.weight = max([1] + self.weights)
+        self.growth = 0 if all(e > 0 for comp in field for m in comp.terms
+                               for _, e in m) else 2
         self.top = field.max_jet_order() or 0
         self.nvars = max([len(field)] + [d + 1 for comp in field for d in comp.depvars()])
 
@@ -532,14 +541,109 @@ def commutators(fields, pairs):
         if not any(bracket):
             yield EvoField(DP_ZERO for _ in bracket)
             continue
-        unscale = (scaled[i].scale * scaled[j].scale).inverse()
-        yield EvoField(DiffPoly({kernel.unpack(m): kronecker_unpack(v, bits) * unscale
+        unscale = dividing_by(scaled[i].scale * scaled[j].scale)
+        yield EvoField(DiffPoly({kernel.unpack(m): unscale(kronecker_unpack(v, bits))
                                  for m, v in comp.items()}) for comp in bracket)
 
 
 def commutator(F: EvoField, G: EvoField) -> EvoField:
     """Bracket [F, G] = G'[F] - F'[G], componentwise: ``commutators`` of one pair."""
     return next(commutators((F, G), [(0, 1)]))
+
+
+def _scaled_together(fields) -> list:
+    """One ``_IntegerField`` per field, all at one scale, from one
+    ``clear_denominators`` call over every coefficient of every field."""
+    scale, polys = clear_denominators(
+        [coeff for f in fields for comp in f for coeff in comp.terms.values()])
+    it = iter(polys)
+    return [_IntegerField(f, scale, it) for f in fields]
+
+
+def _sum_slot_bits(rows) -> int:
+    """Slot width in bits that makes a packed ``operator_sum`` exact.
+
+    rows[i] holds one (|c|_1, weight(c), N, W) per term c D_x^p K of
+    output component i, all scaled to Z[alpha]: N bounds the L1 norm of
+    the image D_x^p K and W the |exponent| sum of its monomials.  For
+    p >= 0, N is dx_gain(p) |K|_1, since one D_x of a monomial of
+    |exponent| sum at most weight + j growth multiplies its norm by at most
+    that sum; for p = -1, N is the norm of the antiderivative itself.  By
+    |pq|_1 <= |p|_1 |q|_1, component i, and every partial sum that
+    ``accumulate`` forms of it, has L1 norm at most
+    H_i = sum |c|_1 N over its terms, so every integer coefficient is at
+    most the largest H_i in absolute value.  Balanced digits of
+    ``_word_bits`` of it hold each one, so a packed value is zero exactly
+    when its polynomial is, and sums cancel where they cancel over the
+    field.
+    """
+    return _word_bits(max((sum(cn * n for cn, _, n, _ in row) for row in rows), default=0))
+
+
+def _sum_exponent_bits(rows) -> int:
+    """Exponent slot width in bits that keeps a packed ``operator_sum`` exact.
+
+    With rows as in ``_sum_slot_bits``, W is weight(K) + p growth(K) for
+    p >= 0, since one D_x raises a monomial's |exponent| sum by at most
+    growth, and the antiderivative's own weight for p = -1.  Every
+    monomial that is packed or formed (the c's, the antiderivatives, the
+    D_x table of each field read with p >= 0 up to the largest such p, and
+    the products of a c with an image) therefore has |exponent| sum at
+    most the largest weight(c) + W.  One exponent is at most that sum in
+    absolute value, and balanced digits of ``_word_bits`` of it hold it.
+    """
+    return _word_bits(max([1] + [cw + w for row in rows for _, cw, _, w in row]))
+
+
+def operator_sum(fields, integrals: dict, rows) -> list:
+    """The components sum over (c, k, j, p) in rows[i] of c D_x^p fields[k][j].
+
+    c is a ``DiffPoly`` and p >= -1; D_x^{-1} fields[k][j] is
+    integrals[k, j], an antiderivative the caller has certified.  Every
+    coefficient that enters (the fields', the antiderivatives' and the
+    c's) is scaled into Z[alpha] by one scale S, from one
+    ``clear_denominators`` call, and packed on the kernel (``_Kernel``) at
+    the one coefficient width ``_sum_slot_bits`` and the one exponent
+    width ``_sum_exponent_bits`` give.  The D_x powers of each field that a
+    term with p >= 0 reads come from its ``_DxTable``, so the growth and
+    memory budgets apply.  Each
+    output component is one ``accumulate`` dict of S^2 times its terms;
+    each of its terms is unpacked once and divided by S^2.
+    """
+    keys = list(integrals)
+    at = {key: n for n, key in enumerate(keys)}
+    antiderivatives = [integrals[key] for key in keys]
+    terms = [c for row in rows for c, _, _, _ in row]
+    *scaled, ints, coeffs = _scaled_together(
+        list(fields) + [EvoField(antiderivatives), EvoField(terms)])
+
+    def image_bound(k, j, p):
+        f = scaled[k]
+        if p >= 0:
+            return f.dx_gain(p) * f.norms[j], f.weight + p * f.growth
+        return ints.norms[at[k, j]], ints.weights[at[k, j]]
+
+    heights = iter(zip(coeffs.norms, coeffs.weights))
+    bounds = [[next(heights) + image_bound(k, j, p) for _, k, j, p in row] for row in rows]
+    bits = _sum_slot_bits(bounds)
+    nvars = max([f.nvars for f in scaled]
+                + [d + 1 for q in antiderivatives + terms for d in q.depvars()])
+    kernel = _Kernel(nvars, _sum_exponent_bits(bounds))
+    tables = {k: _DxTable(kernel, scaled[k], kernel.pack_field(scaled[k], bits))
+              for k in {k for row in rows for _, k, _, p in row if p >= 0}}
+    packed_integrals = kernel.pack_field(ints, bits)
+    packed = iter(kernel.pack_field(coeffs, bits))
+    unscale = dividing_by(coeffs.scale * coeffs.scale)
+    comps = []
+    for row in rows:
+        acc: dict = {}
+        for (_, k, j, p), c in zip(row, packed):
+            image = tables[k].get(j, p) if p >= 0 else packed_integrals[at[k, j]]
+            accumulate(acc, ((m1 + m2, c1 * c2) for m1, c1 in c.items()
+                             for m2, c2 in image.items()))
+        comps.append(DiffPoly({kernel.unpack(m): unscale(kronecker_unpack(v, bits))
+                               for m, v in acc.items()}))
+    return comps
 
 
 def dt_along(f: DiffPoly, system) -> DiffPoly:
@@ -568,7 +672,7 @@ def dt_euler_rows(monos, field: EvoField) -> dict:
     _, weight, _ = _density_weights(k, degree, order)
     kernel = _Kernel(k.nvars, _density_exponent_bits(k, degree, order))
     table = _DxTable(kernel, k, kernel.pack_field(k, bits))
-    unscale = k.scale.inverse()
+    unscale = dividing_by(k.scale)
     unpacked: dict = {}
     rows: dict = {}
     for col, m in enumerate(monos):
@@ -577,7 +681,7 @@ def dt_euler_rows(monos, field: EvoField) -> dict:
             for mu, v in image.items():
                 coeff = unpacked.get(v)
                 if coeff is None:
-                    coeff = unpacked[v] = kronecker_unpack(v, bits) * unscale
+                    coeff = unpacked[v] = unscale(kronecker_unpack(v, bits))
                 rows.setdefault((d, mu), {})[col] = coeff
     # popped as they are converted, so the packed keys free as the tuples grow
     return {(key[0], kernel.unpack(key[1])): rows.pop(key) for key in list(rows)}

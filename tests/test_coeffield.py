@@ -400,6 +400,138 @@ class TestRationalFunctionArithmetic:
                     assert_canonical(got.den)
 
 
+    def test_sum_over_equal_denominators(self):
+        """A sum over one denominator equals the constructor's reduced
+        quotient: when it cancels a factor of the denominator, when it
+        cancels to zero, and always with a monic denominator."""
+        rng = random.Random(37)
+        cancelled = zeros = 0
+        for k in range(300):
+            r = random_root(rng)
+            den = power_of_linear(r, rng.randint(1, 4))
+            if k % 3 == 0:
+                den = den * AlphaPoly((1, 0, 1))  # alpha^2 + 1
+            den = den.scale(random_content(rng))
+            x = RationalFunction(cofactor(rng, r), den)
+            kind = k % 4
+            if kind == 0:
+                y = -x
+            elif kind == 1:
+                # x + y = b (alpha - r) / den cancels one factor alpha - r
+                b = cofactor(rng, r)
+                y = RationalFunction(b * AlphaPoly((-r, 1)) + -x.num, x.den)
+            else:
+                y = RationalFunction(random_alpha_poly(rng, 3), x.den)
+            if y.den != x.den:
+                continue
+            got = x + y
+            want = RationalFunction(x.num + y.num, x.den)
+            assert got == want
+            assert_canonical(got.num)
+            assert_canonical(got.den)
+            assert got.den.ints[-1] == got.den.den
+            zeros += got.is_zero
+            cancelled += not got.is_zero and got.den.degree < x.den.degree
+        assert zeros >= 50 and cancelled >= 50
+
+
+class TestClearDenominators:
+    @staticmethod
+    def reference(coeffs):
+        """One gcd and one exact division per coefficient, as the scale
+        was first computed."""
+        den = AlphaPoly((1,))
+        for c in coeffs:
+            if c.den.degree > 0:
+                den = den * (c.den // den.gcd(c.den))
+        nums = [c.num * (den // c.den) if den.degree > 0 else c.num for c in coeffs]
+        ints = 1
+        for p in nums:
+            ints = ints * p.den // gcd(ints, p.den)
+        polys = [tuple(c * (ints // p.den) for c in p.ints) for p in nums]
+        return RationalFunction(den.scale(Fraction(ints))), polys
+
+    def test_matches_reference(self):
+        rng = random.Random(41)
+        pool = [AlphaPoly((1, 0, 1)),  # alpha^2 + 1, not a power of a linear factor
+                AlphaPoly((1, 1, 1))]
+        for _ in range(150):
+            dens = []
+            for _ in range(rng.randint(1, 3)):
+                kind = rng.randrange(4)
+                if kind == 0:
+                    dens.append(AlphaPoly((random_content(rng),)))
+                elif kind == 1:
+                    dens.append(power_of_linear(random_root(rng), rng.randint(1, 5)))
+                elif kind == 2:
+                    dens.append(rng.choice(pool))
+                else:
+                    dens.append(power_of_linear(Fraction(1, 2), rng.randint(1, 3))
+                                * rng.choice(pool))
+            coeffs = []
+            for _ in range(rng.randint(0, 12)):
+                num = random_alpha_poly(rng, 3)
+                # repeated denominators, and constants of every kind
+                den = rng.choice(dens) if rng.random() < 0.8 else AlphaPoly((1,))
+                coeffs.append(RationalFunction(num, den))
+            s, polys = coeffield.clear_denominators(coeffs)
+            ref_s, ref_polys = self.reference(coeffs)
+            assert s == ref_s and polys == ref_polys
+            for c, p in zip(coeffs, polys):
+                assert RationalFunction(AlphaPoly(p)) == s * c
+
+    def test_one_division_per_distinct_denominator(self, monkeypatch):
+        calls = []
+        floordiv = AlphaPoly.__floordiv__
+        monkeypatch.setattr(AlphaPoly, "__floordiv__",
+                            lambda a, b: calls.append(b) or floordiv(a, b))
+        s_poly = power_of_linear(Fraction(1, 2), 1)
+        coeffs = [RationalFunction(AlphaPoly((k, 1)), power_of_linear(Fraction(1, 2), k % 3))
+                  for k in range(1, 30)]
+        coeffield.clear_denominators(coeffs)
+        # two lcm steps (for (alpha - 1/2) and its square) and three quotients
+        assert len(calls) == 5
+        assert s_poly in calls
+
+
+class TestDividingBy:
+    def test_matches_product_with_inverse(self, monkeypatch):
+        """p / s for s a power of a linear factor, with rational content of
+        either sign, and for other s, equals p * s^-1; the power case runs
+        no gcd."""
+        rng = random.Random(43)
+        gcds = []
+        gcd_of = AlphaPoly.gcd
+        monkeypatch.setattr(AlphaPoly, "gcd", lambda a, b: gcds.append(1) or gcd_of(a, b))
+        divided = 0
+        for k in range(200):
+            r = random_root(rng)
+            e = rng.randint(1, 6)
+            if k % 5 == 4:
+                s = RationalFunction(power_of_linear(r, e) * AlphaPoly((1, 0, 1)))
+            elif k % 5 == 3:
+                s = RationalFunction(AlphaPoly((random_content(rng),)))
+            else:
+                s = RationalFunction(power_of_linear(r, e).scale(random_content(rng)))
+            divide = coeffield.dividing_by(s)
+            for _ in range(4):
+                m = rng.randint(0, e + 1)
+                p = power_of_linear(r, m) * (cofactor(rng, r) if rng.random() < 0.7
+                                             else random_alpha_poly(rng, 3))
+                p = RationalFunction(p.scale(random_content(rng)))
+                want = RationalFunction(p.num, s.num) if not p.is_zero else p
+                inverse = s.inverse()
+                del gcds[:]
+                got = divide(p)
+                if s.num.degree > 0 and k % 5 != 4:
+                    assert not gcds
+                assert got == want == p * inverse
+                assert_canonical(got.num)
+                assert_canonical(got.den)
+                divided += not got.is_zero and got.den.degree < s.num.degree
+        assert divided > 100
+
+
 class TestFieldAxioms:
     def test_field_axioms_random(self):
         rng = random.Random(11)

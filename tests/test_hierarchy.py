@@ -6,20 +6,24 @@ cross-verifying it against the symmetry condition, commutativity, and
 scaling homogeneity (see also the independent oracle tests).
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from jetsym import coeffield, operators
+from jetsym import coeffield, operators, varcalc
 from jetsym.coeffield import AlphaPoly, RationalFunction, rf
-from jetsym.errors import StructuralViolation
-from jetsym.hierarchy import (Hierarchy, fs_hierarchy, fs_seed, fs_step,
-                              recursion_matrix, scaling_symmetry,
+from jetsym.errors import NonlocalObstruction, StructuralViolation
+from jetsym.hierarchy import (Hierarchy, _specialize_matrix, fs_hierarchy, fs_seed,
+                              fs_step, recursion_matrix, scaling_symmetry,
                               second_recursion_matrix, structural_check,
                               triangular_coeffs, ts1_hierarchy)
-from jetsym.jetalgebra import DiffPoly, EvoField, T_GEN, X_GEN, jet
+from jetsym.jetalgebra import DP_ZERO, DiffPoly, EvoField, T_GEN, X_GEN, jet
+from jetsym.operators import OperatorMatrix, OpTerm
 from jetsym.systems import parse_expression
 from jetsym.varcalc import DxChain, integrate_dx
+
+from conftest import random_evofield
 
 S_POLY = AlphaPoly((-1, 2))  # 2*alpha - 1
 
@@ -191,6 +195,105 @@ class TestFsHierarchy:
         h2 = Hierarchy.from_json(json.loads(doc))
         assert h2.members == h.members
         assert json.dumps(h2.to_json(), separators=(",", ":")) == doc
+
+
+def oracle_step(prev: EvoField, prevprev: EvoField, rec, m):
+    """K_n over field coefficients: the two ``apply_detailed`` results
+    summed, with their certificates."""
+    first, certs1 = rec.apply_detailed(DxChain(prev))
+    second, certs2 = m.apply_detailed(DxChain(prevprev))
+    return first + second, certs1.get(0), certs2.get(0)
+
+
+def oracle_hierarchy(N: int, alpha0=None) -> list:
+    """K_1..K_N with every recursion step through ``oracle_step``."""
+    members = list(fs_seed())
+    rec, m = recursion_matrix(), second_recursion_matrix()
+    if alpha0 is not None:
+        members = [k.specialize(alpha0) for k in members]
+        rec, m = _specialize_matrix(rec, alpha0), _specialize_matrix(m, alpha0)
+    while len(members) < N:
+        members.append(oracle_step(members[-1], members[-2], rec, m)[0])
+    return members[:N]
+
+
+def first_only(term: OpTerm) -> OperatorMatrix:
+    """A 2x2 matrix whose one term sits at entry (0, 0)."""
+    return OperatorMatrix([[(term,), ()], [(), ()]])
+
+
+ZERO_MATRIX = OperatorMatrix([[(), ()], [(), ()]])
+
+
+class TestKernelStep:
+    """``fs_step`` on packed ints against the field-coefficient oracle."""
+
+    @pytest.mark.parametrize("alpha0", [None, Fraction(1, 3), Fraction(-2)])
+    def test_random_fields_match_oracle(self, alpha0):
+        rng = random.Random(151 if alpha0 is None else 157)
+        rec, m = recursion_matrix(), second_recursion_matrix()
+        if alpha0 is not None:
+            rec, m = _specialize_matrix(rec, alpha0), _specialize_matrix(m, alpha0)
+        for _ in range(25):
+            fields = []
+            for _ in range(2):
+                k = random_evofield(rng, max_order=2, terms=3, rational=alpha0 is None)
+                # a first component in Im D_x, so that D_x^{-1} applies
+                k = EvoField((k[0].dx(), k[1]))
+                fields.append(k if alpha0 is None else k.specialize(alpha0))
+            got = fs_step(DxChain(fields[0]), DxChain(fields[1]), rec, m)
+            assert got == oracle_step(fields[0], fields[1], rec, m)
+
+    def test_bound_exceeds_a_narrower_coefficient_slot(self, monkeypatch):
+        # K_n = (2^20 - alpha)/(2 alpha - 1) w: at S = 2 alpha - 1 the packed
+        # coefficient (2 alpha - 1)(2^20 - alpha) has the digit 2^21 + 1,
+        # which a slot one bit narrower than the bound cannot hold
+        c = RationalFunction(AlphaPoly((2 ** 20, -1)), AlphaPoly((-1, 2)))
+        rec = first_only(OpTerm(DiffPoly.constant(c), 0))
+        k = EvoField((fs_expr("w"), fs_expr("z")))
+        want = oracle_step(k, k, rec, ZERO_MATRIX)[0]
+        assert want[0] == fs_expr("w").scalar_mul(c)
+        assert fs_step(DxChain(k), DxChain(k), rec, ZERO_MATRIX)[0] == want
+        slot_bits = varcalc._sum_slot_bits
+        monkeypatch.setattr(varcalc, "_sum_slot_bits", lambda rows: slot_bits(rows) - 1)
+        assert fs_step(DxChain(k), DxChain(k), rec, ZERO_MATRIX)[0] != want
+
+    def test_bound_exceeds_a_narrower_exponent_slot(self, monkeypatch):
+        # w^3 * w^5 = w^8: at the bound's width 8 is a digit; one bit
+        # narrower it carries into the slot of the next jet
+        rec = first_only(OpTerm(fs_expr("w^3"), 0))
+        k = EvoField((fs_expr("w^5"), fs_expr("z")))
+        want = oracle_step(k, k, rec, ZERO_MATRIX)[0]
+        assert want[0] == fs_expr("w^8")
+        assert fs_step(DxChain(k), DxChain(k), rec, ZERO_MATRIX)[0] == want
+        exponent_bits = varcalc._sum_exponent_bits
+        monkeypatch.setattr(varcalc, "_sum_exponent_bits",
+                            lambda rows: exponent_bits(rows) - 1)
+        assert fs_step(DxChain(k), DxChain(k), rec, ZERO_MATRIX)[0] != want
+
+    def test_non_exact_member_names_its_entry(self):
+        k1, k2 = fs_seed()
+        bad = EvoField((fs_expr("w_x^2"), fs_expr("z_x")))
+        rec, m = recursion_matrix(), second_recursion_matrix()
+        lower = OperatorMatrix([[(), ()], [(OpTerm(DiffPoly.constant(1), -1),), ()]])
+        for prev, prevprev, r, entry in ((bad, k1, rec, (0, 0)), (k2, bad, rec, (0, 0)),
+                                         (bad, k1, lower, (1, 0))):
+            with pytest.raises(NonlocalObstruction) as exc:
+                fs_step(DxChain(prev), DxChain(prevprev), r, m)
+            assert exc.value.entry == entry
+            assert exc.value.remainder == integrate_dx(bad[0]).remainder
+
+    def test_kernel_hierarchy_matches_oracle(self):
+        assert list(fs_hierarchy(14).members) == oracle_hierarchy(14)
+
+    @pytest.mark.parametrize("alpha0", [Fraction(1, 3), Fraction(-2), Fraction(7, 5),
+                                        Fraction(0), Fraction(1)])
+    def test_specialized_hierarchy_matches_oracle(self, alpha0):
+        assert list(fs_hierarchy(10, alpha0).members) == oracle_hierarchy(10, alpha0)
+
+    @pytest.mark.slow
+    def test_kernel_hierarchy_matches_oracle_n16(self):
+        assert list(fs_hierarchy(16).members) == oracle_hierarchy(16)
 
 
 class TestTriangularHierarchy:

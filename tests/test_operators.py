@@ -8,11 +8,11 @@ from jetsym.coeffield import AlphaPoly, RationalFunction, rf
 from jetsym.errors import NonlocalObstruction
 from jetsym.hierarchy import fs_seed, recursion_matrix, second_recursion_matrix
 from jetsym.jetalgebra import DiffPoly, EvoField, jet
-from jetsym.operators import OperatorMatrix, OpTerm
+from jetsym.operators import OperatorMatrix, OpTerm, apply_sum
 from jetsym.systems import parse_expression
 from jetsym.varcalc import DxChain
 
-from conftest import random_evofield
+from conftest import random_diffpoly, random_evofield
 
 
 def fs_expr(src):
@@ -133,3 +133,36 @@ class TestApplyMatrix:
             assert cert.is_exact
             assert cert.antiderivative.dx() == f
 
+
+
+def random_matrix(rng, n):
+    """An n x n operator matrix with random terms of powers -1..3; only
+    column 0 carries D_x^{-1}."""
+    return OperatorMatrix([
+        [tuple(OpTerm(random_diffpoly(rng, nvars=n, max_order=1, terms=2, rational=True),
+                      rng.randint(0 if j else -1, 3))
+               for _ in range(rng.randint(0, 2)))
+         for j in range(n)]
+        for _ in range(n)])
+
+
+class TestApplySum:
+    def test_matches_apply_detailed(self):
+        """Random matrices over Q(alpha) on random fields, one to three
+        pairs: the packed sum equals the summed field-coefficient results,
+        with the same certificates."""
+        rng = random.Random(167)
+        for _ in range(40):
+            n = rng.randint(1, 2)
+            pairs = []
+            for _ in range(rng.randint(1, 3)):
+                k = random_evofield(rng, nvars=n, max_order=2, terms=3, rational=True)
+                k = EvoField((k[0].dx(),) + tuple(k)[1:])
+                pairs.append((random_matrix(rng, n), DxChain(k)))
+            got, certs = apply_sum(pairs)
+            want = [matrix.apply_detailed(DxChain(chain.field)) for matrix, chain in pairs]
+            total = want[0][0]
+            for field, _ in want[1:]:
+                total = total + field
+            assert got == total
+            assert certs == [c for _, c in want]
