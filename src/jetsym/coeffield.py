@@ -215,10 +215,10 @@ class AlphaPoly:
             return other.monic()
         root = _linear_power_root(b)
         if root is not None:
-            return _root_power(a, *root, len(b) - 1)
+            return _monic_root_power(*root, _root_divide(a, *root, len(b) - 1)[0])
         root = _linear_power_root(a)
         if root is not None:
-            return _root_power(b, *root, len(a) - 1)
+            return _monic_root_power(*root, _root_divide(b, *root, len(a) - 1)[0])
         a, b = _content_free(a), _content_free(b)
         if len(a) < len(b):
             a, b = b, a
@@ -308,12 +308,6 @@ def _linear_power_root(ints):
         if ints[i - 1] * (k - i + 1) * d != -n * i * ints[i]:
             return None
     return n, d
-
-
-def _root_power(a, n: int, d: int, k: int) -> AlphaPoly:
-    """(alpha - n/d)^j, j <= k the multiplicity of d*alpha - n in a, a
-    nonzero integer polynomial."""
-    return _monic_root_power(n, d, _root_divide(a, n, d, k)[0])
 
 
 def _root_divide(a, n: int, d: int, k: int):
@@ -615,8 +609,8 @@ def clear_denominators(coeffs) -> tuple:
 
     s is the monic lcm of the denominators times the lcm of the rational
     coefficients' denominators that remain; each of polys is a tuple of
-    ints, lowest degree first.  Both lcms and the quotients of s by each
-    denominator are taken once per distinct denominator.
+    ints, lowest degree first.  The lcms run over the distinct
+    denominators, and the monic lcm is divided by each of them once.
     """
     dens = {c.den for c in coeffs}
     den = _APOLY_ONE

@@ -18,7 +18,7 @@ from jetsym.hierarchy import (Hierarchy, _specialize_matrix, fs_hierarchy, fs_se
                               fs_step, recursion_matrix, scaling_symmetry,
                               second_recursion_matrix, structural_check,
                               triangular_coeffs, ts1_hierarchy)
-from jetsym.jetalgebra import DP_ZERO, DiffPoly, EvoField, T_GEN, X_GEN, jet
+from jetsym.jetalgebra import DiffPoly, EvoField, T_GEN, X_GEN, jet
 from jetsym.operators import OperatorMatrix, OpTerm
 from jetsym.systems import parse_expression
 from jetsym.varcalc import DxChain, integrate_dx
