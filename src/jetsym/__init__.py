@@ -20,7 +20,8 @@ from .hierarchy import (Hierarchy, TriangularCoeffs, fs_hierarchy, fs_seed,
                         ts1_hierarchy)
 from .analysis import (DensityAnsatz, DensityReport, commutativity_table,
                        density_decompose, density_search, is_conserved_density,
-                       is_symmetry, substitution_check, verify_hierarchy)
+                       is_symmetry, push_forward, substitution_check,
+                       verify_hierarchy)
 
 __version__ = "0.1.0"
 
@@ -32,7 +33,7 @@ __all__ = [
     "commutator", "commutators", "density_decompose", "density_search", "dt_along",
     "euler_operator", "frechet", "fs_hierarchy", "fs_seed", "fs_step",
     "integrate_dx", "is_conserved_density", "is_symmetry", "jet",
-    "parse_system", "recursion_matrix", "render_system", "rf",
+    "parse_system", "push_forward", "recursion_matrix", "render_system", "rf",
     "scaling_symmetry", "structural_check", "substitution_check",
     "second_recursion_matrix", "triangular_coeffs", "ts1_hierarchy",
     "verify_hierarchy",

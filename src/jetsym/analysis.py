@@ -19,10 +19,11 @@ from .coeffield import RationalFunction, accumulate, rf, sparse_nullspace
 from .errors import (AnsatzTooLarge, CrossCheckFailed, ExplicitXTDependence,
                      InvalidSetting, NotDecomposable, StructuralViolation)
 from .hierarchy import Hierarchy, scaling_symmetry, structural_check
-from .jetalgebra import DP_ZERO, DiffPoly, EvoField, MONO_ONE, jet, jet_depvar, jet_order
+from .jetalgebra import (DP_ONE, DP_ZERO, DiffPoly, EvoField, MONO_ONE, is_jet, jet,
+                         jet_depvar, jet_order)
 from .systems import EvolutionSystem, builtin_system
-from .varcalc import (DxChain, ExactnessCertificate, commutator, commutators,
-                      dt_along, dt_euler_rows, euler_operator, integrate_dx)
+from .varcalc import (ExactnessCertificate, commutator, commutators, dt_along,
+                      dt_euler_rows, euler_operator, integrate_dx)
 
 DEFAULT_UNKNOWN_CAP = 20000
 
@@ -263,46 +264,56 @@ class SubstitutionReport:
     defects: Tuple[DiffPoly, DiffPoly]
 
 
-def substitution_check(alpha0: Optional[Fraction] = None) -> SubstitutionReport:
-    """Check that w = u_x/(4u), z = -v/(2 sqrt u) maps the triangular
-    system into the Burgers-type system.
+def push_forward(field: EvoField) -> EvoField:
+    """Phi_*: the image (D_x(A/u)/4, -(B/sqrt u + z*A/u)/2), in the (w, z)
+    jets, of a field (A, B) on the (u, v) jets under the linearizing map
+    w = u_x/(4u), z = -v/(2 sqrt u).
 
-    Written in s = sqrt u the map is w = s_x/(2s), z = -v/(2s), and the
-    check is an identity of Laurent differential polynomials in the
-    (s, v) jets: the triangular system is pushed through u = s^2 and
-    s_t = u_t/(2s).  u^(k/2) -> s^k is an isomorphism of differential
-    rings, so the identity holds in (s, v) exactly when it holds in
-    (u, v).
+    u_k/u and v_k/sqrt u are the (w, z) polynomials P_k and Q_k:
+    P_0 = 1, P_{k+1} = D_x P_k + 4w P_k, Q_0 = -2z, Q_{k+1} = D_x Q_k + 2w Q_k.
+    Counting a u jet as 1 and a v jet as 1/2, every term of A must have
+    u-weight 1 and every term of B u-weight 1/2, so A/u and B/sqrt u are
+    polynomials in the P_k and Q_k.  Any other term, one in x or t, or a
+    field with other than two components raises ValueError.
     """
-    ts = builtin_system("ts")
-    fs = builtin_system("fs")
-    if alpha0 is not None:
-        ts = ts.specialize(alpha0)
-        fs = fs.specialize(alpha0)
-    s, v = 0, 1
-    w_image = DiffPoly({((jet(s, 0), -1), (jet(s, 1), 1)): rf(Fraction(1, 2))})
-    z_image = DiffPoly({((jet(s, 0), -1), (jet(v, 0), 1)): rf(Fraction(-1, 2))})
+    A, B = field
+    w, z = DiffPoly.var(jet(0, 0)), DiffPoly.var(jet(1, 0))
+    images = ([DP_ONE], [z.scalar_mul(rf(-2))])  # P_k, Q_k
+    for _ in range(field.max_jet_order() or 0):
+        for chain, shift in zip(images, (4, 2)):
+            chain.append(chain[-1].dx() + w.scalar_mul(rf(shift)) * chain[-1])
 
-    def push(expr: DiffPoly, images: DxChain) -> DiffPoly:
+    def rewritten(expr: DiffPoly, name: str, half_weight: int) -> DiffPoly:
+        """expr / u^(half_weight/2) as a polynomial in the P_k and Q_k."""
         acc = DP_ZERO
         for mono, coeff in expr.terms.items():
+            # the u-weight in halves: 2 per power of a u jet, 1 per power of a v jet
+            if any(e < 0 or not is_jet(g) or jet_depvar(g) > 1 for g, e in mono) \
+                    or sum(e * (2 - jet_depvar(g)) for g, e in mono) != half_weight:
+                raise ValueError(f"{name} has a term that is not a polynomial of u-weight "
+                                 f"{Fraction(half_weight, 2)} in the u and v jets")
             term = DiffPoly.constant(coeff)
             for g, e in mono:
-                base = images.get(jet_depvar(g), jet_order(g))
                 for _ in range(e):
-                    term = term * base
+                    term = term * images[jet_depvar(g)][jet_order(g)]
             acc = acc + term
         return acc
 
-    s_var, v_var = DiffPoly.var(jet(s, 0)), DiffPoly.var(jet(v, 0))
-    squared = DxChain(EvoField((s_var * s_var, v_var)))
-    half_over_s = DiffPoly.gen_power(jet(s, 0), -1, Fraction(1, 2))
-    ts_sv = EvolutionSystem(ts.name, ("s", "v"), ts.parameter, EvoField((
-        push(ts.rhs[0], squared) * half_over_s, push(ts.rhs[1], squared))))
-    images = DxChain(EvoField((w_image, z_image)))
-    d1 = dt_along(w_image, ts_sv) - push(fs.rhs[0], images)
-    d2 = dt_along(z_image, ts_sv) - push(fs.rhs[1], images)
-    return SubstitutionReport(d1.is_zero and d2.is_zero, (d1, d2))
+    a_over_u = rewritten(A, "A", 2)
+    return EvoField((a_over_u.dx().scalar_mul(rf(Fraction(1, 4))),
+                     (rewritten(B, "B", 1) + z * a_over_u).scalar_mul(rf(Fraction(-1, 2)))))
+
+
+def substitution_check(alpha0: Optional[Fraction] = None) -> SubstitutionReport:
+    """Check that the linearizing map w = u_x/(4u), z = -v/(2 sqrt u)
+    takes the triangular system into the Burgers-type system: the defects
+    push_forward(ts rhs) - fs rhs, in the (w, z) jets, must vanish.
+    """
+    ts, fs = builtin_system("ts"), builtin_system("fs")
+    if alpha0 is not None:
+        ts, fs = ts.specialize(alpha0), fs.specialize(alpha0)
+    defects = push_forward(ts.rhs) - fs.rhs
+    return SubstitutionReport(defects.is_zero, tuple(defects))
 
 
 # ---------------------------------------------------------------------------

@@ -163,7 +163,7 @@ def cmd_densities(args) -> int:
 def cmd_subst_check(args) -> int:
     alpha0 = _parse_rational(args.alpha) if args.alpha else None
     report = substitution_check(alpha0)
-    names = ("s", "v")
+    names = builtin_system("fs").depvars
     payload = {
         "ok": report.ok,
         "defects": [d.to_json() for d in report.defects],

@@ -229,12 +229,12 @@ def fs_hierarchy(N: int, alpha0: Optional[Fraction] = None) -> Hierarchy:
                      tuple(certificates), alpha0)
 
 
-def triangular_coeffs(N: int) -> TriangularCoeffs:
-    """b_n and Q_n sequences: b_1 = 1, b_2 = a, b_n = b_{n-1} - (1-a) b_{n-2}/2;
-    Q_1 = 0, Q_2 = v^2, Q_n = D_x Q_{n-1} - ((1-a)/2) D_x^2 Q_{n-2} + v v_{n-2}.
+def triangular_coeffs(N: int, a: RationalFunction) -> TriangularCoeffs:
+    """b_n and Q_n sequences at the field element a: b_1 = 1, b_2 = a,
+    b_n = b_{n-1} - (1-a) b_{n-2}/2; Q_1 = 0, Q_2 = v^2,
+    Q_n = D_x Q_{n-1} - ((1-a)/2) D_x^2 Q_{n-2} + v v_{n-2}.
     Index 0 of both sequences is an unused placeholder.
     """
-    a = RationalFunction.param()
     half_one_minus_a = (rf(1) - a) * rf(Fraction(1, 2))
     b = [rf(0), rf(1), a]
     v = 1
@@ -248,27 +248,21 @@ def triangular_coeffs(N: int) -> TriangularCoeffs:
 
 
 def ts1_hierarchy(N: int, a0: Optional[Fraction] = None) -> Hierarchy:
-    """Members G_n = (b_n u_n + Q_n, v_n) of the triangular hierarchy."""
+    """Members G_n = (b_n u_n + Q_n, v_n) of the triangular hierarchy,
+    built over the symbolic parameter a, or at a = a0."""
     if N < 1:
         raise ValueError("hierarchy length must be at least 1")
     system = builtin_system("ts1")
-    coeffs = triangular_coeffs(N)
-    members = []
-    for n in range(1, N + 1):
-        comp1 = DiffPoly.var(jet(0, n)).scalar_mul(coeffs.b[n]) + coeffs.Q[n]
-        comp2 = DiffPoly.var(jet(1, n))
-        members.append(EvoField((comp1, comp2)))
-    provenance = tuple("seed" if n <= 2 else "recursion" for n in range(1, N + 1))
-    specialized = None
     if a0 is not None:
-        specialized = Fraction(a0)
-        system = system.specialize(specialized)
-        members = [m.specialize(specialized) for m in members]
-        coeffs = TriangularCoeffs(
-            tuple(rf(b.eval(specialized)) if not b.is_zero else rf(0)
-                  for b in coeffs.b),
-            tuple(q.specialize(specialized) for q in coeffs.Q))
-    return Hierarchy(system, tuple(members), provenance, (), specialized, coeffs)
+        a0 = Fraction(a0)
+        system = system.specialize(a0)
+    coeffs = triangular_coeffs(N, RationalFunction.param() if a0 is None else rf(a0))
+    members = tuple(
+        EvoField((DiffPoly.var(jet(0, n)).scalar_mul(coeffs.b[n]) + coeffs.Q[n],
+                  DiffPoly.var(jet(1, n))))
+        for n in range(1, N + 1))
+    provenance = tuple("seed" if n <= 2 else "recursion" for n in range(1, N + 1))
+    return Hierarchy(system, members, provenance, (), a0, coeffs)
 
 
 def scaling_symmetry(alpha0: Optional[Fraction] = None) -> EvoField:
@@ -305,7 +299,7 @@ def structural_check(K: EvoField, j: int) -> StructuralForm:
     for c, comp in enumerate(K.components):
         lead_mono = ((jet(c, j), 1),)
         lead = comp.coefficient(lead_mono)
-        tail = comp - DiffPoly.gen_power(jet(c, j), 1, lead)
+        tail = comp - DiffPoly.var(jet(c, j)).scalar_mul(lead)
         top = tail.max_jet_order()
         if top is not None and top >= j:
             offender = next(m for m in tail.terms

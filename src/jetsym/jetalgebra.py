@@ -140,15 +140,6 @@ class DiffPoly:
         return DiffPoly({MONO_ONE: c})
 
     @staticmethod
-    def gen_power(gen: int, exp: int, coeff=None) -> "DiffPoly":
-        c = RF_ONE if coeff is None else (coeff if isinstance(coeff, RationalFunction) else rf(coeff))
-        if exp == 0:
-            return DiffPoly.constant(c)
-        if c.is_zero:
-            return DP_ZERO
-        return DiffPoly({((gen, exp),): c})
-
-    @staticmethod
     def var(gen: int) -> "DiffPoly":
         return DiffPoly({((gen, 1),): RF_ONE})
 

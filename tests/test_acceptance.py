@@ -180,7 +180,7 @@ def test_ac08_triangular_hierarchy():
     for n in range(1, 9):
         lead = h.member(n)[0].coefficient(((jet(0, n), 1),))
         ok = ok and lead == b[n]
-    ok = ok and triangular_coeffs(3).Q[3] == uv_expr("3*v*v_x")
+    ok = ok and triangular_coeffs(3, a).Q[3] == uv_expr("3*v*v_x")
     _report("AC8 triangular hierarchy N = 8: symmetries, b_n recurrence, "
             "Q_3 = 3 v v_x", ok)
 

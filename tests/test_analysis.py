@@ -10,13 +10,14 @@ import pytest
 
 from jetsym.analysis import (DensityAnsatz, commutativity_table,
                              density_decompose, density_search,
-                             is_conserved_density, is_symmetry,
+                             is_conserved_density, is_symmetry, push_forward,
                              substitution_check, verify_hierarchy)
 from jetsym.coeffield import (RF_ONE, AlphaPoly, RationalFunction, accumulate, rf,
                               sparse_nullspace)
 from jetsym.errors import AnsatzTooLarge, CrossCheckFailed, DxBudgetExceeded, NotDecomposable
-from jetsym.hierarchy import fs_hierarchy, fs_seed, scaling_symmetry, ts1_hierarchy
-from jetsym.jetalgebra import DP_ZERO, DiffPoly, EvoField, jet
+from jetsym.hierarchy import (fs_hierarchy, fs_seed, scaling_symmetry, triangular_coeffs,
+                              ts1_hierarchy)
+from jetsym.jetalgebra import DP_ZERO, X_GEN, DiffPoly, EvoField, jet
 from jetsym.systems import (_BUILTIN_CACHE, _BUILTIN_SOURCES, EvolutionSystem,
                             parse_expression, parse_system)
 from jetsym.varcalc import (ExactnessCertificate, _density_slot_bits, _IntegerField,
@@ -27,6 +28,10 @@ from conftest import random_evofield, random_nonzero_rf
 
 def fs_expr(src):
     return parse_expression(src, ("w", "z"), "alpha")
+
+
+def uv_expr(src):
+    return parse_expression(src, ("u", "v"), "alpha")
 
 
 class TestIsSymmetry:
@@ -425,6 +430,44 @@ class TestSubstitution:
         assert not report.ok
         assert not report.defects[0].is_zero
         assert report.defects[1].is_zero
+
+    def test_mutated_defect_is_the_mutation(self, monkeypatch):
+        # the defect names the changed fs term itself, in the (w, z) jets
+        monkeypatch.setitem(_BUILTIN_CACHE, "fs", parse_system(
+            _BUILTIN_SOURCES["fs"].replace("8*w*w_x", "7*w*w_x")))
+        report = substitution_check()
+        assert report.defects == (fs_expr("w*w_x"), DP_ZERO)
+
+
+class TestPushForward:
+    """Phi_*(G_n) == K_n: the linearizing map carries the triangular
+    hierarchy at a = 1/(1 - 2 alpha) onto the Burgers-type hierarchy."""
+
+    def test_symbolic_hierarchy(self):
+        a = rf(1) / (rf(1) - rf(2) * RationalFunction.param())
+        coeffs = triangular_coeffs(8, a)
+        members = fs_hierarchy(8).members
+        for n in range(1, 9):
+            g = EvoField((DiffPoly.var(jet(0, n)).scalar_mul(coeffs.b[n]) + coeffs.Q[n],
+                          DiffPoly.var(jet(1, n))))
+            assert push_forward(g) == members[n - 1], n
+
+    @pytest.mark.parametrize("alpha0", [Fraction(1, 3), Fraction(-2), Fraction(7, 5)],
+                             ids=str)
+    def test_specialized_hierarchy(self, alpha0):
+        g = ts1_hierarchy(8, 1 / (1 - 2 * alpha0))
+        k = fs_hierarchy(8, alpha0)
+        assert [push_forward(m) for m in g.members] == list(k.members)
+
+    @pytest.mark.parametrize("A, B", [
+        (uv_expr("u^2"), uv_expr("v")),
+        (uv_expr("v"), uv_expr("v")),
+        (uv_expr("u_x"), uv_expr("u")),
+        (DiffPoly({((X_GEN, 1), (jet(0, 0), 1)): RF_ONE}), uv_expr("v")),
+    ], ids=["u^2 in A", "v in A", "u in B", "x*u in A"])
+    def test_refusals(self, A, B):
+        with pytest.raises(ValueError):
+            push_forward(EvoField((A, B)))
 
 
 def flip_k2(h):

@@ -15,6 +15,7 @@ from jetsym.cli import main
 from jetsym.errors import NonlocalObstruction
 from jetsym.hierarchy import fs_hierarchy
 from jetsym.jetalgebra import DiffPoly
+from jetsym.systems import _BUILTIN_CACHE, _BUILTIN_SOURCES, parse_system
 from jetsym.varcalc import ExactnessCertificate
 
 
@@ -55,6 +56,24 @@ class TestGen:
         data = out.read_bytes()
         assert data.endswith(b"\n")
         doc = data[:-1]
+        assert len(doc) == size
+        assert hashlib.sha256(doc).hexdigest() == sha256
+
+    @pytest.mark.parametrize("alpha, size, sha256", [
+        (None, 2740,
+         "784ede03944ed4f7b12fea99a8cf58e5c4563af020e360a1f2dea79cf0faef57"),
+        ("1/3", 2356,
+         "64a76655aa408ac18b4a555f98bd5ff1913e3a65d2e5701f50d374b302b5d9a8"),
+        ("3", 2360,
+         "ea13c4148429af1015a22f92cef9ab90d31346c81f2a17aa4a2e266a3436928c"),
+    ])
+    def test_ts1_json_bytes_pinned(self, tmp_path, capsys, alpha, size, sha256):
+        out = tmp_path / "g.json"
+        flags = ["--alpha", alpha] if alpha else []
+        code, _, _ = run(capsys, "gen", "--system", "ts1", "--n", "8",
+                         "--out", str(out), *flags)
+        assert code == 0
+        doc = out.read_bytes()[:-1]
         assert len(doc) == size
         assert hashlib.sha256(doc).hexdigest() == sha256
 
@@ -296,6 +315,26 @@ class TestSubstCheck:
         code, stdout, _ = run(capsys, "subst-check", "--json")
         assert code == 0
         assert json.loads(stdout)["ok"] is True
+
+    def test_mutated_fs_fails(self, capsys, monkeypatch):
+        # fs with 8*w*w_x changed to 7*w*w_x: the defect is w*w_x, in the fs names
+        source = _BUILTIN_SOURCES["fs"]
+        monkeypatch.setitem(_BUILTIN_CACHE, "fs",
+                            parse_system(source.replace("8*w*w_x", "7*w*w_x")))
+        code, stdout, err = run(capsys, "subst-check")
+        assert code == 3
+        assert stdout == "substitution identity FAILED:\n(1)*w*w_x\n(0)\n"
+        assert err == "jetsym: substitution identity failed\n"
+        code, stdout, err = run(capsys, "subst-check", "--json")
+        assert code == 3
+        payload = json.loads(stdout)
+        assert payload["ok"] is False
+        assert payload["defects"] == [
+            [{"exps": [[[0, 0], 1], [[0, 1], 1]], "coeff": {"num": ["1"], "den": ["1"]}}],
+            []]
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"]["code"] == "check-failed"
 
 
 class TestRender:

@@ -302,12 +302,12 @@ class TestTriangularHierarchy:
         assert h.member(1) == EvoField((uv_expr("u_x"), uv_expr("v_x")))
 
     def test_q3(self):
-        coeffs = triangular_coeffs(3)
+        coeffs = triangular_coeffs(3, RationalFunction.param())
         assert coeffs.Q[3] == uv_expr("3*v*v_x")
 
     def test_b3(self):
-        coeffs = triangular_coeffs(3)
         a = RationalFunction.param()
+        coeffs = triangular_coeffs(3, a)
         assert coeffs.b[3] == (rf(3) * a - rf(1)) * rf(Fraction(1, 2))
 
     def test_b_recurrence_and_leading_extraction(self):

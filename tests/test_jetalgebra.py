@@ -67,7 +67,7 @@ class TestTotalDerivative:
         assert (x * w).dx() == w + x * w1
 
     def test_negative_exponent_chain_rule(self):
-        u_inv = DiffPoly.gen_power(jet(0, 0), -1)
+        u_inv = DiffPoly({((jet(0, 0), -1),): rf(1)})
         got = u_inv.dx()
         expected = DiffPoly({
             tuple(sorted([(jet(0, 0), -2), (jet(0, 1), 1)])): rf(-1)})
@@ -168,7 +168,7 @@ class TestRendering:
             assert DiffPoly.from_json(f.to_json()) == f
 
     def test_json_half_exponent(self):
-        u_inv = DiffPoly.gen_power(jet(0, 0), -1)
+        u_inv = DiffPoly({((jet(0, 0), -1),): rf(1)})
         data = u_inv.to_json()
         assert data[0]["exps"][0][1] == -1
         assert DiffPoly.from_json(data) == u_inv
