@@ -204,89 +204,44 @@ class _IntegerField:
         return gain
 
 
-def _slot_bits(f: _IntegerField, g: _IntegerField) -> int:
-    """Slot width in bits that makes the packed bracket of f and g exact.
-
-    Each coefficient of [g, f]'s components is at most norm(f) norm(g)
-    (weight(g) dx_gain_f(top g) + weight(f) dx_gain_g(top f)) in absolute
-    value, by |pq|_1 <= |p|_1 |q|_1 and the weight bounds on D_x and the
-    partials.  Balanced digits of width bits hold every such coefficient,
-    so a packed value is zero exactly when its polynomial is; any wider
-    slot would do as well.
-    """
-    height = f.norm * g.norm * (g.weight * f.dx_gain(g.top) + f.weight * g.dx_gain(f.top))
-    return _word_bits(height)
-
-
-def _exponent_bits(f: _IntegerField, g: _IntegerField) -> int:
-    """Exponent slot width in bits that keeps the packed bracket of f and g exact.
-
-    A jet partial raises a monomial's |exponent| sum by at most growth/2,
-    and D_x^i raises it by at most i growth.  So every monomial that the
-    bracket forms (in the D_x tables, the partials and the products of
-    the Frechet derivatives) has |exponent| sum at most
-    weight(g) + growth(g)/2 + weight(f) + top(g) growth(f), or the same
-    with f and g swapped.  One exponent is at most that sum in absolute
-    value, and balanced digits of ``_word_bits`` of it hold it.
-    """
-    return _word_bits(max(g.weight + g.growth // 2 + f.weight + g.top * f.growth,
-                          f.weight + f.growth // 2 + g.weight + f.top * g.growth))
-
-
 def _word_bits(height: int) -> int:
     """Width of balanced digits that hold every int of absolute value at
     most height."""
     return height.bit_length() + 1
 
 
-def _density_weights(k: _IntegerField, degree: int, order: int):
-    """(W, V, T) of ``_density_slot_bits``' bound: the largest |exponent|
-    sum of a monomial of D_t m, of any monomial the Euler images form, and
-    the highest jet order of D_t m."""
-    g = k.growth
-    top = order + k.top
-    w = degree - 1 + k.weight + order * g
-    return w, w + g // 2 + top * g, top
+def _sum_bounds(rows):
+    """(H, W) that make a packed sum of terms c D_x^p K exact.
 
-
-def _density_slot_bits(k: _IntegerField, degree: int, order: int) -> int:
-    """Slot width in bits that makes the packed Euler images of D_t m exact.
-
-    m is a jet monomial with positive exponents, of degree at most
-    D = ``degree`` and jet order at most r = ``order``, and u_t = K is the
-    field of k, scaled; write g for its growth and T = r + top.
-    - D_t m = sum over (d, i) of (dm/du_{d,i}) D_x^i K_d.  The exponents
-      of m sum to at most D, so its norm is at most D norm dx_gain(r);
-      each of its monomials has |exponent| sum at most
-      W = D - 1 + weight + r g, and jet order at most T.
-    - A jet partial multiplies the norm by at most W and raises the
-      |exponent| sum by at most g/2 (only a negative exponent grows).
-      One D_x multiplies the norm by at most the largest |exponent| sum,
-      which is at most V = W + g/2 + T g, and raises that sum by at
-      most g.  So the Euler image sum_{i <= T} (-D_x)^i d(D_t m)/du_{d,i},
-      and every partial sum its Horner evaluation forms, has norm at most
-      H = D norm dx_gain(r) W sum_{i <= T} V^i.  The shared D_x table of
-      K and the products in the Frechet derivative stay below
-      D norm dx_gain(r), which is at most H when D >= 1; D = 0 gives
-      H = 0, since D_t of a constant is zero.
-    Balanced digits of width ``_word_bits(H)`` therefore hold every
-    coefficient the assembly forms, so a packed value is zero exactly when
-    its polynomial is, and sums cancel where they cancel over the field.
-    While every exponent is positive (g = 0), V = W and H is
-    D norm dx_gain(r) sum_{i <= T} W^(i+1).
+    rows[i] holds one (|c|_1, weight(c), N, W_K) per term of output i,
+    all scaled to Z[alpha]: N bounds the L1 norm of the image D_x^p K and
+    W_K the |exponent| sum of its monomials.  For p >= 0, N is
+    dx_gain(p) |K|_1, since one D_x of a monomial of |exponent| sum at
+    most weight + j growth multiplies its norm by at most that sum, and
+    W_K is weight(K) + p growth(K), since one D_x raises that sum by at
+    most growth; for p = -1 both are the antiderivative's own.  By
+    |pq|_1 <= |p|_1 |q|_1, output i, and every partial sum that
+    ``accumulate`` forms of it, has L1 norm at most sum |c|_1 N over its
+    terms; H is the largest such sum, so it bounds every integer
+    coefficient.  Every monomial that is packed or formed (the c's, the
+    images and their products) has |exponent| sum at most W, the largest
+    weight(c) + W_K and at least 1, and one exponent is at most that sum
+    in absolute value.  Balanced digits of ``_word_bits`` of H and of W
+    therefore hold every coefficient and every exponent, so a packed value
+    is zero exactly when its polynomial is, sums cancel where they cancel
+    over the field, and no exponent carries into the next slot.
     """
-    w, v, top = _density_weights(k, degree, order)
-    height = degree * k.norm * k.dx_gain(order) * w * sum(v ** i for i in range(top + 1))
-    return _word_bits(height)
+    return (max((sum(cn * n for cn, _, n, _ in row) for row in rows), default=0),
+            max([1] + [cw + w for row in rows for _, cw, _, w in row]))
 
 
-def _density_exponent_bits(k: _IntegerField, degree: int, order: int) -> int:
-    """Exponent slot width in bits that keeps the packed Euler images of
-    D_t m exact: by ``_density_slot_bits``' argument every monomial formed
-    has |exponent| sum at most V, and the D_x table of K, whose sums are at
-    most weight + r g, holds K itself."""
-    _, v, _ = _density_weights(k, degree, order)
-    return _word_bits(max(v, k.weight))
+def _frechet_bound(f: _IntegerField, g: _IntegerField) -> tuple:
+    """The bound term (``_sum_bounds``) of f'[g] = sum over (d, p) of
+    df/du_(d,p) D_x^p g_d: the partials of f have total norm at most
+    weight(f) |f|_1 and |exponent| sums at most weight(f) + growth(f)/2
+    (only a negative exponent grows), and p is at most top(f)."""
+    return (f.weight * f.norm, f.weight + f.growth // 2,
+            g.dx_gain(f.top) * g.norm, g.weight + f.top * g.growth)
 
 
 #: most bits that the norm growth bound of a D_x tower may have: the
@@ -328,11 +283,11 @@ class _Kernel:
     - dividing by the generator at shift sh subtracts 1 << sh;
     - D_x of the jet (d, i) adds (1 << (sh + nvars bits)) - (1 << sh),
       which bumps it to (d, i + 1).
-    ``_exponent_bits`` and ``_density_exponent_bits`` size ``bits`` from
-    a bound before any work, since an exponent that carries into the next
-    slot would read back as a wrong monomial.  A polynomial is a dict
-    packed monomial -> nonzero Kronecker-packed int, in no particular
-    term order; every sum it forms goes through ``accumulate``.
+    ``_sum_bounds`` sizes ``bits`` before any work, since an exponent
+    that carries into the next slot would read back as a wrong monomial.
+    A polynomial is a dict packed monomial -> nonzero Kronecker-packed
+    int, in no particular term order; every sum it forms goes through
+    ``accumulate``, every product through ``mul_add``.
     """
 
     def __init__(self, nvars: int, bits: int):
@@ -386,6 +341,16 @@ class _Kernel:
             mono.append(factor)
         return tuple(mono)
 
+    def unpacked(self, p: dict, bits: int, unscale) -> DiffPoly:
+        """The ``DiffPoly`` of p, its coefficients unpacked from slots of
+        width bits and mapped through unscale."""
+        return DiffPoly({self.unpack(m): unscale(kronecker_unpack(v, bits))
+                         for m, v in p.items()})
+
+    def mul_add(self, out: dict, p: dict, q: dict):
+        """Add p q into out."""
+        accumulate(out, ((m1 + m2, c1 * c2) for m1, c1 in p.items() for m2, c2 in q.items()))
+
     def dx(self, p: dict) -> dict:
         """Total x-derivative: bumps jets, differentiates explicit x."""
         return accumulate({}, self._dx_terms(p))
@@ -414,10 +379,10 @@ class _Kernel:
 
     def frechet(self, parts: dict, table: "_DxTable") -> dict:
         """f'[K] for parts the ``partials`` of f and table the D_x table of K."""
-        return accumulate({}, ((m1 + m2, c1 * c2)
-                               for (depvar, order), q in parts.items()
-                               for m1, c1 in q.items()
-                               for m2, c2 in table.get(depvar, order).items()))
+        out: dict = {}
+        for (depvar, order), q in parts.items():
+            self.mul_add(out, q, table.get(depvar, order))
+        return out
 
     def horner_gain(self, parts: dict, depvar: int, orders, growth: int) -> int:
         """Bound on what the D_x of the Horner form of ``euler``, over the
@@ -513,8 +478,8 @@ def commutators(fields, pairs):
     packed into one int by Kronecker substitution, with packed monomials
     (``_Kernel``).  Every field that a pair names is scaled, packed and
     given one D_x table once, at one coefficient width and one exponent
-    width for the whole family: the largest ``_slot_bits`` and
-    ``_exponent_bits`` over its pairs, which make each of them exact.  A
+    width for the whole family, from ``_sum_bounds`` with one row per
+    pair: the ``_frechet_bound`` terms of G'[F] and F'[G].  A
     field's packed form and table are dropped after the last pair that
     names it, so only the live tables are held.  A zero bracket is yielded
     as zero; a nonzero one is unpacked exactly and divided by the product
@@ -524,9 +489,10 @@ def commutators(fields, pairs):
     if not pairs:
         return
     scaled = {i: _IntegerField(fields[i]) for i in {i for pair in pairs for i in pair}}
-    bits = max(_slot_bits(scaled[i], scaled[j]) for i, j in pairs)
-    kernel = _Kernel(max(f.nvars for f in scaled.values()),
-                     max(_exponent_bits(scaled[i], scaled[j]) for i, j in pairs))
+    height, weight = _sum_bounds([[_frechet_bound(scaled[j], scaled[i]),
+                                   _frechet_bound(scaled[i], scaled[j])] for i, j in pairs])
+    bits = _word_bits(height)
+    kernel = _Kernel(max(f.nvars for f in scaled.values()), _word_bits(weight))
     packed = {i: kernel.pack_field(f, bits) for i, f in scaled.items()}
     tables = {i: _DxTable(kernel, scaled[i], comps) for i, comps in packed.items()}
     parts = {i: [kernel.partials(c) for c in comps] for i, comps in packed.items()}
@@ -542,8 +508,7 @@ def commutators(fields, pairs):
             yield EvoField(DP_ZERO for _ in bracket)
             continue
         unscale = dividing_by(scaled[i].scale * scaled[j].scale)
-        yield EvoField(DiffPoly({kernel.unpack(m): unscale(kronecker_unpack(v, bits))
-                                 for m, v in comp.items()}) for comp in bracket)
+        yield EvoField(kernel.unpacked(comp, bits, unscale) for comp in bracket)
 
 
 def commutator(F: EvoField, G: EvoField) -> EvoField:
@@ -560,41 +525,6 @@ def _scaled_together(fields) -> list:
     return [_IntegerField(f, scale, it) for f in fields]
 
 
-def _sum_slot_bits(rows) -> int:
-    """Slot width in bits that makes a packed ``operator_sum`` exact.
-
-    rows[i] holds one (|c|_1, weight(c), N, W) per term c D_x^p K of
-    output component i, all scaled to Z[alpha]: N bounds the L1 norm of
-    the image D_x^p K and W the |exponent| sum of its monomials.  For
-    p >= 0, N is dx_gain(p) |K|_1, since one D_x of a monomial of
-    |exponent| sum at most weight + j growth multiplies its norm by at most
-    that sum; for p = -1, N is the norm of the antiderivative itself.  By
-    |pq|_1 <= |p|_1 |q|_1, component i, and every partial sum that
-    ``accumulate`` forms of it, has L1 norm at most
-    H_i = sum |c|_1 N over its terms, so every integer coefficient is at
-    most the largest H_i in absolute value.  Balanced digits of
-    ``_word_bits`` of it hold each one, so a packed value is zero exactly
-    when its polynomial is, and sums cancel where they cancel over the
-    field.
-    """
-    return _word_bits(max((sum(cn * n for cn, _, n, _ in row) for row in rows), default=0))
-
-
-def _sum_exponent_bits(rows) -> int:
-    """Exponent slot width in bits that keeps a packed ``operator_sum`` exact.
-
-    With rows as in ``_sum_slot_bits``, W is weight(K) + p growth(K) for
-    p >= 0, since one D_x raises a monomial's |exponent| sum by at most
-    growth, and the antiderivative's own weight for p = -1.  Every
-    monomial that is packed or formed (the c's, the antiderivatives, the
-    D_x table of each field read with p >= 0 up to the largest such p, and
-    the products of a c with an image) therefore has |exponent| sum at
-    most the largest weight(c) + W.  One exponent is at most that sum in
-    absolute value, and balanced digits of ``_word_bits`` of it hold it.
-    """
-    return _word_bits(max([1] + [cw + w for row in rows for _, cw, _, w in row]))
-
-
 def operator_sum(fields, integrals: dict, rows) -> list:
     """The components sum over (c, k, j, p) in rows[i] of c D_x^p fields[k][j].
 
@@ -603,12 +533,12 @@ def operator_sum(fields, integrals: dict, rows) -> list:
     coefficient that enters (the fields', the antiderivatives' and the
     c's) is scaled into Z[alpha] by one scale S, from one
     ``clear_denominators`` call, and packed on the kernel (``_Kernel``) at
-    the one coefficient width ``_sum_slot_bits`` and the one exponent
-    width ``_sum_exponent_bits`` give.  The D_x powers of each field that a
-    term with p >= 0 reads come from its ``_DxTable``, so the growth and
-    memory budgets apply.  Each
-    output component is one ``accumulate`` dict of S^2 times its terms;
-    each of its terms is unpacked once and divided by S^2.
+    the one coefficient width and the one exponent width ``_sum_bounds``
+    gives.  The D_x powers of each field that a term with p >= 0 reads
+    come from its ``_DxTable``, so the growth and memory budgets apply.
+    Each output component is one dict of S^2 times its terms, one
+    ``mul_add`` per term; each of its terms is unpacked once and divided
+    by S^2.
     """
     keys = list(integrals)
     at = {key: n for n, key in enumerate(keys)}
@@ -625,10 +555,11 @@ def operator_sum(fields, integrals: dict, rows) -> list:
 
     heights = iter(zip(coeffs.norms, coeffs.weights))
     bounds = [[next(heights) + image_bound(k, j, p) for _, k, j, p in row] for row in rows]
-    bits = _sum_slot_bits(bounds)
+    height, weight = _sum_bounds(bounds)
+    bits = _word_bits(height)
     nvars = max([f.nvars for f in scaled]
                 + [d + 1 for q in antiderivatives + terms for d in q.depvars()])
-    kernel = _Kernel(nvars, _sum_exponent_bits(bounds))
+    kernel = _Kernel(nvars, _word_bits(weight))
     tables = {k: _DxTable(kernel, scaled[k], kernel.pack_field(scaled[k], bits))
               for k in {k for row in rows for _, k, _, p in row if p >= 0}}
     packed_integrals = kernel.pack_field(ints, bits)
@@ -638,11 +569,9 @@ def operator_sum(fields, integrals: dict, rows) -> list:
     for row in rows:
         acc: dict = {}
         for (_, k, j, p), c in zip(row, packed):
-            image = tables[k].get(j, p) if p >= 0 else packed_integrals[at[k, j]]
-            accumulate(acc, ((m1 + m2, c1 * c2) for m1, c1 in c.items()
-                             for m2, c2 in image.items()))
-        comps.append(DiffPoly({kernel.unpack(m): unscale(kronecker_unpack(v, bits))
-                               for m, v in acc.items()}))
+            kernel.mul_add(acc, c, tables[k].get(j, p) if p >= 0
+                           else packed_integrals[at[k, j]])
+        comps.append(kernel.unpacked(acc, bits, unscale))
     return comps
 
 
@@ -657,31 +586,46 @@ def dt_euler_rows(monos, field: EvoField) -> dict:
     monos are jet monomials with positive exponents.  Returns
     {(d, mu): {col: c}}, c the coefficient of mu in E_d(D_t monos[col]),
     with rows and entries in no particular order.  The field is scaled to
-    integer polynomial coefficients and packed once (``_Kernel``), at the
-    coefficient width ``_density_slot_bits`` gives and the exponent width
-    ``_density_exponent_bits`` gives, so the Frechet derivative and the
-    Euler operator run on ints over one shared D_x table; each distinct
-    packed image coefficient is unpacked and unscaled once.
+    integer polynomial coefficients and packed once (``_Kernel``), so the
+    Frechet derivative and the Euler operator run on ints over one shared
+    D_x table; each distinct packed image coefficient is unpacked and
+    unscaled once.
+
+    The widths: for m of degree at most D and jet order at most r,
+    D_t m = sum over (d, i) of dm/du_(d,i) D_x^i K_d is one ``_sum_bounds``
+    term (D, D - 1, dx_gain(r) |K|_1, weight + r g), g the growth of K, so
+    it has norm at most H and |exponent| sums at most W, and jet order at
+    most T = r + top.  A jet partial multiplies a norm by at most W and
+    raises an |exponent| sum by at most g/2; one D_x multiplies a norm by
+    at most the largest |exponent| sum, at most V = W + g/2 + T g, and
+    raises it by at most g.  So the Euler image
+    sum_{i <= T} (-D_x)^i d(D_t m)/du_(d,i), and every partial sum of its
+    Horner form, has norm at most H W sum_{i <= T} V^i, and every
+    monomial formed, K's own included, has |exponent| sum at most
+    max(V, weight).
     """
     if any(not is_jet(g) or e < 0 for m in monos for g, e in m):
         raise ValueError("density monomials must be jets with positive exponents")
     k = _IntegerField(field)
     degree = max(map(mono_degree, monos), default=0)
     order = max((mono_max_order(m) or 0 for m in monos), default=0)
-    bits = _density_slot_bits(k, degree, order)
-    _, weight, _ = _density_weights(k, degree, order)
-    kernel = _Kernel(k.nvars, _density_exponent_bits(k, degree, order))
+    height, w = _sum_bounds([[(degree, degree - 1, k.dx_gain(order) * k.norm,
+                               k.weight + order * k.growth)]])
+    top = order + k.top
+    v = w + k.growth // 2 + top * k.growth
+    bits = _word_bits(height * w * sum(v ** i for i in range(top + 1)))
+    kernel = _Kernel(k.nvars, _word_bits(max(v, k.weight)))
     table = _DxTable(kernel, k, kernel.pack_field(k, bits))
     unscale = dividing_by(k.scale)
     unpacked: dict = {}
     rows: dict = {}
     for col, m in enumerate(monos):
         dt = kernel.frechet(kernel.partials({kernel.pack(m): 1}), table)
-        for d, image in enumerate(kernel.euler(dt, len(field), k.growth, weight)):
-            for mu, v in image.items():
-                coeff = unpacked.get(v)
+        for d, image in enumerate(kernel.euler(dt, len(field), k.growth, v)):
+            for mu, c in image.items():
+                coeff = unpacked.get(c)
                 if coeff is None:
-                    coeff = unpacked[v] = unscale(kronecker_unpack(v, bits))
+                    coeff = unpacked[c] = unscale(kronecker_unpack(c, bits))
                 rows.setdefault((d, mu), {})[col] = coeff
     # popped as they are converted, so the packed keys free as the tuples grow
     return {(key[0], kernel.unpack(key[1])): rows.pop(key) for key in list(rows)}

@@ -6,6 +6,7 @@ import pytest
 
 from jetsym.coeffield import AlphaPoly, RationalFunction
 from jetsym.jetalgebra import DiffPoly, EvoField, jet
+from jetsym.varcalc import _Kernel, _word_bits
 
 
 def random_fraction(rng, span=6):
@@ -71,6 +72,40 @@ def random_zero_free_poly(rng, nvars=2, max_order=2, terms=3):
 def random_evofield(rng, nvars=2, max_order=1, terms=2, rational=False):
     return EvoField(random_diffpoly(rng, nvars, max_order, terms, rational=rational)
                     for _ in range(nvars))
+
+
+def kernel_widths(monkeypatch, run) -> list:
+    """(nvars, exponent bits, coefficient bits) of every packed kernel that
+    run() builds, in order."""
+    widths = []
+    init, pack_field = _Kernel.__init__, _Kernel.pack_field
+
+    def spy_init(self, nvars, bits):
+        widths.append((nvars, bits, set()))
+        self.spied = widths[-1][2]
+        init(self, nvars, bits)
+
+    def spy_pack_field(self, f, coeff_bits):
+        self.spied.add(coeff_bits)
+        return pack_field(self, f, coeff_bits)
+    with monkeypatch.context() as patch:
+        patch.setattr(_Kernel, "__init__", spy_init)
+        patch.setattr(_Kernel, "pack_field", spy_pack_field)
+        run()
+    assert all(len(coeff) == 1 for _, _, coeff in widths)  # one width per kernel
+    return [(nvars, bits, *coeff) for nvars, bits, coeff in widths]
+
+
+def one_bit_narrower(bounds, index):
+    """``_sum_bounds`` with its bound index halved, so that the width taken
+    of it is exactly one bit narrower."""
+    def narrowed(rows):
+        out = list(bounds(rows))
+        half = out[index] >> 1
+        assert _word_bits(half) == _word_bits(out[index]) - 1
+        out[index] = half
+        return tuple(out)
+    return narrowed
 
 
 @pytest.fixture(scope="session")

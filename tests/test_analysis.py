@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from jetsym import varcalc
 from jetsym.analysis import (DensityAnsatz, commutativity_table,
                              density_decompose, density_search,
                              is_conserved_density, is_symmetry, push_forward,
@@ -20,10 +21,10 @@ from jetsym.hierarchy import (fs_hierarchy, fs_seed, scaling_symmetry, triangula
 from jetsym.jetalgebra import DP_ZERO, X_GEN, DiffPoly, EvoField, jet
 from jetsym.systems import (_BUILTIN_CACHE, _BUILTIN_SOURCES, EvolutionSystem,
                             parse_expression, parse_system)
-from jetsym.varcalc import (ExactnessCertificate, _density_slot_bits, _IntegerField,
-                            _Kernel, dt_along, dt_euler_rows, euler_operator)
+from jetsym.varcalc import (ExactnessCertificate, _IntegerField, _Kernel, dt_along,
+                            dt_euler_rows, euler_operator)
 
-from conftest import random_evofield, random_nonzero_rf
+from conftest import kernel_widths, random_evofield, random_nonzero_rf
 
 
 def fs_expr(src):
@@ -323,7 +324,7 @@ class TestPackedDensityRows:
                 assert json.dumps(density_search(system, ansatz).to_json()) == got
         assert poly_scales >= 5 and laurent == 5 and nonempty >= 20
 
-    def test_bound_exceeds_a_wrapping_width(self):
+    def test_bound_exceeds_a_wrapping_width(self, monkeypatch):
         # w_t = c*w*w_xx: E(D_t w^2) = 8c*w*w_xx + 4c*w_x^2, past 2^63 for
         # c near 2^62, so 64-bit slots would read 8c and 4c as polynomials
         c = 2 ** 62 + 3
@@ -334,8 +335,32 @@ class TestPackedDensityRows:
         monos = ansatz.monomials(system)
         ref = reference_rows(system, monos)
         assert max(abs(v.num.ints[0]) for row in ref.values() for v in row.values()) >= 2 ** 63
-        assert _density_slot_bits(_IntegerField(rhs), 2, 1) > 64
+        [(_, _, bits)] = kernel_widths(monkeypatch, lambda: dt_euler_rows(monos, rhs))
+        assert bits > 64
         assert_same_rows(dt_euler_rows(monos, rhs), ref)
+
+    @pytest.mark.parametrize("c, k, height, widths, narrower", [
+        # E(D_t w^2) = 8c*w^(k+1), and the coefficient bound D |K|_1 W of
+        # degree D = 2 and W = D - 1 + k is 8c itself: 40 needs 7 bits
+        (5, 3, 40, (1, 4, 7), (1, 4, 6)),
+        # D_t w^2 = 2c*w^(k+1), and the exponent bound W = k + 1 is its
+        # exponent itself: 4 needs 4 bits
+        (1, 3, 4, (1, 4, 5), (1, 3, 5)),
+    ], ids=["coefficient", "exponent"])
+    def test_one_bit_less_is_wrong(self, monkeypatch, c, k, height, widths, narrower):
+        # w_t = c*w^k, the monomial w^2: the bound is the height itself, so
+        # the width one bit narrower, and no other, misreads the rows
+        rhs = EvoField((DiffPoly({((jet(0, 0), k),): rf(c)}),))
+        system = EvolutionSystem("tight", ("w",), None, rhs)
+        monos = [((jet(0, 0), 2),)]
+        ref = reference_rows(system, monos)
+        assert max(abs(v.num.ints[0]) for row in ref.values() for v in row.values()) == 8 * c
+        assert kernel_widths(monkeypatch, lambda: dt_euler_rows(monos, rhs)) == [widths]
+        assert_same_rows(dt_euler_rows(monos, rhs), ref)
+        word_bits = varcalc._word_bits
+        monkeypatch.setattr(varcalc, "_word_bits", lambda h: word_bits(h) - (h == height))
+        assert kernel_widths(monkeypatch, lambda: dt_euler_rows(monos, rhs)) == [narrower]
+        assert dt_euler_rows(monos, rhs) != ref
 
     def test_rejects_non_ansatz_monomials(self):
         rhs = EvoField((fs_expr("w_xx"),))
@@ -482,6 +507,33 @@ def flip_k2(h):
     ))
     return Hierarchy(h.system, (h.members[0], flipped) + h.members[2:],
                      h.provenance, h.certificates)
+
+
+#: (nvars, exponent bits, coefficient bits) of every packed kernel, in
+#: order: one per recursion step of gen; per symmetry check, then the
+#: table, then the scaling check of verify; one for a density search
+KERNEL_WIDTHS = {
+    "gen N = 12": [(2, 4, 11), (2, 4, 14), (2, 4, 20), (2, 4, 23), (2, 5, 29), (2, 5, 32),
+                   (2, 5, 38), (2, 5, 41), (2, 5, 47), (2, 5, 51)],
+    "verify N = 8 at alpha = 1/3": [(2, 4, 11), (2, 4, 19), (2, 4, 24), (2, 5, 29),
+                                    (2, 5, 35), (2, 5, 40), (2, 5, 46), (2, 5, 51),
+                                    (2, 6, 81), (2, 5, 56)],
+    "densities (2, 6)": [(2, 5, 28)],
+}
+
+
+class TestKernelWidths:
+    @pytest.mark.parametrize("case", list(KERNEL_WIDTHS))
+    def test_pinned(self, monkeypatch, fs, case):
+        # the widths set the size of every packed int, so they set the speed
+        if case == "gen N = 12":
+            run = lambda: fs_hierarchy(12)
+        elif case == "densities (2, 6)":
+            run = lambda: density_search(fs, DensityAnsatz(2, 6))
+        else:
+            h = fs_hierarchy(8, Fraction(1, 3))
+            run = lambda: verify_hierarchy(h)
+        assert kernel_widths(monkeypatch, run) == KERNEL_WIDTHS[case]
 
 
 class TestVerifyHierarchy:

@@ -19,6 +19,10 @@ from jetsym.systems import _BUILTIN_CACHE, _BUILTIN_SOURCES, parse_system
 from jetsym.varcalc import ExactnessCertificate
 
 
+#: size and sha256 of ``gen --system fs --n 8``, symbolic
+FS8_PIN = (70390, "22c74be4acef0f3ffab0c3ff2fd77b7fd18f21585497fc4d5e674a85576f14ae")
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -42,8 +46,7 @@ class TestGen:
         assert out1.read_bytes() == out2.read_bytes()
 
     @pytest.mark.parametrize("alpha, size, sha256", [
-        (None, 70390,
-         "22c74be4acef0f3ffab0c3ff2fd77b7fd18f21585497fc4d5e674a85576f14ae"),
+        (None, *FS8_PIN),
         ("1/3", 53726,
          "768e58fde6b78e039f9dcf772a0718a8c9ee65b73364499edf129e80e5234200"),
     ])
@@ -58,6 +61,21 @@ class TestGen:
         doc = data[:-1]
         assert len(doc) == size
         assert hashlib.sha256(doc).hexdigest() == sha256
+
+    def test_optimized_python(self, tmp_path):
+        # python -O strips assert statements: gen and verify must not need them
+        src = str(Path(jetsym.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        out = tmp_path / "h.json"
+        jetsym_o = [sys.executable, "-O", "-m", "jetsym"]
+        gen = subprocess.run(jetsym_o + ["gen", "--system", "fs", "--n", "8", "--out", str(out)],
+                             capture_output=True, env=env, timeout=300)
+        assert gen.returncode == 0
+        doc = out.read_bytes()[:-1]
+        assert (len(doc), hashlib.sha256(doc).hexdigest()) == FS8_PIN
+        verify = subprocess.run(jetsym_o + ["verify", "--json", str(out)],
+                                capture_output=True, env=env, timeout=300)
+        assert verify.returncode == 0
 
     @pytest.mark.parametrize("alpha, size, sha256", [
         (None, 2740,

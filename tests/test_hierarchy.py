@@ -23,7 +23,7 @@ from jetsym.operators import OperatorMatrix, OpTerm
 from jetsym.systems import parse_expression
 from jetsym.varcalc import DxChain, integrate_dx
 
-from conftest import random_evofield
+from conftest import one_bit_narrower, random_evofield
 
 S_POLY = AlphaPoly((-1, 2))  # 2*alpha - 1
 
@@ -254,8 +254,7 @@ class TestKernelStep:
         want = oracle_step(k, k, rec, ZERO_MATRIX)[0]
         assert want[0] == fs_expr("w").scalar_mul(c)
         assert fs_step(DxChain(k), DxChain(k), rec, ZERO_MATRIX)[0] == want
-        slot_bits = varcalc._sum_slot_bits
-        monkeypatch.setattr(varcalc, "_sum_slot_bits", lambda rows: slot_bits(rows) - 1)
+        monkeypatch.setattr(varcalc, "_sum_bounds", one_bit_narrower(varcalc._sum_bounds, 0))
         assert fs_step(DxChain(k), DxChain(k), rec, ZERO_MATRIX)[0] != want
 
     def test_bound_exceeds_a_narrower_exponent_slot(self, monkeypatch):
@@ -266,9 +265,7 @@ class TestKernelStep:
         want = oracle_step(k, k, rec, ZERO_MATRIX)[0]
         assert want[0] == fs_expr("w^8")
         assert fs_step(DxChain(k), DxChain(k), rec, ZERO_MATRIX)[0] == want
-        exponent_bits = varcalc._sum_exponent_bits
-        monkeypatch.setattr(varcalc, "_sum_exponent_bits",
-                            lambda rows: exponent_bits(rows) - 1)
+        monkeypatch.setattr(varcalc, "_sum_bounds", one_bit_narrower(varcalc._sum_bounds, 1))
         assert fs_step(DxChain(k), DxChain(k), rec, ZERO_MATRIX)[0] != want
 
     def test_non_exact_member_names_its_entry(self):

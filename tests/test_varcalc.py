@@ -10,12 +10,12 @@ from jetsym.errors import (DxBudgetExceeded, ExplicitXTDependence, JetOrderOutOf
 from jetsym.hierarchy import fs_seed, scaling_symmetry
 from jetsym.jetalgebra import DP_ZERO, TOP_ORDER, DiffPoly, EvoField, T_GEN, X_GEN, jet
 from jetsym.systems import builtin_system, parse_expression
-from jetsym.varcalc import (_exponent_bits, _IntegerField, _Kernel, _slot_bits, _word_bits,
+from jetsym.varcalc import (_frechet_bound, _IntegerField, _Kernel, _sum_bounds, _word_bits,
                             commutator, commutators, dt_along, euler_operator, frechet,
                             integrate_dx)
 
-from conftest import (random_diffpoly, random_evofield, random_nonzero_rf,
-                      random_zero_free_poly)
+from conftest import (one_bit_narrower, random_diffpoly, random_evofield,
+                      random_nonzero_rf, random_zero_free_poly)
 
 W, Z = 0, 1
 
@@ -200,6 +200,11 @@ def random_laurent_field(rng, terms=3):
     return EvoField(comps)
 
 
+def pair_bounds(f, g):
+    """``_sum_bounds`` of the packed bracket of the scaled fields f and g."""
+    return _sum_bounds([[_frechet_bound(g, f), _frechet_bound(f, g)]])
+
+
 def wrapping_field():
     """(2^64 - alpha) w^2 in the first component: its bracket with (w, 0)
     has a coefficient that vanishes at 2^64."""
@@ -220,7 +225,7 @@ class TestPackedBracket:
         assert not p.is_zero and p.eval(2 ** b0) == 0
         assert kronecker_pack((2 ** b0, -1), b0) == 0
         pf, pg = _IntegerField(f), _IntegerField(g)
-        bits = _slot_bits(pf, pg)
+        bits = _word_bits(pair_bounds(pf, pg)[0])
         assert bits > b0
         scaled = ref.scalar_mul(pf.scale * pg.scale)
         for comp in scaled:
@@ -272,7 +277,7 @@ class TestCommutators:
         pairs = [(i, i) for i in range(n)] + [(i, j) for i in range(n) for j in range(i + 1, n)]
         pairs += [(j, i) for i, j in pairs[n::3]]
         scaled = [_IntegerField(f) for f in fields]
-        widths = [_slot_bits(scaled[i], scaled[j]) for i, j in pairs]
+        widths = [_word_bits(pair_bounds(scaled[i], scaled[j])[0]) for i, j in pairs]
         # the family packs every pair at the widest pair's slot
         assert sum(w < max(widths) for w in widths) > len(pairs) // 2
         built = []
@@ -290,9 +295,9 @@ class TestCommutators:
         assert nonzero >= len(pairs) // 2
 
     def test_no_pairs_no_width(self, monkeypatch):
-        def no_width(f, g):
+        def no_width(rows):
             raise AssertionError("a width was computed")
-        monkeypatch.setattr("jetsym.varcalc._slot_bits", no_width)
+        monkeypatch.setattr("jetsym.varcalc._sum_bounds", no_width)
         assert list(commutators([fs_expr("w")], [])) == []
 
 
@@ -360,10 +365,10 @@ class TestPackedMonomials:
         g = EvoField((fs_expr("w*w_x"),))
         ref = reference_bracket(f, g)
         assert ref[0] == fs_expr("w^8*w_x")
-        bits = _exponent_bits(_IntegerField(f), _IntegerField(g))
+        bits = _word_bits(pair_bounds(_IntegerField(f), _IntegerField(g))[1])
         assert 8 >= 1 << (bits - 2)
         assert commutator(f, g) == ref
-        monkeypatch.setattr("jetsym.varcalc._exponent_bits", lambda f, g: bits - 1)
+        monkeypatch.setattr("jetsym.varcalc._sum_bounds", one_bit_narrower(_sum_bounds, 1))
         assert commutator(f, g) != ref
 
     def test_dx_table_budget(self, monkeypatch):
