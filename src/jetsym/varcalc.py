@@ -286,8 +286,9 @@ class _Kernel:
     ``_sum_bounds`` sizes ``bits`` before any work, since an exponent
     that carries into the next slot would read back as a wrong monomial.
     A polynomial is a dict packed monomial -> nonzero Kronecker-packed
-    int, in no particular term order; every sum it forms goes through
-    ``accumulate``, every product through ``mul_add``.
+    int, in no particular term order.  ``mul_add`` (every product) and
+    ``dx`` add their terms in place with ``accumulate``'s rule, deleting a
+    key whose sum cancels; every other sum goes through ``accumulate``.
     """
 
     def __init__(self, nvars: int, bits: int):
@@ -348,23 +349,57 @@ class _Kernel:
                          for m, v in p.items()})
 
     def mul_add(self, out: dict, p: dict, q: dict):
-        """Add p q into out."""
-        accumulate(out, ((m1 + m2, c1 * c2) for m1, c1 in p.items() for m2, c2 in q.items()))
+        """Add p q into out, in place, with ``accumulate``'s cancel rule."""
+        get, terms = out.get, q.items()
+        for m1, c1 in p.items():
+            for m2, c2 in terms:
+                m = m1 + m2
+                cur = get(m)
+                if cur is None:
+                    out[m] = c1 * c2
+                else:
+                    s = cur + c1 * c2
+                    if s:
+                        out[m] = s
+                    else:
+                        del out[m]
 
     def dx(self, p: dict) -> dict:
-        """Total x-derivative: bumps jets, differentiates explicit x."""
-        return accumulate({}, self._dx_terms(p))
+        """Total x-derivative: bumps jets, differentiates explicit x.
 
-    def _dx_terms(self, p: dict):
+        Each monomial's slots are decoded as in ``factors``, and each term
+        is added in place with ``accumulate``'s cancel rule.
+        """
+        bits, mask, half = self.bits, self.mask, self.half
         step, jets, ceiling = self.step, self.jets, self.ceiling
+        out: dict = {}
+        get = out.get
         for m, c in p.items():
-            for _, sh, e in self.factors(m):
+            rest = m
+            while rest:
+                sh = ((rest & -rest).bit_length() - 1) // bits * bits
+                e = (rest >> sh) & mask
+                if e >= half:
+                    e -= mask + 1
+                rest -= e << sh
                 if sh >= jets:
                     if sh >= ceiling:
                         raise JetOrderOutOfRange(f"jet order out of range: {TOP_ORDER + 1}")
-                    yield m + (step << sh), c * e
-                elif not sh:  # D_x t = 0
-                    yield m - 1, c * e
+                    key = m + (step << sh)
+                elif sh:  # D_x t = 0
+                    continue
+                else:
+                    key = m - 1
+                cur = get(key)
+                if cur is None:
+                    out[key] = c * e
+                else:
+                    s = cur + c * e
+                    if s:
+                        out[key] = s
+                    else:
+                        del out[key]
+        return out
 
     def partials(self, p: dict) -> dict:
         """{(d, i): dp/du_(d,i)} over the jets of p."""
@@ -602,12 +637,15 @@ def dt_euler_rows(monos, field: EvoField) -> dict:
     sum_{i <= T} (-D_x)^i d(D_t m)/du_(d,i), and every partial sum of its
     Horner form, has norm at most H W sum_{i <= T} V^i, and every
     monomial formed, K's own included, has |exponent| sum at most
-    max(V, weight).
+    max(V, weight).  With no monomial of positive degree (D_t 1 = 0) there
+    are no rows, and no kernel is built.
     """
     if any(not is_jet(g) or e < 0 for m in monos for g, e in m):
         raise ValueError("density monomials must be jets with positive exponents")
-    k = _IntegerField(field)
     degree = max(map(mono_degree, monos), default=0)
+    if not degree:
+        return {}
+    k = _IntegerField(field)
     order = max((mono_max_order(m) or 0 for m in monos), default=0)
     height, w = _sum_bounds([[(degree, degree - 1, k.dx_gain(order) * k.norm,
                                k.weight + order * k.growth)]])

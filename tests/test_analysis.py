@@ -362,6 +362,17 @@ class TestPackedDensityRows:
         assert kernel_widths(monkeypatch, lambda: dt_euler_rows(monos, rhs)) == [narrower]
         assert dt_euler_rows(monos, rhs) != ref
 
+    def test_degree_zero_builds_no_kernel(self, monkeypatch, fs):
+        # D_t 1 = 0: no rows, so no width is taken and no kernel built
+        monos = DensityAnsatz(0, 0).monomials(fs)
+        assert monos == [()]
+        for m in (monos, []):
+            assert kernel_widths(monkeypatch, lambda: dt_euler_rows(m, fs.rhs)) == []
+            assert dt_euler_rows(m, fs.rhs) == {}
+        report = density_search(fs, DensityAnsatz(0, 0))
+        assert (report.unknowns, report.solution_dimension, report.nontrivial_dimension) == (1, 1, 0)
+        assert kernel_widths(monkeypatch, lambda: density_search(fs, DensityAnsatz(0, 0))) == []
+
     def test_rejects_non_ansatz_monomials(self):
         rhs = EvoField((fs_expr("w_xx"),))
         with pytest.raises(ValueError):

@@ -63,7 +63,8 @@ class TestGen:
         assert hashlib.sha256(doc).hexdigest() == sha256
 
     def test_optimized_python(self, tmp_path):
-        # python -O strips assert statements: gen and verify must not need them
+        # python -O strips assert statements: gen, verify, the bracket and
+        # the density search must not need them
         src = str(Path(jetsym.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=src)
         out = tmp_path / "h.json"
@@ -76,6 +77,13 @@ class TestGen:
         verify = subprocess.run(jetsym_o + ["verify", "--json", str(out)],
                                 capture_output=True, env=env, timeout=300)
         assert verify.returncode == 0
+        for args in (["commute", str(out)],
+                     ["densities", "--system", "fs", "--max-order", "2", "--max-degree", "4"]):
+            plain, optimized = (subprocess.run(cmd + args, capture_output=True, env=env,
+                                               timeout=300)
+                                for cmd in ([sys.executable, "-m", "jetsym"], jetsym_o))
+            assert plain.returncode == optimized.returncode == 0
+            assert optimized.stdout == plain.stdout
 
     @pytest.mark.parametrize("alpha, size, sha256", [
         (None, 2740,

@@ -335,28 +335,68 @@ class TestPackedMonomials:
 
     def test_dx_matches_diffpoly(self):
         rng = random.Random(409)
+        cancelled = 0
         for _ in range(120):
             nvars = rng.randint(1, 3)
             top = rng.choice((3, 40, TOP_ORDER - 2))
             monos = {random_packable_mono(rng, nvars, top, (-2, -1, 1, 2, 3))
                      for _ in range(rng.randint(1, 6))}
-            # coefficients that cancel some of the merged D_x terms
             p = DiffPoly({m: rf(rng.choice((-2, -1, 1, 2))) for m in monos})
-            bits = _word_bits(2 + max(sum(abs(e) for _, e in m) for m in monos))
+            # D_x(u v_x - u_x v) = u v_xx - u_xx v: the two u_x v_x terms cancel
+            (du, i), (dv, k) = [(rng.randrange(nvars), rng.randrange(top)) for _ in range(2)]
+            scale = rf(rng.choice((-2, -1, 1, 2)))
+            p = p + DiffPoly.var(jet(du, i)) * DiffPoly.var(jet(dv, k + 1)).scalar_mul(scale) \
+                - DiffPoly.var(jet(du, i + 1)) * DiffPoly.var(jet(dv, k)).scalar_mul(scale)
+            bits = _word_bits(2 + max(sum(abs(e) for _, e in m) for m in p.terms))
             kernel = _Kernel(nvars, bits)
             packed = {kernel.pack(m): c.num.ints[0] for m, c in p.terms.items()}
             for _ in range(2):
                 want = p.dx()
+                cancelled += len({m for m, _ in p._dx_terms()} - set(want.terms))
                 packed, p = kernel.dx(packed), want
                 assert {kernel.unpack(m): rf(c) for m, c in packed.items()} == want.terms
+                assert all(packed.values())  # a cancelled term leaves no zero
+        assert cancelled >= 100
+
+    def test_mul_add_matches_diffpoly(self):
+        rng = random.Random(419)
+        cancelled = 0
+        for _ in range(150):
+            nvars = rng.randint(1, 3)
+            pool = [random_packable_mono(rng, nvars, rng.choice((3, TOP_ORDER)), (-2, -1, 1, 2))
+                    for _ in range(4)]
+
+            def draw():
+                # few monomials, small coefficients: products merge and cancel
+                return DiffPoly.from_terms((rng.choice(pool), rf(rng.choice((-2, -1, 1, 2))))
+                                           for _ in range(rng.randint(1, 4)))
+            p, q = draw(), draw()
+            prior = draw() - p * q if rng.random() < 0.5 else draw()
+            bits = _word_bits(4 * max(sum(abs(e) for _, e in m) for m in pool))
+            kernel = _Kernel(nvars, bits)
+
+            def packed(f):
+                return {kernel.pack(m): c.num.ints[0] for m, c in f.terms.items()}
+            out = packed(prior)
+            keys = set(out) | {m1 + m2 for m1 in packed(p) for m2 in packed(q)}
+            kernel.mul_add(out, packed(p), packed(q))
+            assert {kernel.unpack(m): rf(c) for m, c in out.items()} == (prior + p * q).terms
+            assert all(out.values())  # no zero is stored
+            cancelled += len(keys - set(out))
+            before = list(out.items())
+            kernel.mul_add(out, {}, packed(q))
+            kernel.mul_add(out, packed(p), {})
+            assert list(out.items()) == before
+        assert cancelled >= 100
 
     def test_dx_past_the_top_order(self):
-        top = ((jet(1, TOP_ORDER), 1),)
         kernel = _Kernel(2, 3)
-        with pytest.raises(JetOrderOutOfRange, match="4096"):
-            DiffPoly({top: rf(1)}).dx()
-        with pytest.raises(JetOrderOutOfRange, match="4096"):
-            kernel.dx({kernel.pack(top): 1})
+        for depvar in (0, 1):  # depvar 0 sits exactly at the kernel's ceiling
+            top = ((jet(depvar, TOP_ORDER), 1),)
+            with pytest.raises(JetOrderOutOfRange, match="4096"):
+                DiffPoly({top: rf(1)}).dx()
+            with pytest.raises(JetOrderOutOfRange, match="4096"):
+                kernel.dx({kernel.pack(top): 1})
 
     def test_bound_exceeds_a_carrying_width(self, monkeypatch):
         # [w^8, w*w_x] = w^8*w_x: at the computed width w's exponent 8 is a
