@@ -94,22 +94,28 @@ def apply_sum(pairs):
 
     Each D_x^{-1} term reads its certificate as ``apply_detailed`` does,
     pair by pair and entry by entry, before any product is formed, so a
-    non-exact antiderivative raises for the same entry.  Then one
+    non-exact antiderivative raises for the same entry.  Each distinct
+    (pair, column) antiderivative is appended once as one more
+    one-component field, and the term reads it at D_x^0.  Then one
     ``varcalc.operator_sum`` forms every product at one scale, with the
     D_x powers in packed tables, and the result equals the sum of the
     ``apply_detailed`` results.
     """
     n = pairs[0][0].size
     used = [{} for _ in pairs]
-    integrals: dict = {}
+    fields = [chain.field for _, chain in pairs]
+    at: dict = {}  # (pair, column) -> index of its antiderivative in fields
     rows: list = [[] for _ in range(n)]
     for k, (matrix, chain) in enumerate(pairs):
         for i, row in enumerate(matrix.entries):
             for j, entry in enumerate(row):
                 for term in entry:
-                    if term.power < 0:
-                        cert = used[k][j] = _certificate(chain, i, j)
-                        integrals[k, j] = cert.antiderivative
-                    rows[i].append((term.coeff, k, j, term.power))
-    fields = [chain.field for _, chain in pairs]
-    return EvoField(operator_sum(fields, integrals, rows)), used
+                    if term.power >= 0:
+                        rows[i].append((term.coeff, k, j, term.power))
+                        continue
+                    cert = used[k][j] = _certificate(chain, i, j)
+                    if (k, j) not in at:
+                        at[k, j] = len(fields)
+                        fields.append(EvoField((cert.antiderivative,)))
+                    rows[i].append((term.coeff, at[k, j], 0, 0))
+    return EvoField(operator_sum(fields, rows)), used

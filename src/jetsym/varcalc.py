@@ -99,8 +99,8 @@ def integrate_dx(f: DiffPoly) -> ExactnessCertificate:
         raise ExplicitXTDependence("D_x^{-1} needs an x,t-free input")
     acc = DP_ZERO
     cur = f
+    k = cur.max_jet_order()
     while not cur.is_zero:
-        k = cur.max_jet_order()
         if k is None or k == 0:
             break
         if not _top_block_linear(cur, k):
@@ -118,6 +118,7 @@ def integrate_dx(f: DiffPoly) -> ExactnessCertificate:
         knew = cur.max_jet_order()
         if not cur.is_zero and knew is not None and knew >= k:
             break
+        k = knew
     return ExactnessCertificate(acc, cur)
 
 
@@ -215,13 +216,12 @@ def _sum_bounds(rows):
 
     rows[i] holds one (|c|_1, weight(c), N, W_K) per term of output i,
     all scaled to Z[alpha]: N bounds the L1 norm of the image D_x^p K and
-    W_K the |exponent| sum of its monomials.  For p >= 0, N is
-    dx_gain(p) |K|_1, since one D_x of a monomial of |exponent| sum at
-    most weight + j growth multiplies its norm by at most that sum, and
-    W_K is weight(K) + p growth(K), since one D_x raises that sum by at
-    most growth; for p = -1 both are the antiderivative's own.  By
-    |pq|_1 <= |p|_1 |q|_1, output i, and every partial sum that
-    ``accumulate`` forms of it, has L1 norm at most sum |c|_1 N over its
+    W_K the |exponent| sum of its monomials: N is dx_gain(p) |K|_1, since
+    one D_x of a monomial of |exponent| sum at most weight + j growth
+    multiplies its norm by at most that sum, and W_K is
+    weight(K) + p growth(K), since one D_x raises that sum by at most
+    growth.  By |pq|_1 <= |p|_1 |q|_1, output i, and every partial sum
+    formed of it in place, has L1 norm at most sum |c|_1 N over its
     terms; H is the largest such sum, so it bounds every integer
     coefficient.  Every monomial that is packed or formed (the c's, the
     images and their products) has |exponent| sum at most W, the largest
@@ -283,16 +283,18 @@ class _Kernel:
     - dividing by the generator at shift sh subtracts 1 << sh;
     - D_x of the jet (d, i) adds (1 << (sh + nvars bits)) - (1 << sh),
       which bumps it to (d, i + 1).
-    ``_sum_bounds`` sizes ``bits`` before any work, since an exponent
-    that carries into the next slot would read back as a wrong monomial.
-    A polynomial is a dict packed monomial -> nonzero Kronecker-packed
-    int, in no particular term order.  ``mul_add`` (every product) and
-    ``dx`` add their terms in place with ``accumulate``'s rule, deleting a
-    key whose sum cancels; every other sum goes through ``accumulate``.
+    The kernel holds both widths, ``bits`` and ``coeff_bits``, which
+    ``_sum_bounds`` sizes before any work, since an exponent that carries
+    into the next slot would read back as a wrong monomial.  A polynomial
+    is a dict packed monomial -> nonzero int, Kronecker-packed at
+    2^coeff_bits, in no particular term order.  Every sum is formed in
+    place: ``mul_add`` (every product) and ``dx`` with ``accumulate``'s
+    rule, deleting a key whose sum cancels, and the Horner step of
+    ``euler`` through ``accumulate``.
     """
 
-    def __init__(self, nvars: int, bits: int):
-        self.nvars, self.bits = nvars, bits
+    def __init__(self, nvars: int, bits: int, coeff_bits: int):
+        self.nvars, self.bits, self.coeff_bits = nvars, bits, coeff_bits
         self.mask, self.half = (1 << bits) - 1, 1 << (bits - 1)
         self.step = (1 << nvars * bits) - 1  # a D_x bump adds step << sh
         self.jets = 2 * bits  # shifts below this are x and t
@@ -306,10 +308,9 @@ class _Kernel:
         return sum(e << (g if not is_jet(g) else 2 + jet_order(g) * nvars + jet_depvar(g))
                    * self.bits for g, e in mono)
 
-    def pack_field(self, f: _IntegerField, coeff_bits: int) -> list:
-        """The components of f, monomials packed, coefficients packed at
-        2^coeff_bits."""
-        return [{self.pack(m): kronecker_pack(p, coeff_bits) for m, p in comp.items()}
+    def pack_field(self, f: _IntegerField) -> list:
+        """The components of f, monomials and coefficients packed."""
+        return [{self.pack(m): kronecker_pack(p, self.coeff_bits) for m, p in comp.items()}
                 for comp in f.comps]
 
     def factors(self, m: int) -> list:
@@ -342,10 +343,10 @@ class _Kernel:
             mono.append(factor)
         return tuple(mono)
 
-    def unpacked(self, p: dict, bits: int, unscale) -> DiffPoly:
-        """The ``DiffPoly`` of p, its coefficients unpacked from slots of
-        width bits and mapped through unscale."""
-        return DiffPoly({self.unpack(m): unscale(kronecker_unpack(v, bits))
+    def unpacked(self, p: dict, unscale) -> DiffPoly:
+        """The ``DiffPoly`` of p, its coefficients unpacked and mapped
+        through unscale."""
+        return DiffPoly({self.unpack(m): unscale(kronecker_unpack(v, self.coeff_bits))
                          for m, v in p.items()})
 
     def mul_add(self, out: dict, p: dict, q: dict):
@@ -412,12 +413,11 @@ class _Kernel:
         width = self.nvars * self.bits
         return {(d, (sh - self.jets) // width): q for (d, sh), q in by_jet.items()}
 
-    def frechet(self, parts: dict, table: "_DxTable") -> dict:
-        """f'[K] for parts the ``partials`` of f and table the D_x table of K."""
-        out: dict = {}
+    def frechet(self, out: dict, parts: dict, table: "_DxTable"):
+        """Add f'[K] into out, in place, for parts the ``partials`` of f and
+        table the D_x table of K."""
         for (depvar, order), q in parts.items():
             self.mul_add(out, q, table.get(depvar, order))
-        return out
 
     def horner_gain(self, parts: dict, depvar: int, orders, growth: int) -> int:
         """Bound on what the D_x of the Horner form of ``euler``, over the
@@ -434,7 +434,9 @@ class _Kernel:
 
     def euler(self, p: dict, nvars: int, growth: int, weight: int) -> list:
         """The Euler images of p, one per dependent variable, each in the
-        Horner form d_0 p - D_x(d_1 p - D_x(d_2 p - ...)).
+        additive Horner form g_i = D_x g_(i+1) + (-1)^i d_i p down to
+        g_0: each D_x image is extended in place by its partial.  |g_i| is
+        that of d_i p - D_x(d_(i+1) p - ...), so the same bounds hold.
 
         growth is what one D_x can add to a monomial's |exponent| sum, and
         weight bounds that sum over every monomial formed.  Where
@@ -443,7 +445,8 @@ class _Kernel:
         """
         if any(m & ((1 << self.jets) - 1) for m in p):
             raise ExplicitXTDependence("Euler operator needs an x,t-free input")
-        parts = self.partials(p)
+        parts = {(d, i): {m: -c for m, c in q.items()} if i % 2 else q
+                 for (d, i), q in self.partials(p).items()}
         images = []
         formed = 0
         for depvar in range(nvars):
@@ -452,37 +455,27 @@ class _Kernel:
                 _check_gain(self.horner_gain(parts, depvar, orders, growth))
             out: dict = {}
             for i in orders:
-                dx = self.dx(out)
-                formed += _dict_bits(dx)
+                out = self.dx(out)
+                formed += _dict_bits(out)
                 if formed > _DX_BUDGET:
                     raise DxBudgetExceeded("D_x formed", formed, _DX_BUDGET)
-                out = _add(parts.get((depvar, i), {}), _neg(dx))
+                accumulate(out, parts.get((depvar, i), {}).items())
             images.append(out)
         return images
 
 
-def _add(a: dict, b: dict) -> dict:
-    """a + b, formed in the larger operand, which the caller must own."""
-    if len(a) < len(b):
-        a, b = b, a
-    return accumulate(a, b.items())
-
-
-def _neg(a: dict) -> dict:
-    """-a."""
-    return {m: -c for m, c in a.items()}
-
-
 class _DxTable:
-    """One field's lazily extended table of packed D_x powers.
+    """One field's lazily extended table of packed D_x powers; row d
+    starts at the packed component d.
 
     Raises ``DxBudgetExceeded`` before it extends a row to an order whose
     ``dx_gain`` has more than ``_GAIN_BITS`` bits, and once it holds more
     than ``_DX_BUDGET`` bits.
     """
 
-    def __init__(self, kernel: _Kernel, field: _IntegerField, comps: list):
+    def __init__(self, kernel: _Kernel, field: _IntegerField):
         self.kernel, self.field = kernel, field
+        comps = kernel.pack_field(field)
         self.rows = [[c] for c in comps]
         self.bits = sum(map(_dict_bits, comps))
 
@@ -512,13 +505,15 @@ def commutators(fields, pairs):
     formed on the fields scaled to integer polynomial coefficients, each
     packed into one int by Kronecker substitution, with packed monomials
     (``_Kernel``).  Every field that a pair names is scaled, packed and
-    given one D_x table once, at one coefficient width and one exponent
-    width for the whole family, from ``_sum_bounds`` with one row per
-    pair: the ``_frechet_bound`` terms of G'[F] and F'[G].  A
-    field's packed form and table are dropped after the last pair that
-    names it, so only the live tables are held.  A zero bracket is yielded
-    as zero; a nonzero one is unpacked exactly and divided by the product
-    of the scales.  No pairs, no width.
+    given one D_x table once, on one kernel for the whole family, whose
+    widths come from ``_sum_bounds`` with one row per pair: the
+    ``_frechet_bound`` terms of G'[F] and F'[G].  A bracket component is
+    one dict: G'[F] is added into it, then F'[G] with the partials of F
+    negated (once per field for the family), partial sums of that row.  A
+    field's table and partials are dropped after the last pair that names
+    it, so only the live tables are held.  A zero bracket is yielded as
+    zero; a nonzero one is unpacked exactly and divided by the product of
+    the scales.  No pairs, no width.
     """
     pairs = list(pairs)
     if not pairs:
@@ -526,24 +521,27 @@ def commutators(fields, pairs):
     scaled = {i: _IntegerField(fields[i]) for i in {i for pair in pairs for i in pair}}
     height, weight = _sum_bounds([[_frechet_bound(scaled[j], scaled[i]),
                                    _frechet_bound(scaled[i], scaled[j])] for i, j in pairs])
-    bits = _word_bits(height)
-    kernel = _Kernel(max(f.nvars for f in scaled.values()), _word_bits(weight))
-    packed = {i: kernel.pack_field(f, bits) for i, f in scaled.items()}
-    tables = {i: _DxTable(kernel, scaled[i], comps) for i, comps in packed.items()}
-    parts = {i: [kernel.partials(c) for c in comps] for i, comps in packed.items()}
+    kernel = _Kernel(max(f.nvars for f in scaled.values()), _word_bits(weight),
+                     _word_bits(height))
+    tables = {i: _DxTable(kernel, f) for i, f in scaled.items()}
+    parts = {i: [kernel.partials(row[0]) for row in table.rows] for i, table in tables.items()}
+    minus = {i: [{key: {m: -c for m, c in q.items()} for key, q in comp.items()}
+                 for comp in parts[i]] for i in {i for i, _ in pairs}}
     last = {i: k for k, pair in enumerate(pairs) for i in pair}
     for k, (i, j) in enumerate(pairs):
-        bracket = [_add(kernel.frechet(parts[j][c], tables[i]),
-                        _neg(kernel.frechet(parts[i][c], tables[j])))
-                   for c in range(len(packed[i]))]
+        bracket = [{} for _ in parts[i]]
+        for comp, plus, negated in zip(bracket, parts[j], minus[i]):
+            kernel.frechet(comp, plus, tables[i])
+            kernel.frechet(comp, negated, tables[j])
         for f in {i, j}:
             if last[f] == k:
-                del packed[f], parts[f], tables[f]
+                del parts[f], tables[f]
+                minus.pop(f, None)
         if not any(bracket):
             yield EvoField(DP_ZERO for _ in bracket)
             continue
         unscale = dividing_by(scaled[i].scale * scaled[j].scale)
-        yield EvoField(kernel.unpacked(comp, bits, unscale) for comp in bracket)
+        yield EvoField(kernel.unpacked(comp, unscale) for comp in bracket)
 
 
 def commutator(F: EvoField, G: EvoField) -> EvoField:
@@ -560,53 +558,40 @@ def _scaled_together(fields) -> list:
     return [_IntegerField(f, scale, it) for f in fields]
 
 
-def operator_sum(fields, integrals: dict, rows) -> list:
+def operator_sum(fields, rows) -> list:
     """The components sum over (c, k, j, p) in rows[i] of c D_x^p fields[k][j].
 
-    c is a ``DiffPoly`` and p >= -1; D_x^{-1} fields[k][j] is
-    integrals[k, j], an antiderivative the caller has certified.  Every
-    coefficient that enters (the fields', the antiderivatives' and the
-    c's) is scaled into Z[alpha] by one scale S, from one
-    ``clear_denominators`` call, and packed on the kernel (``_Kernel``) at
-    the one coefficient width and the one exponent width ``_sum_bounds``
-    gives.  The D_x powers of each field that a term with p >= 0 reads
-    come from its ``_DxTable``, so the growth and memory budgets apply.
-    Each output component is one dict of S^2 times its terms, one
+    c is a ``DiffPoly`` and p >= 0: a caller reads D_x^{-1} as D_x^0 of
+    one more field, the antiderivative it has certified.  Every
+    coefficient that enters is scaled into Z[alpha] by one scale S, from
+    one ``clear_denominators`` call, and packed on one kernel
+    (``_Kernel``) at the widths ``_sum_bounds`` gives.  Each field's D_x
+    powers come from its ``_DxTable``, so the growth and memory budgets
+    apply.  Each output component is one dict of S^2 times its terms, one
     ``mul_add`` per term; each of its terms is unpacked once and divided
     by S^2.
     """
-    keys = list(integrals)
-    at = {key: n for n, key in enumerate(keys)}
-    antiderivatives = [integrals[key] for key in keys]
     terms = [c for row in rows for c, _, _, _ in row]
-    *scaled, ints, coeffs = _scaled_together(
-        list(fields) + [EvoField(antiderivatives), EvoField(terms)])
+    *scaled, coeffs = _scaled_together(list(fields) + [EvoField(terms)])
 
     def image_bound(k, j, p):
         f = scaled[k]
-        if p >= 0:
-            return f.dx_gain(p) * f.norms[j], f.weight + p * f.growth
-        return ints.norms[at[k, j]], ints.weights[at[k, j]]
+        return f.dx_gain(p) * f.norms[j], f.weight + p * f.growth
 
     heights = iter(zip(coeffs.norms, coeffs.weights))
-    bounds = [[next(heights) + image_bound(k, j, p) for _, k, j, p in row] for row in rows]
-    height, weight = _sum_bounds(bounds)
-    bits = _word_bits(height)
-    nvars = max([f.nvars for f in scaled]
-                + [d + 1 for q in antiderivatives + terms for d in q.depvars()])
-    kernel = _Kernel(nvars, _word_bits(weight))
-    tables = {k: _DxTable(kernel, scaled[k], kernel.pack_field(scaled[k], bits))
-              for k in {k for row in rows for _, k, _, p in row if p >= 0}}
-    packed_integrals = kernel.pack_field(ints, bits)
-    packed = iter(kernel.pack_field(coeffs, bits))
+    height, weight = _sum_bounds([[next(heights) + image_bound(k, j, p) for _, k, j, p in row]
+                                  for row in rows])
+    nvars = max([f.nvars for f in scaled] + [d + 1 for q in terms for d in q.depvars()])
+    kernel = _Kernel(nvars, _word_bits(weight), _word_bits(height))
+    tables = {k: _DxTable(kernel, scaled[k]) for k in {k for row in rows for _, k, _, _ in row}}
+    packed = iter(kernel.pack_field(coeffs))
     unscale = dividing_by(coeffs.scale * coeffs.scale)
     comps = []
     for row in rows:
         acc: dict = {}
         for (_, k, j, p), c in zip(row, packed):
-            kernel.mul_add(acc, c, tables[k].get(j, p) if p >= 0
-                           else packed_integrals[at[k, j]])
-        comps.append(kernel.unpacked(acc, bits, unscale))
+            kernel.mul_add(acc, c, tables[k].get(j, p))
+        comps.append(kernel.unpacked(acc, unscale))
     return comps
 
 
@@ -651,19 +636,20 @@ def dt_euler_rows(monos, field: EvoField) -> dict:
                                k.weight + order * k.growth)]])
     top = order + k.top
     v = w + k.growth // 2 + top * k.growth
-    bits = _word_bits(height * w * sum(v ** i for i in range(top + 1)))
-    kernel = _Kernel(k.nvars, _word_bits(max(v, k.weight)))
-    table = _DxTable(kernel, k, kernel.pack_field(k, bits))
+    kernel = _Kernel(k.nvars, _word_bits(max(v, k.weight)),
+                     _word_bits(height * w * sum(v ** i for i in range(top + 1))))
+    table = _DxTable(kernel, k)
     unscale = dividing_by(k.scale)
     unpacked: dict = {}
     rows: dict = {}
     for col, m in enumerate(monos):
-        dt = kernel.frechet(kernel.partials({kernel.pack(m): 1}), table)
+        dt: dict = {}
+        kernel.frechet(dt, kernel.partials({kernel.pack(m): 1}), table)
         for d, image in enumerate(kernel.euler(dt, len(field), k.growth, v)):
             for mu, c in image.items():
                 coeff = unpacked.get(c)
                 if coeff is None:
-                    coeff = unpacked[c] = unscale(kronecker_unpack(c, bits))
+                    coeff = unpacked[c] = unscale(kronecker_unpack(c, kernel.coeff_bits))
                 rows.setdefault((d, mu), {})[col] = coeff
     # popped as they are converted, so the packed keys free as the tuples grow
     return {(key[0], kernel.unpack(key[1])): rows.pop(key) for key in list(rows)}

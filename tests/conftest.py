@@ -78,22 +78,15 @@ def kernel_widths(monkeypatch, run) -> list:
     """(nvars, exponent bits, coefficient bits) of every packed kernel that
     run() builds, in order."""
     widths = []
-    init, pack_field = _Kernel.__init__, _Kernel.pack_field
+    init = _Kernel.__init__
 
-    def spy_init(self, nvars, bits):
-        widths.append((nvars, bits, set()))
-        self.spied = widths[-1][2]
-        init(self, nvars, bits)
-
-    def spy_pack_field(self, f, coeff_bits):
-        self.spied.add(coeff_bits)
-        return pack_field(self, f, coeff_bits)
+    def spy_init(self, nvars, bits, coeff_bits):
+        widths.append((nvars, bits, coeff_bits))
+        init(self, nvars, bits, coeff_bits)
     with monkeypatch.context() as patch:
         patch.setattr(_Kernel, "__init__", spy_init)
-        patch.setattr(_Kernel, "pack_field", spy_pack_field)
         run()
-    assert all(len(coeff) == 1 for _, _, coeff in widths)  # one width per kernel
-    return [(nvars, bits, *coeff) for nvars, bits, coeff in widths]
+    return widths
 
 
 def one_bit_narrower(bounds, index):

@@ -23,7 +23,7 @@ from jetsym.operators import OperatorMatrix, OpTerm
 from jetsym.systems import parse_expression
 from jetsym.varcalc import DxChain, integrate_dx
 
-from conftest import one_bit_narrower, random_evofield
+from conftest import kernel_widths, one_bit_narrower, random_evofield
 
 S_POLY = AlphaPoly((-1, 2))  # 2*alpha - 1
 
@@ -267,6 +267,37 @@ class TestKernelStep:
         assert fs_step(DxChain(k), DxChain(k), rec, ZERO_MATRIX)[0] == want
         monkeypatch.setattr(varcalc, "_sum_bounds", one_bit_narrower(varcalc._sum_bounds, 1))
         assert fs_step(DxChain(k), DxChain(k), rec, ZERO_MATRIX)[0] != want
+
+    def test_antiderivative_binds_the_coefficient_slot(self, monkeypatch):
+        # K_n = D_x^{-1}(c w_x) = c w for c = (2^20 - alpha)/(2 alpha - 1):
+        # at S = 2 alpha - 1 the one term is S * (2^20 - alpha), whose digit
+        # 2^21 + 1 only the antiderivative's own height bounds
+        c = RationalFunction(AlphaPoly((2 ** 20, -1)), AlphaPoly((-1, 2)))
+        rec = first_only(OpTerm(DiffPoly.constant(1), -1))
+        k = EvoField((fs_expr("w_x").scalar_mul(c), fs_expr("z")))
+        want = oracle_step(k, k, rec, ZERO_MATRIX)[0]
+        assert want[0] == fs_expr("w").scalar_mul(c)
+        run = lambda: fs_step(DxChain(k), DxChain(k), rec, ZERO_MATRIX)[0]
+        [(_, _, coeff_bits)] = kernel_widths(monkeypatch, run)
+        assert coeff_bits == varcalc._word_bits(3 * (2 ** 20 + 1))  # |1 + S|_1 |S c|_1
+        assert run() == want
+        monkeypatch.setattr(varcalc, "_sum_bounds", one_bit_narrower(varcalc._sum_bounds, 0))
+        assert run() != want
+
+    def test_antiderivative_binds_the_exponent_slot(self, monkeypatch):
+        # w^3 * D_x^{-1}(D_x w^5) = w^8: the antiderivative's weight 5 and
+        # the coefficient's 3 make the bound 8, a digit at the bound's width
+        # that carries into the slot of the next jet one bit narrower
+        rec = first_only(OpTerm(fs_expr("w^3"), -1))
+        k = EvoField((fs_expr("w^5").dx(), fs_expr("z")))
+        want = oracle_step(k, k, rec, ZERO_MATRIX)[0]
+        assert want[0] == fs_expr("w^8")
+        run = lambda: fs_step(DxChain(k), DxChain(k), rec, ZERO_MATRIX)[0]
+        [(_, bits, _)] = kernel_widths(monkeypatch, run)
+        assert bits == varcalc._word_bits(8)
+        assert run() == want
+        monkeypatch.setattr(varcalc, "_sum_bounds", one_bit_narrower(varcalc._sum_bounds, 1))
+        assert run() != want
 
     def test_non_exact_member_names_its_entry(self):
         k1, k2 = fs_seed()

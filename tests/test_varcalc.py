@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from jetsym.coeffield import AlphaPoly, RationalFunction, kronecker_pack, rf
+from jetsym.coeffield import AlphaPoly, RationalFunction, dividing_by, kronecker_pack, rf
 from jetsym.errors import (DxBudgetExceeded, ExplicitXTDependence, JetOrderOutOfRange,
                            NonIntegerExponentPath)
 from jetsym.hierarchy import fs_seed, scaling_symmetry
@@ -319,7 +319,7 @@ class TestPackedMonomials:
             bits = rng.randint(2, 9)
             big = (1 << (bits - 1)) - 1  # the largest exponent the width holds
             exps = [e for e in (-big, -2, -1, 1, 2, 3, big) if e and abs(e) <= big]
-            kernel = _Kernel(nvars, bits)
+            kernel = _Kernel(nvars, bits, 8)
             a = random_packable_mono(rng, nvars, TOP_ORDER, exps)
             b = random_packable_mono(rng, nvars, TOP_ORDER, exps)
             pa, pb = kernel.pack(a), kernel.pack(b)
@@ -348,7 +348,7 @@ class TestPackedMonomials:
             p = p + DiffPoly.var(jet(du, i)) * DiffPoly.var(jet(dv, k + 1)).scalar_mul(scale) \
                 - DiffPoly.var(jet(du, i + 1)) * DiffPoly.var(jet(dv, k)).scalar_mul(scale)
             bits = _word_bits(2 + max(sum(abs(e) for _, e in m) for m in p.terms))
-            kernel = _Kernel(nvars, bits)
+            kernel = _Kernel(nvars, bits, 8)
             packed = {kernel.pack(m): c.num.ints[0] for m, c in p.terms.items()}
             for _ in range(2):
                 want = p.dx()
@@ -373,7 +373,7 @@ class TestPackedMonomials:
             p, q = draw(), draw()
             prior = draw() - p * q if rng.random() < 0.5 else draw()
             bits = _word_bits(4 * max(sum(abs(e) for _, e in m) for m in pool))
-            kernel = _Kernel(nvars, bits)
+            kernel = _Kernel(nvars, bits, 8)
 
             def packed(f):
                 return {kernel.pack(m): c.num.ints[0] for m, c in f.terms.items()}
@@ -389,8 +389,31 @@ class TestPackedMonomials:
             assert list(out.items()) == before
         assert cancelled >= 100
 
+    def test_euler_matches_euler_operator(self):
+        # p = D_x(q) + r: E(D_x q) = 0, so the partials of D_x q must cancel
+        # the D_x images of the Horner form exactly, in sign and in value
+        rng = random.Random(421)
+
+        def euler(p):
+            f = _IntegerField(EvoField((p,)))
+            kernel = _Kernel(2, _word_bits(f.weight), 64)
+            [packed] = kernel.pack_field(f)
+            images = kernel.euler(packed, 2, f.growth, f.weight)
+            for d, image in enumerate(images):
+                assert all(image.values())  # no zero is stored
+                unpacked = kernel.unpacked(image, dividing_by(f.scale))
+                assert unpacked.terms == euler_operator(p, d).terms
+            return images
+        exact = 0
+        for _ in range(60):
+            q = random_diffpoly(rng, max_order=2, terms=3)
+            euler(q.dx() + random_diffpoly(rng, max_order=3, terms=2))
+            assert euler(q.dx()) == [{}, {}]
+            exact += not q.dx().is_zero
+        assert exact >= 50
+
     def test_dx_past_the_top_order(self):
-        kernel = _Kernel(2, 3)
+        kernel = _Kernel(2, 3, 8)
         for depvar in (0, 1):  # depvar 0 sits exactly at the kernel's ceiling
             top = ((jet(depvar, TOP_ORDER), 1),)
             with pytest.raises(JetOrderOutOfRange, match="4096"):
