@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 from typing import Iterable
 
-from .errors import DivisionByZero, NumberTooLong, PoleAtParameter
+from .errors import CrossCheckFailed, DivisionByZero, NumberTooLong, PoleAtParameter
 
 #: degree of the zero polynomial; compares below every integer degree
 NEG_INF = float("-inf")
@@ -115,10 +115,6 @@ class AlphaPoly:
 
     def __add__(self, other):
         a, b = self.ints, other.ints
-        if not a:
-            return other
-        if not b:
-            return self
         da, db = self.den, other.den
         if da == db:
             den = da
@@ -172,35 +168,34 @@ class AlphaPoly:
             return self
         return _monic_ints(self.ints)
 
-    def divmod(self, other: "AlphaPoly"):
-        """Exact polynomial division with remainder."""
-        if other.is_zero:
-            raise DivisionByZero("polynomial division by zero")
-        if len(self.ints) < len(other.ints):
-            return _APOLY_ZERO, self
-        quo, rem, s = _pseudo_divmod(self.ints, other.ints)
-        # s * self.ints = quo * other.ints + rem, with s > 0
-        den = s * self.den
-        quo = _canonical([other.den * c for c in quo], den)
-        return quo, _canonical(rem, den) if rem else _APOLY_ZERO
-
     def __floordiv__(self, other):
-        q, _ = self.divmod(other)
-        return q
+        """The exact quotient self / other.
+
+        Every caller divides by a gcd or by a factor of an lcm, so a
+        nonzero remainder is a package defect and raises CrossCheckFailed.
+        """
+        if not other.ints:
+            raise DivisionByZero("polynomial division by zero")
+        quo, rem, s = _pseudo_divmod(self.ints, other.ints)
+        if rem:
+            raise CrossCheckFailed("polynomial division leaves a remainder")
+        # s * self.ints = quo * other.ints, with s > 0; a zero self gives
+        # quo = [] over den 1, the canonical zero
+        return _canonical([other.den * c for c in quo], s * self.den)
 
     def gcd(self, other: "AlphaPoly") -> "AlphaPoly":
-        """Monic gcd, by a closed form when one argument is c*(d*alpha - n)^k.
+        """Monic gcd, by a closed form when ``other`` is c*(d*alpha - n)^k.
 
         That shape is read off in O(k) integer operations: n/d is
         -ints[k-1] / (k*ints[k]) in lowest terms with d > 0, and the
         coefficients must satisfy ints[i-1]*(k-i+1)*d == -n*i*ints[i] for
         i = 1..k, the ratio of consecutive binomial terms.  The gcd is then
-        (alpha - n/d)^j, j <= k the multiplicity of d*alpha - n in the
-        other argument.  Since gcd(n, d) = 1, d*alpha - n is primitive, so
+        (alpha - n/d)^j, j <= k the multiplicity of d*alpha - n in
+        ``self``.  Since gcd(n, d) = 1, d*alpha - n is primitive, so
         by Gauss's lemma it divides an integer polynomial over Q exactly
         when it divides it over Z: j is found by exact integer division.
-        ``other`` is tried first (it is the denominator in the canonical
-        form and in products), then ``self``.
+        Only ``other`` is tried: it is the denominator in the canonical
+        form and in products.
 
         Any other pair runs Euclid on primitive integer coefficient lists:
         each pseudo-remainder is cut to its primitive part (Brown 1971), so
@@ -216,9 +211,6 @@ class AlphaPoly:
         root = _linear_power_root(b)
         if root is not None:
             return _monic_root_power(*root, _root_divide(a, *root, len(b) - 1)[0])
-        root = _linear_power_root(a)
-        if root is not None:
-            return _monic_root_power(*root, _root_divide(b, *root, len(a) - 1)[0])
         a, b = _content_free(a), _content_free(b)
         if len(a) < len(b):
             a, b = b, a
@@ -359,9 +351,10 @@ def _pseudo_remainder(a, b) -> list:
 def _pseudo_divmod(a, b):
     """(q, r, s) with s * a = q * b + r over Z, s > 0 and deg r < deg b.
 
-    deg a >= deg b >= 0.  Each step scales the running remainder and
-    quotient by m = lc(b)/g and subtracts (lc(r)/g) x^k b, with
-    g = gcd(lc(r), lc(b)) signed like lc(b) so that m stays positive.
+    deg b >= 0; when deg a < deg b, q = [] and r = a.  Each step scales
+    the running remainder and quotient by m = lc(b)/g and subtracts
+    (lc(r)/g) x^k b, with g = gcd(lc(r), lc(b)) signed like lc(b) so that
+    m stays positive.
     """
     r = list(a)
     lb = b[-1]
@@ -441,17 +434,11 @@ class RationalFunction:
         return hash((self.num, self.den))
 
     def __neg__(self):
-        if self.is_zero:
-            return self
         return RationalFunction._raw(-self.num, self.den)
 
     def __add__(self, other):
         if not isinstance(other, RationalFunction):
             return NotImplemented
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
         # denominators are monic, so a constant one is 1
         if len(self.den.ints) == 1 and len(other.den.ints) == 1:
             num = self.num + other.num
@@ -498,12 +485,8 @@ class RationalFunction:
             return RF_ZERO
         if len(self.den.ints) == 1 and len(other.den.ints) == 1:
             return RationalFunction._raw(self.num * other.num, _APOLY_ONE)
-        # a nonzero constant factor leaves num/den reduced and den monic
-        if len(other.den.ints) == 1 and len(other.num.ints) == 1:
-            return RationalFunction._raw(self.num * other.num, self.den)
-        if len(self.den.ints) == 1 and len(self.num.ints) == 1:
-            return RationalFunction._raw(self.num * other.num, other.den)
-        # cross-reduce before multiplying to keep the degrees down
+        # cross-reduce before multiplying to keep the degrees down; a
+        # constant factor takes this path too, as gcd returns 1 for it at once
         g1 = self.num.gcd(other.den)
         g2 = other.num.gcd(self.den)
         n1 = self.num if g1.degree <= 0 else self.num // g1

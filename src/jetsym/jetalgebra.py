@@ -215,10 +215,6 @@ class DiffPoly:
             return NotImplemented
         if not self.terms or not other.terms:
             return DP_ZERO
-        if self == DP_ONE:
-            return other
-        if other == DP_ONE:
-            return self
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
@@ -367,10 +363,10 @@ class EvoField:
         return all(c.is_zero for c in self.components)
 
     def __add__(self, other):
-        return EvoField(a + b for a, b in zip(self.components, other.components))
+        return EvoField(a + b for a, b in zip(self.components, other.components, strict=True))
 
     def __sub__(self, other):
-        return EvoField(a - b for a, b in zip(self.components, other.components))
+        return EvoField(a - b for a, b in zip(self.components, other.components, strict=True))
 
     def scalar_mul(self, c) -> "EvoField":
         return EvoField(a.scalar_mul(c) for a in self.components)

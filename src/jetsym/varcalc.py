@@ -513,9 +513,14 @@ def commutators(fields, pairs):
     field's table and partials are dropped after the last pair that names
     it, so only the live tables are held.  A zero bracket is yielded as
     zero; a nonzero one is unpacked exactly and divided by the product of
-    the scales.  No pairs, no width.
+    the scales.  No pairs, no width.  A pair of fields with different
+    component counts raises ValueError before any bracket is formed.
     """
     pairs = list(pairs)
+    for i, j in pairs:
+        if len(fields[i]) != len(fields[j]):
+            raise ValueError(f"fields {i} and {j} have {len(fields[i])} and "
+                             f"{len(fields[j])} components")
     if not pairs:
         return
     scaled = {i: _IntegerField(fields[i]) for i in {i for pair in pairs for i in pair}}

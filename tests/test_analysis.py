@@ -49,6 +49,12 @@ class TestIsSymmetry:
         assert not res.ok
         assert not res.defect.is_zero
 
+    def test_extra_component_is_refused(self, fs):
+        # a third component used to be dropped by the bracket, so this passed
+        k = EvoField((fs_expr("w_x"), fs_expr("z_x"), fs_expr("w^2")))
+        with pytest.raises(ValueError, match="2 and 3 components"):
+            is_symmetry(k, fs)
+
 
 class TestCommutativity:
     def test_fs_table(self):

@@ -10,7 +10,7 @@ import pytest
 from jetsym import coeffield
 from jetsym.coeffield import (NEG_INF, AlphaPoly, RationalFunction, rf, sparse_nullspace,
                               sparse_rref)
-from jetsym.errors import DivisionByZero, PoleAtParameter
+from jetsym.errors import CrossCheckFailed, DivisionByZero, PoleAtParameter
 
 from conftest import random_alpha_poly, random_fraction, random_nonzero_rf, random_rf
 
@@ -22,8 +22,7 @@ S = RationalFunction(S_POLY)
 def reference_gcd(a, b):
     """Monic gcd by Euclid over Fraction, the algorithm gcd replaced."""
     while not b.is_zero:
-        _, r = a.divmod(b)
-        a, b = b, r
+        a, b = b, AlphaPoly(_ref_divmod(a.coeffs, b.coeffs)[1])
     return a.monic()
 
 
@@ -104,18 +103,54 @@ class TestAlphaPoly:
         p = AlphaPoly((1, 2, 0))
         assert p.degree == 1 and p.coeffs[-1] == 2
 
-    def test_divmod_exact(self):
+    def test_floordiv_exact(self):
         p = AlphaPoly((-1, 0, 4))  # 4a^2 - 1
         d = AlphaPoly((-1, 2))     # 2a - 1
-        q, r = p.divmod(d)
-        assert r.is_zero
-        assert q == AlphaPoly((1, 2))  # 2a + 1
+        assert p // d == AlphaPoly((1, 2))  # 2a + 1
 
-    def test_divmod_remainder(self):
-        p = AlphaPoly((1, 1, 1))
-        d = AlphaPoly((0, 1))
-        q, r = p.divmod(d)
-        assert q == AlphaPoly((1, 1)) and r == AlphaPoly((1,))
+    def test_floordiv_remainder_raises(self):
+        with pytest.raises(CrossCheckFailed):
+            AlphaPoly((1, 1, 1)) // AlphaPoly((0, 1))
+        with pytest.raises(CrossCheckFailed):
+            AlphaPoly((1,)) // AlphaPoly((0, 1))  # degree below the divisor's
+
+    def test_floordiv_by_zero(self):
+        with pytest.raises(DivisionByZero):
+            AlphaPoly((1, 1)) // AlphaPoly()
+        with pytest.raises(DivisionByZero):
+            AlphaPoly() // AlphaPoly()
+
+    def test_exact_quotient_of_product(self, monkeypatch):
+        """(p * q) // q == p in canonical form, for q a constant, a power of
+        2*alpha - 1, or a poly whose gcd with p goes through Euclid; and
+        0 // q == 0."""
+        calls = []
+        remainder = coeffield._pseudo_remainder
+        monkeypatch.setattr(coeffield, "_pseudo_remainder",
+                            lambda a, b: calls.append(1) or remainder(a, b))
+        rng = random.Random(53)
+        euclid = 0
+        for k in range(300):
+            kind = k % 3
+            if kind == 0:
+                q = AlphaPoly((1,))
+            elif kind == 1:
+                q = power_of_linear(Fraction(1, 2), rng.randint(1, 5))
+            else:
+                q = cofactor(rng, Fraction(1, 2), 2)
+            q = q.scale(random_content(rng))
+            p = random_alpha_poly(rng, 4)
+            got = (p * q) // q
+            assert_canonical(got)
+            assert got == p
+            zero = AlphaPoly() // q
+            assert_canonical(zero)
+            assert zero == AlphaPoly()
+            if kind == 2:
+                calls.clear()
+                p.gcd(q)
+                euclid += bool(calls)
+        assert euclid > 50
 
     def test_gcd_monic(self):
         p = AlphaPoly((-1, 2)) * AlphaPoly((3, 1))
@@ -265,10 +300,16 @@ class TestAgainstFractionLists:
                 (p.monic(), tuple(c / a[-1] for c in a) if a else ()),
             ]
             if b:
-                quo, rem = p.divmod(q)
                 want_quo, want_rem = _ref_divmod(a, b)
-                cases += [(quo, want_quo), (rem, want_rem), (p // q, want_quo)]
+                cases.append(((p * q) // q, a))
+                if want_rem:
+                    with pytest.raises(CrossCheckFailed):
+                        p // q
+                else:
+                    cases.append((p // q, want_quo))
             pc, qc = AlphaPoly(_ref_mul(a, common)), AlphaPoly(_ref_mul(b, common))
+            if common:
+                cases.append((pc // AlphaPoly(common), a))
             if a or b:
                 g = _ref_gcd(_ref_mul(a, common), _ref_mul(b, common))
                 cases += [(pc.gcd(qc), g), (qc.gcd(pc), g)]
@@ -336,10 +377,17 @@ class TestRationalFunctionArithmetic:
             y = random_canonical(rng)
             if rng.random() < 0.3:
                 y = y - x  # so that x + y cancels part of the denominator
+            zero = rf(0)
             cases = [
                 (x * y, RationalFunction(x.num * y.num, x.den * y.den)),
                 (x + y, RationalFunction(x.num * y.den + y.num * x.den, x.den * y.den)),
-                (-x, RationalFunction(AlphaPoly(-c for c in x.num.coeffs), x.den))]
+                (-x, RationalFunction(AlphaPoly(-c for c in x.num.coeffs), x.den)),
+                # zero operands of binary + and - and of unary -
+                (x + zero, RationalFunction(x.num, x.den)),
+                (zero + y, RationalFunction(y.num, y.den)),
+                (x - zero, RationalFunction(x.num, x.den)),
+                (zero - y, RationalFunction(-y.num, y.den)),
+                (-zero, RationalFunction(AlphaPoly(), AlphaPoly((1,))))]
             if not x.is_zero:
                 cases.append((x.inverse(), RationalFunction(x.den, x.num)))
             for got, want in cases:
@@ -363,24 +411,20 @@ class TestRationalFunctionArithmetic:
                     (p.scale(Fraction(0)), [])):
                 assert_canonical(got)
                 assert got == AlphaPoly(want)
-            quo, rem = p.divmod(y.den)
+            quo = (p * y.den) // y.den
             assert_canonical(quo)
-            assert_canonical(rem)
-            assert quo * y.den + rem == p and rem.degree < y.den.degree
+            assert quo == p
             common = reference_gcd(x.den, y.den)
             lcm_degree = x.den.degree + y.den.degree - common.degree
             reduced_sums += (x + y).den.degree < lcm_degree
         assert reduced_sums > 20
 
-    def test_product_with_constant_skips_gcd(self, monkeypatch):
+    def test_product_with_constant_factor(self):
         """A constant factor scales the numerator: the product equals the
-        reduced quotient of the plain products, is canonical, and takes no
-        gcd, for x over powers of 2*alpha - 1 and over general
-        denominators, in both orders."""
+        reduced quotient of the plain products and is canonical, for x over
+        powers of 2*alpha - 1 and over general denominators, in both
+        orders."""
         rng = random.Random(31)
-        gcds = []
-        gcd_of = AlphaPoly.gcd
-        monkeypatch.setattr(AlphaPoly, "gcd", lambda a, b: gcds.append(1) or gcd_of(a, b))
         constants = [rf(1), rf(-1), rf(Fraction(3, 7)),
                      RationalFunction(AlphaPoly((Fraction(-12, 5),)))]
         for k in range(60):
@@ -391,10 +435,7 @@ class TestRationalFunctionArithmetic:
                                      power_of_linear(Fraction(1, 2), rng.randint(0, 6)))
             for q in constants + [rf(random_fraction(rng) or 1)]:
                 want = RationalFunction(x.num * q.num, x.den * q.den)
-                del gcds[:]
-                products = (x * q, q * x)
-                assert not gcds
-                for got in products:
+                for got in (x * q, q * x):
                     assert got == want
                     assert_canonical(got.num)
                     assert_canonical(got.den)

@@ -49,8 +49,8 @@ class TestArithmetic:
     def test_unit_product_returns_other_operand(self):
         f = fs_expr("w*w_x + 3*z")
         one = DiffPoly.constant(1)
-        assert one * f is f and f * one is f
-        assert DP_ONE * f is f and f * DP_ONE is f
+        assert one * f == f and f * one == f
+        assert DP_ONE * f == f and f * DP_ONE == f
         for c in (DiffPoly.constant(2), DiffPoly.constant(-1), w):
             want = DiffPoly.from_terms((mono_mul(m, n), a * b) for m, a in c.terms.items()
                                        for n, b in f.terms.items())
@@ -193,3 +193,11 @@ class TestEvoField:
         k = EvoField((w1, z1))
         assert (k + k) == k.scalar_mul(2)
         assert (k - k).is_zero
+
+    def test_sum_refuses_mismatched_counts(self):
+        k, short = EvoField((w, z)), EvoField((w,))
+        for a, b in ((k, short), (short, k)):
+            with pytest.raises(ValueError):
+                a + b
+            with pytest.raises(ValueError):
+                a - b

@@ -300,6 +300,15 @@ class TestCommutators:
         monkeypatch.setattr("jetsym.varcalc._sum_bounds", no_width)
         assert list(commutators([fs_expr("w")], [])) == []
 
+    def test_mismatched_component_counts_raise(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("a field was scaled")
+        monkeypatch.setattr("jetsym.varcalc._IntegerField", no_work)
+        fields = [builtin_system("fs").rhs, EvoField((fs_expr("w"),))]
+        for (i, j), counts in (((0, 1), "2 and 1"), ((1, 0), "1 and 2")):
+            with pytest.raises(ValueError, match=f"^fields {i} and {j} have {counts} "):
+                list(commutators(fields, [(i, j)]))
+
 
 def random_packable_mono(rng, nvars, top, exps):
     """A monomial over x, t and the jets of nvars variables up to order top,
