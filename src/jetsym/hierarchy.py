@@ -11,7 +11,7 @@ from typing import Optional, Tuple
 
 from .coeffield import (AlphaPoly, RF_ONE, RationalFunction, parse_rational,
                         rational_text, rf)
-from .errors import InvalidHierarchy, StructuralViolation
+from .errors import CrossCheckFailed, InvalidHierarchy, StructuralViolation
 from .jetalgebra import (DP_ZERO, DiffPoly, EvoField, T_GEN, X_GEN, is_jet, jet,
                          jet_order, mono_degree)
 from .operators import OperatorMatrix, OpTerm, apply_sum
@@ -82,6 +82,43 @@ def second_recursion_matrix() -> OperatorMatrix:
     )
     m22 = (OpTerm(_fs_expr("-2*z^2"), 0),)
     return OperatorMatrix([[m11, m12], [m21, m22]])
+
+
+def _antiderivative_rows() -> tuple:
+    """The rows that give A_n = D_x^{-1} K_n^1 from the step's inputs,
+    under the recursion matrix and under the second one.
+
+    With s = 2*alpha - 1 and A_k the antiderivative of K_k^1,
+    A_n = K_{n-1}^1 + 4w A_{n-1} - (alpha/s) D_x K_{n-2}^1
+          - (8 alpha/s) w K_{n-2}^1
+          + (2z^2 - (4 alpha w_x + 16 alpha w^2)/s) A_{n-2} + z K_{n-2}^2:
+    D_x of each row is row 0 of its matrix (``fs_hierarchy`` checks it),
+    and every term has a jet factor, so A_n has no free term and is the
+    constructive antiderivative.
+    """
+    under_rec = [(OpTerm(DiffPoly.constant(RF_ONE), 0), OpTerm(_fs_expr("4*w"), -1)), ()]
+    under_m = [
+        (OpTerm(DiffPoly.constant(_over_s((0, -1))), 1),
+         OpTerm(_fs_expr("w").scalar_mul(_over_s((0, -8))), 0),
+         OpTerm(_fs_expr("4*alpha*w_x + 16*alpha*w^2").scalar_mul(_over_s((-1,)))
+                + _fs_expr("2*z^2"), -1)),
+        (OpTerm(_fs_expr("z"), 0),),
+    ]
+    return under_rec, under_m
+
+
+def _check_antiderivative_rows(matrices):
+    """Raise CrossCheckFailed unless D_x of row 2 is row 0 of each matrix,
+    as an identity in the free jets of (w, z, a, b): each is applied by
+    ``apply_sum`` to K = (a_x, b) with D_x^{-1} K^1 = a."""
+    a, b = DiffPoly.var(jet(2, 0)), DiffPoly.var(jet(3, 0))
+    for name, matrix in zip(("recursion", "second recursion"), matrices):
+        chain = DxChain(EvoField((a.dx(), b)))
+        chain.certificates[0] = ExactnessCertificate(a, DP_ZERO)
+        (top, _, antiderivative), _ = apply_sum([(matrix, chain)])
+        if antiderivative.dx() != top:
+            raise CrossCheckFailed(
+                f"D_x of the antiderivative row is not row 0 of the {name} matrix")
 
 
 def _specialize_matrix(M: OperatorMatrix, value) -> OperatorMatrix:
@@ -184,11 +221,13 @@ class Hierarchy:
 
 def fs_step(prev: DxChain, prevprev: DxChain, rec: OperatorMatrix, m: OperatorMatrix):
     """One application of the two-term recursion to the chains of K_{n-1}
-    and K_{n-2}; returns (K_n, certificates).
+    and K_{n-2}; returns (rec K_{n-1} + m K_{n-2}, certificates).
 
-    K_n = rec K_{n-1} + m K_{n-2} is formed by one ``apply_sum``: both
-    matrix applications run on packed ints at one scale, and only the
-    antiderivatives, stored in the chains, are formed over the field.
+    The sum is formed by one ``apply_sum``: both matrix applications run
+    on packed ints, and only the antiderivatives, stored in the chains,
+    are formed over the field.  It has one component per matrix row: K_n
+    for the paper's matrices, and (K_n^1, K_n^2, A_n) with
+    ``_antiderivative_rows`` stacked under them, A_n = D_x^{-1} K_n^1.
     """
     kn, (certs1, certs2) = apply_sum([(rec, prev), (m, prevprev)])
     return kn, certs1.get(0), certs2.get(0)
@@ -199,19 +238,27 @@ def fs_hierarchy(N: int, alpha0: Optional[Fraction] = None) -> Hierarchy:
 
     With alpha0 the whole computation runs over Q after specializing the
     seeds and both matrices; specializing at a pole of any seed
-    coefficient raises PoleAtParameter.
+    coefficient raises PoleAtParameter.  Each step stacks
+    ``_antiderivative_rows`` under the matrices, so it also forms
+    A_n = D_x^{-1} K_n^1, which becomes the certificate of K_n's chain:
+    ``integrate_dx`` runs on the two seeds only.  Before the first step,
+    the rows are checked against the matrices in use
+    (CrossCheckFailed).
     """
     if N < 1:
         raise ValueError("hierarchy length must be at least 1")
     system = builtin_system("fs")
     k1, k2 = fs_seed()
-    rec, m = recursion_matrix(), second_recursion_matrix()
+    rec, m = (OperatorMatrix(matrix.entries + (row,)) for matrix, row in
+              zip((recursion_matrix(), second_recursion_matrix()), _antiderivative_rows()))
     if alpha0 is not None:
         alpha0 = Fraction(alpha0)
         k1, k2 = k1.specialize(alpha0), k2.specialize(alpha0)
         rec = _specialize_matrix(rec, alpha0)
         m = _specialize_matrix(m, alpha0)
         system = system.specialize(alpha0)
+    if N > 2:
+        _check_antiderivative_rows((rec, m))
     members = [k1, k2][:N]
     provenance = ["seed", "seed"][:N]
     certificates = []
@@ -220,8 +267,11 @@ def fs_hierarchy(N: int, alpha0: Optional[Fraction] = None) -> Hierarchy:
     chains = [DxChain(k) for k in members]
     while len(members) < N:
         n = len(members) + 1
-        kn, cert_prev, cert_prevprev = fs_step(chains[-1], chains[-2], rec, m)
+        (*comps, antiderivative), cert_prev, cert_prevprev = fs_step(
+            chains[-1], chains[-2], rec, m)
+        kn = EvoField(comps)
         chains = [chains[-1], DxChain(kn)]
+        chains[-1].certificates[0] = ExactnessCertificate(antiderivative, DP_ZERO)
         members.append(kn)
         provenance.append("recursion")
         certificates.append(StepCertificates(n, cert_prev, cert_prevprev))

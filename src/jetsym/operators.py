@@ -30,20 +30,26 @@ class OpTerm:
 
 
 class OperatorMatrix:
-    """Square grid of operator-term lists acting on evolutionary fields."""
+    """Rows x columns grid of operator-term lists acting on evolutionary
+    fields: column j reads component j of the field, row i forms output
+    component i.  Every row has the same length; a ragged grid raises
+    ValueError."""
 
     __slots__ = ("entries",)
 
     def __init__(self, entries):
-        object.__setattr__(self, "entries",
-                           tuple(tuple(tuple(e) for e in row) for row in entries))
+        entries = tuple(tuple(tuple(e) for e in row) for row in entries)
+        if len({len(row) for row in entries}) > 1:
+            raise ValueError("operator matrix rows differ in length")
+        object.__setattr__(self, "entries", entries)
 
     def __setattr__(self, name, value):
         raise AttributeError("OperatorMatrix is immutable")
 
     @property
-    def size(self) -> int:
-        return len(self.entries)
+    def shape(self) -> tuple:
+        """(rows, columns)."""
+        return len(self.entries), len(self.entries[0]) if self.entries else 0
 
     def apply_detailed(self, chain: DxChain):
         """Matrix-vector action on ``chain.field`` over field coefficients;
@@ -53,15 +59,16 @@ class OperatorMatrix:
         against.  The D_x powers and the antiderivatives come from the
         chain, so they are formed once per field however many matrices
         read it.  The returned certificates are keyed by the column index,
-        one for each column this matrix integrates.
+        one for each column this matrix integrates.  A field whose
+        component count is not the column count raises ValueError.
         """
-        n = self.size
+        _check_shapes([(self, chain)])
         used: dict = {}
         comps = []
-        for i in range(n):
+        for i, row in enumerate(self.entries):
             acc: dict = {}
-            for j in range(n):
-                for term in self.entries[i][j]:
+            for j, entry in enumerate(row):
+                for term in entry:
                     if term.power >= 0:
                         image = chain.get(j, term.power)
                     else:
@@ -70,6 +77,22 @@ class OperatorMatrix:
                     accumulate(acc, (term.coeff * image).terms.items())
             comps.append(DiffPoly(acc))
         return EvoField(comps), used
+
+
+def _check_shapes(pairs):
+    """Raise ValueError, naming the pair, when a matrix's column count is
+    not its field's component count, or when two matrices' row counts
+    differ."""
+    if not pairs:
+        raise ValueError("no (matrix, chain) pairs to apply")
+    rows = pairs[0][0].shape[0]
+    for k, (matrix, chain) in enumerate(pairs):
+        r, c = matrix.shape
+        if c != len(chain.field):
+            raise ValueError(f"pair {k}: a matrix of {c} columns on a field of "
+                             f"{len(chain.field)} components")
+        if r != rows:
+            raise ValueError(f"pairs 0 and {k} have matrices of {rows} and {r} rows")
 
 
 def _certificate(chain: DxChain, i: int, j: int):
@@ -92,16 +115,21 @@ def apply_sum(pairs):
     """The sum of matrix.field over (matrix, chain) pairs, on ints;
     returns (result, one dict of certificates per pair).
 
-    Each D_x^{-1} term reads its certificate as ``apply_detailed`` does,
-    pair by pair and entry by entry, before any product is formed, so a
-    non-exact antiderivative raises for the same entry.  Each distinct
-    (pair, column) antiderivative is appended once as one more
+    The matrices may be rectangular: each has as many columns as its
+    field has components, and all have the same number of rows, one per
+    output component; otherwise ValueError, naming the pair, before any
+    work.  Each D_x^{-1} term reads its certificate as ``apply_detailed``
+    does, pair by pair and entry by entry, before any product is formed,
+    so a non-exact antiderivative raises for the same entry.  Each
+    distinct (pair, column) antiderivative is appended once as one more
     one-component field, and the term reads it at D_x^0.  Then one
-    ``varcalc.operator_sum`` forms every product at one scale, with the
-    D_x powers in packed tables, and the result equals the sum of the
-    ``apply_detailed`` results.
+    ``varcalc.operator_sum`` forms every product, the fields at one scale
+    and the coefficients at another, with the D_x powers in packed
+    tables, and the result equals the sum of the ``apply_detailed``
+    results.
     """
-    n = pairs[0][0].size
+    _check_shapes(pairs)
+    n = pairs[0][0].shape[0]
     used = [{} for _ in pairs]
     fields = [chain.field for _, chain in pairs]
     at: dict = {}  # (pair, column) -> index of its antiderivative in fields

@@ -125,10 +125,13 @@ def integrate_dx(f: DiffPoly) -> ExactnessCertificate:
 class DxChain:
     """Lazily extended table of D_x powers of an evolutionary field.
 
-    ``certificates`` maps a component index to the ``integrate_dx``
-    certificate of that component, for callers that apply D_x^{-1} to the
-    field more than once; exact or not, a stored certificate is the one
-    every later reader gets.
+    ``certificates`` maps a component index to the certificate of that
+    component, for callers that apply D_x^{-1} to the field more than
+    once; exact or not, a stored certificate is the one every later reader
+    gets.  A reader that finds none stores the ``integrate_dx`` certificate;
+    a caller that has already formed the antiderivative with no free term
+    (``fs_hierarchy``, from the row stacked under its matrices) stores it
+    as an exact certificate, which is the same value.
     """
 
     def __init__(self, field: EvoField):
@@ -567,17 +570,18 @@ def operator_sum(fields, rows) -> list:
     """The components sum over (c, k, j, p) in rows[i] of c D_x^p fields[k][j].
 
     c is a ``DiffPoly`` and p >= 0: a caller reads D_x^{-1} as D_x^0 of
-    one more field, the antiderivative it has certified.  Every
-    coefficient that enters is scaled into Z[alpha] by one scale S, from
-    one ``clear_denominators`` call, and packed on one kernel
-    (``_Kernel``) at the widths ``_sum_bounds`` gives.  Each field's D_x
-    powers come from its ``_DxTable``, so the growth and memory budgets
-    apply.  Each output component is one dict of S^2 times its terms, one
-    ``mul_add`` per term; each of its terms is unpacked once and divided
-    by S^2.
+    one more field, the antiderivative it has certified.  The fields are
+    scaled into Z[alpha] by one scale S_K (``_scaled_together``), the
+    coefficients c by their own scale S_c, and all are packed on one
+    kernel (``_Kernel``) at the widths ``_sum_bounds`` gives, the
+    coefficient norms taken at S_c.  Each field's D_x powers come from its
+    ``_DxTable``, so the growth and memory budgets apply.  Each output
+    component is one dict of S_K S_c times its terms, one ``mul_add`` per
+    term; each of its terms is unpacked once and divided by S_K S_c.
     """
     terms = [c for row in rows for c, _, _, _ in row]
-    *scaled, coeffs = _scaled_together(list(fields) + [EvoField(terms)])
+    scaled = _scaled_together(fields)
+    coeffs = _IntegerField(EvoField(terms))
 
     def image_bound(k, j, p):
         f = scaled[k]
@@ -590,7 +594,7 @@ def operator_sum(fields, rows) -> list:
     kernel = _Kernel(nvars, _word_bits(weight), _word_bits(height))
     tables = {k: _DxTable(kernel, scaled[k]) for k in {k for row in rows for _, k, _, _ in row}}
     packed = iter(kernel.pack_field(coeffs))
-    unscale = dividing_by(coeffs.scale * coeffs.scale)
+    unscale = dividing_by(scaled[0].scale * coeffs.scale)
     comps = []
     for row in rows:
         acc: dict = {}

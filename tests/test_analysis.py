@@ -527,11 +527,13 @@ def flip_k2(h):
 
 
 #: (nvars, exponent bits, coefficient bits) of every packed kernel, in
-#: order: one per recursion step of gen; per symmetry check, then the
-#: table, then the scaling check of verify; one for a density search
+#: order: the antiderivative-row check of each matrix (on the jets of w,
+#: z, a, b), then one per recursion step of gen; per symmetry check, then
+#: the table, then the scaling check of verify; one for a density search
 KERNEL_WIDTHS = {
-    "gen N = 12": [(2, 4, 11), (2, 4, 14), (2, 4, 20), (2, 4, 23), (2, 5, 29), (2, 5, 32),
-                   (2, 5, 38), (2, 5, 41), (2, 5, 47), (2, 5, 51)],
+    "gen N = 12": [(4, 3, 5), (4, 4, 8),
+                   (2, 4, 11), (2, 4, 14), (2, 4, 19), (2, 4, 22), (2, 5, 26), (2, 5, 29),
+                   (2, 5, 33), (2, 5, 37), (2, 5, 41), (2, 5, 44)],
     "verify N = 8 at alpha = 1/3": [(2, 4, 11), (2, 4, 19), (2, 4, 24), (2, 5, 29),
                                     (2, 5, 35), (2, 5, 40), (2, 5, 46), (2, 5, 51),
                                     (2, 6, 81), (2, 5, 56)],

@@ -11,11 +11,12 @@ from fractions import Fraction
 
 import pytest
 
-from jetsym import coeffield, operators, varcalc
+from jetsym import coeffield, hierarchy, operators, varcalc
 from jetsym.coeffield import AlphaPoly, RationalFunction, rf
-from jetsym.errors import NonlocalObstruction, StructuralViolation
-from jetsym.hierarchy import (Hierarchy, _specialize_matrix, fs_hierarchy, fs_seed,
-                              fs_step, recursion_matrix, scaling_symmetry,
+from jetsym.errors import CrossCheckFailed, NonlocalObstruction, StructuralViolation
+from jetsym.hierarchy import (Hierarchy, StepCertificates, _specialize_matrix,
+                              fs_hierarchy, fs_seed, fs_step, recursion_matrix,
+                              scaling_symmetry,
                               second_recursion_matrix, structural_check,
                               triangular_coeffs, ts1_hierarchy)
 from jetsym.jetalgebra import DiffPoly, EvoField, T_GEN, X_GEN, jet
@@ -169,18 +170,23 @@ class TestFsHierarchy:
         assert not calls
 
     def test_members_share_chains(self, monkeypatch):
-        """Each member is read by two recursion steps through one DxChain:
-        its first component is integrated once, K_1..K_7 at N = 8, and the
-        second step reuses the D_x powers the first one formed (105 D_x
-        and 12 antiderivatives when every step built its own)."""
+        """Each member is read by two recursion steps through one DxChain.
+        Only the seeds' first components are integrated: every later
+        antiderivative is the row stacked under the matrices (7 and 11
+        integrals at N = 8 and 12 when each member was integrated), and the
+        second step reuses the D_x powers the first one formed (105 D_x and
+        12 antiderivatives at N = 8 when every step built its own)."""
         integrals, derivatives = [], []
         integrate, dx = operators.integrate_dx, DiffPoly.dx
         monkeypatch.setattr(operators, "integrate_dx",
                             lambda f: integrals.append(1) or integrate(f))
         monkeypatch.setattr(DiffPoly, "dx", lambda p: derivatives.append(1) or dx(p))
-        fs_hierarchy(8)
-        assert len(integrals) == 7
-        assert len(derivatives) <= 64
+        for N in (8, 12):
+            integrals.clear()
+            derivatives.clear()
+            fs_hierarchy(N)
+            assert len(integrals) == 2
+            assert len(derivatives) <= 64
 
     def test_specialized_generation(self):
         symbolic = fs_hierarchy(8).members
@@ -205,16 +211,35 @@ def oracle_step(prev: EvoField, prevprev: EvoField, rec, m):
     return first + second, certs1.get(0), certs2.get(0)
 
 
-def oracle_hierarchy(N: int, alpha0=None) -> list:
-    """K_1..K_N with every recursion step through ``oracle_step``."""
+def oracle_hierarchy(N: int, alpha0=None) -> tuple:
+    """(K_1..K_N, step certificates) with every recursion step through
+    ``oracle_step``, so every antiderivative is formed by ``integrate_dx``."""
     members = list(fs_seed())
     rec, m = recursion_matrix(), second_recursion_matrix()
     if alpha0 is not None:
         members = [k.specialize(alpha0) for k in members]
         rec, m = _specialize_matrix(rec, alpha0), _specialize_matrix(m, alpha0)
+    certificates = []
     while len(members) < N:
-        members.append(oracle_step(members[-1], members[-2], rec, m)[0])
-    return members[:N]
+        kn, prev, prevprev = oracle_step(members[-1], members[-2], rec, m)
+        members.append(kn)
+        certificates.append(StepCertificates(len(members), prev, prevprev))
+    return members[:N], tuple(certificates)
+
+
+def perturbed_rows(matrix):
+    """``_antiderivative_rows`` with one coefficient changed: 4w -> 3w under
+    the recursion matrix, or -8 alpha/s -> -7 alpha/s under the second."""
+    under_rec, under_m = hierarchy._antiderivative_rows()
+    if matrix == "rec":
+        one, four_w = under_rec[0]
+        assert four_w == OpTerm(fs_expr("4*w"), -1)
+        under_rec = [(one, OpTerm(fs_expr("3*w"), -1)), ()]
+    else:
+        dx, eight, a = under_m[0]
+        assert eight == OpTerm(fs_expr("w").scalar_mul(over_s(0, -8)), 0)
+        under_m = [(dx, OpTerm(fs_expr("w").scalar_mul(over_s(0, -7)), 0), a), under_m[1]]
+    return under_rec, under_m
 
 
 def first_only(term: OpTerm) -> OperatorMatrix:
@@ -245,9 +270,9 @@ class TestKernelStep:
             assert got == oracle_step(fields[0], fields[1], rec, m)
 
     def test_bound_exceeds_a_narrower_coefficient_slot(self, monkeypatch):
-        # K_n = (2^20 - alpha)/(2 alpha - 1) w: at S = 2 alpha - 1 the packed
-        # coefficient (2 alpha - 1)(2^20 - alpha) has the digit 2^21 + 1,
-        # which a slot one bit narrower than the bound cannot hold
+        # K_n = (2^20 - alpha)/(2 alpha - 1) w: at S_c = 2 alpha - 1 the
+        # packed coefficient 2^20 - alpha has the digit 2^20, which a slot
+        # one bit narrower than the bound cannot hold
         c = RationalFunction(AlphaPoly((2 ** 20, -1)), AlphaPoly((-1, 2)))
         rec = first_only(OpTerm(DiffPoly.constant(c), 0))
         k = EvoField((fs_expr("w"), fs_expr("z")))
@@ -270,8 +295,9 @@ class TestKernelStep:
 
     def test_antiderivative_binds_the_coefficient_slot(self, monkeypatch):
         # K_n = D_x^{-1}(c w_x) = c w for c = (2^20 - alpha)/(2 alpha - 1):
-        # at S = 2 alpha - 1 the one term is S * (2^20 - alpha), whose digit
-        # 2^21 + 1 only the antiderivative's own height bounds
+        # at the field scale S_K = 2 alpha - 1 the antiderivative is
+        # 2^20 - alpha, and the coefficient 1 stays 1 at S_c = 1, so the one
+        # term's digit 2^20 is bounded only by the antiderivative's own height
         c = RationalFunction(AlphaPoly((2 ** 20, -1)), AlphaPoly((-1, 2)))
         rec = first_only(OpTerm(DiffPoly.constant(1), -1))
         k = EvoField((fs_expr("w_x").scalar_mul(c), fs_expr("z")))
@@ -279,7 +305,7 @@ class TestKernelStep:
         assert want[0] == fs_expr("w").scalar_mul(c)
         run = lambda: fs_step(DxChain(k), DxChain(k), rec, ZERO_MATRIX)[0]
         [(_, _, coeff_bits)] = kernel_widths(monkeypatch, run)
-        assert coeff_bits == varcalc._word_bits(3 * (2 ** 20 + 1))  # |1 + S|_1 |S c|_1
+        assert coeff_bits == varcalc._word_bits(2 ** 20 + 1)  # |S_c 1|_1 |S_K c|_1
         assert run() == want
         monkeypatch.setattr(varcalc, "_sum_bounds", one_bit_narrower(varcalc._sum_bounds, 0))
         assert run() != want
@@ -312,16 +338,66 @@ class TestKernelStep:
             assert exc.value.remainder == integrate_dx(bad[0]).remainder
 
     def test_kernel_hierarchy_matches_oracle(self):
-        assert list(fs_hierarchy(14).members) == oracle_hierarchy(14)
+        h = fs_hierarchy(14)
+        assert (list(h.members), h.certificates) == oracle_hierarchy(14)
 
     @pytest.mark.parametrize("alpha0", [Fraction(1, 3), Fraction(-2), Fraction(7, 5),
                                         Fraction(0), Fraction(1)])
     def test_specialized_hierarchy_matches_oracle(self, alpha0):
-        assert list(fs_hierarchy(10, alpha0).members) == oracle_hierarchy(10, alpha0)
+        h = fs_hierarchy(10, alpha0)
+        assert (list(h.members), h.certificates) == oracle_hierarchy(10, alpha0)
 
     @pytest.mark.slow
     def test_kernel_hierarchy_matches_oracle_n16(self):
-        assert list(fs_hierarchy(16).members) == oracle_hierarchy(16)
+        h = fs_hierarchy(16)
+        assert (list(h.members), h.certificates) == oracle_hierarchy(16)
+
+    def test_coefficient_scale_differs_from_field_scale(self, monkeypatch):
+        # the members carry 1/(2 alpha - 1)^3, the matrices 1/(2 alpha - 1):
+        # the step divides by S_K S_c, of degree 4 in alpha, where one
+        # shared scale would have divided by S^2, of degree 6
+        over_s3 = RationalFunction(AlphaPoly((0, 1)), S_POLY * S_POLY * S_POLY)
+        prev = EvoField((fs_expr("w^2*z + w_x").scalar_mul(over_s3).dx(),
+                         fs_expr("w*z_x").scalar_mul(over_s(1, 1))))
+        prevprev = EvoField((fs_expr("w*z^2").scalar_mul(over_s3).dx(),
+                             fs_expr("z_xx + w^2").scalar_mul(over_s3)))
+        rec, m = recursion_matrix(), second_recursion_matrix()
+        scales = []
+        divide = varcalc.dividing_by
+        monkeypatch.setattr(varcalc, "dividing_by", lambda s: scales.append(s) or divide(s))
+        got = fs_step(DxChain(prev), DxChain(prevprev), rec, m)
+        assert [s.num.degree for s in scales] == [4]
+        assert got == oracle_step(prev, prevprev, rec, m)
+
+
+class TestAntiderivativeRows:
+    """The rows stacked under the matrices give D_x^{-1} K_n^1, and
+    ``fs_hierarchy`` checks them against the matrices it uses."""
+
+    def test_step_forms_the_antiderivative(self):
+        k1, k2 = fs_seed()
+        rec, m = (OperatorMatrix(matrix.entries + (row,)) for matrix, row in
+                  zip((recursion_matrix(), second_recursion_matrix()),
+                      hierarchy._antiderivative_rows()))
+        chains = [DxChain(k2), DxChain(k1)]
+        (top, second, antiderivative), prev, prevprev = fs_step(*chains, rec, m)
+        assert EvoField((top, second)) == golden_k3()
+        assert antiderivative == integrate_dx(top).antiderivative
+        assert (prev, prevprev) == (integrate_dx(k2[0]), integrate_dx(k1[0]))
+
+    @pytest.mark.parametrize("alpha0", [None, Fraction(1, 3)])
+    @pytest.mark.parametrize("matrix", ["rec", "m"])
+    def test_perturbed_row_raises(self, monkeypatch, matrix, alpha0):
+        rows = perturbed_rows(matrix)
+        monkeypatch.setattr(hierarchy, "_antiderivative_rows", lambda: rows)
+        with pytest.raises(CrossCheckFailed):
+            fs_hierarchy(3, alpha0)
+
+    def test_short_hierarchies_step_nothing(self, monkeypatch):
+        # no step, no rows to check
+        rows = perturbed_rows("m")
+        monkeypatch.setattr(hierarchy, "_antiderivative_rows", lambda: rows)
+        assert fs_hierarchy(2).members == fs_seed()
 
 
 class TestTriangularHierarchy:

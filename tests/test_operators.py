@@ -135,34 +135,87 @@ class TestApplyMatrix:
 
 
 
-def random_matrix(rng, n):
-    """An n x n operator matrix with random terms of powers -1..3; only
-    column 0 carries D_x^{-1}."""
+def random_matrix(rng, rows, columns):
+    """A rows x columns operator matrix with random terms of powers -1..3;
+    only column 0 carries D_x^{-1}."""
     return OperatorMatrix([
-        [tuple(OpTerm(random_diffpoly(rng, nvars=n, max_order=1, terms=2, rational=True),
+        [tuple(OpTerm(random_diffpoly(rng, nvars=columns, max_order=1, terms=2,
+                                      rational=True),
                       rng.randint(0 if j else -1, 3))
                for _ in range(rng.randint(0, 2)))
-         for j in range(n)]
-        for _ in range(n)])
+         for j in range(columns)]
+        for _ in range(rows)])
 
 
 class TestApplySum:
     def test_matches_apply_detailed(self):
         """Random matrices over Q(alpha) on random fields, one to three
-        pairs: the packed sum equals the summed field-coefficient results,
-        with the same certificates."""
+        pairs, square (1 x 1, 2 x 2) or 3 x 2: the packed sum equals the
+        summed field-coefficient results, with the same certificates."""
         rng = random.Random(167)
-        for _ in range(40):
+        for _ in range(60):
             n = rng.randint(1, 2)
+            rows = 3 if n == 2 and rng.random() < 0.5 else n
             pairs = []
             for _ in range(rng.randint(1, 3)):
                 k = random_evofield(rng, nvars=n, max_order=2, terms=3, rational=True)
                 k = EvoField((k[0].dx(),) + tuple(k)[1:])
-                pairs.append((random_matrix(rng, n), DxChain(k)))
+                pairs.append((random_matrix(rng, rows, n), DxChain(k)))
             got, certs = apply_sum(pairs)
             want = [matrix.apply_detailed(DxChain(chain.field)) for matrix, chain in pairs]
             total = want[0][0]
             for field, _ in want[1:]:
                 total = total + field
+            assert len(got) == rows
             assert got == total
             assert certs == [c for _, c in want]
+
+
+def apply_one(matrix, field):
+    return apply_sum([(matrix, DxChain(field))])
+
+
+def apply_reference(matrix, field):
+    return matrix.apply_detailed(DxChain(field))
+
+
+class TestShapes:
+    """A matrix whose column count is not its field's component count, or
+    pairs whose row counts differ, raise ValueError naming the pair before
+    any work."""
+
+    def test_ragged_rows(self):
+        with pytest.raises(ValueError):
+            OperatorMatrix([[(), ()], [()]])
+
+    def test_shape(self):
+        assert recursion_matrix().shape == (2, 2)
+        assert OperatorMatrix([[(), ()], [(), ()], [(), ()]]).shape == (3, 2)
+
+    @pytest.mark.parametrize("apply", [apply_one, apply_reference])
+    def test_one_component_field(self, apply):
+        with pytest.raises(ValueError, match="pair 0: a matrix of 2 columns on a field of 1"):
+            apply(recursion_matrix(), EvoField((fs_expr("w_x"),)))
+
+    @pytest.mark.parametrize("apply", [apply_one, apply_reference])
+    def test_three_component_field(self, apply):
+        # the third component was dropped before
+        k = EvoField((fs_expr("w_x"), fs_expr("z_x"), DiffPoly.var(jet(2, 1))))
+        with pytest.raises(ValueError, match="pair 0: a matrix of 2 columns on a field of 3"):
+            apply(recursion_matrix(), k)
+
+    def test_row_counts_differ(self):
+        k1, k2 = fs_seed()
+        three_rows = OperatorMatrix([[(), ()], [(), ()], [(), ()]])
+        with pytest.raises(ValueError, match="pairs 0 and 1 have matrices of 2 and 3 rows"):
+            apply_sum([(recursion_matrix(), DxChain(k2)), (three_rows, DxChain(k1))])
+
+    def test_second_pair_is_named(self):
+        k1, k2 = fs_seed()
+        with pytest.raises(ValueError, match="pair 1: "):
+            apply_sum([(recursion_matrix(), DxChain(k2)),
+                       (second_recursion_matrix(), DxChain(EvoField((k1[0],))))])
+
+    def test_no_pairs(self):
+        with pytest.raises(ValueError):
+            apply_sum([])
