@@ -64,7 +64,6 @@ def is_symmetry(K: EvoField, system: EvolutionSystem) -> SymmetryCheck:
 @dataclass(frozen=True)
 class CommutativityTable:
     size: int
-    zero: Tuple[Tuple[bool, ...], ...]
     failures: Tuple  # ((i, j), defect EvoField) pairs, 1-indexed
 
     @property
@@ -76,13 +75,10 @@ def commutativity_table(h: Hierarchy) -> CommutativityTable:
     """All-pairs commutators of the hierarchy members."""
     n = len(h.members)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    zero = [[True] * n for _ in range(n)]
-    failures = []
-    for (i, j), bracket in zip(pairs, commutators(h.members, pairs)):
-        if not bracket.is_zero:
-            zero[i][j] = zero[j][i] = False
-            failures.append(((i + 1, j + 1), bracket))
-    return CommutativityTable(n, tuple(tuple(r) for r in zero), tuple(failures))
+    failures = tuple(((i + 1, j + 1), bracket)
+                     for (i, j), bracket in zip(pairs, commutators(h.members, pairs))
+                     if not bracket.is_zero)
+    return CommutativityTable(n, failures)
 
 
 # ---------------------------------------------------------------------------

@@ -430,9 +430,6 @@ class RationalFunction:
         return (isinstance(other, RationalFunction)
                 and self.num == other.num and self.den == other.den)
 
-    def __hash__(self):
-        return hash((self.num, self.den))
-
     def __neg__(self):
         return RationalFunction._raw(-self.num, self.den)
 
@@ -498,11 +495,6 @@ class RationalFunction:
         return RationalFunction._raw(n1 * n2, d1 * d2)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return self * other.inverse()
 
     def inverse(self) -> "RationalFunction":
         if self.is_zero:

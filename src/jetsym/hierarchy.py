@@ -11,12 +11,13 @@ from typing import Optional, Tuple
 
 from .coeffield import (AlphaPoly, RF_ONE, RationalFunction, parse_rational,
                         rational_text, rf)
-from .errors import CrossCheckFailed, InvalidHierarchy, StructuralViolation
+from .errors import (CrossCheckFailed, InvalidHierarchy, NonlocalObstruction,
+                     StructuralViolation)
 from .jetalgebra import (DP_ZERO, DiffPoly, EvoField, T_GEN, X_GEN, is_jet, jet,
                          jet_order, mono_degree)
 from .operators import OperatorMatrix, OpTerm, apply_sum
 from .systems import EvolutionSystem, builtin_names, builtin_system, parse_expression
-from .varcalc import DxChain, ExactnessCertificate
+from .varcalc import ExactnessCertificate, integrate_dx
 
 _FS_VARS = ("w", "z")
 _S_POLY = AlphaPoly((-1, 2))  # 2*alpha - 1
@@ -32,18 +33,10 @@ def _over_s(num_coeffs) -> RationalFunction:
 
 
 def fs_seed() -> Tuple[EvoField, EvoField]:
-    """The two seed symmetries of the Burgers-type system.
-
-    The second component of the second seed carries
-    +4z(alpha*w_x + (2alpha+1)w^2)/(2alpha-1): with the minus sign the
-    field fails the symmetry condition, which is checked in the tests.
-    """
-    k1 = EvoField((_fs_expr("w_x"), _fs_expr("z_x")))
-    k2_1 = _fs_expr("w_xx + 8*w*w_x").scalar_mul(_over_s((-1,))) \
-        + _fs_expr("2*z*z_x")
-    k2_2 = _fs_expr("z_xx + 4*w*z_x - 2*z^3") \
-        + _fs_expr("alpha*z*w_x + (2*alpha + 1)*z*w^2").scalar_mul(_over_s((4,)))
-    return k1, EvoField((k2_1, k2_2))
+    """The two seed symmetries of the Burgers-type system: K_1 = (w_x, z_x)
+    and K_2 = F/(1 - 2alpha), F the right-hand side of ``fs``."""
+    k1 = EvoField((DiffPoly.var(jet(0, 1)), DiffPoly.var(jet(1, 1))))
+    return k1, builtin_system("fs").rhs.scalar_mul(_over_s((-1,)))
 
 
 def recursion_matrix() -> OperatorMatrix:
@@ -107,15 +100,32 @@ def _antiderivative_rows() -> tuple:
     return under_rec, under_m
 
 
+def _split(matrix: OperatorMatrix, row) -> Tuple[OperatorMatrix, OperatorMatrix]:
+    """``row`` stacked under ``matrix``, split into the terms that act on
+    K (one column per component) and the D_x^{-1} terms, which read
+    A = D_x^{-1} K^1 at D_x^0 as the one component of the field (A,).
+
+    Every D_x^{-1} term must sit in column 0; one elsewhere raises
+    ValueError naming its entry.
+    """
+    on_k, on_a = [], []
+    for i, entries in enumerate(matrix.entries + (tuple(row),)):
+        for j, entry in enumerate(entries):
+            if j and any(t.power < 0 for t in entry):
+                raise ValueError(f"a D_x^{{-1}} term at entry ({i}, {j}), outside column 0")
+        on_k.append([tuple(t for t in entry if t.power >= 0) for entry in entries])
+        on_a.append([tuple(OpTerm(t.coeff, 0) for t in entries[0] if t.power < 0)])
+    return OperatorMatrix(on_k), OperatorMatrix(on_a)
+
+
 def _check_antiderivative_rows(matrices):
-    """Raise CrossCheckFailed unless D_x of row 2 is row 0 of each matrix,
-    as an identity in the free jets of (w, z, a, b): each is applied by
-    ``apply_sum`` to K = (a_x, b) with D_x^{-1} K^1 = a."""
+    """Raise CrossCheckFailed unless D_x of row 2 is row 0 of each
+    ``_split`` pair, as an identity in the free jets of (w, z, a, b): each
+    is applied by ``apply_sum`` to K = (a_x, b) and (A,) = (a,)."""
     a, b = DiffPoly.var(jet(2, 0)), DiffPoly.var(jet(3, 0))
-    for name, matrix in zip(("recursion", "second recursion"), matrices):
-        chain = DxChain(EvoField((a.dx(), b)))
-        chain.certificates[0] = ExactnessCertificate(a, DP_ZERO)
-        (top, _, antiderivative), _ = apply_sum([(matrix, chain)])
+    k, integral = EvoField((a.dx(), b)), EvoField((a,))
+    for name, (on_k, on_a) in zip(("recursion", "second recursion"), matrices):
+        top, _, antiderivative = apply_sum([(on_k, k), (on_a, integral)])
         if antiderivative.dx() != top:
             raise CrossCheckFailed(
                 f"D_x of the antiderivative row is not row 0 of the {name} matrix")
@@ -207,6 +217,8 @@ class Hierarchy:
         if value is not None:
             system = system.specialize(value)
         nvars = system.nvars
+        if not members:
+            raise InvalidHierarchy("a hierarchy needs at least one member")
         if any(len(m) != nvars for m in members):
             raise InvalidHierarchy(f"members need {nvars} components")
         polys = [p for m in members for p in m]
@@ -219,18 +231,18 @@ class Hierarchy:
         return Hierarchy(system, members, provenance, certs, value, triangular)
 
 
-def fs_step(prev: DxChain, prevprev: DxChain, rec: OperatorMatrix, m: OperatorMatrix):
-    """One application of the two-term recursion to the chains of K_{n-1}
-    and K_{n-2}; returns (rec K_{n-1} + m K_{n-2}, certificates).
+def fs_step(prev, prevprev, rec, m) -> EvoField:
+    """One application of the two-term recursion to prev = (K_{n-1},
+    A_{n-1}) and prevprev = (K_{n-2}, A_{n-2}), A_k = D_x^{-1} K_k^1.
 
-    The sum is formed by one ``apply_sum``: both matrix applications run
-    on packed ints, and only the antiderivatives, stored in the chains,
-    are formed over the field.  It has one component per matrix row: K_n
-    for the paper's matrices, and (K_n^1, K_n^2, A_n) with
-    ``_antiderivative_rows`` stacked under them, A_n = D_x^{-1} K_n^1.
+    rec and m are ``_split`` pairs of the two matrices, each with its
+    antiderivative row, so the result is (K_n^1, K_n^2, A_n).  It is one
+    ``apply_sum`` of four pairs, each matrix's K part on K and its
+    D_x^{-1} part on (A,), all on packed ints.
     """
-    kn, (certs1, certs2) = apply_sum([(rec, prev), (m, prevprev)])
-    return kn, certs1.get(0), certs2.get(0)
+    (k1, a1), (k2, a2) = prev, prevprev
+    return apply_sum([(rec[0], k1), (rec[1], EvoField((a1,))),
+                      (m[0], k2), (m[1], EvoField((a2,)))])
 
 
 def fs_hierarchy(N: int, alpha0: Optional[Fraction] = None) -> Hierarchy:
@@ -238,45 +250,43 @@ def fs_hierarchy(N: int, alpha0: Optional[Fraction] = None) -> Hierarchy:
 
     With alpha0 the whole computation runs over Q after specializing the
     seeds and both matrices; specializing at a pole of any seed
-    coefficient raises PoleAtParameter.  Each step stacks
-    ``_antiderivative_rows`` under the matrices, so it also forms
-    A_n = D_x^{-1} K_n^1, which becomes the certificate of K_n's chain:
-    ``integrate_dx`` runs on the two seeds only.  Before the first step,
-    the rows are checked against the matrices in use
-    (CrossCheckFailed).
+    coefficient raises PoleAtParameter.  Each member is carried with its
+    antiderivative A_n = D_x^{-1} K_n^1: ``integrate_dx`` runs on the two
+    seeds only (a non-exact one raises NonlocalObstruction at entry
+    (0, 0)), and each step forms the next A_n from ``_antiderivative_rows``
+    stacked under the matrices.  Before the first step, the rows are
+    checked against the matrices in use (CrossCheckFailed).
     """
     if N < 1:
         raise ValueError("hierarchy length must be at least 1")
     system = builtin_system("fs")
     k1, k2 = fs_seed()
-    rec, m = (OperatorMatrix(matrix.entries + (row,)) for matrix, row in
+    rec, m = (_split(matrix, row) for matrix, row in
               zip((recursion_matrix(), second_recursion_matrix()), _antiderivative_rows()))
     if alpha0 is not None:
         alpha0 = Fraction(alpha0)
         k1, k2 = k1.specialize(alpha0), k2.specialize(alpha0)
-        rec = _specialize_matrix(rec, alpha0)
-        m = _specialize_matrix(m, alpha0)
+        rec, m = ([_specialize_matrix(part, alpha0) for part in pair] for pair in (rec, m))
         system = system.specialize(alpha0)
+    members = [k1, k2][:N]
+    integrals = []
     if N > 2:
         _check_antiderivative_rows((rec, m))
-    members = [k1, k2][:N]
-    provenance = ["seed", "seed"][:N]
-    certificates = []
-    # each member is read twice, by rec as K_{n-1} and then by m as K_{n-2}:
-    # its chain holds its antiderivative for both steps
-    chains = [DxChain(k) for k in members]
+        for k in members:
+            cert = integrate_dx(k[0])
+            if not cert.is_exact:
+                raise NonlocalObstruction(cert.remainder, entry=(0, 0))
+            integrals.append(cert.antiderivative)
     while len(members) < N:
-        n = len(members) + 1
-        (*comps, antiderivative), cert_prev, cert_prevprev = fs_step(
-            chains[-1], chains[-2], rec, m)
-        kn = EvoField(comps)
-        chains = [chains[-1], DxChain(kn)]
-        chains[-1].certificates[0] = ExactnessCertificate(antiderivative, DP_ZERO)
-        members.append(kn)
-        provenance.append("recursion")
-        certificates.append(StepCertificates(n, cert_prev, cert_prevprev))
-    return Hierarchy(system, tuple(members), tuple(provenance),
-                     tuple(certificates), alpha0)
+        *kn, an = fs_step((members[-1], integrals[-1]), (members[-2], integrals[-2]), rec, m)
+        members.append(EvoField(kn))
+        integrals.append(an)
+    certificates = tuple(
+        StepCertificates(n, ExactnessCertificate(integrals[n - 2], DP_ZERO),
+                         ExactnessCertificate(integrals[n - 3], DP_ZERO))
+        for n in range(3, N + 1))
+    provenance = tuple("seed" if n <= 2 else "recursion" for n in range(1, N + 1))
+    return Hierarchy(system, tuple(members), provenance, certificates, alpha0)
 
 
 def triangular_coeffs(N: int, a: RationalFunction) -> TriangularCoeffs:
@@ -316,15 +326,11 @@ def ts1_hierarchy(N: int, a0: Optional[Fraction] = None) -> Hierarchy:
 
 
 def scaling_symmetry(alpha0: Optional[Fraction] = None) -> EvoField:
-    """S = 2t(1-2alpha) K_2 + x K_1 + (w, z)."""
-    k1, k2 = fs_seed()
-    t = DiffPoly.var(T_GEN)
+    """S = 2t F + x (w_x, z_x) + (w, z), F the right-hand side of ``fs``."""
+    two_t = DiffPoly.var(T_GEN).scalar_mul(rf(2))
     x = DiffPoly.var(X_GEN)
-    two_t = t.scalar_mul(RationalFunction(AlphaPoly((2, -4))))  # 2(1-2alpha) t
-    comps = []
-    for c in range(2):
-        comps.append(two_t * k2[c] + x * k1[c] + DiffPoly.var(jet(c, 0)))
-    s = EvoField(comps)
+    s = EvoField(two_t * f + x * DiffPoly.var(jet(c, 1)) + DiffPoly.var(jet(c, 0))
+                 for c, f in enumerate(builtin_system("fs").rhs))
     if alpha0 is not None:
         s = s.specialize(alpha0)
     return s
@@ -334,7 +340,6 @@ def scaling_symmetry(alpha0: Optional[Fraction] = None) -> EvoField:
 class StructuralForm:
     """Leading linear coefficients of a symmetry in the canonical shape."""
 
-    order: int
     leading: Tuple[RationalFunction, ...]
 
 
@@ -366,4 +371,4 @@ def structural_check(K: EvoField, j: int) -> StructuralForm:
                     f"component {c} tail has a linear term",
                     monomial=mono, component=c)
         leading.append(lead)
-    return StructuralForm(j, tuple(leading))
+    return StructuralForm(tuple(leading))

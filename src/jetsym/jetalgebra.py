@@ -156,9 +156,6 @@ class DiffPoly:
     def __eq__(self, other):
         return isinstance(other, DiffPoly) and self.terms == other.terms
 
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
     def __len__(self):
         return len(self.terms)
 
@@ -354,9 +351,6 @@ class EvoField:
 
     def __eq__(self, other):
         return isinstance(other, EvoField) and self.components == other.components
-
-    def __hash__(self):
-        return hash(self.components)
 
     @property
     def is_zero(self) -> bool:

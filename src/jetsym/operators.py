@@ -1,10 +1,11 @@
 """Matrices of formal operators sum coeff * D_x^p with p >= -1.
 
 Only application to evolutionary fields is provided, never operator
-composition: D_x^{-1} appears at most once per term, rightmost, and its
-action is the constructive antiderivative with integration constant
-zero.  Applying it to anything outside Im D_x raises NonlocalObstruction
-carrying the nonzero remainder.
+composition: D_x^{-1} appears at most once per term, rightmost.
+``apply_detailed`` reads it as the constructive antiderivative with
+integration constant zero, and applying it to anything outside Im D_x
+raises NonlocalObstruction carrying the nonzero remainder.  ``apply_sum``,
+the packed path, takes local terms only.
 """
 
 from __future__ import annotations
@@ -56,13 +57,15 @@ class OperatorMatrix:
         returns (result, antiderivative certificates).
 
         It is the reference that ``apply_sum``, the packed path, is tested
-        against.  The D_x powers and the antiderivatives come from the
-        chain, so they are formed once per field however many matrices
-        read it.  The returned certificates are keyed by the column index,
-        one for each column this matrix integrates.  A field whose
-        component count is not the column count raises ValueError.
+        against, and the one application that reads D_x^{-1} itself: each
+        column a D_x^{-1} term reads is integrated by ``integrate_dx`` once
+        per call, and a non-exact antiderivative raises NonlocalObstruction
+        naming the entry (i, j).  The D_x powers come from the chain.  The
+        returned certificates are keyed by the column index, one for each
+        column this matrix integrates.  A field whose component count is
+        not the column count raises ValueError.
         """
-        _check_shapes([(self, chain)])
+        _check_shapes([(self, chain.field)])
         used: dict = {}
         comps = []
         for i, row in enumerate(self.entries):
@@ -72,7 +75,11 @@ class OperatorMatrix:
                     if term.power >= 0:
                         image = chain.get(j, term.power)
                     else:
-                        used[j] = _certificate(chain, i, j)
+                        if j not in used:
+                            cert = integrate_dx(chain.field[j])
+                            if not cert.is_exact:
+                                raise NonlocalObstruction(cert.remainder, entry=(i, j))
+                            used[j] = cert
                         image = used[j].antiderivative
                     accumulate(acc, (term.coeff * image).terms.items())
             comps.append(DiffPoly(acc))
@@ -84,66 +91,38 @@ def _check_shapes(pairs):
     not its field's component count, or when two matrices' row counts
     differ."""
     if not pairs:
-        raise ValueError("no (matrix, chain) pairs to apply")
+        raise ValueError("no (matrix, field) pairs to apply")
     rows = pairs[0][0].shape[0]
-    for k, (matrix, chain) in enumerate(pairs):
+    for k, (matrix, field) in enumerate(pairs):
         r, c = matrix.shape
-        if c != len(chain.field):
+        if c != len(field):
             raise ValueError(f"pair {k}: a matrix of {c} columns on a field of "
-                             f"{len(chain.field)} components")
+                             f"{len(field)} components")
         if r != rows:
             raise ValueError(f"pairs 0 and {k} have matrices of {rows} and {r} rows")
 
 
-def _certificate(chain: DxChain, i: int, j: int):
-    """The exact ``integrate_dx`` certificate of component j of
-    ``chain.field``, for the D_x^{-1} term of entry (i, j).
-
-    It is stored in ``chain.certificates`` and shared by every reader; a
-    non-exact one raises NonlocalObstruction naming (i, j), at every
-    reading.
-    """
-    cert = chain.certificates.get(j)
-    if cert is None:
-        cert = chain.certificates[j] = integrate_dx(chain.field[j])
-    if not cert.is_exact:
-        raise NonlocalObstruction(cert.remainder, entry=(i, j))
-    return cert
-
-
-def apply_sum(pairs):
-    """The sum of matrix.field over (matrix, chain) pairs, on ints;
-    returns (result, one dict of certificates per pair).
+def apply_sum(pairs) -> EvoField:
+    """The sum of matrix.field over (matrix, field) pairs, on ints.
 
     The matrices may be rectangular: each has as many columns as its
     field has components, and all have the same number of rows, one per
     output component; otherwise ValueError, naming the pair, before any
-    work.  Each D_x^{-1} term reads its certificate as ``apply_detailed``
-    does, pair by pair and entry by entry, before any product is formed,
-    so a non-exact antiderivative raises for the same entry.  Each
-    distinct (pair, column) antiderivative is appended once as one more
-    one-component field, and the term reads it at D_x^0.  Then one
-    ``varcalc.operator_sum`` forms every product, the fields at one scale
-    and the coefficients at another, with the D_x powers in packed
+    work.  Every term is local: a D_x^{-1} term raises ValueError naming
+    the pair and the entry, before any work (a caller that holds the
+    antiderivative passes it as one more field, ``hierarchy._split``).
+    One ``varcalc.operator_sum`` forms every product, the fields at one
+    scale and the coefficients at another, with the D_x powers in packed
     tables, and the result equals the sum of the ``apply_detailed``
     results.
     """
     _check_shapes(pairs)
-    n = pairs[0][0].shape[0]
-    used = [{} for _ in pairs]
-    fields = [chain.field for _, chain in pairs]
-    at: dict = {}  # (pair, column) -> index of its antiderivative in fields
-    rows: list = [[] for _ in range(n)]
-    for k, (matrix, chain) in enumerate(pairs):
+    rows: list = [[] for _ in pairs[0][0].entries]
+    for k, (matrix, _) in enumerate(pairs):
         for i, row in enumerate(matrix.entries):
             for j, entry in enumerate(row):
                 for term in entry:
-                    if term.power >= 0:
-                        rows[i].append((term.coeff, k, j, term.power))
-                        continue
-                    cert = used[k][j] = _certificate(chain, i, j)
-                    if (k, j) not in at:
-                        at[k, j] = len(fields)
-                        fields.append(EvoField((cert.antiderivative,)))
-                    rows[i].append((term.coeff, at[k, j], 0, 0))
-    return EvoField(operator_sum(fields, rows)), used
+                    if term.power < 0:
+                        raise ValueError(f"pair {k}: a D_x^{{-1}} term at entry ({i}, {j})")
+                    rows[i].append((term.coeff, k, j, term.power))
+    return EvoField(operator_sum([field for _, field in pairs], rows))

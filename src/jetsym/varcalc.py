@@ -123,20 +123,10 @@ def integrate_dx(f: DiffPoly) -> ExactnessCertificate:
 
 
 class DxChain:
-    """Lazily extended table of D_x powers of an evolutionary field.
-
-    ``certificates`` maps a component index to the certificate of that
-    component, for callers that apply D_x^{-1} to the field more than
-    once; exact or not, a stored certificate is the one every later reader
-    gets.  A reader that finds none stores the ``integrate_dx`` certificate;
-    a caller that has already formed the antiderivative with no free term
-    (``fs_hierarchy``, from the row stacked under its matrices) stores it
-    as an exact certificate, which is the same value.
-    """
+    """Lazily extended table of D_x powers of an evolutionary field."""
 
     def __init__(self, field: EvoField):
         self.field = field
-        self.certificates: dict = {}
         self._rows = [[c] for c in field.components]
 
     def get(self, depvar: int, order: int) -> DiffPoly:

@@ -60,7 +60,6 @@ class TestCommutativity:
     def test_fs_table(self):
         table = commutativity_table(fs_hierarchy(4))
         assert table.all_zero
-        assert all(table.zero[i][i] for i in range(4))
 
     def test_ts1_table(self):
         table = commutativity_table(ts1_hierarchy(4))
@@ -486,7 +485,7 @@ class TestPushForward:
     hierarchy at a = 1/(1 - 2 alpha) onto the Burgers-type hierarchy."""
 
     def test_symbolic_hierarchy(self):
-        a = rf(1) / (rf(1) - rf(2) * RationalFunction.param())
+        a = (rf(1) - rf(2) * RationalFunction.param()).inverse()
         coeffs = triangular_coeffs(8, a)
         members = fs_hierarchy(8).members
         for n in range(1, 9):

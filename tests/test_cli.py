@@ -200,6 +200,18 @@ class TestVerify:
         code, _, _ = run(capsys, "verify", "/nonexistent/h.json")
         assert code == 1
 
+    @pytest.mark.parametrize("command", ["verify", "commute"])
+    def test_no_members_is_a_parse_error(self, tmp_path, capsys, command):
+        # it used to pass verify after one check, and commute with size 0
+        path = _hierarchy_file(tmp_path, lambda d: d.update(members=[]))
+        code, stdout, err = run(capsys, command, path)
+        assert (code, stdout) == (1, "")
+        assert err == "jetsym: a hierarchy needs at least one member\n"
+        code, stdout, err = run(capsys, command, path, "--json")
+        assert (code, stdout) == (1, "")
+        assert json.loads(err) == {"error": {
+            "code": "parse", "message": "a hierarchy needs at least one member"}}
+
 
 class TestCommute:
     def test_table(self, tmp_path, capsys):

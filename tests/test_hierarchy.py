@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from jetsym import coeffield, hierarchy, operators, varcalc
+from jetsym import coeffield, hierarchy, varcalc
 from jetsym.coeffield import AlphaPoly, RationalFunction, rf
 from jetsym.errors import CrossCheckFailed, NonlocalObstruction, StructuralViolation
 from jetsym.hierarchy import (Hierarchy, StepCertificates, _specialize_matrix,
@@ -87,6 +87,30 @@ class TestSeeds:
         assert not is_symmetry(flipped, fs).ok
 
 
+def carried(k: EvoField) -> tuple:
+    """K with its antiderivative A = D_x^{-1} K^1, as ``fs_step`` reads it."""
+    return k, integrate_dx(k[0]).antiderivative
+
+
+def with_antiderivative(k: EvoField) -> EvoField:
+    """(K^1, K^2, D_x^{-1} K^1), what ``fs_step`` returns for K."""
+    return EvoField(k.components + (integrate_dx(k[0]).antiderivative,))
+
+
+NO_ROW = ((), ())
+
+
+def step_matrices(rec, m, rows=None, alpha0=None):
+    """rec and m as ``fs_step`` reads them: each ``_split`` with its row
+    of rows (``_antiderivative_rows`` by default) stacked under it, and
+    specialized at alpha0."""
+    pairs = [hierarchy._split(matrix, row) for matrix, row in
+             zip((rec, m), rows or hierarchy._antiderivative_rows())]
+    if alpha0 is not None:
+        pairs = [[_specialize_matrix(part, alpha0) for part in pair] for pair in pairs]
+    return pairs
+
+
 class TestRecursionStep:
     def test_k3_matches_golden(self):
         h = fs_hierarchy(3)
@@ -122,16 +146,16 @@ class TestRecursionStep:
 
     def test_explicit_step_equals_hierarchy(self):
         k1, k2 = fs_seed()
-        k3, _, _ = fs_step(DxChain(k2), DxChain(k1), recursion_matrix(),
-                           second_recursion_matrix())
-        assert k3 == fs_hierarchy(3).member(3)
+        k3 = fs_step(carried(k2), carried(k1),
+                     *step_matrices(recursion_matrix(), second_recursion_matrix()))
+        assert k3 == with_antiderivative(fs_hierarchy(3).member(3))
 
     def test_every_member_satisfies_recursion(self, fs_hierarchy_8):
-        rec, m = recursion_matrix(), second_recursion_matrix()
+        rec, m = step_matrices(recursion_matrix(), second_recursion_matrix())
         for n in range(3, 9):
-            kn, _, _ = fs_step(DxChain(fs_hierarchy_8.member(n - 1)),
-                               DxChain(fs_hierarchy_8.member(n - 2)), rec, m)
-            assert kn == fs_hierarchy_8.member(n)
+            kn = fs_step(carried(fs_hierarchy_8.member(n - 1)),
+                         carried(fs_hierarchy_8.member(n - 2)), rec, m)
+            assert kn == with_antiderivative(fs_hierarchy_8.member(n))
 
 
 class TestFsHierarchy:
@@ -170,23 +194,37 @@ class TestFsHierarchy:
         assert not calls
 
     def test_members_share_chains(self, monkeypatch):
-        """Each member is read by two recursion steps through one DxChain.
-        Only the seeds' first components are integrated: every later
-        antiderivative is the row stacked under the matrices (7 and 11
-        integrals at N = 8 and 12 when each member was integrated), and the
-        second step reuses the D_x powers the first one formed (105 D_x and
-        12 antiderivatives at N = 8 when every step built its own)."""
-        integrals, derivatives = [], []
-        integrate, dx = operators.integrate_dx, DiffPoly.dx
-        monkeypatch.setattr(operators, "integrate_dx",
+        """Each member is carried with its antiderivative. Only the seeds'
+        first components are integrated: every later antiderivative is the
+        row stacked under the matrices (7 and 11 integrals at N = 8 and 12
+        when each member was integrated), the D_x powers are formed on
+        packed ints (105 D_x and 12 antiderivatives at N = 8 when every
+        step built its own over the field), and each recursion member
+        takes one ``fs_step``."""
+        integrals, derivatives, steps = [], [], []
+        integrate, dx, step = hierarchy.integrate_dx, DiffPoly.dx, hierarchy.fs_step
+        monkeypatch.setattr(hierarchy, "integrate_dx",
                             lambda f: integrals.append(1) or integrate(f))
         monkeypatch.setattr(DiffPoly, "dx", lambda p: derivatives.append(1) or dx(p))
+        monkeypatch.setattr(hierarchy, "fs_step", lambda *a: steps.append(1) or step(*a))
         for N in (8, 12):
             integrals.clear()
             derivatives.clear()
+            steps.clear()
             fs_hierarchy(N)
             assert len(integrals) == 2
             assert len(derivatives) <= 64
+            assert len(steps) == N - 2
+
+    def test_inexact_seed_raises(self, monkeypatch):
+        k1, k2 = fs_seed()
+        bad = EvoField((fs_expr("w_x^2"), k2[1]))
+        monkeypatch.setattr(hierarchy, "fs_seed", lambda: (k1, bad))
+        assert fs_hierarchy(2).members == (k1, bad)  # no step reads D_x^{-1} K_2^1
+        with pytest.raises(NonlocalObstruction) as exc:
+            fs_hierarchy(3)
+        assert exc.value.entry == (0, 0)
+        assert exc.value.remainder == integrate_dx(bad[0]).remainder
 
     def test_specialized_generation(self):
         symbolic = fs_hierarchy(8).members
@@ -257,6 +295,7 @@ class TestKernelStep:
     def test_random_fields_match_oracle(self, alpha0):
         rng = random.Random(151 if alpha0 is None else 157)
         rec, m = recursion_matrix(), second_recursion_matrix()
+        split = step_matrices(rec, m, alpha0=alpha0)
         if alpha0 is not None:
             rec, m = _specialize_matrix(rec, alpha0), _specialize_matrix(m, alpha0)
         for _ in range(25):
@@ -266,8 +305,8 @@ class TestKernelStep:
                 # a first component in Im D_x, so that D_x^{-1} applies
                 k = EvoField((k[0].dx(), k[1]))
                 fields.append(k if alpha0 is None else k.specialize(alpha0))
-            got = fs_step(DxChain(fields[0]), DxChain(fields[1]), rec, m)
-            assert got == oracle_step(fields[0], fields[1], rec, m)
+            got = fs_step(carried(fields[0]), carried(fields[1]), *split)
+            assert got == with_antiderivative(oracle_step(fields[0], fields[1], rec, m)[0])
 
     def test_bound_exceeds_a_narrower_coefficient_slot(self, monkeypatch):
         # K_n = (2^20 - alpha)/(2 alpha - 1) w: at S_c = 2 alpha - 1 the
@@ -278,9 +317,10 @@ class TestKernelStep:
         k = EvoField((fs_expr("w"), fs_expr("z")))
         want = oracle_step(k, k, rec, ZERO_MATRIX)[0]
         assert want[0] == fs_expr("w").scalar_mul(c)
-        assert fs_step(DxChain(k), DxChain(k), rec, ZERO_MATRIX)[0] == want
+        split = step_matrices(rec, ZERO_MATRIX, (NO_ROW, NO_ROW))
+        assert EvoField(fs_step(carried(k), carried(k), *split)[:2]) == want
         monkeypatch.setattr(varcalc, "_sum_bounds", one_bit_narrower(varcalc._sum_bounds, 0))
-        assert fs_step(DxChain(k), DxChain(k), rec, ZERO_MATRIX)[0] != want
+        assert EvoField(fs_step(carried(k), carried(k), *split)[:2]) != want
 
     def test_bound_exceeds_a_narrower_exponent_slot(self, monkeypatch):
         # w^3 * w^5 = w^8: at the bound's width 8 is a digit; one bit
@@ -289,9 +329,10 @@ class TestKernelStep:
         k = EvoField((fs_expr("w^5"), fs_expr("z")))
         want = oracle_step(k, k, rec, ZERO_MATRIX)[0]
         assert want[0] == fs_expr("w^8")
-        assert fs_step(DxChain(k), DxChain(k), rec, ZERO_MATRIX)[0] == want
+        split = step_matrices(rec, ZERO_MATRIX, (NO_ROW, NO_ROW))
+        assert EvoField(fs_step(carried(k), carried(k), *split)[:2]) == want
         monkeypatch.setattr(varcalc, "_sum_bounds", one_bit_narrower(varcalc._sum_bounds, 1))
-        assert fs_step(DxChain(k), DxChain(k), rec, ZERO_MATRIX)[0] != want
+        assert EvoField(fs_step(carried(k), carried(k), *split)[:2]) != want
 
     def test_antiderivative_binds_the_coefficient_slot(self, monkeypatch):
         # K_n = D_x^{-1}(c w_x) = c w for c = (2^20 - alpha)/(2 alpha - 1):
@@ -303,7 +344,8 @@ class TestKernelStep:
         k = EvoField((fs_expr("w_x").scalar_mul(c), fs_expr("z")))
         want = oracle_step(k, k, rec, ZERO_MATRIX)[0]
         assert want[0] == fs_expr("w").scalar_mul(c)
-        run = lambda: fs_step(DxChain(k), DxChain(k), rec, ZERO_MATRIX)[0]
+        split = step_matrices(rec, ZERO_MATRIX, (NO_ROW, NO_ROW))
+        run = lambda: EvoField(fs_step(carried(k), carried(k), *split)[:2])
         [(_, _, coeff_bits)] = kernel_widths(monkeypatch, run)
         assert coeff_bits == varcalc._word_bits(2 ** 20 + 1)  # |S_c 1|_1 |S_K c|_1
         assert run() == want
@@ -318,7 +360,8 @@ class TestKernelStep:
         k = EvoField((fs_expr("w^5").dx(), fs_expr("z")))
         want = oracle_step(k, k, rec, ZERO_MATRIX)[0]
         assert want[0] == fs_expr("w^8")
-        run = lambda: fs_step(DxChain(k), DxChain(k), rec, ZERO_MATRIX)[0]
+        split = step_matrices(rec, ZERO_MATRIX, (NO_ROW, NO_ROW))
+        run = lambda: EvoField(fs_step(carried(k), carried(k), *split)[:2])
         [(_, bits, _)] = kernel_widths(monkeypatch, run)
         assert bits == varcalc._word_bits(8)
         assert run() == want
@@ -326,6 +369,7 @@ class TestKernelStep:
         assert run() != want
 
     def test_non_exact_member_names_its_entry(self):
+        # fs_step is given each A; the reference integrates, and names the entry
         k1, k2 = fs_seed()
         bad = EvoField((fs_expr("w_x^2"), fs_expr("z_x")))
         rec, m = recursion_matrix(), second_recursion_matrix()
@@ -333,7 +377,7 @@ class TestKernelStep:
         for prev, prevprev, r, entry in ((bad, k1, rec, (0, 0)), (k2, bad, rec, (0, 0)),
                                          (bad, k1, lower, (1, 0))):
             with pytest.raises(NonlocalObstruction) as exc:
-                fs_step(DxChain(prev), DxChain(prevprev), r, m)
+                oracle_step(prev, prevprev, r, m)
             assert exc.value.entry == entry
             assert exc.value.remainder == integrate_dx(bad[0]).remainder
 
@@ -365,9 +409,9 @@ class TestKernelStep:
         scales = []
         divide = varcalc.dividing_by
         monkeypatch.setattr(varcalc, "dividing_by", lambda s: scales.append(s) or divide(s))
-        got = fs_step(DxChain(prev), DxChain(prevprev), rec, m)
+        got = fs_step(carried(prev), carried(prevprev), *step_matrices(rec, m))
         assert [s.num.degree for s in scales] == [4]
-        assert got == oracle_step(prev, prevprev, rec, m)
+        assert got == with_antiderivative(oracle_step(prev, prevprev, rec, m)[0])
 
 
 class TestAntiderivativeRows:
@@ -376,14 +420,27 @@ class TestAntiderivativeRows:
 
     def test_step_forms_the_antiderivative(self):
         k1, k2 = fs_seed()
-        rec, m = (OperatorMatrix(matrix.entries + (row,)) for matrix, row in
-                  zip((recursion_matrix(), second_recursion_matrix()),
-                      hierarchy._antiderivative_rows()))
-        chains = [DxChain(k2), DxChain(k1)]
-        (top, second, antiderivative), prev, prevprev = fs_step(*chains, rec, m)
+        rec, m = step_matrices(recursion_matrix(), second_recursion_matrix())
+        top, second, antiderivative = fs_step(carried(k2), carried(k1), rec, m)
         assert EvoField((top, second)) == golden_k3()
         assert antiderivative == integrate_dx(top).antiderivative
-        assert (prev, prevprev) == (integrate_dx(k2[0]), integrate_dx(k1[0]))
+        [cert] = fs_hierarchy(3).certificates
+        assert (cert.prev, cert.prevprev) == (integrate_dx(k2[0]), integrate_dx(k1[0]))
+
+    def test_split_refuses_a_nonlocal_term_outside_column_0(self):
+        dinv = OpTerm(fs_expr("z"), -1)
+        with pytest.raises(ValueError, match=r"entry \(2, 1\), outside column 0"):
+            hierarchy._split(recursion_matrix(), [(), (dinv,)])
+        with pytest.raises(ValueError, match=r"entry \(0, 1\), outside column 0"):
+            hierarchy._split(OperatorMatrix([[(), (dinv,)], [(), ()]]), NO_ROW)
+
+    def test_split_reads_the_antiderivative_at_dx0(self):
+        on_k, on_a = hierarchy._split(recursion_matrix(), hierarchy._antiderivative_rows()[0])
+        assert on_k.shape == (3, 2) and on_a.shape == (3, 1)
+        assert on_a.entries == (((OpTerm(fs_expr("4*w_x"), 0),),),
+                                ((OpTerm(fs_expr("2*z_x - 4*w*z"), 0),),),
+                                ((OpTerm(fs_expr("4*w"), 0),),))
+        assert all(t.power >= 0 for row in on_k.entries for e in row for t in e)
 
     @pytest.mark.parametrize("alpha0", [None, Fraction(1, 3)])
     @pytest.mark.parametrize("matrix", ["rec", "m"])

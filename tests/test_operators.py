@@ -4,13 +4,14 @@ import random
 
 import pytest
 
+from jetsym import hierarchy, operators
 from jetsym.coeffield import AlphaPoly, RationalFunction, rf
 from jetsym.errors import NonlocalObstruction
 from jetsym.hierarchy import fs_seed, recursion_matrix, second_recursion_matrix
 from jetsym.jetalgebra import DiffPoly, EvoField, jet
 from jetsym.operators import OperatorMatrix, OpTerm, apply_sum
 from jetsym.systems import parse_expression
-from jetsym.varcalc import DxChain
+from jetsym.varcalc import DxChain, integrate_dx
 
 from conftest import random_diffpoly, random_evofield
 
@@ -86,15 +87,9 @@ class TestApplyMatrix:
             rec.apply_detailed(DxChain(bad))
         assert exc.value.entry == (0, 0)
 
-    def test_cached_obstruction_raises_at_every_reading(self, monkeypatch):
-        """A chain stores the non-exact certificate of its first component;
-        every matrix that reads it raises with its own entry and the same
-        remainder, and the component is integrated once."""
-        from jetsym import operators
-        calls = []
-        integrate = operators.integrate_dx
-        monkeypatch.setattr(operators, "integrate_dx",
-                            lambda f: calls.append(f) or integrate(f))
+    def test_cached_obstruction_raises_at_every_reading(self):
+        """Every matrix that reads a non-exact first component raises with
+        its own entry and the same remainder."""
         chain = DxChain(EvoField((fs_expr("w_x^2"), fs_expr("z_x"))))
         lower = OperatorMatrix([[(), ()], [(OpTerm(DiffPoly.constant(1), -1),), ()]])
         remainders = []
@@ -105,8 +100,20 @@ class TestApplyMatrix:
                 matrix.apply_detailed(chain)
             assert exc.value.entry == entry
             remainders.append(exc.value.remainder)
-        assert len(calls) == 1 and not chain.certificates[0].is_exact
-        assert remainders == [chain.certificates[0].remainder] * 3
+        assert remainders == [integrate_dx(chain.field[0]).remainder] * 3
+
+    def test_each_column_is_integrated_once_per_call(self, monkeypatch):
+        # the recursion matrix reads D_x^{-1} K^1 in both rows
+        calls = []
+        integrate = operators.integrate_dx
+        monkeypatch.setattr(operators, "integrate_dx",
+                            lambda f: calls.append(f) or integrate(f))
+        k1, _ = fs_seed()
+        out, certs = recursion_matrix().apply_detailed(DxChain(k1))
+        assert calls == [k1[0]]
+        assert certs == {0: integrate(k1[0])}
+        out2, _ = recursion_matrix().apply_detailed(DxChain(k1))
+        assert out2 == out and len(calls) == 2
 
     def test_linearity(self):
         rng = random.Random(83)
@@ -147,32 +154,51 @@ def random_matrix(rng, rows, columns):
         for _ in range(rows)])
 
 
+def split(matrix):
+    """``matrix`` as ``apply_sum`` takes it: its local terms, and its
+    D_x^{-1} terms at D_x^0, to read the antiderivative of column 0."""
+    *rows, last = matrix.entries
+    return hierarchy._split(OperatorMatrix(rows), last)
+
+
 class TestApplySum:
     def test_matches_apply_detailed(self):
         """Random matrices over Q(alpha) on random fields, one to three
-        pairs, square (1 x 1, 2 x 2) or 3 x 2: the packed sum equals the
-        summed field-coefficient results, with the same certificates."""
+        pairs, square (1 x 1, 2 x 2) or 3 x 2: the packed sum, each matrix
+        split into its local terms on K and its D_x^{-1} terms on the
+        antiderivative, equals the summed field-coefficient results."""
         rng = random.Random(167)
         for _ in range(60):
             n = rng.randint(1, 2)
             rows = 3 if n == 2 and rng.random() < 0.5 else n
-            pairs = []
+            pairs, want = [], []
             for _ in range(rng.randint(1, 3)):
                 k = random_evofield(rng, nvars=n, max_order=2, terms=3, rational=True)
                 k = EvoField((k[0].dx(),) + tuple(k)[1:])
-                pairs.append((random_matrix(rng, rows, n), DxChain(k)))
-            got, certs = apply_sum(pairs)
-            want = [matrix.apply_detailed(DxChain(chain.field)) for matrix, chain in pairs]
+                matrix = random_matrix(rng, rows, n)
+                on_k, on_a = split(matrix)
+                pairs += [(on_k, k), (on_a, EvoField((integrate_dx(k[0]).antiderivative,)))]
+                want.append(matrix.apply_detailed(DxChain(k)))
+            got = apply_sum(pairs)
             total = want[0][0]
             for field, _ in want[1:]:
                 total = total + field
             assert len(got) == rows
             assert got == total
-            assert certs == [c for _, c in want]
+
+    def test_refuses_a_nonlocal_term(self, monkeypatch):
+        # named before any work: no operator_sum runs
+        calls = []
+        monkeypatch.setattr(operators, "operator_sum", lambda *a: calls.append(a))
+        k1, k2 = fs_seed()
+        with pytest.raises(ValueError, match=r"pair 1: a D_x\^\{-1\} term at entry \(1, 0\)"):
+            apply_sum([(OperatorMatrix([[(), ()], [(), ()]]), k2),
+                       (OperatorMatrix([[(), ()], [(OpTerm(fs_expr("z"), -1),), ()]]), k1)])
+        assert not calls
 
 
 def apply_one(matrix, field):
-    return apply_sum([(matrix, DxChain(field))])
+    return apply_sum([(matrix, field)])
 
 
 def apply_reference(matrix, field):
@@ -208,13 +234,13 @@ class TestShapes:
         k1, k2 = fs_seed()
         three_rows = OperatorMatrix([[(), ()], [(), ()], [(), ()]])
         with pytest.raises(ValueError, match="pairs 0 and 1 have matrices of 2 and 3 rows"):
-            apply_sum([(recursion_matrix(), DxChain(k2)), (three_rows, DxChain(k1))])
+            apply_sum([(recursion_matrix(), k2), (three_rows, k1)])
 
     def test_second_pair_is_named(self):
         k1, k2 = fs_seed()
         with pytest.raises(ValueError, match="pair 1: "):
-            apply_sum([(recursion_matrix(), DxChain(k2)),
-                       (second_recursion_matrix(), DxChain(EvoField((k1[0],))))])
+            apply_sum([(recursion_matrix(), k2),
+                       (second_recursion_matrix(), EvoField((k1[0],)))])
 
     def test_no_pairs(self):
         with pytest.raises(ValueError):

@@ -45,3 +45,12 @@ def test_benchmark_probe_points_exist():
                if not hasattr(owner, attr)]
     assert len(tracing.LAYER_BOUNDARIES) >= 20 and not missing
     assert operators.integrate_dx is analysis.integrate_dx is varcalc.integrate_dx
+
+
+def test_readme_library_example_runs():
+    # the documented example runs as written, so it cannot drift from the API
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    library = readme.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    example = library.split("```python\n", 1)[1].split("```", 1)[0]
+    assert "fs_hierarchy" in example
+    exec(compile(example, str(readme), "exec"), {})
