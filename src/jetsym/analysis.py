@@ -210,11 +210,14 @@ def density_search(system: EvolutionSystem, ansatz: DensityAnsatz) -> DensityRep
     Sets up the Euler images of D_t(rho) as a homogeneous linear system
     over the coefficient field (assembled on Kronecker-packed ints by
     ``dt_euler_rows``, one column per ansatz monomial, exact by a height
-    bound), and takes its nullspace exactly.  The quotient modulo Im D_x
-    and constants is the kernel of the Euler-image map on that solution
-    basis, a second nullspace: the pivot densities form the nontrivial
-    quotient basis, and each kernel vector combines to a density that is
-    exact up to its free term, reported with its certificate.
+    bound; its row labels stay packed, since only the rows are read), and
+    takes its nullspace exactly: ``sparse_rref`` first zeroes the columns
+    that rows of one entry force to zero, then eliminates the rest.  The
+    quotient modulo Im D_x and constants is the kernel of the Euler-image
+    map on that solution basis, a second nullspace: the pivot densities
+    form the nontrivial quotient basis, and each kernel vector combines to
+    a density that is exact up to its free term, reported with its
+    certificate.
     """
     if ansatz.max_order < 0 or ansatz.max_degree < 0:
         raise ValueError("ansatz bounds must be nonnegative")

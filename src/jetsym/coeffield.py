@@ -695,19 +695,33 @@ def accumulate(out: dict, pairs) -> dict:
 def sparse_rref(rows: list, ncols: int):
     """Reduced row echelon form of sparse rows (dicts col -> RF).
 
-    Mutates nothing; returns (pivot_rows, pivot_cols) where pivot_rows[i]
-    is a dict with a leading 1 in pivot_cols[i] and zeros in every other
-    pivot column.  Rows are combined with fully reduced rational-function
-    arithmetic, which in practice keeps the entry degrees small.
+    Mutates nothing; returns (pivot_rows, pivot_cols), in column order,
+    where pivot_rows[i] is a dict with a leading 1 in pivot_cols[i] and
+    zeros in every other pivot column.  Explicit zero entries are dropped
+    on entry.  Then the singleton columns are zeroed with no field
+    arithmetic, the first presolve step of sparse elimination (Andersen and
+    Andersen, "Presolving in linear programming", 1995): a row of one entry
+    forces its column to zero, so that column's reduced row is {col: 1}.
+    Until no row has one entry, those columns are deleted from every row,
+    and rows left empty drop out.  Only the rows that remain are eliminated
+    in column order, combined with fully reduced rational-function
+    arithmetic, which in practice keeps the entry degrees small.  The RREF
+    is unique, so the presolve changes no output.
     """
-    work = [dict(r) for r in rows if r]
+    # the input rows are shared until the presolve is done, then copied
+    work = [r if all(r.values()) else {c: v for c, v in r.items() if v} for r in rows]
+    zeroed: set = set()
+    while single := {c for r in work if len(r) == 1 for c in r}:
+        zeroed |= single
+        work = [r if single.isdisjoint(r) else {c: v for c, v in r.items() if c not in single}
+                for r in work]
+    work = [dict(r) for r in work if r]
     # occupancy: column -> set of row indices currently containing it
     occ: dict = {}
     for idx, r in enumerate(work):
         for c in r:
             occ.setdefault(c, set()).add(idx)
-    pivot_rows: list = []
-    pivot_cols: list = []
+    pivots: dict = {}  # pivot column -> its reduced row
     for col in range(ncols):
         holders = occ.get(col)
         if not holders:
@@ -736,13 +750,15 @@ def sparse_rref(rows: list, ncols: int):
                 else:
                     occ[c].discard(other_idx)
         # eliminate from previously found pivot rows (full RREF)
-        for prow in pivot_rows:
+        for prow in pivots.values():
             factor = prow.pop(col, None)
             if factor is not None:
                 accumulate(prow, ((c, v * factor) for c, v in neg_row))
-        pivot_rows.append(row)
-        pivot_cols.append(col)
-    return pivot_rows, pivot_cols
+        pivots[col] = row
+    # no eliminated row holds a zeroed column, and no zeroed row a pivot
+    pivots.update((c, {c: RF_ONE}) for c in zeroed)
+    pivot_cols = sorted(pivots)
+    return [pivots[c] for c in pivot_cols], pivot_cols
 
 
 def sparse_nullspace(rows: list, ncols: int):
@@ -751,7 +767,8 @@ def sparse_nullspace(rows: list, ncols: int):
     Returns (pivot_cols, kernel): the pivot columns of the RREF, and one
     vector {f: 1, c: -r_c[f]} per free column f, in column order, where
     r_c is the reduced row of pivot column c; only pivot columns before f
-    can appear in it.
+    can appear in it.  A column that ``sparse_rref``'s singleton presolve
+    zeroes is a pivot with r_c = {c: 1}, so it appears in no vector.
     """
     pivot_rows, pivot_cols = sparse_rref(rows, ncols)
     pivots = set(pivot_cols)

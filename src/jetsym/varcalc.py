@@ -603,12 +603,15 @@ def dt_euler_rows(monos, field: EvoField) -> dict:
     """The Euler images of D_t m along u_t = field, one row per image term.
 
     monos are jet monomials with positive exponents.  Returns
-    {(d, mu): {col: c}}, c the coefficient of mu in E_d(D_t monos[col]),
-    with rows and entries in no particular order.  The field is scaled to
-    integer polynomial coefficients and packed once (``_Kernel``), so the
-    Frechet derivative and the Euler operator run on ints over one shared
-    D_x table; each distinct packed image coefficient is unpacked and
-    unscaled once.
+    {(d, mu): {col: c}}, c the coefficient of the monomial mu in
+    E_d(D_t monos[col]), with rows and entries in no particular order.  The
+    labels (d, mu) are opaque and distinct, one per image term: mu is the
+    monomial as the call's own ``_Kernel`` packs it, never unpacked, since
+    the density search reads only the rows.  The field is scaled to
+    integer polynomial coefficients and packed once, so the Frechet
+    derivative and the Euler operator run on ints over one shared D_x
+    table; each distinct packed image coefficient is unpacked and unscaled
+    once.
 
     The widths: for m of degree at most D and jet order at most r,
     D_t m = sum over (d, i) of dm/du_(d,i) D_x^i K_d is one ``_sum_bounds``
@@ -650,5 +653,4 @@ def dt_euler_rows(monos, field: EvoField) -> dict:
                 if coeff is None:
                     coeff = unpacked[c] = unscale(kronecker_unpack(c, kernel.coeff_bits))
                 rows.setdefault((d, mu), {})[col] = coeff
-    # popped as they are converted, so the packed keys free as the tuples grow
-    return {(key[0], kernel.unpack(key[1])): rows.pop(key) for key in list(rows)}
+    return rows

@@ -74,14 +74,17 @@ def random_evofield(rng, nvars=2, max_order=1, terms=2, rational=False):
                     for _ in range(nvars))
 
 
-def kernel_widths(monkeypatch, run) -> list:
+def kernel_widths(monkeypatch, run, kernels=None) -> list:
     """(nvars, exponent bits, coefficient bits) of every packed kernel that
-    run() builds, in order."""
+    run() builds, in order; the kernels themselves go to the list kernels,
+    if one is given."""
     widths = []
     init = _Kernel.__init__
 
     def spy_init(self, nvars, bits, coeff_bits):
         widths.append((nvars, bits, coeff_bits))
+        if kernels is not None:
+            kernels.append(self)
         init(self, nvars, bits, coeff_bits)
     with monkeypatch.context() as patch:
         patch.setattr(_Kernel, "__init__", spy_init)

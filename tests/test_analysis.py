@@ -285,6 +285,21 @@ def assert_reference_quotient(report, system, monos, rows):
     assert [t.density for t in report.trivial_parts] == trivial
 
 
+def keyed_rows(monkeypatch, monos, rhs) -> dict:
+    """dt_euler_rows(monos, rhs) keyed (d, tuple monomial): each packed label
+    decoded through the one kernel the call built (none for no rows)."""
+    kernels, out = [], []
+    kernel_widths(monkeypatch, lambda: out.append(dt_euler_rows(monos, rhs)), kernels)
+    [rows] = out
+    if not kernels:
+        assert rows == {}
+        return rows
+    [kernel] = kernels
+    keyed = {(d, kernel.unpack(mu)): row for (d, mu), row in rows.items()}
+    assert len(keyed) == len(rows)  # distinct labels, one per image term
+    return keyed
+
+
 def assert_same_rows(got, ref):
     # the same keys, entries and values; the order is free, since the
     # search reduces the rows to their unique RREF
@@ -318,7 +333,7 @@ class TestPackedDensityRows:
             ansatz = DensityAnsatz(rng.randint(0, 2), rng.randint(0, 3))
             monos = ansatz.monomials(system)
             ref = reference_rows(system, monos)
-            assert_same_rows(dt_euler_rows(monos, rhs), ref)
+            assert_same_rows(keyed_rows(monkeypatch, monos, rhs), ref)
             poly_scales += len(_IntegerField(rhs).scale.num.ints) > 1
             nonempty += bool(ref)
             report = density_search(system, ansatz)
@@ -342,7 +357,7 @@ class TestPackedDensityRows:
         assert max(abs(v.num.ints[0]) for row in ref.values() for v in row.values()) >= 2 ** 63
         [(_, _, bits)] = kernel_widths(monkeypatch, lambda: dt_euler_rows(monos, rhs))
         assert bits > 64
-        assert_same_rows(dt_euler_rows(monos, rhs), ref)
+        assert_same_rows(keyed_rows(monkeypatch, monos, rhs), ref)
 
     @pytest.mark.parametrize("c, k, height, widths, narrower", [
         # E(D_t w^2) = 8c*w^(k+1), and the coefficient bound D |K|_1 W of
@@ -361,11 +376,11 @@ class TestPackedDensityRows:
         ref = reference_rows(system, monos)
         assert max(abs(v.num.ints[0]) for row in ref.values() for v in row.values()) == 8 * c
         assert kernel_widths(monkeypatch, lambda: dt_euler_rows(monos, rhs)) == [widths]
-        assert_same_rows(dt_euler_rows(monos, rhs), ref)
+        assert_same_rows(keyed_rows(monkeypatch, monos, rhs), ref)
         word_bits = varcalc._word_bits
         monkeypatch.setattr(varcalc, "_word_bits", lambda h: word_bits(h) - (h == height))
         assert kernel_widths(monkeypatch, lambda: dt_euler_rows(monos, rhs)) == [narrower]
-        assert dt_euler_rows(monos, rhs) != ref
+        assert keyed_rows(monkeypatch, monos, rhs) != ref
 
     def test_degree_zero_builds_no_kernel(self, monkeypatch, fs):
         # D_t 1 = 0: no rows, so no width is taken and no kernel built
@@ -409,12 +424,13 @@ class TestDensityDxBudget:
             dt_euler_rows(monos, system.rhs)
         assert str(info.value) == "D_x growth bound needs 4095 bits, budget is 1024"
 
-    def test_linear_chain_has_no_growth(self):
+    def test_linear_chain_has_no_growth(self, monkeypatch):
         # E(D_t w^2) for w_t = w_4093 + w*w_x differentiates 2*w, whose D_x
         # powers stay one term each
         system = parse_system("system s\nvars w\neq w_t = w[4093] + w*w_x\n")
         monos = DensityAnsatz(0, 2).monomials(system)
-        assert_same_rows(dt_euler_rows(monos, system.rhs), reference_rows(system, monos))
+        assert_same_rows(keyed_rows(monkeypatch, monos, system.rhs),
+                         reference_rows(system, monos))
 
 
 QUOTIENT_PINS = {

@@ -715,6 +715,129 @@ class TestSparseNullspace:
         assert len(ranks) >= 10
 
 
+def dense_rref(rows, ncols):
+    """(pivot_rows, pivot_cols) by dense Gauss-Jordan in column order, with
+    no presolve: the reference for sparse_rref."""
+    mat = [[row.get(c, rf(0)) for c in range(ncols)] for row in rows]
+    pivot_cols = []
+    for col in range(ncols):
+        rank = len(pivot_cols)
+        pick = next((i for i in range(rank, len(mat)) if not mat[i][col].is_zero), None)
+        if pick is None:
+            continue
+        mat[rank], mat[pick] = mat[pick], mat[rank]
+        inv = mat[rank][col].inverse()
+        top = mat[rank] = [v * inv for v in mat[rank]]
+        for i, row in enumerate(mat):
+            factor = row[col]
+            if i != rank and not factor.is_zero:
+                mat[i] = [a - factor * b for a, b in zip(row, top)]
+        pivot_cols.append(col)
+    return ([{c: v for c, v in enumerate(row) if not v.is_zero} for row in mat[:len(pivot_cols)]],
+            pivot_cols)
+
+
+def presolve_rounds(rows):
+    """The rounds in which rows of one entry zero their columns."""
+    rows, rounds = [set(r) for r in rows], 0
+    while single := {c for r in rows if len(r) == 1 for c in r}:
+        rows = [r - single for r in rows]
+        rounds += 1
+    return rounds
+
+
+def random_entry(rng):
+    """A nonzero constant or a nonzero rational function of alpha."""
+    if rng.random() < 0.5:
+        return rf(random_fraction(rng) or 1)
+    return random_nonzero_rf(rng, rational=True)
+
+
+def singleton_chain(rng, cols):
+    """Rows {c1}, {c1, c2}, ..., {c_(k-1), c_k} over the columns cols: the
+    presolve zeroes one more column of them each round."""
+    rows = [{cols[0]: random_entry(rng)}]
+    rows += [{a: random_entry(rng), b: random_entry(rng)} for a, b in zip(cols, cols[1:])]
+    return rows
+
+
+def random_system(rng):
+    """Random sparse rows: symbolic and constant entries, duplicate and
+    scaled rows, empty rows, and now and then a singleton chain."""
+    ncols = rng.randint(1, 8)
+    rows = []
+    for _ in range(rng.randint(0, 6)):
+        cols = rng.sample(range(ncols), rng.randint(1, ncols))
+        rows.append({c: random_entry(rng) for c in cols})
+    if ncols >= 2 and rng.random() < 0.6:
+        rows += singleton_chain(rng, rng.sample(range(ncols), rng.randint(2, ncols)))
+    if rows and rng.random() < 0.4:  # a duplicate, or a multiple
+        row = rng.choice(rows)
+        scale = rf(1) if rng.random() < 0.5 else random_entry(rng)
+        rows.append({c: v * scale for c, v in row.items()})
+    if rng.random() < 0.3:
+        rows.append({})
+    rng.shuffle(rows)
+    return rows, ncols
+
+
+class TestSparseRref:
+    def test_matches_dense_gauss_jordan(self):
+        rng = random.Random(241)
+        rounds, ranks = {}, set()
+        for _ in range(300):
+            rows, ncols = random_system(rng)
+            want = dense_rref(rows, ncols)
+            assert sparse_rref(rows, ncols) == want
+            k = presolve_rounds(rows)
+            rounds[k] = rounds.get(k, 0) + 1
+            ranks.add((ncols, len(want[1])))
+        assert rounds.get(0, 0) >= 30 and sum(n for k, n in rounds.items() if k >= 2) >= 100
+        assert len(ranks) >= 30
+
+    def test_mutates_nothing(self):
+        rng = random.Random(242)
+        for _ in range(50):
+            rows, ncols = random_system(rng)
+            copies = [dict(r) for r in rows]
+            sparse_rref(rows, ncols)
+            assert rows == copies
+
+    def test_explicit_zeros_are_dropped(self):
+        assert sparse_rref([{0: rf(0)}], 1) == ([], [])
+        assert sparse_rref([{0: rf(0), 1: ALPHA}, {0: ALPHA, 1: S}], 2) == \
+            ([{0: rf(1)}, {1: rf(1)}], [0, 1])
+        rng = random.Random(243)
+        for _ in range(150):
+            rows, ncols = random_system(rng)
+            padded = [dict(r) for r in rows] + [{rng.randrange(ncols): rf(0)}]
+            for row in padded:
+                for c in rng.sample(range(ncols), rng.randint(0, ncols)):
+                    row.setdefault(c, rf(0))
+            assert sparse_rref(padded, ncols) == sparse_rref(rows, ncols) == \
+                dense_rref(rows, ncols)
+
+    def test_singleton_chains_run_no_field_arithmetic(self, monkeypatch):
+        rng = random.Random(244)
+        cols = list(range(12))
+        rng.shuffle(cols)
+        rows = singleton_chain(rng, cols[:5]) + singleton_chain(rng, cols[5:9]) + [{cols[9]: ALPHA}]
+        rng.shuffle(rows)
+        assert presolve_rounds(rows) == 5
+        calls = []
+        for name in ("__mul__", "__add__", "__neg__", "inverse"):
+            method = getattr(RationalFunction, name)
+
+            def spy(*args, _name=name, _method=method):
+                calls.append(_name)
+                return _method(*args)
+            monkeypatch.setattr(RationalFunction, name, spy)
+        pivot_rows, pivot_cols = sparse_rref(rows, 12)
+        assert calls == []
+        assert pivot_cols == sorted(cols[:10])
+        assert pivot_rows == [{c: rf(1)} for c in pivot_cols]
+
+
 class TestSerialization:
     def test_json_round_trip(self):
         rng = random.Random(19)
