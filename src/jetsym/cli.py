@@ -15,9 +15,10 @@ from fractions import Fraction
 from .analysis import (DensityAnsatz, commutativity_table, density_search,
                        substitution_check, verify_hierarchy)
 from .coeffield import parse_rational
-from .errors import (AnsatzTooLarge, DuplicateEquation, DxBudgetExceeded, InvalidHierarchy,
-                     InvalidSetting, JetOrderOutOfRange, JetsymError, MissingEquation,
-                     NonlocalObstruction, NumberTooLong, ParseError, PoleAtParameter)
+from .errors import (AnsatzTooLarge, DuplicateEquation, DxBudgetExceeded, HierarchyTooLarge,
+                     InvalidHierarchy, InvalidSetting, JetOrderOutOfRange, JetsymError,
+                     MissingEquation, NonlocalObstruction, NumberTooLong, ParseError,
+                     PoleAtParameter)
 from .hierarchy import Hierarchy, fs_hierarchy, ts1_hierarchy
 from .jetalgebra import jet
 from .systems import builtin_names, builtin_system, parse_system, render_system
@@ -259,7 +260,7 @@ def main(argv=None) -> int:
                  "entry": list(exc.entry) if exc.entry else None}
         _diag(args, "nonlocal", str(exc), extra)
         return EXIT_NONLOCAL
-    except AnsatzTooLarge as exc:
+    except (AnsatzTooLarge, HierarchyTooLarge) as exc:
         _diag(args, "resource", str(exc), {"count": exc.count, "cap": exc.cap})
         return EXIT_RESOURCE
     except DxBudgetExceeded as exc:

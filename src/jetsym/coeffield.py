@@ -520,7 +520,7 @@ class RationalFunction:
         return f"({num.text(param)})/({den.text(param)})"
 
     def to_json(self):
-        return {"num": _coeff_texts(self.num), "den": _coeff_texts(self.den)}
+        return coeff_json(self, {})
 
     @staticmethod
     def from_json(obj) -> "RationalFunction":
@@ -530,8 +530,24 @@ class RationalFunction:
         return f"RF({self.text()})"
 
 
+def coeff_json(c: RationalFunction, dens: dict) -> dict:
+    """The JSON form of c: the ``rational_text`` of each coefficient of its
+    numerator and of its denominator, lowest degree first.  dens is a memo
+    denominator -> its texts, which one writer keeps for one document, so
+    the coefficients over one denominator share its list."""
+    den = dens.get(c.den)
+    if den is None:
+        den = dens[c.den] = _coeff_texts(c.den)
+    return {"num": _coeff_texts(c.num), "den": den}
+
+
 def _coeff_texts(p: AlphaPoly) -> list:
     """rational_text of each coefficient of p, lowest degree first."""
+    if p.den == 1:
+        try:
+            return list(map(str, p.ints))
+        except ValueError:  # past the limit on printed digits
+            return [_ratio_text(c, 1) for c in p.ints]
     out = []
     for c in p.ints:
         g = gcd(c, p.den)
@@ -588,10 +604,7 @@ def clear_denominators(coeffs) -> tuple:
     denominators, and the monic lcm is divided by each of them once.
     """
     dens = {c.den for c in coeffs}
-    den = _APOLY_ONE
-    for d in dens:
-        if len(d.ints) > 1:
-            den = den * (d // den.gcd(d))
+    den = _monic_lcm(dens)
     if len(den.ints) > 1:
         quotients = {d: den // d for d in dens}
         nums = [c.num * quotients[c.den] for c in coeffs]
@@ -602,9 +615,49 @@ def clear_denominators(coeffs) -> tuple:
     return RationalFunction._raw(den.scale(ints), _APOLY_ONE), polys
 
 
+def _monic_lcm(dens) -> AlphaPoly:
+    """The lcm of distinct monic polynomials, each met once."""
+    out = _APOLY_ONE
+    for d in dens:
+        if len(d.ints) > 1:
+            out = out * (d // out.gcd(d))
+    return out
+
+
+def common_scale(scales, contents) -> tuple:
+    """(s, factors): the scale that ``clear_denominators`` gives over the
+    union of several coefficient lists, from what it gave for each.
+
+    scales[i] is the scale of list i and contents[i] the gcd of every int
+    of its integer polynomials (0 for none).  Each scale is l_i I_i, l_i
+    the monic lcm of the list's denominators and I_i an int, so s is l I,
+    l the lcm of the l_i.  The union's polynomial of a coefficient c of
+    list i is I c.num (l // c.den) = f_i p, for p its polynomial at
+    scales[i] and f_i = s / scales[i] = (l / l_i) (I / I_i), which is
+    factors[i], an AlphaPoly: ``int_multiple`` forms f_i p.  I is the lcm
+    of the denominators of the contents of the (l / l_i) p / I_i, which by
+    Gauss's lemma are content(l / l_i) contents[i] / I_i.
+    """
+    parts = [(_monic_ints(s.num.ints), s.num.ints[-1] // s.num.den) for s in scales]
+    den = _monic_lcm({d for d, _ in parts})
+    quotients = [den // d for d, _ in parts]
+    ints = lcm(*(q.den * i // gcd(q.den * i, g * gcd(*q.ints))
+                 for q, (_, i), g in zip(quotients, parts, contents)))
+    return (RationalFunction._raw(den.scale(ints), _APOLY_ONE),
+            [q.scale(Fraction(ints, i)) for q, (_, i) in zip(quotients, parts)])
+
+
+def int_multiple(p: tuple, factor: AlphaPoly) -> tuple:
+    """factor * p for an integer polynomial p, lowest degree first, and a
+    factor whose product with it has integer coefficients."""
+    return (AlphaPoly._of(p) * factor).ints
+
+
 def dividing_by(s: RationalFunction):
-    """The map p -> p / s on polynomials p (field elements with denominator
-    1), for a nonzero polynomial s.
+    """The map p -> p / s from integer polynomials p, given as a list of
+    ints lowest degree first with a nonzero last entry (as
+    ``kronecker_unpack`` reads them), to field elements, for a nonzero
+    polynomial s.
 
     When s is c (d*alpha - n)^k with k >= 1 (every scale of the symbolic
     fs recursion is), its shape is read once.  Then p = (d*alpha - n)^j q,
@@ -612,13 +665,15 @@ def dividing_by(s: RationalFunction):
     d*alpha - n (``_root_divide``), and
     p / s = q / (c d^(k-j)) / (alpha - n/d)^(k-j) is already canonical: q
     is prime to d*alpha - n, unless j = k, and the denominator is monic.
-    So no gcd runs.  Any other s is a product with its inverse.
+    So no gcd runs, and the ints go straight to the canonical quotient,
+    with no field element formed for p.  Any other s is a product with its
+    inverse.
     """
     num = s.num
     root = _linear_power_root(num.ints) if len(num.ints) > 1 else None
     if root is None:
         inverse = s.inverse()
-        return lambda p: p * inverse
+        return lambda p: RationalFunction._raw(AlphaPoly._of(tuple(p)), _APOLY_ONE) * inverse
     n, d = root
     k = len(num.ints) - 1
     # s = c (d*alpha - n)^k / num.den with an int c, by Gauss's lemma
@@ -627,13 +682,10 @@ def dividing_by(s: RationalFunction):
     # (int part, monic part) of c (d*alpha - n)^m, for each m = k - j
     dens = [(abs(c) * d ** m, _monic_root_power(n, d, m)) for m in range(k + 1)]
 
-    def divide(p: RationalFunction) -> RationalFunction:
-        if not p.num.ints:
-            return p
-        j, q = _root_divide(p.num.ints, n, d, k)
+    def divide(p: list) -> RationalFunction:
+        j, q = _root_divide(p, n, d, k)
         scale, den = dens[k - j]
-        return RationalFunction._raw(_canonical([sign * x for x in q], p.num.den * scale),
-                                     den)
+        return RationalFunction._raw(_canonical([sign * x for x in q], scale), den)
     return divide
 
 
@@ -650,8 +702,9 @@ def kronecker_pack(poly: tuple, bits: int) -> int:
     return acc
 
 
-def kronecker_unpack(value: int, bits: int) -> RationalFunction:
-    """The integer polynomial p with p(2^bits) = value.
+def kronecker_unpack(value: int, bits: int) -> list:
+    """The integer polynomial p with p(2^bits) = value, as its list of
+    ints, lowest degree first, with a nonzero last entry (empty for 0).
 
     p is read off as balanced base-2^bits digits, which is exact when
     every coefficient of p lies strictly between -2^(bits-1) and
@@ -665,7 +718,7 @@ def kronecker_unpack(value: int, bits: int) -> RationalFunction:
             d -= base
         digits.append(d)
         value = (value - d) >> bits
-    return RationalFunction._raw(AlphaPoly._of(tuple(digits)), _APOLY_ONE)
+    return digits
 
 
 def accumulate(out: dict, pairs) -> dict:

@@ -71,6 +71,15 @@ class AnsatzTooLarge(JetsymError):
         super().__init__(f"ansatz has {shown} unknowns, cap is {cap}")
 
 
+class HierarchyTooLarge(JetsymError):
+    """A recursion step would read more terms than the generation budget."""
+
+    def __init__(self, count, cap):
+        self.count = count
+        self.cap = cap
+        super().__init__(f"a recursion step would read {count} terms, cap is {cap}")
+
+
 class JetOrderOutOfRange(JetsymError, ValueError):
     """A jet order is negative or past the generator encoding's ceiling.
 

@@ -11,13 +11,13 @@ from typing import Optional, Tuple
 
 from .coeffield import (AlphaPoly, RF_ONE, RationalFunction, parse_rational,
                         rational_text, rf)
-from .errors import (CrossCheckFailed, InvalidHierarchy, NonlocalObstruction,
-                     StructuralViolation)
-from .jetalgebra import (DP_ZERO, DiffPoly, EvoField, T_GEN, X_GEN, is_jet, jet,
-                         jet_order, mono_degree)
+from .errors import (CrossCheckFailed, HierarchyTooLarge, InvalidHierarchy,
+                     NonlocalObstruction, StructuralViolation)
+from .jetalgebra import (DP_ZERO, DiffPoly, EvoField, JsonWriter, T_GEN, X_GEN, is_jet,
+                         jet, jet_order, mono_degree)
 from .operators import OperatorMatrix, OpTerm, apply_sum
 from .systems import EvolutionSystem, builtin_names, builtin_system, parse_expression
-from .varcalc import ExactnessCertificate, integrate_dx
+from .varcalc import ExactnessCertificate, IntegerField, integrate_dx
 
 _FS_VARS = ("w", "z")
 _S_POLY = AlphaPoly((-1, 2))  # 2*alpha - 1
@@ -123,7 +123,7 @@ def _check_antiderivative_rows(matrices):
     ``_split`` pair, as an identity in the free jets of (w, z, a, b): each
     is applied by ``apply_sum`` to K = (a_x, b) and (A,) = (a,)."""
     a, b = DiffPoly.var(jet(2, 0)), DiffPoly.var(jet(3, 0))
-    k, integral = EvoField((a.dx(), b)), EvoField((a,))
+    k, integral = IntegerField(EvoField((a.dx(), b))), IntegerField(EvoField((a,)))
     for name, (on_k, on_a) in zip(("recursion", "second recursion"), matrices):
         top, _, antiderivative = apply_sum([(on_k, k), (on_a, integral)])
         if antiderivative.dx() != top:
@@ -171,21 +171,27 @@ class Hierarchy:
         return self.members[n - 1]
 
     def to_json(self):
+        """The hierarchy as JSON values, in one pass by one ``JsonWriter``:
+        each distinct denominator's texts and each factor's form are
+        written once, and so is each antiderivative, which two certificates
+        name.  Parts of the result are shared; each call returns a new
+        structure."""
+        w = JsonWriter()
         out = {
             "system": self.system.name,
             "parameter": self.system.parameter,
             "specialized_at": rational_text(self.specialized_at)
             if self.specialized_at is not None else None,
-            "members": [m.to_json() for m in self.members],
+            "members": [w.field(m) for m in self.members],
             "provenance": list(self.provenance),
             "certificates": [
                 {"n": c.n,
-                 "prev": c.prev.antiderivative.to_json(),
-                 "prevprev": c.prevprev.antiderivative.to_json()}
+                 "prev": w.poly(c.prev.antiderivative),
+                 "prevprev": w.poly(c.prevprev.antiderivative)}
                 for c in self.certificates],
         }
         if self.triangular is not None:
-            out["b_sequence"] = [b.to_json() for b in self.triangular.b[1:]]
+            out["b_sequence"] = [w.coeff(b) for b in self.triangular.b[1:]]
         return out
 
     @staticmethod
@@ -233,7 +239,8 @@ class Hierarchy:
 
 def fs_step(prev, prevprev, rec, m) -> EvoField:
     """One application of the two-term recursion to prev = (K_{n-1},
-    A_{n-1}) and prevprev = (K_{n-2}, A_{n-2}), A_k = D_x^{-1} K_k^1.
+    A_{n-1}) and prevprev = (K_{n-2}, A_{n-2}), A_k = D_x^{-1} K_k^1, each
+    given as its ``IntegerField`` (A_k as that of the field (A_k,)).
 
     rec and m are ``_split`` pairs of the two matrices, each with its
     antiderivative row, so the result is (K_n^1, K_n^2, A_n).  It is one
@@ -241,8 +248,18 @@ def fs_step(prev, prevprev, rec, m) -> EvoField:
     D_x^{-1} part on (A,), all on packed ints.
     """
     (k1, a1), (k2, a2) = prev, prevprev
-    return apply_sum([(rec[0], k1), (rec[1], EvoField((a1,))),
-                      (m[0], k2), (m[1], EvoField((a2,)))])
+    return apply_sum([(rec[0], k1), (rec[1], a1), (m[0], k2), (m[1], a2)])
+
+
+#: most terms that the four fields one recursion step of ``fs_hierarchy``
+#: reads, K_{n-1}, A_{n-1}, K_{n-2} and A_{n-2}, may have together.  They
+#: grow about 1.35 times per member, and the step's time about 1.4 times:
+#: the symbolic fs steps read 6,203 terms at N = 16, 11,613 at N = 18,
+#: 15,684 at N = 19 and 21,015 at N = 20 (the same at alpha = 1/3).  So
+#: ``gen`` reaches N = 19, 2.0 s of CPU symbolic on a 2-core x86-64 host
+#: (Python 3.11), and refuses the step to N = 20 before its work; N = 40
+#: would otherwise run for hours.
+_STEP_TERMS = 16_000
 
 
 def fs_hierarchy(N: int, alpha0: Optional[Fraction] = None) -> Hierarchy:
@@ -255,7 +272,11 @@ def fs_hierarchy(N: int, alpha0: Optional[Fraction] = None) -> Hierarchy:
     seeds only (a non-exact one raises NonlocalObstruction at entry
     (0, 0)), and each step forms the next A_n from ``_antiderivative_rows``
     stacked under the matrices.  Before the first step, the rows are
-    checked against the matrices in use (CrossCheckFailed).
+    checked against the matrices in use (CrossCheckFailed).  Each K_n and
+    A_n that a later step reads is scaled to its ``IntegerField`` once,
+    when it is formed, and the two steps that read it take that form.
+    Before each step, the terms it reads are checked against
+    ``_STEP_TERMS`` (HierarchyTooLarge).
     """
     if N < 1:
         raise ValueError("hierarchy length must be at least 1")
@@ -270,6 +291,7 @@ def fs_hierarchy(N: int, alpha0: Optional[Fraction] = None) -> Hierarchy:
         system = system.specialize(alpha0)
     members = [k1, k2][:N]
     integrals = []
+    carried = []  # (K_n, A_n) of the last two members, as IntegerFields
     if N > 2:
         _check_antiderivative_rows((rec, m))
         for k in members:
@@ -277,10 +299,16 @@ def fs_hierarchy(N: int, alpha0: Optional[Fraction] = None) -> Hierarchy:
             if not cert.is_exact:
                 raise NonlocalObstruction(cert.remainder, entry=(0, 0))
             integrals.append(cert.antiderivative)
+            carried.append((IntegerField(k), IntegerField(EvoField((cert.antiderivative,)))))
     while len(members) < N:
-        *kn, an = fs_step((members[-1], integrals[-1]), (members[-2], integrals[-2]), rec, m)
+        terms = sum(len(comp) for pair in carried for f in pair for comp in f.comps)
+        if terms > _STEP_TERMS:
+            raise HierarchyTooLarge(terms, _STEP_TERMS)
+        *kn, an = fs_step(carried[-1], carried[-2], rec, m)
         members.append(EvoField(kn))
         integrals.append(an)
+        if len(members) < N:
+            carried = [carried[-1], (IntegerField(members[-1]), IntegerField(EvoField((an,))))]
     certificates = tuple(
         StepCertificates(n, ExactnessCertificate(integrals[n - 2], DP_ZERO),
                          ExactnessCertificate(integrals[n - 3], DP_ZERO))

@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Optional, Tuple
 
-from .coeffield import RF_ONE, RF_ZERO, RationalFunction, accumulate, rf
+from .coeffield import RF_ONE, RF_ZERO, RationalFunction, accumulate, coeff_json, rf
 from .errors import JetOrderOutOfRange, PoleAtParameter
 
 X_GEN = 0
@@ -282,19 +282,9 @@ class DiffPoly:
         return " + ".join(parts)
 
     def to_json(self):
-        out = []
-        for mono, coeff in self.sorted_terms():
-            exps = []
-            for g, e in mono:
-                if g == X_GEN:
-                    gj = "x"
-                elif g == T_GEN:
-                    gj = "t"
-                else:
-                    gj = [jet_depvar(g), jet_order(g)]
-                exps.append([gj, e])
-            out.append({"exps": exps, "coeff": coeff.to_json()})
-        return out
+        """The JSON form: one {"exps", "coeff"} per term, in
+        ``sorted_terms`` order (``JsonWriter``)."""
+        return JsonWriter().poly(self)
 
     @staticmethod
     def from_json(obj) -> "DiffPoly":
@@ -380,7 +370,7 @@ class EvoField:
         return "(" + ", ".join(c.text(names, param) for c in self.components) + ")"
 
     def to_json(self):
-        return [c.to_json() for c in self.components]
+        return JsonWriter().field(self)
 
     @staticmethod
     def from_json(obj) -> "EvoField":
@@ -388,3 +378,50 @@ class EvoField:
 
     def __repr__(self):
         return f"EvoField({self.components!r})"
+
+
+class JsonWriter:
+    """Writes the JSON forms of the polynomials, fields and coefficients of
+    one document in one pass.
+
+    Its memo lives as long as the writer: the texts of each distinct
+    denominator (``coeffield.coeff_json``), the [generator, exponent] form
+    of each factor, and the form of each polynomial object, so that one
+    named twice in a document is written once.  Forms from one writer
+    share those parts; a caller that edits one part of a document edits
+    every place that shares it.  A fresh writer per document keeps
+    documents apart.
+    """
+
+    __slots__ = ("dens", "factors", "polys")
+
+    def __init__(self):
+        self.dens: dict = {}
+        self.factors: dict = {}
+        self.polys: dict = {}  # id -> (polynomial, form); the entry keeps the id live
+
+    def coeff(self, c: RationalFunction) -> dict:
+        return coeff_json(c, self.dens)
+
+    def poly(self, p: DiffPoly) -> list:
+        hit = self.polys.get(id(p))
+        if hit is not None:
+            return hit[1]
+        factors, dens = self.factors, self.dens
+        out = []
+        for mono, coeff in p.sorted_terms():
+            exps = []
+            for factor in mono:
+                form = factors.get(factor)
+                if form is None:
+                    g, e = factor
+                    gj = "x" if g == X_GEN else "t" if g == T_GEN else \
+                        [jet_depvar(g), jet_order(g)]
+                    form = factors[factor] = [gj, e]
+                exps.append(form)
+            out.append({"exps": exps, "coeff": coeff_json(coeff, dens)})
+        self.polys[id(p)] = (p, out)
+        return out
+
+    def field(self, f: EvoField) -> list:
+        return [self.poly(c) for c in f]

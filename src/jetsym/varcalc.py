@@ -9,11 +9,13 @@ exactness obstruction.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
-from .coeffield import (accumulate, clear_denominators, dividing_by, kronecker_pack,
-                        kronecker_unpack)
+from .coeffield import (accumulate, clear_denominators, common_scale, dividing_by,
+                        int_multiple, kronecker_pack, kronecker_unpack)
 from .errors import (DxBudgetExceeded, ExplicitXTDependence, JetOrderOutOfRange,
                      NonIntegerExponentPath)
 from .jetalgebra import (DP_ZERO, TOP_ORDER, DiffPoly, EvoField, is_jet, jet, jet_depvar,
@@ -155,33 +157,31 @@ def frechet(f: DiffPoly, K: EvoField) -> DiffPoly:
     return out
 
 
-class _IntegerField:
+class IntegerField:
     """A field scaled into Z[alpha] coefficients, with its height data.
 
     ``scale * field`` has the integer polynomial coefficients of ``comps``
-    (one dict monomial -> int tuple per component).  ``scale`` and the
-    integer coefficients, in the field's term order, may be given, as
-    ``_scaled_together`` does for fields that share one scale.  For the
-    height bounds it keeps ``norms``, the sum of the L1 norms of the
-    coefficients of each component, and ``norm``, their sum; ``weights``,
-    the largest sum of |exponent| over the factors of one monomial of each
-    component, and ``weight``, the largest of them and 1, which bounds the
-    factor one D_x or one jet-summed partial derivative puts on the norm;
-    ``growth``, what one D_x can add to that weight (0 while every exponent
-    is a positive integer, else 2); ``top``, the highest jet order; and
+    (one dict monomial -> int tuple per component), and ``content`` is the
+    gcd of all those ints (0 for none).  ``scale`` is the one that
+    ``clear_denominators`` gives over the field's coefficients, or for a
+    field from ``at_scale``, a multiple of it.  For the height
+    bounds it keeps ``norms``, the sum of the L1 norms of the coefficients
+    of each component, and ``norm``, their sum; ``weights``, the largest
+    sum of |exponent| over the factors of one monomial of each component,
+    and ``weight``, the largest of them and 1, which bounds the factor one
+    D_x or one jet-summed partial derivative puts on the norm; ``growth``,
+    what one D_x can add to that weight (0 while every exponent is a
+    positive integer, else 2); ``top``, the highest jet order; and
     ``nvars``, one past the highest dependent variable it names, at least
     its component count.
     """
 
-    def __init__(self, field: EvoField, scale=None, polys=()):
-        if scale is None:
-            scale, polys = clear_denominators(
-                [coeff for comp in field for coeff in comp.terms.values()])
-        self.scale = scale
+    def __init__(self, field: EvoField):
+        self.scale, polys = clear_denominators(
+            [coeff for comp in field for coeff in comp.terms.values()])
         it = iter(polys)
         self.comps = [{m: next(it) for m in comp.terms} for comp in field]
-        self.norms = [sum(abs(c) for p in comp.values() for c in p) for comp in self.comps]
-        self.norm = sum(self.norms)
+        self._coefficient_data()
         self.weights = [max((sum(abs(e) for _, e in m) for m in comp.terms), default=0)
                         for comp in field]
         self.weight = max([1] + self.weights)
@@ -189,6 +189,27 @@ class _IntegerField:
                                for _, e in m) else 2
         self.top = field.max_jet_order() or 0
         self.nvars = max([len(field)] + [d + 1 for comp in field for d in comp.depvars()])
+
+    def _coefficient_data(self):
+        """Set ``norms``, ``norm`` and ``content`` from ``comps``."""
+        self.norms = [sum(abs(c) for p in comp.values() for c in p) for comp in self.comps]
+        self.norm = sum(self.norms)
+        self.content = gcd(*(c for comp in self.comps for p in comp.values() for c in p))
+
+    def __len__(self):
+        return len(self.comps)
+
+    def at_scale(self, scale, factor) -> "IntegerField":
+        """This field at scale, which is factor times its own: each integer
+        polynomial times factor (``int_multiple``), whose products with
+        them have integer coefficients.  The monomials, and the data read
+        off them, are unchanged."""
+        out = copy(self)
+        out.scale = scale
+        out.comps = [{m: int_multiple(p, factor) for m, p in comp.items()}
+                     for comp in self.comps]
+        out._coefficient_data()
+        return out
 
     def dx_gain(self, i: int) -> int:
         """Bound on norm(D_x^i c) / norm(c) for a component c."""
@@ -228,7 +249,7 @@ def _sum_bounds(rows):
             max([1] + [cw + w for row in rows for _, cw, _, w in row]))
 
 
-def _frechet_bound(f: _IntegerField, g: _IntegerField) -> tuple:
+def _frechet_bound(f: IntegerField, g: IntegerField) -> tuple:
     """The bound term (``_sum_bounds``) of f'[g] = sum over (d, p) of
     df/du_(d,p) D_x^p g_d: the partials of f have total norm at most
     weight(f) |f|_1 and |exponent| sums at most weight(f) + growth(f)/2
@@ -292,16 +313,24 @@ class _Kernel:
         self.step = (1 << nvars * bits) - 1  # a D_x bump adds step << sh
         self.jets = 2 * bits  # shifts below this are x and t
         self.ceiling = (2 + TOP_ORDER * nvars) * bits  # shift of the first top-order jet
-        self._factors: dict = {}  # (shift, exponent) -> (generator, exponent)
+        # one entry per factor met: (generator, exponent) <-> its packed int
+        self._packed: dict = {}
+        self._factors: dict = {}
 
     def pack(self, mono) -> int:
         """The packed form of a tuple monomial; the generator ids of x and t
         are their slots."""
-        nvars = self.nvars
-        return sum(e << (g if not is_jet(g) else 2 + jet_order(g) * nvars + jet_depvar(g))
-                   * self.bits for g, e in mono)
+        packed, m = self._packed, 0
+        for factor in mono:
+            term = packed.get(factor)
+            if term is None:
+                g, e = factor
+                slot = g if not is_jet(g) else 2 + jet_order(g) * self.nvars + jet_depvar(g)
+                term = packed[factor] = e << slot * self.bits
+            m += term
+        return m
 
-    def pack_field(self, f: _IntegerField) -> list:
+    def pack_field(self, f: IntegerField) -> list:
         """The components of f, monomials and coefficients packed."""
         return [{self.pack(m): kronecker_pack(p, self.coeff_bits) for m, p in comp.items()}
                 for comp in f.comps]
@@ -324,21 +353,30 @@ class _Kernel:
 
     def unpack(self, m: int):
         """The tuple monomial of m, in generator order: x and t, then the
-        jets by dependent variable and order."""
+        jets by dependent variable and order.  Its slots are decoded as in
+        ``factors``."""
+        bits, mask, half, memo = self.bits, self.mask, self.half, self._factors
         mono = []
-        for depvar, sh, e in sorted(self.factors(m)):
-            factor = self._factors.get((sh, e))
+        while m:
+            sh = ((m & -m).bit_length() - 1) // bits * bits
+            e = (m >> sh) & mask
+            if e >= half:
+                e -= mask + 1
+            term = e << sh
+            m -= term
+            factor = memo.get(term)
             if factor is None:
-                slot = sh // self.bits
-                gen = jet(depvar, (slot - 2) // self.nvars) if depvar >= 0 else slot
+                slot = sh // bits - 2
+                gen = jet(slot % self.nvars, slot // self.nvars) if slot >= 0 else slot + 2
                 # one tuple per factor, shared by every monomial that has it
-                factor = self._factors[sh, e] = (gen, e)
+                factor = memo[term] = (gen, e)
             mono.append(factor)
+        mono.sort()
         return tuple(mono)
 
     def unpacked(self, p: dict, unscale) -> DiffPoly:
-        """The ``DiffPoly`` of p, its coefficients unpacked and mapped
-        through unscale."""
+        """The ``DiffPoly`` of p, the digits of each coefficient
+        (``kronecker_unpack``) mapped through unscale."""
         return DiffPoly({self.unpack(m): unscale(kronecker_unpack(v, self.coeff_bits))
                          for m, v in p.items()})
 
@@ -466,7 +504,7 @@ class _DxTable:
     than ``_DX_BUDGET`` bits.
     """
 
-    def __init__(self, kernel: _Kernel, field: _IntegerField):
+    def __init__(self, kernel: _Kernel, field: IntegerField):
         self.kernel, self.field = kernel, field
         comps = kernel.pack_field(field)
         self.rows = [[c] for c in comps]
@@ -516,7 +554,7 @@ def commutators(fields, pairs):
                              f"{len(fields[j])} components")
     if not pairs:
         return
-    scaled = {i: _IntegerField(fields[i]) for i in {i for pair in pairs for i in pair}}
+    scaled = {i: IntegerField(fields[i]) for i in {i for pair in pairs for i in pair}}
     height, weight = _sum_bounds([[_frechet_bound(scaled[j], scaled[i]),
                                    _frechet_bound(scaled[i], scaled[j])] for i, j in pairs])
     kernel = _Kernel(max(f.nvars for f in scaled.values()), _word_bits(weight),
@@ -547,31 +585,29 @@ def commutator(F: EvoField, G: EvoField) -> EvoField:
     return next(commutators((F, G), [(0, 1)]))
 
 
-def _scaled_together(fields) -> list:
-    """One ``_IntegerField`` per field, all at one scale, from one
-    ``clear_denominators`` call over every coefficient of every field."""
-    scale, polys = clear_denominators(
-        [coeff for f in fields for comp in f for coeff in comp.terms.values()])
-    it = iter(polys)
-    return [_IntegerField(f, scale, it) for f in fields]
-
-
 def operator_sum(fields, rows) -> list:
     """The components sum over (c, k, j, p) in rows[i] of c D_x^p fields[k][j].
 
-    c is a ``DiffPoly`` and p >= 0: a caller reads D_x^{-1} as D_x^0 of
-    one more field, the antiderivative it has certified.  The fields are
-    scaled into Z[alpha] by one scale S_K (``_scaled_together``), the
-    coefficients c by their own scale S_c, and all are packed on one
-    kernel (``_Kernel``) at the widths ``_sum_bounds`` gives, the
-    coefficient norms taken at S_c.  Each field's D_x powers come from its
-    ``_DxTable``, so the growth and memory budgets apply.  Each output
-    component is one dict of S_K S_c times its terms, one ``mul_add`` per
-    term; each of its terms is unpacked once and divided by S_K S_c.
+    Each field is an ``IntegerField``, c is a ``DiffPoly`` and p >= 0: a
+    caller reads D_x^{-1} as D_x^0 of one more field, the antiderivative
+    it has certified.  The fields are first brought to one scale S_K, the
+    one ``clear_denominators`` gives over all their coefficients, from the
+    scale each already has (``common_scale``): each field's integer
+    polynomials are multiplied by the exact multiple S_K / its scale, so
+    no coefficient is cleared again, and a field already at S_K is taken
+    as it is.  The coefficients c are scaled by their own scale S_c, and
+    all are packed on one kernel (``_Kernel``) at the widths
+    ``_sum_bounds`` gives, the coefficient norms taken at S_c.  Each
+    field's D_x powers come from its ``_DxTable``, so the growth and
+    memory budgets apply.  Each output component is one dict of S_K S_c
+    times its terms, one ``mul_add`` per term; each of its terms is
+    unpacked once, its digits read straight into the division by S_K S_c.
     """
     terms = [c for row in rows for c, _, _, _ in row]
-    scaled = _scaled_together(fields)
-    coeffs = _IntegerField(EvoField(terms))
+    scale, factors = common_scale([f.scale for f in fields], [f.content for f in fields])
+    scaled = [f if f.scale == scale else f.at_scale(scale, factor)
+              for f, factor in zip(fields, factors)]
+    coeffs = IntegerField(EvoField(terms))
 
     def image_bound(k, j, p):
         f = scaled[k]
@@ -584,7 +620,7 @@ def operator_sum(fields, rows) -> list:
     kernel = _Kernel(nvars, _word_bits(weight), _word_bits(height))
     tables = {k: _DxTable(kernel, scaled[k]) for k in {k for row in rows for _, k, _, _ in row}}
     packed = iter(kernel.pack_field(coeffs))
-    unscale = dividing_by(scaled[0].scale * coeffs.scale)
+    unscale = dividing_by(scale * coeffs.scale)
     comps = []
     for row in rows:
         acc: dict = {}
@@ -632,7 +668,7 @@ def dt_euler_rows(monos, field: EvoField) -> dict:
     degree = max(map(mono_degree, monos), default=0)
     if not degree:
         return {}
-    k = _IntegerField(field)
+    k = IntegerField(field)
     order = max((mono_max_order(m) or 0 for m in monos), default=0)
     height, w = _sum_bounds([[(degree, degree - 1, k.dx_gain(order) * k.norm,
                                k.weight + order * k.growth)]])

@@ -120,3 +120,50 @@ def ts1():
 def fs_hierarchy_8():
     from jetsym.hierarchy import fs_hierarchy
     return fs_hierarchy(8)
+
+
+# Reference JSON writers: the straightforward serialization, term by term
+# and coefficient by coefficient with no memo, that the one-pass
+# ``jetalgebra.JsonWriter`` must match byte for byte.
+
+def reference_coeff_json(c: RationalFunction) -> dict:
+    return {"num": [str(q) for q in c.num.coeffs], "den": [str(q) for q in c.den.coeffs]}
+
+
+def reference_poly_json(p: DiffPoly) -> list:
+    from jetsym.jetalgebra import T_GEN, X_GEN, jet_depvar, jet_order
+    out = []
+    for mono, coeff in p.sorted_terms():
+        exps = []
+        for g, e in mono:
+            if g == X_GEN:
+                gj = "x"
+            elif g == T_GEN:
+                gj = "t"
+            else:
+                gj = [jet_depvar(g), jet_order(g)]
+            exps.append([gj, e])
+        out.append({"exps": exps, "coeff": reference_coeff_json(coeff)})
+    return out
+
+
+def reference_field_json(f: EvoField) -> list:
+    return [reference_poly_json(c) for c in f]
+
+
+def reference_hierarchy_json(h) -> dict:
+    out = {
+        "system": h.system.name,
+        "parameter": h.system.parameter,
+        "specialized_at": None if h.specialized_at is None else str(h.specialized_at),
+        "members": [reference_field_json(m) for m in h.members],
+        "provenance": list(h.provenance),
+        "certificates": [
+            {"n": c.n,
+             "prev": reference_poly_json(c.prev.antiderivative),
+             "prevprev": reference_poly_json(c.prevprev.antiderivative)}
+            for c in h.certificates],
+    }
+    if h.triangular is not None:
+        out["b_sequence"] = [reference_coeff_json(b) for b in h.triangular.b[1:]]
+    return out

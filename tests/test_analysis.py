@@ -21,10 +21,11 @@ from jetsym.hierarchy import (fs_hierarchy, fs_seed, scaling_symmetry, triangula
 from jetsym.jetalgebra import DP_ZERO, X_GEN, DiffPoly, EvoField, jet
 from jetsym.systems import (_BUILTIN_CACHE, _BUILTIN_SOURCES, EvolutionSystem,
                             parse_expression, parse_system)
-from jetsym.varcalc import (ExactnessCertificate, _IntegerField, _Kernel, dt_along,
+from jetsym.varcalc import (ExactnessCertificate, IntegerField, _Kernel, dt_along,
                             dt_euler_rows, euler_operator)
 
-from conftest import kernel_widths, random_evofield, random_nonzero_rf
+from conftest import (kernel_widths, random_evofield, random_nonzero_rf, reference_coeff_json,
+                      reference_field_json, reference_poly_json)
 
 
 def fs_expr(src):
@@ -207,6 +208,23 @@ class TestDensitySearch:
         doc = json.dumps(report.to_json())
         assert json.loads(doc)["nontrivial_dimension"] == report.nontrivial_dimension
 
+    def test_report_json_matches_reference(self, fs):
+        # the document of densities --json at (2, 4), against the reference writer
+        report = density_search(fs, DensityAnsatz(2, 4))
+        assert report.trivial_parts
+        want = {
+            "system": report.system_name, "max_order": 2, "max_degree": 4,
+            "unknowns": report.unknowns, "solution_dimension": report.solution_dimension,
+            "nontrivial_dimension": report.nontrivial_dimension,
+            "nontrivial_basis": [reference_poly_json(b) for b in report.nontrivial_basis],
+            "trivial_parts": [
+                {"density": reference_poly_json(t.density),
+                 "constant_part": reference_coeff_json(t.constant_part),
+                 "antiderivative": reference_poly_json(t.certificate.antiderivative)}
+                for t in report.trivial_parts]}
+        assert json.dumps(report.to_json(), separators=(",", ":")) == \
+            json.dumps(want, separators=(",", ":"))
+
     @pytest.mark.parametrize("alpha0", [None, Fraction(1, 3)])
     def test_report_ignores_row_order(self, fs, monkeypatch, alpha0):
         # the report reads no order of the rows or of their entries
@@ -334,7 +352,7 @@ class TestPackedDensityRows:
             monos = ansatz.monomials(system)
             ref = reference_rows(system, monos)
             assert_same_rows(keyed_rows(monkeypatch, monos, rhs), ref)
-            poly_scales += len(_IntegerField(rhs).scale.num.ints) > 1
+            poly_scales += len(IntegerField(rhs).scale.num.ints) > 1
             nonempty += bool(ref)
             report = density_search(system, ansatz)
             assert_reference_quotient(report, system, monos, ref)
@@ -614,6 +632,14 @@ class TestVerifyHierarchy:
         assert len(doc) == 8769
         assert hashlib.sha256(doc).hexdigest() == \
             "3fdc8036cb6274909fb094e89c5380e50e858191217e8584e7e7886f7b5b413e"
+
+    def test_flipped_defects_match_reference(self, fs):
+        # the defects of verify --json, against the reference writer
+        bad = flip_k2(fs_hierarchy(4))
+        got = [c["defect"] for c in verify_hierarchy(bad).to_json()["checks"] if "defect" in c]
+        want = [reference_field_json(is_symmetry(bad.member(2), fs).defect),
+                reference_field_json(commutativity_table(bad).failures[0][1])]
+        assert json.dumps(got) == json.dumps(want)
 
     def test_flipped_table_n8_pinned(self, fs_hierarchy_8):
         # brackets of very different heights, all unpacked from one slot width

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import jetsym
-from jetsym import varcalc
+from jetsym import hierarchy, varcalc
 from jetsym.cli import main
 from jetsym.errors import NonlocalObstruction
 from jetsym.hierarchy import fs_hierarchy
@@ -150,6 +150,22 @@ class TestGen:
         error = json.loads(lines[0])["error"]
         assert error["code"] == "resource"
         assert error["message"].endswith("bits is too long to print")
+
+    def test_step_cap_json(self, capsys):
+        # the step to K_20 would read 21,015 terms; every step to K_19 is admitted
+        code, stdout, err = run(capsys, "gen", "--system", "fs", "--n", "40", "--json")
+        assert (code, stdout) == (4, "")
+        lines = err.splitlines()
+        assert len(lines) == 1
+        message = "a recursion step would read 21015 terms, cap is 16000"
+        assert json.loads(lines[0]) == {"error": {
+            "code": "resource", "message": message, "count": 21015,
+            "cap": hierarchy._STEP_TERMS}}
+
+    def test_step_cap_text(self, capsys):
+        code, stdout, err = run(capsys, "gen", "--system", "fs", "--n", "40", "--alpha", "1/3")
+        assert (code, stdout) == (4, "")
+        assert err == "jetsym: a recursion step would read 21015 terms, cap is 16000\n"
 
     def test_nonlocal_exit_code(self, capsys, monkeypatch):
         def boom(n, alpha0=None):
@@ -411,7 +427,8 @@ def _input_file(tmp_path, content):
 
 
 def _hierarchy_file(tmp_path, mutate, n=2):
-    doc = fs_hierarchy(n).to_json()
+    # mutate the document as a file holds it: to_json() shares parts among places
+    doc = json.loads(json.dumps(fs_hierarchy(n).to_json()))
     mutate(doc)
     return _input_file(tmp_path, json.dumps(doc))
 

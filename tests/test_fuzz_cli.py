@@ -1,7 +1,8 @@
 """Seeded fuzz of the CLI's input files: every outcome is an exit code.
 
 Mutations of a ``gen --system fs --n 3`` hierarchy and of the ``fs``
-system text go through ``cli.main`` in-process.  A system text mutation
+system text go through ``cli.main`` in-process, and so do ``gen --system
+fs`` runs at an oversized ``--n``.  A system text mutation
 may also replace one factor of a right-hand side with a number literal
 too long to parse, a power past the expansion budget of ``^``, a chain of
 ``*`` past that budget or a jet of order 4093-4095; a hierarchy mutation
@@ -151,11 +152,13 @@ def _run(capsys, argv, label):
     err = capsys.readouterr().err
     assert code in range(5), label
     assert "Traceback" not in err, label
+    return code
 
 
 def test_mutated_hierarchy_files(tmp_path, capsys):
     rng = random.Random(SEED)
-    doc = fs_hierarchy(3).to_json()
+    # the document as a file holds it: to_json() shares parts among places
+    doc = json.loads(json.dumps(fs_hierarchy(3).to_json()))
     path = tmp_path / "h.json"
     for i in range(CASES):
         kind, data = _mutate_hierarchy(rng, doc)
@@ -163,6 +166,17 @@ def test_mutated_hierarchy_files(tmp_path, capsys):
         command = rng.choice(("verify", "commute"))
         argv = [command, str(path)] + (["--json"] if i % 2 else [])
         _run(capsys, argv, f"hierarchy case {i} ({kind}, {command})")
+
+
+def test_oversized_gen(capsys):
+    # each run stops at the recursion step budget, the step to K_20
+    rng = random.Random(SEED + 2)
+    for i in range(3):
+        n = rng.choice((20, rng.randint(21, 10 ** 3), rng.randint(10 ** 3, 10 ** 18)))
+        argv = ["gen", "--system", "fs", "--n", str(n)]
+        argv += ["--alpha", rng.choice(("1/3", "-2", "7/5"))] if i else []
+        argv += ["--json"] if i % 2 else []
+        assert _run(capsys, argv, f"gen case {i} (--n {n})") == 4
 
 
 def test_mutated_system_files(tmp_path, capsys):

@@ -6,14 +6,16 @@ cross-verifying it against the symmetry condition, commutativity, and
 scaling homogeneity (see also the independent oracle tests).
 """
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from jetsym import coeffield, hierarchy, varcalc
+from jetsym import coeffield, hierarchy, operators, varcalc
 from jetsym.coeffield import AlphaPoly, RationalFunction, rf
-from jetsym.errors import CrossCheckFailed, NonlocalObstruction, StructuralViolation
+from jetsym.errors import (CrossCheckFailed, HierarchyTooLarge, NonlocalObstruction,
+                           StructuralViolation)
 from jetsym.hierarchy import (Hierarchy, StepCertificates, _specialize_matrix,
                               fs_hierarchy, fs_seed, fs_step, recursion_matrix,
                               scaling_symmetry,
@@ -22,9 +24,10 @@ from jetsym.hierarchy import (Hierarchy, StepCertificates, _specialize_matrix,
 from jetsym.jetalgebra import DiffPoly, EvoField, T_GEN, X_GEN, jet
 from jetsym.operators import OperatorMatrix, OpTerm
 from jetsym.systems import parse_expression
-from jetsym.varcalc import DxChain, integrate_dx
+from jetsym.varcalc import DxChain, IntegerField, integrate_dx
 
-from conftest import kernel_widths, one_bit_narrower, random_evofield
+from conftest import (kernel_widths, one_bit_narrower, random_evofield, reference_field_json,
+                      reference_hierarchy_json)
 
 S_POLY = AlphaPoly((-1, 2))  # 2*alpha - 1
 
@@ -88,8 +91,9 @@ class TestSeeds:
 
 
 def carried(k: EvoField) -> tuple:
-    """K with its antiderivative A = D_x^{-1} K^1, as ``fs_step`` reads it."""
-    return k, integrate_dx(k[0]).antiderivative
+    """K with its antiderivative A = D_x^{-1} K^1, as ``fs_step`` reads
+    them: the ``IntegerField``s of K and of (A,)."""
+    return IntegerField(k), IntegerField(EvoField((integrate_dx(k[0]).antiderivative,)))
 
 
 def with_antiderivative(k: EvoField) -> EvoField:
@@ -239,6 +243,129 @@ class TestFsHierarchy:
         h2 = Hierarchy.from_json(json.loads(doc))
         assert h2.members == h.members
         assert json.dumps(h2.to_json(), separators=(",", ":")) == doc
+
+
+def dumped(doc) -> str:
+    return json.dumps(doc, separators=(",", ":"))
+
+
+class TestHierarchyJson:
+    """The one-pass writer against the straightforward reference
+    (``conftest.reference_hierarchy_json``), byte for byte."""
+
+    @pytest.mark.parametrize("system, N, alpha0", [
+        ("fs", 12, None), ("fs", 8, Fraction(1, 3)), ("ts1", 8, None)])
+    def test_matches_reference(self, system, N, alpha0):
+        h = (fs_hierarchy if system == "fs" else ts1_hierarchy)(N, alpha0)
+        assert (h.triangular is not None) == (system == "ts1")  # b_sequence
+        assert dumped(h.to_json()) == dumped(reference_hierarchy_json(h))
+
+    @pytest.mark.parametrize("alpha0", [None, Fraction(1, 3)])
+    def test_scaling_symmetry_matches_reference(self, alpha0):
+        s = scaling_symmetry(alpha0)
+        assert {g for comp in s for m in comp.terms for g, _ in m} >= {X_GEN, T_GEN}
+        assert dumped(s.to_json()) == dumped(reference_field_json(s))
+
+    def test_written_once(self):
+        h = fs_hierarchy(12)
+        doc = h.to_json()
+        certs = doc["certificates"]
+        # A_n is named by the certificates of steps n + 1 and n + 2
+        assert all(a["prev"] is b["prevprev"] for a, b in zip(certs, certs[1:]))
+        coeffs = [t["coeff"] for m in doc["members"] for comp in m for t in comp]
+        assert len(coeffs) == 3038
+        dens = {id(c["den"]): c["den"] for c in coeffs}
+        assert len(dens) == len({tuple(d) for d in dens.values()}) == 7
+
+    def test_calls_are_independent(self):
+        h = fs_hierarchy(6)
+        first, second = h.to_json(), h.to_json()
+        assert first == second
+        want = dumped(second)
+        first["members"][2][0][0]["exps"][0][1] = 99
+        first["members"][3][0][0]["coeff"]["den"].append("7")
+        first["certificates"][0]["prev"].clear()
+        first["provenance"][0] = "changed"
+        assert dumped(second) == want == dumped(h.to_json())
+        assert dumped(first) != want
+
+
+def step_fields(h, n) -> list:
+    """The four fields step n reads, in ``fs_step``'s order: K_{n-1},
+    (A_{n-1},), K_{n-2}, (A_{n-2},)."""
+    cert = h.certificates[n - 3]
+    return [h.member(n - 1), EvoField((cert.prev.antiderivative,)),
+            h.member(n - 2), EvoField((cert.prevprev.antiderivative,))]
+
+
+class TestIntegerCarry:
+    """Each member is scaled once, and each step brings the four fields it
+    reads to the scale and the integers of one ``clear_denominators``
+    over all of them."""
+
+    @pytest.mark.parametrize("N, alpha0", [(12, None), (10, Fraction(1, 3))])
+    def test_kernel_reads_the_union_clearing(self, monkeypatch, N, alpha0):
+        sums, table_init = [], varcalc._DxTable.__init__
+        step_sum = operators.operator_sum
+
+        def spy_sum(fields, rows):
+            sums.append([])
+            return step_sum(fields, rows)
+
+        def spy_table(self, kernel, field):
+            sums[-1].append(field)
+            table_init(self, kernel, field)
+        monkeypatch.setattr(operators, "operator_sum", spy_sum)
+        monkeypatch.setattr(varcalc._DxTable, "__init__", spy_table)
+        h = fs_hierarchy(N, alpha0)
+        steps = sums[2:]  # after the two antiderivative-row checks
+        assert len(steps) == N - 2
+        rescaled = 0
+        for n, tables in enumerate(steps, 3):
+            fields = step_fields(h, n)
+            scale, polys = coeffield.clear_denominators(
+                [c for f in fields for comp in f for c in comp.terms.values()])
+            it = iter(polys)
+            assert len(tables) == 4
+            for f, got in zip(fields, tables):
+                assert got.scale == scale
+                assert got.comps == [{m: next(it) for m in comp.terms} for comp in f]
+                rescaled += got.scale != IntegerField(f).scale
+        # symbolic steps take fields to multiples by (2 alpha - 1); at
+        # alpha = 1/3 the four fields have one scale
+        assert rescaled >= N - 2 if alpha0 is None else rescaled == 0
+
+    def test_each_member_is_cleared_once(self, monkeypatch):
+        calls, clear = [], varcalc.clear_denominators
+        monkeypatch.setattr(varcalc, "clear_denominators",
+                            lambda coeffs: calls.append(coeffs) or clear(coeffs))
+        N = 12
+        h = fs_hierarchy(N)
+        # a recursion member's coefficients are fresh objects, met by no other
+        # call: K_n and A_n are cleared once for the next two steps, K_N not at all
+        for n in range(3, N + 1):
+            for f in (h.member(n), EvoField((h.certificates[n - 3].prev.antiderivative,))
+                      if n < N else EvoField(())):
+                ids = {id(c) for comp in f for c in comp.terms.values()}
+                met = [coeffs for coeffs in calls if ids & {id(c) for c in coeffs}]
+                want = [[c for comp in f for c in comp.terms.values()]] if n < N else []
+                assert [list(m) for m in met] == want
+
+
+class TestStepCap:
+    def test_checked_before_the_step(self, monkeypatch):
+        steps, step = [], hierarchy.fs_step
+        monkeypatch.setattr(hierarchy, "fs_step", lambda *a: steps.append(1) or step(*a))
+        h = fs_hierarchy(8)
+        reads = [sum(len(comp) for f in step_fields(h, n) for comp in f) for n in range(3, 9)]
+        assert reads == [14, 33, 63, 111, 186, 299]
+        monkeypatch.setattr(hierarchy, "_STEP_TERMS", 111)
+        steps.clear()
+        assert fs_hierarchy(6).members == h.members[:6]
+        with pytest.raises(HierarchyTooLarge) as exc:
+            fs_hierarchy(7)
+        assert (exc.value.count, exc.value.cap) == (186, 111)
+        assert len(steps) == 4 + 4  # K_3..K_6, twice: the step to K_7 never runs
 
 
 def oracle_step(prev: EvoField, prevprev: EvoField, rec, m):

@@ -10,7 +10,7 @@ from jetsym.errors import (DxBudgetExceeded, ExplicitXTDependence, JetOrderOutOf
 from jetsym.hierarchy import fs_seed, scaling_symmetry
 from jetsym.jetalgebra import DP_ZERO, TOP_ORDER, DiffPoly, EvoField, T_GEN, X_GEN, jet
 from jetsym.systems import builtin_system, parse_expression
-from jetsym.varcalc import (_frechet_bound, _IntegerField, _Kernel, _sum_bounds, _word_bits,
+from jetsym.varcalc import (_frechet_bound, IntegerField, _Kernel, _sum_bounds, _word_bits,
                             commutator, commutators, dt_along, euler_operator, frechet,
                             integrate_dx)
 
@@ -224,7 +224,7 @@ class TestPackedBracket:
         p = ref[0].coefficient(w2)
         assert not p.is_zero and p.eval(2 ** b0) == 0
         assert kronecker_pack((2 ** b0, -1), b0) == 0
-        pf, pg = _IntegerField(f), _IntegerField(g)
+        pf, pg = IntegerField(f), IntegerField(g)
         bits = _word_bits(pair_bounds(pf, pg)[0])
         assert bits > b0
         scaled = ref.scalar_mul(pf.scale * pg.scale)
@@ -259,7 +259,7 @@ class TestPackedBracket:
         rng = random.Random(131)
         for _ in range(30):
             f, g = random_laurent_field(rng), random_laurent_field(rng)
-            pf, pg = _IntegerField(f), _IntegerField(g)
+            pf, pg = IntegerField(f), IntegerField(g)
             assert max(pf.growth, pg.growth) == 2
             assert commutator(f, g) == reference_bracket(f, g)
 
@@ -276,13 +276,13 @@ class TestCommutators:
         n = len(fields)
         pairs = [(i, i) for i in range(n)] + [(i, j) for i in range(n) for j in range(i + 1, n)]
         pairs += [(j, i) for i, j in pairs[n::3]]
-        scaled = [_IntegerField(f) for f in fields]
+        scaled = [IntegerField(f) for f in fields]
         widths = [_word_bits(pair_bounds(scaled[i], scaled[j])[0]) for i, j in pairs]
         # the family packs every pair at the widest pair's slot
         assert sum(w < max(widths) for w in widths) > len(pairs) // 2
         built = []
-        monkeypatch.setattr("jetsym.varcalc._IntegerField",
-                            lambda f: built.append(f) or _IntegerField(f))
+        monkeypatch.setattr("jetsym.varcalc.IntegerField",
+                            lambda f: built.append(f) or IntegerField(f))
         got = list(commutators(fields, pairs))
         monkeypatch.undo()
         assert len(got) == len(pairs)
@@ -303,7 +303,7 @@ class TestCommutators:
     def test_mismatched_component_counts_raise(self, monkeypatch):
         def no_work(*args):
             raise AssertionError("a field was scaled")
-        monkeypatch.setattr("jetsym.varcalc._IntegerField", no_work)
+        monkeypatch.setattr("jetsym.varcalc.IntegerField", no_work)
         fields = [builtin_system("fs").rhs, EvoField((fs_expr("w"),))]
         for (i, j), counts in (((0, 1), "2 and 1"), ((1, 0), "1 and 2")):
             with pytest.raises(ValueError, match=f"^fields {i} and {j} have {counts} "):
@@ -404,7 +404,7 @@ class TestPackedMonomials:
         rng = random.Random(421)
 
         def euler(p):
-            f = _IntegerField(EvoField((p,)))
+            f = IntegerField(EvoField((p,)))
             kernel = _Kernel(2, _word_bits(f.weight), 64)
             [packed] = kernel.pack_field(f)
             images = kernel.euler(packed, 2, f.growth, f.weight)
@@ -437,7 +437,7 @@ class TestPackedMonomials:
         g = EvoField((fs_expr("w*w_x"),))
         ref = reference_bracket(f, g)
         assert ref[0] == fs_expr("w^8*w_x")
-        bits = _word_bits(pair_bounds(_IntegerField(f), _IntegerField(g))[1])
+        bits = _word_bits(pair_bounds(IntegerField(f), IntegerField(g))[1])
         assert 8 >= 1 << (bits - 2)
         assert commutator(f, g) == ref
         monkeypatch.setattr("jetsym.varcalc._sum_bounds", one_bit_narrower(_sum_bounds, 1))
