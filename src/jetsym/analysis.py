@@ -53,7 +53,12 @@ class SymmetryCheck:
 
 def is_symmetry(K: EvoField, system: EvolutionSystem) -> SymmetryCheck:
     """K is a symmetry iff D_t(K) - F'[K] = K_t + [F, K] vanishes."""
-    defect = EvoField(k.partial_t() for k in K) + commutator(system.rhs, K)
+    return _symmetry_check(K, commutator(system.rhs, K))
+
+
+def _symmetry_check(K: EvoField, bracket: EvoField) -> SymmetryCheck:
+    """The symmetry check of K, given its bracket [F, K]."""
+    defect = EvoField(k.partial_t() for k in K) + bracket
     return SymmetryCheck(defect.is_zero, defect)
 
 
@@ -71,14 +76,23 @@ class CommutativityTable:
         return not self.failures
 
 
+def _table_pairs(n: int, first: int = 0) -> list:
+    """The index pairs (i, j), i < j, of n fields numbered from first."""
+    return [(i, j) for i in range(first, first + n) for j in range(i + 1, first + n)]
+
+
+def _table(n: int, brackets) -> CommutativityTable:
+    """The table of n members from their brackets, in ``_table_pairs`` order."""
+    failures = tuple(((i + 1, j + 1), bracket)
+                     for (i, j), bracket in zip(_table_pairs(n), brackets)
+                     if not bracket.is_zero)
+    return CommutativityTable(n, failures)
+
+
 def commutativity_table(h: Hierarchy) -> CommutativityTable:
     """All-pairs commutators of the hierarchy members."""
     n = len(h.members)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    failures = tuple(((i + 1, j + 1), bracket)
-                     for (i, j), bracket in zip(pairs, commutators(h.members, pairs))
-                     if not bracket.is_zero)
-    return CommutativityTable(n, failures)
+    return _table(n, commutators(h.members, _table_pairs(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -356,24 +370,41 @@ class VerificationReport:
 
 
 def verify_hierarchy(h: Hierarchy) -> VerificationReport:
-    """The full verification checklist for a generated hierarchy."""
+    """The full verification checklist for a generated hierarchy.
+
+    Every bracket of the checklist comes from one ``commutators`` family
+    over (F, K_1..K_N), and S after them for fs, on one kernel, so each
+    field is scaled, packed and given its D_x table once.  Its pairs are
+    the symmetry pairs (F, K_n), then the scaling pairs (S, K_n), then the
+    table pairs (K_i, K_j): the tables of F and S are dropped before those
+    of the members grow.  The report keeps its own order.
+    """
     checks = []
     system = h.system
     names = system.depvars
     param = system.parameter or "alpha"
     is_fs = system.name == "fs"
-    for n in range(1, len(h.members) + 1):
-        res = is_symmetry(h.member(n), system)
+    count = len(h.members)
+    fields = [system.rhs, *h.members]
+    pairs = [(0, n) for n in range(1, count + 1)]
+    if is_fs:
+        fields.append(scaling_symmetry(h.specialized_at))
+        pairs += [(count + 1, n) for n in range(1, count + 1)]
+    table_start = len(pairs)
+    pairs += _table_pairs(count, 1)
+    brackets = list(commutators(fields, pairs))
+    for n, bracket in enumerate(brackets[:count], 1):
+        res = _symmetry_check(h.member(n), bracket)
         detail = "" if res.ok else f"defect {res.defect.text(names, param)}"
         checks.append(CheckResult(f"symmetry K_{n}", res.ok, detail,
                                   None if res.ok else res.defect.to_json()))
-    table = commutativity_table(h)
+    table = _table(count, brackets[table_start:])
     detail = "" if table.all_zero else \
         "nonzero at " + ", ".join(str(p) for p, _ in table.failures)
     checks.append(CheckResult(
         "pairwise commutativity", table.all_zero, detail,
         None if table.all_zero else table.failures[0][1].to_json()))
-    for n in range(1, len(h.members) + 1):
+    for n in range(1, count + 1):
         try:
             form = structural_check(h.member(n), n)
             lead_ok = all(not c.is_zero for c in form.leading)
@@ -383,16 +414,18 @@ def verify_hierarchy(h: Hierarchy) -> VerificationReport:
         except StructuralViolation as exc:
             checks.append(CheckResult(f"structural form K_{n}", False, str(exc)))
     if is_fs:
-        fields = (scaling_symmetry(h.specialized_at), *h.members)
-        brackets = commutators(fields, [(0, n) for n in range(1, len(fields))])
-        for n, bracket in enumerate(brackets, 1):
+        for n, bracket in enumerate(brackets[count:2 * count], 1):
             defect = bracket - h.member(n).scalar_mul(n)
             checks.append(CheckResult(f"scaling homogeneity [S, K_{n}] = {n} K_{n}",
                                       defect.is_zero))
-        for n in range(1, len(h.members) + 1):
+        # K_n^1 = D_x(antiderivative) wherever the w-part is zero
+        integrals = {}
+        for n in range(1, count + 1):
             try:
-                c, _ = density_decompose(h.member(n)[0], system)
+                c, antiderivative = density_decompose(h.member(n)[0], system)
                 ok = c.is_zero
+                if ok:
+                    integrals[n] = ExactnessCertificate(antiderivative, DP_ZERO)
                 checks.append(CheckResult(
                     f"density decomposition of K_{n}^1 has zero w-part", ok,
                     "" if ok else f"constant part {c.text(param)}"))
@@ -407,9 +440,8 @@ def verify_hierarchy(h: Hierarchy) -> VerificationReport:
                 f"Im D_x certificates for step {cert.n}", ok1 and ok2))
         # recursion steps only consume antiderivatives of earlier members,
         # so certify the first components of the trailing members directly
-        start = max(len(h.members) - 1, 1)
-        for n in range(start, len(h.members) + 1):
-            cert = integrate_dx(h.member(n)[0])
+        for n in range(max(count - 1, 1), count + 1):
+            cert = integrals[n] if n in integrals else integrate_dx(h.member(n)[0])
             checks.append(CheckResult(
                 f"K_{n}^1 lies in Im D_x", cert.is_exact,
                 "" if cert.is_exact else "nonzero remainder",
@@ -418,7 +450,7 @@ def verify_hierarchy(h: Hierarchy) -> VerificationReport:
         bs = h.triangular.b
         ok = True
         detail = ""
-        for n in range(1, len(h.members) + 1):
+        for n in range(1, count + 1):
             lead = h.member(n)[0].coefficient(((jet(0, n), 1),))
             if n < len(bs) and lead != bs[n]:
                 ok = False

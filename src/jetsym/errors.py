@@ -72,12 +72,13 @@ class AnsatzTooLarge(JetsymError):
 
 
 class HierarchyTooLarge(JetsymError):
-    """A recursion step would read more terms than the generation budget."""
+    """A hierarchy would pass its generation budget: the terms one fs
+    recursion step reads, or the members of a ts1 hierarchy."""
 
-    def __init__(self, count, cap):
+    def __init__(self, count, cap, what="a recursion step would read", unit="terms"):
         self.count = count
         self.cap = cap
-        super().__init__(f"a recursion step would read {count} terms, cap is {cap}")
+        super().__init__(f"{what} {count} {unit}, cap is {cap}")
 
 
 class JetOrderOutOfRange(JetsymError, ValueError):

@@ -261,6 +261,15 @@ def fs_step(prev, prevprev, rec, m) -> EvoField:
 #: would otherwise run for hours.
 _STEP_TERMS = 16_000
 
+#: most members that ``ts1_hierarchy`` builds.  Its time grows about as
+#: N^3, since Q_n has about n/2 terms whose coefficients are polynomials
+#: of degree about n/2 in a: symbolic, N = 100 / 200 / 300 take 0.26 /
+#: 1.1 / 5.2 s of CPU on a 2-core x86-64 host (Python 3.11), and the JSON
+#: of N = 200 another 1.2 s (53 MB).  So ``gen`` reaches N = 200 and
+#: refuses a longer ts1 hierarchy before its work; N = 4000 would
+#: otherwise run for hours.
+_TS1_MEMBERS = 200
+
 
 def fs_hierarchy(N: int, alpha0: Optional[Fraction] = None) -> Hierarchy:
     """Members K_1..K_N of the Burgers-type hierarchy.
@@ -337,9 +346,12 @@ def triangular_coeffs(N: int, a: RationalFunction) -> TriangularCoeffs:
 
 def ts1_hierarchy(N: int, a0: Optional[Fraction] = None) -> Hierarchy:
     """Members G_n = (b_n u_n + Q_n, v_n) of the triangular hierarchy,
-    built over the symbolic parameter a, or at a = a0."""
+    built over the symbolic parameter a, or at a = a0.  N past
+    ``_TS1_MEMBERS`` raises HierarchyTooLarge before any work."""
     if N < 1:
         raise ValueError("hierarchy length must be at least 1")
+    if N > _TS1_MEMBERS:
+        raise HierarchyTooLarge(N, _TS1_MEMBERS, "a ts1 hierarchy would have", "members")
     system = builtin_system("ts1")
     if a0 is not None:
         a0 = Fraction(a0)

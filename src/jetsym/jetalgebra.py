@@ -283,7 +283,11 @@ class DiffPoly:
 
     def to_json(self):
         """The JSON form: one {"exps", "coeff"} per term, in
-        ``sorted_terms`` order (``JsonWriter``)."""
+        ``sorted_terms`` order, in one pass by one ``JsonWriter``: the
+        texts of each distinct denominator and the [generator, exponent]
+        form of each factor are written once and shared by every term
+        that has them, so a caller that edits one of them in place edits
+        each of those terms.  Each call returns a new structure."""
         return JsonWriter().poly(self)
 
     @staticmethod
@@ -370,6 +374,12 @@ class EvoField:
         return "(" + ", ".join(c.text(names, param) for c in self.components) + ")"
 
     def to_json(self):
+        """One ``DiffPoly`` JSON form per component, in one pass by one
+        ``JsonWriter``: the components share the texts of each distinct
+        denominator and the form of each factor, as the terms of one
+        polynomial do, and one polynomial object in two components has
+        one form, so an edit in place of one of those parts edits every
+        place that has it.  Each call returns a new structure."""
         return JsonWriter().field(self)
 
     @staticmethod

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from jetsym import varcalc
+from jetsym import analysis, varcalc
 from jetsym.analysis import (DensityAnsatz, commutativity_table,
                              density_decompose, density_search,
                              is_conserved_density, is_symmetry, push_forward,
@@ -561,15 +561,14 @@ def flip_k2(h):
 
 #: (nvars, exponent bits, coefficient bits) of every packed kernel, in
 #: order: the antiderivative-row check of each matrix (on the jets of w,
-#: z, a, b), then one per recursion step of gen; per symmetry check, then
-#: the table, then the scaling check of verify; one for a density search
+#: z, a, b), then one per recursion step of gen; one for every bracket of
+#: verify, as wide as the table's own; one for a density search
 KERNEL_WIDTHS = {
     "gen N = 12": [(4, 3, 5), (4, 4, 8),
                    (2, 4, 11), (2, 4, 14), (2, 4, 19), (2, 4, 22), (2, 5, 26), (2, 5, 29),
                    (2, 5, 33), (2, 5, 37), (2, 5, 41), (2, 5, 44)],
-    "verify N = 8 at alpha = 1/3": [(2, 4, 11), (2, 4, 19), (2, 4, 24), (2, 5, 29),
-                                    (2, 5, 35), (2, 5, 40), (2, 5, 46), (2, 5, 51),
-                                    (2, 6, 81), (2, 5, 56)],
+    "verify N = 8 at alpha = 1/3": [(2, 6, 81)],
+    "verify N = 6 symbolic": [(2, 5, 55)],
     "densities (2, 6)": [(2, 5, 28)],
 }
 
@@ -583,7 +582,8 @@ class TestKernelWidths:
         elif case == "densities (2, 6)":
             run = lambda: density_search(fs, DensityAnsatz(2, 6))
         else:
-            h = fs_hierarchy(8, Fraction(1, 3))
+            h = fs_hierarchy(6) if case == "verify N = 6 symbolic" else \
+                fs_hierarchy(8, Fraction(1, 3))
             run = lambda: verify_hierarchy(h)
         assert kernel_widths(monkeypatch, run) == KERNEL_WIDTHS[case]
 
@@ -602,6 +602,23 @@ class TestVerifyHierarchy:
     def test_short_hierarchies_pass(self, n):
         # 0 and 1 table pairs
         assert verify_hierarchy(fs_hierarchy(n)).ok
+
+    def test_each_member_integrated_once(self, monkeypatch):
+        # the Im D_x checks of K_5^1 and K_6^1 reuse the antiderivatives of
+        # their density decompositions, whose w-parts are zero
+        h = fs_hierarchy(6)
+        calls = []
+        integrate = analysis.integrate_dx
+
+        def spy(f):
+            calls.append(f)
+            return integrate(f)
+        monkeypatch.setattr(analysis, "integrate_dx", spy)
+        report = verify_hierarchy(h)
+        assert report.ok
+        assert calls == [h.member(n)[0] for n in range(1, 7)]
+        assert [c.name for c in report.checks[-2:]] == ["K_5^1 lies in Im D_x",
+                                                        "K_6^1 lies in Im D_x"]
 
     def test_corruption_detected(self):
         from jetsym.hierarchy import Hierarchy

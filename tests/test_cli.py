@@ -5,18 +5,20 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import jetsym
 from jetsym import hierarchy, varcalc
+from jetsym.analysis import commutativity_table, is_symmetry
 from jetsym.cli import main
 from jetsym.errors import NonlocalObstruction
-from jetsym.hierarchy import fs_hierarchy
-from jetsym.jetalgebra import DiffPoly
+from jetsym.hierarchy import Hierarchy, fs_hierarchy, scaling_symmetry
+from jetsym.jetalgebra import DiffPoly, EvoField, jet
 from jetsym.systems import _BUILTIN_CACHE, _BUILTIN_SOURCES, parse_system
-from jetsym.varcalc import ExactnessCertificate
+from jetsym.varcalc import ExactnessCertificate, commutator, integrate_dx
 
 
 #: size and sha256 of ``gen --system fs --n 8``, symbolic
@@ -167,6 +169,28 @@ class TestGen:
         assert (code, stdout) == (4, "")
         assert err == "jetsym: a recursion step would read 21015 terms, cap is 16000\n"
 
+    def test_ts1_cap_json(self, capsys):
+        # refused before any work: N = 4000 would run for hours
+        code, stdout, err = run(capsys, "gen", "--system", "ts1", "--n", "4000", "--json")
+        assert (code, stdout) == (4, "")
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": {
+            "code": "resource", "message": "a ts1 hierarchy would have 4000 members, cap is 200",
+            "count": 4000, "cap": hierarchy._TS1_MEMBERS}}
+
+    def test_ts1_cap_text(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the cap must refuse before the recursion")
+        monkeypatch.setattr(hierarchy, "triangular_coeffs", refuse)
+        code, stdout, err = run(capsys, "gen", "--system", "ts1", "--n", "201", "--alpha", "1/3")
+        assert (code, stdout) == (4, "")
+        assert err == "jetsym: a ts1 hierarchy would have 201 members, cap is 200\n"
+
+    def test_ts1_at_cap_admitted(self):
+        h = hierarchy.ts1_hierarchy(hierarchy._TS1_MEMBERS, Fraction(1, 3))
+        assert len(h.members) == hierarchy._TS1_MEMBERS
+
     def test_nonlocal_exit_code(self, capsys, monkeypatch):
         def boom(n, alpha0=None):
             raise NonlocalObstruction(DiffPoly.constant(1), entry=(0, 0))
@@ -227,6 +251,85 @@ class TestVerify:
         assert (code, stdout) == (1, "")
         assert json.loads(err) == {"error": {
             "code": "parse", "message": "a hierarchy needs at least one member"}}
+
+    def test_one_family_matches_one_pair_references(self, tmp_path, capsys):
+        # K_3^1 + w fails a symmetry, a table and a scaling check at once:
+        # each bracket of verify's one family must equal its one-pair form
+        h = fs_hierarchy(4)
+        k3 = h.member(3)
+        k3 = EvoField((k3[0] + DiffPoly.var(jet(0, 0)), k3[1]))
+        bad = Hierarchy(h.system, h.members[:2] + (k3,) + h.members[3:], h.provenance,
+                        h.certificates)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad.to_json()))
+        code, stdout, _ = run(capsys, "verify", str(path), "--json")
+        assert code == 3
+        checks = {c["name"]: c for c in json.loads(stdout)["checks"]}
+
+        def as_read(form):
+            return json.loads(json.dumps(form))
+
+        symmetry = [is_symmetry(bad.member(n), bad.system) for n in range(1, 5)]
+        assert [n for n, res in enumerate(symmetry, 1) if not res.ok] == [3]
+        for n, res in enumerate(symmetry, 1):
+            check = checks[f"symmetry K_{n}"]
+            assert check["status"] == ("pass" if res.ok else "fail")
+            assert check.get("defect") == (None if res.ok else as_read(res.defect.to_json()))
+        failures = commutativity_table(bad).failures
+        assert [p for p, _ in failures] == [(2, 3), (3, 4)]
+        check = checks["pairwise commutativity"]
+        assert check["detail"] == "nonzero at " + ", ".join(str(p) for p, _ in failures)
+        assert check["defect"] == as_read(failures[0][1].to_json())
+        s = scaling_symmetry()
+        scaled = [(commutator(s, bad.member(n)) - bad.member(n).scalar_mul(n)).is_zero
+                  for n in range(1, 5)]
+        assert scaled == [True, True, False, True]
+        for n, ok in enumerate(scaled, 1):
+            check = checks[f"scaling homogeneity [S, K_{n}] = {n} K_{n}"]
+            assert check["status"] == ("pass" if ok else "fail")
+        # its w-part is 1, so the Im D_x check of K_3^1 integrates it itself
+        cert = integrate_dx(bad.member(3)[0])
+        check = checks["K_3^1 lies in Im D_x"]
+        assert check["status"] == "fail"
+        assert check["defect"] == as_read(cert.remainder.to_json())
+        assert checks["K_4^1 lies in Im D_x"]["status"] == "pass"
+
+
+#: every check name of ``verify`` on a hierarchy of 9 members, in order
+FS9_CHECKS = ([f"symmetry K_{n}" for n in range(1, 10)] + ["pairwise commutativity"]
+              + [f"structural form K_{n}" for n in range(1, 10)]
+              + [f"scaling homogeneity [S, K_{n}] = {n} K_{n}" for n in range(1, 10)]
+              + [f"density decomposition of K_{n}^1 has zero w-part" for n in range(1, 10)]
+              + [f"Im D_x certificates for step {n}" for n in range(3, 10)]
+              + ["K_8^1 lies in Im D_x", "K_9^1 lies in Im D_x"])
+TS1_9_CHECKS = ([f"symmetry K_{n}" for n in range(1, 10)] + ["pairwise commutativity"]
+                + [f"structural form K_{n}" for n in range(1, 10)]
+                + ["triangular leading coefficients", "b recurrence"])
+
+
+class TestExceptionalValues:
+    """The verdicts of verify at the exceptional parameter values, where a
+    K_n loses its leading u_n (w_n) term: alpha = -1 for fs, a = 1/3 and
+    a = 0 for ts1.  Only the check names and statuses are pinned, not the
+    detail text."""
+
+    @pytest.mark.parametrize("system, alpha, names, failing", [
+        ("fs", "-1", FS9_CHECKS, (3, 9)),
+        ("ts1", "1/3", TS1_9_CHECKS, (3, 9)),
+        ("ts1", "0", TS1_9_CHECKS, (2, 6)),
+    ])
+    def test_verdicts_pinned(self, tmp_path, capsys, system, alpha, names, failing):
+        out = tmp_path / "h.json"
+        code, _, _ = run(capsys, "gen", "--system", system, "--n", "9", f"--alpha={alpha}",
+                         "--out", str(out))
+        assert code == 0
+        code, stdout, err = run(capsys, "verify", str(out), "--json")
+        assert code == 3
+        failed = {f"structural form K_{n}" for n in failing}
+        assert [(c["name"], c["status"]) for c in json.loads(stdout)["checks"]] == [
+            (name, "fail" if name in failed else "pass") for name in names]
+        assert json.loads(err)["error"]["message"] == \
+            f"verification failed at: structural form K_{failing[0]}"
 
 
 class TestCommute:

@@ -2,13 +2,13 @@
 
 Mutations of a ``gen --system fs --n 3`` hierarchy and of the ``fs``
 system text go through ``cli.main`` in-process, and so do ``gen --system
-fs`` runs at an oversized ``--n``.  A system text mutation
-may also replace one factor of a right-hand side with a number literal
-too long to parse, a power past the expansion budget of ``^``, a chain of
-``*`` past that budget or a jet of order 4093-4095; a hierarchy mutation
-may set the jet order of a member or a certificate to 4090-4095.  Each
-run must return one of the documented exit codes 0-4 and print no
-traceback.
+fs`` and ``gen --system ts1`` runs at an oversized ``--n``.  A system
+text mutation may also replace one factor of a right-hand side with a
+number literal too long to parse, a power past the expansion budget of
+``^``, a chain of ``*`` past that budget or a jet of order 4093-4095; a
+hierarchy mutation may set the jet order of a member or a certificate to
+4090-4095.  Each run must return one of the documented exit codes 0-4
+and print no traceback.
 """
 
 import copy
@@ -169,7 +169,7 @@ def test_mutated_hierarchy_files(tmp_path, capsys):
 
 
 def test_oversized_gen(capsys):
-    # each run stops at the recursion step budget, the step to K_20
+    # each fs run stops at the recursion step budget, the step to K_20
     rng = random.Random(SEED + 2)
     for i in range(3):
         n = rng.choice((20, rng.randint(21, 10 ** 3), rng.randint(10 ** 3, 10 ** 18)))
@@ -177,6 +177,10 @@ def test_oversized_gen(capsys):
         argv += ["--alpha", rng.choice(("1/3", "-2", "7/5"))] if i else []
         argv += ["--json"] if i % 2 else []
         assert _run(capsys, argv, f"gen case {i} (--n {n})") == 4
+    # a ts1 run stops at its member budget, before any work
+    n = rng.choice((201, rng.randint(202, 10 ** 4), rng.randint(10 ** 4, 10 ** 18)))
+    argv = ["gen", "--system", "ts1", "--n", str(n), "--alpha", rng.choice(("1/3", "0", "-2"))]
+    assert _run(capsys, argv, f"ts1 gen case (--n {n})") == 4
 
 
 def test_mutated_system_files(tmp_path, capsys):
