@@ -377,7 +377,9 @@ def verify_hierarchy(h: Hierarchy) -> VerificationReport:
     field is scaled, packed and given its D_x table once.  Its pairs are
     the symmetry pairs (F, K_n), then the scaling pairs (S, K_n), then the
     table pairs (K_i, K_j): the tables of F and S are dropped before those
-    of the members grow.  The report keeps its own order.
+    of the members grow.  The report keeps its own order.  A K_n^1 with
+    explicit x or t fails the checks that need an x,t-free input, its
+    density decomposition and its Im D_x check, with the reason as detail.
     """
     checks = []
     system = h.system
@@ -429,7 +431,7 @@ def verify_hierarchy(h: Hierarchy) -> VerificationReport:
                 checks.append(CheckResult(
                     f"density decomposition of K_{n}^1 has zero w-part", ok,
                     "" if ok else f"constant part {c.text(param)}"))
-            except NotDecomposable as exc:
+            except (NotDecomposable, ExplicitXTDependence) as exc:
                 checks.append(CheckResult(
                     f"density decomposition of K_{n}^1 has zero w-part",
                     False, str(exc)))
@@ -441,7 +443,11 @@ def verify_hierarchy(h: Hierarchy) -> VerificationReport:
         # recursion steps only consume antiderivatives of earlier members,
         # so certify the first components of the trailing members directly
         for n in range(max(count - 1, 1), count + 1):
-            cert = integrals[n] if n in integrals else integrate_dx(h.member(n)[0])
+            try:
+                cert = integrals[n] if n in integrals else integrate_dx(h.member(n)[0])
+            except ExplicitXTDependence as exc:
+                checks.append(CheckResult(f"K_{n}^1 lies in Im D_x", False, str(exc)))
+                continue
             checks.append(CheckResult(
                 f"K_{n}^1 lies in Im D_x", cert.is_exact,
                 "" if cert.is_exact else "nonzero remainder",

@@ -14,7 +14,7 @@ from .coeffield import (AlphaPoly, RF_ONE, RationalFunction, parse_rational,
 from .errors import (CrossCheckFailed, HierarchyTooLarge, InvalidHierarchy,
                      NonlocalObstruction, StructuralViolation)
 from .jetalgebra import (DP_ZERO, DiffPoly, EvoField, JsonWriter, T_GEN, X_GEN, is_jet,
-                         jet, jet_order, mono_degree)
+                         jet, jet_depvar, jet_order, mono_degree)
 from .operators import OperatorMatrix, OpTerm, apply_sum
 from .systems import EvolutionSystem, builtin_names, builtin_system, parse_expression
 from .varcalc import ExactnessCertificate, IntegerField, integrate_dx
@@ -77,51 +77,52 @@ def second_recursion_matrix() -> OperatorMatrix:
     return OperatorMatrix([[m11, m12], [m21, m22]])
 
 
-def _antiderivative_rows() -> tuple:
-    """The rows that give A_n = D_x^{-1} K_n^1 from the step's inputs,
-    under the recursion matrix and under the second one.
+def step_matrices(alpha0: Optional[Fraction] = None) -> tuple:
+    """The pairs (on K, on (A,)) of the recursion matrix and of the second
+    one that ``fs_step`` reads, derived from the linearization, with
+    c = alpha/(1 - 2 alpha) evaluated at alpha0 if it is given.
 
-    With s = 2*alpha - 1 and A_k the antiderivative of K_k^1,
-    A_n = K_{n-1}^1 + 4w A_{n-1} - (alpha/s) D_x K_{n-2}^1
-          - (8 alpha/s) w K_{n-2}^1
-          + (2z^2 - (4 alpha w_x + 16 alpha w^2)/s) A_{n-2} + z K_{n-2}^2:
-    D_x of each row is row 0 of its matrix (``fs_hierarchy`` checks it),
-    and every term has a jet factor, so A_n has no free term and is the
-    constructive antiderivative.
+    In the free jets of (w, z, a, b), K = (a_x, b) and A = a, so
+    Phi'^{-1}(K, A) = (f, g) = (4a, -2b - 4za).  T runs the triangular
+    matrix on (f, g), where D_x of a u-weight q reads D_x + 4qw: A gives
+    T = (D_x f + 4wf, D_x g + 2wg), B gives T = (c (D_x + 4w)^2 f - 2zg, 0).
+    Phi'(f, g) = (D_x f/4, -(g + zf)/2, f/4) pushes T back, and each row is
+    read off: the coefficient of a_k (k >= 1) as the D_x^{k-1} term of
+    column 0 on K, that of b_k as the D_x^k term of column 1, and that of
+    a as the one D_x^0 term on (A,).  Row 2 gives A_n = D_x^{-1} K_n^1.
     """
-    under_rec = [(OpTerm(DiffPoly.constant(RF_ONE), 0), OpTerm(_fs_expr("4*w"), -1)), ()]
-    under_m = [
-        (OpTerm(DiffPoly.constant(_over_s((0, -1))), 1),
-         OpTerm(_fs_expr("w").scalar_mul(_over_s((0, -8))), 0),
-         OpTerm(_fs_expr("4*alpha*w_x + 16*alpha*w^2").scalar_mul(_over_s((-1,)))
-                + _fs_expr("2*z^2"), -1)),
-        (OpTerm(_fs_expr("z"), 0),),
-    ]
-    return under_rec, under_m
+    w, z, a, b = (DiffPoly.var(jet(d, 0)) for d in range(4))
+    c = RationalFunction(AlphaPoly((0, 1)), AlphaPoly((1, -2)))
+    if alpha0 is not None:
+        c = rf(c.eval(alpha0))
 
-
-def _split(matrix: OperatorMatrix, row) -> Tuple[OperatorMatrix, OperatorMatrix]:
-    """``row`` stacked under ``matrix``, split into the terms that act on
-    K (one column per component) and the D_x^{-1} terms, which read
-    A = D_x^{-1} K^1 at D_x^0 as the one component of the field (A,).
-
-    Every D_x^{-1} term must sit in column 0; one elsewhere raises
-    ValueError naming its entry.
-    """
-    on_k, on_a = [], []
-    for i, entries in enumerate(matrix.entries + (tuple(row),)):
-        for j, entry in enumerate(entries):
-            if j and any(t.power < 0 for t in entry):
-                raise ValueError(f"a D_x^{{-1}} term at entry ({i}, {j}), outside column 0")
-        on_k.append([tuple(t for t in entry if t.power >= 0) for entry in entries])
-        on_a.append([tuple(OpTerm(t.coeff, 0) for t in entries[0] if t.power < 0)])
-    return OperatorMatrix(on_k), OperatorMatrix(on_a)
+    def dx(p, four_q):  # D_x on a u-weight four_q/4, in the frame of (f, g)
+        return p.dx() + w.scalar_mul(four_q) * p
+    f, g = a.scalar_mul(4), -b.scalar_mul(2) - z * a.scalar_mul(4)
+    pairs = []
+    for tf, tg in ((dx(f, 4), dx(g, 2)),
+                   (dx(dx(f, 4), 4).scalar_mul(c) - z.scalar_mul(2) * g, DP_ZERO)):
+        on_k, on_a = [], []
+        for row in (tf.dx().scalar_mul(Fraction(1, 4)),
+                    (tg + z * tf).scalar_mul(Fraction(-1, 2)), tf.scalar_mul(Fraction(1, 4))):
+            entries: dict = {}  # (column, power) -> terms; column 2 is on (A,)
+            for mono, coeff in row.terms.items():
+                [gen] = [gen for gen, _ in mono if is_jet(gen) and jet_depvar(gen) >= 2]
+                k = jet_order(gen)
+                slot = (1, k) if jet_depvar(gen) == 3 else (0, k - 1) if k else (2, 0)
+                entries.setdefault(slot, {})[tuple(p for p in mono if p[0] != gen)] = coeff
+            terms = [[OpTerm(DiffPoly(entries[s]), s[1]) for s in sorted(entries, reverse=True)
+                      if s[0] == column] for column in range(3)]
+            on_k.append(terms[:2])
+            on_a.append(terms[2:])
+        pairs.append((OperatorMatrix(on_k), OperatorMatrix(on_a)))
+    return tuple(pairs)
 
 
 def _check_antiderivative_rows(matrices):
     """Raise CrossCheckFailed unless D_x of row 2 is row 0 of each
-    ``_split`` pair, as an identity in the free jets of (w, z, a, b): each
-    is applied by ``apply_sum`` to K = (a_x, b) and (A,) = (a,)."""
+    ``step_matrices`` pair, as an identity in the free jets of (w, z, a,
+    b): each is applied by ``apply_sum`` to K = (a_x, b) and (A,) = (a,)."""
     a, b = DiffPoly.var(jet(2, 0)), DiffPoly.var(jet(3, 0))
     k, integral = IntegerField(EvoField((a.dx(), b))), IntegerField(EvoField((a,)))
     for name, (on_k, on_a) in zip(("recursion", "second recursion"), matrices):
@@ -129,13 +130,6 @@ def _check_antiderivative_rows(matrices):
         if antiderivative.dx() != top:
             raise CrossCheckFailed(
                 f"D_x of the antiderivative row is not row 0 of the {name} matrix")
-
-
-def _specialize_matrix(M: OperatorMatrix, value) -> OperatorMatrix:
-    return OperatorMatrix([
-        [tuple(OpTerm(t.coeff.specialize(value), t.power) for t in entry)
-         for entry in row]
-        for row in M.entries])
 
 
 @dataclass(frozen=True)
@@ -220,8 +214,6 @@ class Hierarchy:
                 triangular = TriangularCoeffs(bs, ())
         except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise InvalidHierarchy(f"malformed hierarchy JSON: {exc!r}") from None
-        if value is not None:
-            system = system.specialize(value)
         nvars = system.nvars
         if not members:
             raise InvalidHierarchy("a hierarchy needs at least one member")
@@ -232,6 +224,15 @@ class Hierarchy:
         polys += [c.prevprev.antiderivative for c in certs]
         if any(d >= nvars for p in polys for d in p.depvars()):
             raise InvalidHierarchy("a jet names a dependent variable the system lacks")
+        if value is not None:
+            system = system.specialize(value)
+            coeffs = [c for p in polys for c in p.terms.values()]
+            if triangular is not None:
+                coeffs += triangular.b
+            if any(c.num.degree > 0 or c.den.degree > 0 for c in coeffs):
+                raise InvalidHierarchy(
+                    f"specialized at {system.parameter} = {spec_at}, "
+                    f"but a coefficient depends on {system.parameter}")
         if any(not isinstance(c.n, int) or not 3 <= c.n <= len(members) for c in certs):
             raise InvalidHierarchy("a certificate names no recursion step")
         return Hierarchy(system, members, provenance, certs, value, triangular)
@@ -242,10 +243,10 @@ def fs_step(prev, prevprev, rec, m) -> EvoField:
     A_{n-1}) and prevprev = (K_{n-2}, A_{n-2}), A_k = D_x^{-1} K_k^1, each
     given as its ``IntegerField`` (A_k as that of the field (A_k,)).
 
-    rec and m are ``_split`` pairs of the two matrices, each with its
-    antiderivative row, so the result is (K_n^1, K_n^2, A_n).  It is one
-    ``apply_sum`` of four pairs, each matrix's K part on K and its
-    D_x^{-1} part on (A,), all on packed ints.
+    rec and m are the pairs of ``step_matrices``, each with the
+    antiderivative as its third row, so the result is (K_n^1, K_n^2, A_n).
+    It is one ``apply_sum`` of four pairs, each pair's part on K and its
+    part on (A,), all on packed ints.
     """
     (k1, a1), (k2, a2) = prev, prevprev
     return apply_sum([(rec[0], k1), (rec[1], a1), (m[0], k2), (m[1], a2)])
@@ -275,13 +276,13 @@ def fs_hierarchy(N: int, alpha0: Optional[Fraction] = None) -> Hierarchy:
     """Members K_1..K_N of the Burgers-type hierarchy.
 
     With alpha0 the whole computation runs over Q after specializing the
-    seeds and both matrices; specializing at a pole of any seed
-    coefficient raises PoleAtParameter.  Each member is carried with its
+    seeds, then the step; specializing at a pole of any seed coefficient
+    raises PoleAtParameter.  Each member is carried with its
     antiderivative A_n = D_x^{-1} K_n^1: ``integrate_dx`` runs on the two
     seeds only (a non-exact one raises NonlocalObstruction at entry
-    (0, 0)), and each step forms the next A_n from ``_antiderivative_rows``
-    stacked under the matrices.  Before the first step, the rows are
-    checked against the matrices in use (CrossCheckFailed).  Each K_n and
+    (0, 0)), and each step forms the next A_n from the third row of the
+    pairs that ``step_matrices`` derives.  Before the first step, that row
+    is checked against the first (CrossCheckFailed).  Each K_n and
     A_n that a later step reads is scaled to its ``IntegerField`` once,
     when it is formed, and the two steps that read it take that form.
     Before each step, the terms it reads are checked against
@@ -291,17 +292,15 @@ def fs_hierarchy(N: int, alpha0: Optional[Fraction] = None) -> Hierarchy:
         raise ValueError("hierarchy length must be at least 1")
     system = builtin_system("fs")
     k1, k2 = fs_seed()
-    rec, m = (_split(matrix, row) for matrix, row in
-              zip((recursion_matrix(), second_recursion_matrix()), _antiderivative_rows()))
     if alpha0 is not None:
         alpha0 = Fraction(alpha0)
         k1, k2 = k1.specialize(alpha0), k2.specialize(alpha0)
-        rec, m = ([_specialize_matrix(part, alpha0) for part in pair] for pair in (rec, m))
         system = system.specialize(alpha0)
     members = [k1, k2][:N]
     integrals = []
     carried = []  # (K_n, A_n) of the last two members, as IntegerFields
     if N > 2:
+        rec, m = step_matrices(alpha0)
         _check_antiderivative_rows((rec, m))
         for k in members:
             cert = integrate_dx(k[0])

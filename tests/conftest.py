@@ -6,6 +6,7 @@ import pytest
 
 from jetsym.coeffield import AlphaPoly, RationalFunction
 from jetsym.jetalgebra import DiffPoly, EvoField, jet
+from jetsym.operators import OperatorMatrix, OpTerm
 from jetsym.varcalc import _Kernel, _word_bits
 
 
@@ -72,6 +73,16 @@ def random_zero_free_poly(rng, nvars=2, max_order=2, terms=3):
 def random_evofield(rng, nvars=2, max_order=1, terms=2, rational=False):
     return EvoField(random_diffpoly(rng, nvars, max_order, terms, rational=rational)
                     for _ in range(nvars))
+
+
+def split(matrix):
+    """``matrix`` as ``apply_sum`` takes it: the pair of its local terms,
+    on K, and its D_x^{-1} terms at D_x^0, on the antiderivative (A,) of
+    column 0.  The D_x^{-1} terms must sit in column 0."""
+    assert all(t.power >= 0 for row in matrix.entries for e in row[1:] for t in e)
+    on_k = [[tuple(t for t in e if t.power >= 0) for e in row] for row in matrix.entries]
+    on_a = [[tuple(OpTerm(t.coeff, 0) for t in row[0] if t.power < 0)] for row in matrix.entries]
+    return OperatorMatrix(on_k), OperatorMatrix(on_a)
 
 
 def kernel_widths(monkeypatch, run, kernels=None) -> list:

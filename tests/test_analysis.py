@@ -560,9 +560,10 @@ def flip_k2(h):
 
 
 #: (nvars, exponent bits, coefficient bits) of every packed kernel, in
-#: order: the antiderivative-row check of each matrix (on the jets of w,
-#: z, a, b), then one per recursion step of gen; one for every bracket of
-#: verify, as wide as the table's own; one for a density search
+#: order: the antiderivative-row check of each pair of
+#: ``hierarchy.step_matrices`` (on the jets of w, z, a, b), then one per
+#: recursion step of gen; one for every bracket of verify, as wide as the
+#: table's own; one for a density search
 KERNEL_WIDTHS = {
     "gen N = 12": [(4, 3, 5), (4, 4, 8),
                    (2, 4, 11), (2, 4, 14), (2, 4, 19), (2, 4, 22), (2, 5, 26), (2, 5, 29),

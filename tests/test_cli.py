@@ -332,6 +332,111 @@ class TestExceptionalValues:
             f"verification failed at: structural form K_{failing[0]}"
 
 
+#: every check name of ``verify`` on an fs hierarchy of 4 members, in order
+FS4_CHECKS = ([f"symmetry K_{n}" for n in range(1, 5)] + ["pairwise commutativity"]
+              + [f"structural form K_{n}" for n in range(1, 5)]
+              + [f"scaling homogeneity [S, K_{n}] = {n} K_{n}" for n in range(1, 5)]
+              + [f"density decomposition of K_{n}^1 has zero w-part" for n in range(1, 5)]
+              + ["Im D_x certificates for step 3", "Im D_x certificates for step 4",
+                 "K_3^1 lies in Im D_x", "K_4^1 lies in Im D_x"])
+
+
+class TestExplicitXT:
+    """A member whose first component depends on x or t fails the checks
+    that need an x,t-free input, with a full report, as a ts1 member does."""
+
+    @pytest.mark.parametrize("n", [3, 4])
+    @pytest.mark.parametrize("gen", ["x", "t"])
+    def test_fs_member_fails_its_checks(self, tmp_path, capsys, n, gen):
+        path = _hierarchy_file(tmp_path, lambda d: d["members"][n - 1][0][0]["exps"].append(
+            [gen, 1]), n=4)
+        code, stdout, err = run(capsys, "verify", path, "--json")
+        assert code == 3
+        failed = {f"symmetry K_{n}", "pairwise commutativity", f"structural form K_{n}",
+                  f"scaling homogeneity [S, K_{n}] = {n} K_{n}",
+                  f"density decomposition of K_{n}^1 has zero w-part", f"K_{n}^1 lies in Im D_x"}
+        if n == 3:
+            failed.add("Im D_x certificates for step 4")  # it reads K_3^1
+        checks = json.loads(stdout)["checks"]
+        assert [(c["name"], c["status"]) for c in checks] == [
+            (name, "fail" if name in failed else "pass") for name in FS4_CHECKS]
+        details = {c["name"]: c["detail"] for c in checks}
+        assert details[f"density decomposition of K_{n}^1 has zero w-part"] == \
+            "decomposition needs x,t-free input"
+        assert details[f"K_{n}^1 lies in Im D_x"] == "D_x^{-1} needs an x,t-free input"
+        assert json.loads(err)["error"]["message"] == f"verification failed at: symmetry K_{n}"
+
+    def test_ts1_member_reports_too(self, tmp_path, capsys):
+        out = tmp_path / "g.json"
+        run(capsys, "gen", "--system", "ts1", "--n", "4", "--out", str(out))
+        doc = json.loads(out.read_text())
+        doc["members"][2][0][0]["exps"].append(["x", 1])
+        out.write_text(json.dumps(doc))
+        code, stdout, _ = run(capsys, "verify", str(out), "--json")
+        assert code == 3
+        assert len(json.loads(stdout)["checks"]) == 11
+
+
+def _specialized_at(value):
+    return lambda d: d.update(specialized_at=value)
+
+
+def _alpha_in_member(d):
+    d["members"][2][0][0]["coeff"]["num"].append("1")
+
+
+def _alpha_in_certificate(d):
+    d["certificates"][1]["prevprev"][0]["coeff"]["num"].append("1")
+
+
+def _alpha_in_denominator(d):
+    d["members"][1][1][0]["coeff"].update(num=["1"], den=["-1", "2"])
+
+
+class TestSpecializedAt:
+    """A hierarchy specialized at a parameter value holds only constant
+    coefficients: a member, certificate or b_sequence coefficient that
+    still depends on the parameter is a parse error."""
+
+    @pytest.mark.parametrize("command", ["verify", "commute"])
+    @pytest.mark.parametrize("value", ["1/2", "1/3"])
+    def test_symbolic_file_marked_specialized(self, tmp_path, capsys, command, value):
+        # 1/2 is the pole of the symbolic coefficients; 1/3 is no pole
+        path = _hierarchy_file(tmp_path, _specialized_at(value), n=4)
+        code, stdout, err = run(capsys, command, path, "--json")
+        assert (code, stdout) == (1, "")
+        assert json.loads(err) == {"error": {"code": "parse", "message":
+                                             f"specialized at alpha = {value}, but a "
+                                             f"coefficient depends on alpha"}}
+
+    @pytest.mark.parametrize("command", ["verify", "commute"])
+    @pytest.mark.parametrize("mutate", [_alpha_in_member, _alpha_in_certificate,
+                                        _alpha_in_denominator])
+    def test_one_coefficient_depends_on_alpha(self, tmp_path, capsys, command, mutate):
+        out = tmp_path / "h.json"
+        run(capsys, "gen", "--system", "fs", "--n", "4", "--alpha", "1/3", "--out", str(out))
+        assert run(capsys, command, str(out))[0] == 0
+        doc = json.loads(out.read_text())
+        mutate(doc)
+        out.write_text(json.dumps(doc))
+        code, stdout, err = run(capsys, command, str(out))
+        assert (code, stdout) == (1, "")
+        assert err == "jetsym: specialized at alpha = 1/3, but a coefficient depends on alpha\n"
+
+    @pytest.mark.parametrize("command", ["verify", "commute"])
+    def test_b_sequence_depends_on_a(self, tmp_path, capsys, command):
+        out = tmp_path / "g.json"
+        run(capsys, "gen", "--system", "ts1", "--n", "4", "--alpha", "2/7", "--out", str(out))
+        assert run(capsys, command, str(out))[0] == 0
+        doc = json.loads(out.read_text())
+        doc["b_sequence"][3]["num"].append("1")
+        out.write_text(json.dumps(doc))
+        code, _, err = run(capsys, command, str(out), "--json")
+        assert code == 1
+        assert json.loads(err)["error"] == {
+            "code": "parse", "message": "specialized at a = 2/7, but a coefficient depends on a"}
+
+
 class TestCommute:
     def test_table(self, tmp_path, capsys):
         out = tmp_path / "h.json"

@@ -8,7 +8,9 @@ number literal too long to parse, a power past the expansion budget of
 ``^``, a chain of ``*`` past that budget or a jet of order 4093-4095; a
 hierarchy mutation may set the jet order of a member or a certificate to
 4090-4095.  Each run must return one of the documented exit codes 0-4
-and print no traceback.
+and print no traceback.  A separate draw puts an x or t factor into one
+member or certificate term of a ``gen --system fs --n 4`` hierarchy, and
+``verify`` must fail a check on it (exit 3).
 """
 
 import copy
@@ -23,6 +25,7 @@ from jetsym.systems import builtin_system, render_system
 
 SEED = 20081
 CASES = 100  # per input kind
+XT_CASES = 50
 
 #: replacement values for a retyped JSON node
 RETYPED = (None, True, 0, -1, 2, 1.5, 10 ** 6, "", "x", "1/0", "w", [], [[]], {},
@@ -166,6 +169,24 @@ def test_mutated_hierarchy_files(tmp_path, capsys):
         command = rng.choice(("verify", "commute"))
         argv = [command, str(path)] + (["--json"] if i % 2 else [])
         _run(capsys, argv, f"hierarchy case {i} ({kind}, {command})")
+
+
+def test_explicit_xt_in_hierarchy_files(tmp_path, capsys):
+    # an x or t factor in one member or certificate term: a failed check
+    # with a full report, never an abort
+    rng = random.Random(SEED + 3)
+    doc = json.loads(json.dumps(fs_hierarchy(4).to_json()))
+    terms = [p for p in _paths(doc) if p[0] in ("members", "certificates")
+             and p[-1] == "exps"]
+    path = tmp_path / "h.json"
+    for i in range(XT_CASES):
+        mutated = copy.deepcopy(doc)
+        term = rng.choice(terms)
+        gen = rng.choice(("x", "t"))
+        _at(mutated, term).append([gen, rng.randint(1, 3)])
+        path.write_text(json.dumps(mutated))
+        argv = ["verify", str(path)] + (["--json"] if i % 2 else [])
+        assert _run(capsys, argv, f"x,t case {i} ({gen} at {term})") == 3
 
 
 def test_oversized_gen(capsys):

@@ -16,18 +16,18 @@ from jetsym import coeffield, hierarchy, operators, varcalc
 from jetsym.coeffield import AlphaPoly, RationalFunction, rf
 from jetsym.errors import (CrossCheckFailed, HierarchyTooLarge, NonlocalObstruction,
                            StructuralViolation)
-from jetsym.hierarchy import (Hierarchy, StepCertificates, _specialize_matrix,
+from jetsym.hierarchy import (Hierarchy, StepCertificates,
                               fs_hierarchy, fs_seed, fs_step, recursion_matrix,
                               scaling_symmetry,
                               second_recursion_matrix, structural_check,
                               triangular_coeffs, ts1_hierarchy)
 from jetsym.jetalgebra import DiffPoly, EvoField, T_GEN, X_GEN, jet
-from jetsym.operators import OperatorMatrix, OpTerm
+from jetsym.operators import OperatorMatrix, OpTerm, apply_sum
 from jetsym.systems import parse_expression
 from jetsym.varcalc import DxChain, IntegerField, integrate_dx
 
 from conftest import (kernel_widths, one_bit_narrower, random_evofield, reference_field_json,
-                      reference_hierarchy_json)
+                      reference_hierarchy_json, split)
 
 S_POLY = AlphaPoly((-1, 2))  # 2*alpha - 1
 
@@ -101,20 +101,6 @@ def with_antiderivative(k: EvoField) -> EvoField:
     return EvoField(k.components + (integrate_dx(k[0]).antiderivative,))
 
 
-NO_ROW = ((), ())
-
-
-def step_matrices(rec, m, rows=None, alpha0=None):
-    """rec and m as ``fs_step`` reads them: each ``_split`` with its row
-    of rows (``_antiderivative_rows`` by default) stacked under it, and
-    specialized at alpha0."""
-    pairs = [hierarchy._split(matrix, row) for matrix, row in
-             zip((rec, m), rows or hierarchy._antiderivative_rows())]
-    if alpha0 is not None:
-        pairs = [[_specialize_matrix(part, alpha0) for part in pair] for pair in pairs]
-    return pairs
-
-
 class TestRecursionStep:
     def test_k3_matches_golden(self):
         h = fs_hierarchy(3)
@@ -150,12 +136,11 @@ class TestRecursionStep:
 
     def test_explicit_step_equals_hierarchy(self):
         k1, k2 = fs_seed()
-        k3 = fs_step(carried(k2), carried(k1),
-                     *step_matrices(recursion_matrix(), second_recursion_matrix()))
+        k3 = fs_step(carried(k2), carried(k1), *hierarchy.step_matrices())
         assert k3 == with_antiderivative(fs_hierarchy(3).member(3))
 
     def test_every_member_satisfies_recursion(self, fs_hierarchy_8):
-        rec, m = step_matrices(recursion_matrix(), second_recursion_matrix())
+        rec, m = hierarchy.step_matrices()
         for n in range(3, 9):
             kn = fs_step(carried(fs_hierarchy_8.member(n - 1)),
                          carried(fs_hierarchy_8.member(n - 2)), rec, m)
@@ -376,6 +361,12 @@ def oracle_step(prev: EvoField, prevprev: EvoField, rec, m):
     return first + second, certs1.get(0), certs2.get(0)
 
 
+def specialized(matrix: OperatorMatrix, alpha0) -> OperatorMatrix:
+    """matrix with every coefficient specialized at alpha0."""
+    return OperatorMatrix([[tuple(OpTerm(t.coeff.specialize(alpha0), t.power) for t in entry)
+                            for entry in row] for row in matrix.entries])
+
+
 def oracle_hierarchy(N: int, alpha0=None) -> tuple:
     """(K_1..K_N, step certificates) with every recursion step through
     ``oracle_step``, so every antiderivative is formed by ``integrate_dx``."""
@@ -383,7 +374,7 @@ def oracle_hierarchy(N: int, alpha0=None) -> tuple:
     rec, m = recursion_matrix(), second_recursion_matrix()
     if alpha0 is not None:
         members = [k.specialize(alpha0) for k in members]
-        rec, m = _specialize_matrix(rec, alpha0), _specialize_matrix(m, alpha0)
+        rec, m = specialized(rec, alpha0), specialized(m, alpha0)
     certificates = []
     while len(members) < N:
         kn, prev, prevprev = oracle_step(members[-1], members[-2], rec, m)
@@ -392,19 +383,26 @@ def oracle_hierarchy(N: int, alpha0=None) -> tuple:
     return members[:N], tuple(certificates)
 
 
-def perturbed_rows(matrix):
-    """``_antiderivative_rows`` with one coefficient changed: 4w -> 3w under
-    the recursion matrix, or -8 alpha/s -> -7 alpha/s under the second."""
-    under_rec, under_m = hierarchy._antiderivative_rows()
+def scaled_term(matrix: OperatorMatrix, i, j, t, factor) -> OperatorMatrix:
+    """matrix with the coefficient of term t of entry (i, j) times factor."""
+    rows = [[list(entry) for entry in row] for row in matrix.entries]
+    term = rows[i][j][t]
+    rows[i][j][t] = OpTerm(term.coeff.scalar_mul(factor), term.power)
+    return OperatorMatrix(rows)
+
+
+def perturbed_pairs(matrix, alpha0=None):
+    """``hierarchy.step_matrices(alpha0)`` with one row-2 coefficient
+    changed: 4w -> 3w on (A,) under the recursion matrix, or -8 alpha/s w
+    -> -7 alpha/s w, the D_x^0 term on K, under the second."""
+    (rec_k, rec_a), (m_k, m_a) = hierarchy.step_matrices(alpha0)
     if matrix == "rec":
-        one, four_w = under_rec[0]
-        assert four_w == OpTerm(fs_expr("4*w"), -1)
-        under_rec = [(one, OpTerm(fs_expr("3*w"), -1)), ()]
-    else:
-        dx, eight, a = under_m[0]
-        assert eight == OpTerm(fs_expr("w").scalar_mul(over_s(0, -8)), 0)
-        under_m = [(dx, OpTerm(fs_expr("w").scalar_mul(over_s(0, -7)), 0), a), under_m[1]]
-    return under_rec, under_m
+        assert rec_a.entries[2][0] == (OpTerm(fs_expr("4*w"), 0),)
+        return (rec_k, scaled_term(rec_a, 2, 0, 0, Fraction(3, 4))), (m_k, m_a)
+    eight = fs_expr("w").scalar_mul(over_s(0, -8))
+    assert m_k.entries[2][0][1] == OpTerm(eight if alpha0 is None else
+                                          eight.specialize(alpha0), 0)
+    return (rec_k, rec_a), (scaled_term(m_k, 2, 0, 1, Fraction(7, 8)), m_a)
 
 
 def first_only(term: OpTerm) -> OperatorMatrix:
@@ -422,9 +420,9 @@ class TestKernelStep:
     def test_random_fields_match_oracle(self, alpha0):
         rng = random.Random(151 if alpha0 is None else 157)
         rec, m = recursion_matrix(), second_recursion_matrix()
-        split = step_matrices(rec, m, alpha0=alpha0)
+        pairs = hierarchy.step_matrices(alpha0)
         if alpha0 is not None:
-            rec, m = _specialize_matrix(rec, alpha0), _specialize_matrix(m, alpha0)
+            rec, m = specialized(rec, alpha0), specialized(m, alpha0)
         for _ in range(25):
             fields = []
             for _ in range(2):
@@ -432,7 +430,7 @@ class TestKernelStep:
                 # a first component in Im D_x, so that D_x^{-1} applies
                 k = EvoField((k[0].dx(), k[1]))
                 fields.append(k if alpha0 is None else k.specialize(alpha0))
-            got = fs_step(carried(fields[0]), carried(fields[1]), *split)
+            got = fs_step(carried(fields[0]), carried(fields[1]), *pairs)
             assert got == with_antiderivative(oracle_step(fields[0], fields[1], rec, m)[0])
 
     def test_bound_exceeds_a_narrower_coefficient_slot(self, monkeypatch):
@@ -444,10 +442,10 @@ class TestKernelStep:
         k = EvoField((fs_expr("w"), fs_expr("z")))
         want = oracle_step(k, k, rec, ZERO_MATRIX)[0]
         assert want[0] == fs_expr("w").scalar_mul(c)
-        split = step_matrices(rec, ZERO_MATRIX, (NO_ROW, NO_ROW))
-        assert EvoField(fs_step(carried(k), carried(k), *split)[:2]) == want
+        pairs = split(rec), split(ZERO_MATRIX)
+        assert EvoField(fs_step(carried(k), carried(k), *pairs)[:2]) == want
         monkeypatch.setattr(varcalc, "_sum_bounds", one_bit_narrower(varcalc._sum_bounds, 0))
-        assert EvoField(fs_step(carried(k), carried(k), *split)[:2]) != want
+        assert EvoField(fs_step(carried(k), carried(k), *pairs)[:2]) != want
 
     def test_bound_exceeds_a_narrower_exponent_slot(self, monkeypatch):
         # w^3 * w^5 = w^8: at the bound's width 8 is a digit; one bit
@@ -456,10 +454,10 @@ class TestKernelStep:
         k = EvoField((fs_expr("w^5"), fs_expr("z")))
         want = oracle_step(k, k, rec, ZERO_MATRIX)[0]
         assert want[0] == fs_expr("w^8")
-        split = step_matrices(rec, ZERO_MATRIX, (NO_ROW, NO_ROW))
-        assert EvoField(fs_step(carried(k), carried(k), *split)[:2]) == want
+        pairs = split(rec), split(ZERO_MATRIX)
+        assert EvoField(fs_step(carried(k), carried(k), *pairs)[:2]) == want
         monkeypatch.setattr(varcalc, "_sum_bounds", one_bit_narrower(varcalc._sum_bounds, 1))
-        assert EvoField(fs_step(carried(k), carried(k), *split)[:2]) != want
+        assert EvoField(fs_step(carried(k), carried(k), *pairs)[:2]) != want
 
     def test_antiderivative_binds_the_coefficient_slot(self, monkeypatch):
         # K_n = D_x^{-1}(c w_x) = c w for c = (2^20 - alpha)/(2 alpha - 1):
@@ -471,8 +469,8 @@ class TestKernelStep:
         k = EvoField((fs_expr("w_x").scalar_mul(c), fs_expr("z")))
         want = oracle_step(k, k, rec, ZERO_MATRIX)[0]
         assert want[0] == fs_expr("w").scalar_mul(c)
-        split = step_matrices(rec, ZERO_MATRIX, (NO_ROW, NO_ROW))
-        run = lambda: EvoField(fs_step(carried(k), carried(k), *split)[:2])
+        pairs = split(rec), split(ZERO_MATRIX)
+        run = lambda: EvoField(fs_step(carried(k), carried(k), *pairs)[:2])
         [(_, _, coeff_bits)] = kernel_widths(monkeypatch, run)
         assert coeff_bits == varcalc._word_bits(2 ** 20 + 1)  # |S_c 1|_1 |S_K c|_1
         assert run() == want
@@ -487,8 +485,8 @@ class TestKernelStep:
         k = EvoField((fs_expr("w^5").dx(), fs_expr("z")))
         want = oracle_step(k, k, rec, ZERO_MATRIX)[0]
         assert want[0] == fs_expr("w^8")
-        split = step_matrices(rec, ZERO_MATRIX, (NO_ROW, NO_ROW))
-        run = lambda: EvoField(fs_step(carried(k), carried(k), *split)[:2])
+        pairs = split(rec), split(ZERO_MATRIX)
+        run = lambda: EvoField(fs_step(carried(k), carried(k), *pairs)[:2])
         [(_, bits, _)] = kernel_widths(monkeypatch, run)
         assert bits == varcalc._word_bits(8)
         assert run() == want
@@ -536,7 +534,7 @@ class TestKernelStep:
         scales = []
         divide = varcalc.dividing_by
         monkeypatch.setattr(varcalc, "dividing_by", lambda s: scales.append(s) or divide(s))
-        got = fs_step(carried(prev), carried(prevprev), *step_matrices(rec, m))
+        got = fs_step(carried(prev), carried(prevprev), *hierarchy.step_matrices())
         assert [s.num.degree for s in scales] == [4]
         assert got == with_antiderivative(oracle_step(prev, prevprev, rec, m)[0])
 
@@ -547,22 +545,15 @@ class TestAntiderivativeRows:
 
     def test_step_forms_the_antiderivative(self):
         k1, k2 = fs_seed()
-        rec, m = step_matrices(recursion_matrix(), second_recursion_matrix())
+        rec, m = hierarchy.step_matrices()
         top, second, antiderivative = fs_step(carried(k2), carried(k1), rec, m)
         assert EvoField((top, second)) == golden_k3()
         assert antiderivative == integrate_dx(top).antiderivative
         [cert] = fs_hierarchy(3).certificates
         assert (cert.prev, cert.prevprev) == (integrate_dx(k2[0]), integrate_dx(k1[0]))
 
-    def test_split_refuses_a_nonlocal_term_outside_column_0(self):
-        dinv = OpTerm(fs_expr("z"), -1)
-        with pytest.raises(ValueError, match=r"entry \(2, 1\), outside column 0"):
-            hierarchy._split(recursion_matrix(), [(), (dinv,)])
-        with pytest.raises(ValueError, match=r"entry \(0, 1\), outside column 0"):
-            hierarchy._split(OperatorMatrix([[(), (dinv,)], [(), ()]]), NO_ROW)
-
-    def test_split_reads_the_antiderivative_at_dx0(self):
-        on_k, on_a = hierarchy._split(recursion_matrix(), hierarchy._antiderivative_rows()[0])
+    def test_rows_read_the_antiderivative_at_dx0(self):
+        on_k, on_a = hierarchy.step_matrices()[0]
         assert on_k.shape == (3, 2) and on_a.shape == (3, 1)
         assert on_a.entries == (((OpTerm(fs_expr("4*w_x"), 0),),),
                                 ((OpTerm(fs_expr("2*z_x - 4*w*z"), 0),),),
@@ -572,16 +563,63 @@ class TestAntiderivativeRows:
     @pytest.mark.parametrize("alpha0", [None, Fraction(1, 3)])
     @pytest.mark.parametrize("matrix", ["rec", "m"])
     def test_perturbed_row_raises(self, monkeypatch, matrix, alpha0):
-        rows = perturbed_rows(matrix)
-        monkeypatch.setattr(hierarchy, "_antiderivative_rows", lambda: rows)
+        pairs = perturbed_pairs(matrix, alpha0)
+        monkeypatch.setattr(hierarchy, "step_matrices", lambda alpha0=None: pairs)
         with pytest.raises(CrossCheckFailed):
             fs_hierarchy(3, alpha0)
 
-    def test_short_hierarchies_step_nothing(self, monkeypatch):
+    @pytest.mark.parametrize("alpha0", [None, Fraction(1, 3)])
+    def test_short_hierarchies_step_nothing(self, monkeypatch, alpha0):
         # no step, no rows to check
-        rows = perturbed_rows("m")
-        monkeypatch.setattr(hierarchy, "_antiderivative_rows", lambda: rows)
-        assert fs_hierarchy(2).members == fs_seed()
+        pairs = perturbed_pairs("m", alpha0)
+        monkeypatch.setattr(hierarchy, "step_matrices", lambda alpha0=None: pairs)
+        assert fs_hierarchy(2, alpha0).members == tuple(
+            k if alpha0 is None else k.specialize(alpha0) for k in fs_seed())
+
+
+#: K = (a_x, b) and A = a on the free jets of (w, z, a, b)
+FREE_K = EvoField((DiffPoly.var(jet(2, 1)), DiffPoly.var(jet(3, 0))))
+FREE_A = EvoField((DiffPoly.var(jet(2, 0)),))
+
+
+def on_free_jets(pair) -> EvoField:
+    """Rows 0 and 1 of a ``step_matrices`` pair, applied by ``apply_sum``
+    to K = (a_x, b) and (A,) = (a,)."""
+    on_k, on_a = (OperatorMatrix(part.entries[:2]) for part in pair)
+    return apply_sum([(on_k, IntegerField(FREE_K)), (on_a, IntegerField(FREE_A))])
+
+
+class TestStepMatrices:
+    """The step derived from the linearization against the paper's printed
+    matrices, which ``apply_detailed`` applies, D_x^{-1} a_x read as a."""
+
+    @pytest.mark.parametrize("alpha0", [None, Fraction(1, 3), Fraction(-1), Fraction(0),
+                                        Fraction(7, 5)])
+    def test_derived_equals_printed(self, alpha0):
+        printed = [recursion_matrix(), second_recursion_matrix()]
+        if alpha0 is not None:
+            printed = [specialized(p, alpha0) for p in printed]
+        for pair, matrix in zip(hierarchy.step_matrices(alpha0), printed):
+            assert on_free_jets(pair) == matrix.apply_detailed(DxChain(FREE_K))[0]
+
+    @pytest.mark.parametrize("which, i, j, t", [
+        (0, 0, 0, 2), (0, 1, 0, 0), (0, 1, 1, 1),
+        (1, 0, 0, 0), (1, 0, 0, 3), (1, 0, 1, 0), (1, 1, 0, 1), (1, 1, 1, 0)])
+    def test_changed_printed_coefficient_differs(self, which, i, j, t):
+        # one term of entry (i, j) of the recursion matrix (0) or the second (1)
+        matrix = (recursion_matrix(), second_recursion_matrix())[which]
+        changed = scaled_term(matrix, i, j, t, 2)
+        got = on_free_jets(hierarchy.step_matrices()[which])
+        assert got == matrix.apply_detailed(DxChain(FREE_K))[0]
+        assert got != changed.apply_detailed(DxChain(FREE_K))[0]
+
+    def test_gen_reads_no_printed_matrix(self, monkeypatch):
+        calls = []
+        for name in ("recursion_matrix", "second_recursion_matrix"):
+            monkeypatch.setattr(hierarchy, name, lambda name=name: calls.append(name))
+        fs_hierarchy(6)
+        fs_hierarchy(6, Fraction(1, 3))
+        assert not calls
 
 
 class TestTriangularHierarchy:

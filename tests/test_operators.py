@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from jetsym import hierarchy, operators
+from jetsym import operators
 from jetsym.coeffield import AlphaPoly, RationalFunction, rf
 from jetsym.errors import NonlocalObstruction
 from jetsym.hierarchy import fs_seed, recursion_matrix, second_recursion_matrix
@@ -13,7 +13,7 @@ from jetsym.operators import OperatorMatrix, OpTerm, apply_sum
 from jetsym.systems import parse_expression
 from jetsym.varcalc import DxChain, IntegerField, integrate_dx
 
-from conftest import random_diffpoly, random_evofield
+from conftest import random_diffpoly, random_evofield, split
 
 
 def fs_expr(src):
@@ -152,13 +152,6 @@ def random_matrix(rng, rows, columns):
                for _ in range(rng.randint(0, 2)))
          for j in range(columns)]
         for _ in range(rows)])
-
-
-def split(matrix):
-    """``matrix`` as ``apply_sum`` takes it: its local terms, and its
-    D_x^{-1} terms at D_x^0, to read the antiderivative of column 0."""
-    *rows, last = matrix.entries
-    return hierarchy._split(OperatorMatrix(rows), last)
 
 
 class TestApplySum:
