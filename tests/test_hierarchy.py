@@ -552,7 +552,23 @@ class TestAntiderivativeRows:
         [cert] = fs_hierarchy(3).certificates
         assert (cert.prev, cert.prevprev) == (integrate_dx(k2[0]), integrate_dx(k1[0]))
 
-    def test_rows_read_the_antiderivative_at_dx0(self):
+    def test_split_refuses_a_nonlocal_term_outside_column_0(self):
+        # the pairs carry D_x^{-1} K^1 as the field (A,); a D_x^{-1} term
+        # left in a matrix is refused by its entry before any work
+        k1, k2 = fs_seed()
+        rec, m = hierarchy.step_matrices()
+        dinv = OpTerm(fs_expr("z"), -1)
+
+        def with_dinv(pair, i, j):
+            entries = [list(row) for row in pair[0].entries]
+            entries[i][j] += (dinv,)
+            return OperatorMatrix(entries), pair[1]
+        with pytest.raises(ValueError, match=r"pair 0: a D_x\^\{-1\} term at entry \(2, 1\)"):
+            fs_step(carried(k2), carried(k1), with_dinv(rec, 2, 1), m)
+        with pytest.raises(ValueError, match=r"pair 2: a D_x\^\{-1\} term at entry \(0, 1\)"):
+            fs_step(carried(k2), carried(k1), rec, with_dinv(m, 0, 1))
+
+    def test_split_reads_the_antiderivative_at_dx0(self):
         on_k, on_a = hierarchy.step_matrices()[0]
         assert on_k.shape == (3, 2) and on_a.shape == (3, 1)
         assert on_a.entries == (((OpTerm(fs_expr("4*w_x"), 0),),),
@@ -568,13 +584,14 @@ class TestAntiderivativeRows:
         with pytest.raises(CrossCheckFailed):
             fs_hierarchy(3, alpha0)
 
-    @pytest.mark.parametrize("alpha0", [None, Fraction(1, 3)])
-    def test_short_hierarchies_step_nothing(self, monkeypatch, alpha0):
-        # no step, no rows to check
-        pairs = perturbed_pairs("m", alpha0)
-        monkeypatch.setattr(hierarchy, "step_matrices", lambda alpha0=None: pairs)
-        assert fs_hierarchy(2, alpha0).members == tuple(
-            k if alpha0 is None else k.specialize(alpha0) for k in fs_seed())
+    def test_short_hierarchies_step_nothing(self, monkeypatch):
+        # no step, no rows to check, at symbolic alpha and at alpha0 = 1/3
+        for alpha0 in (None, Fraction(1, 3)):
+            pairs = perturbed_pairs("m", alpha0)
+            with monkeypatch.context() as patch:
+                patch.setattr(hierarchy, "step_matrices", lambda alpha0=None: pairs)
+                assert fs_hierarchy(2, alpha0).members == tuple(
+                    k if alpha0 is None else k.specialize(alpha0) for k in fs_seed())
 
 
 #: K = (a_x, b) and A = a on the free jets of (w, z, a, b)
