@@ -17,7 +17,8 @@ from typing import Optional, Tuple
 
 from .coeffield import RationalFunction, accumulate, rf, sparse_nullspace
 from .errors import (AnsatzTooLarge, CrossCheckFailed, ExplicitXTDependence,
-                     InvalidSetting, NotDecomposable, StructuralViolation)
+                     InvalidSetting, JetsymError, NonIntegerExponentPath, NotDecomposable,
+                     StructuralViolation)
 from .hierarchy import Hierarchy, scaling_symmetry, structural_check
 from .jetalgebra import (DP_ONE, DP_ZERO, DiffPoly, EvoField, MONO_ONE, is_jet, jet,
                          jet_depvar, jet_order)
@@ -90,9 +91,24 @@ def _table(n: int, brackets) -> CommutativityTable:
 
 
 def commutativity_table(h: Hierarchy) -> CommutativityTable:
-    """All-pairs commutators of the hierarchy members."""
+    """All-pairs commutators of the hierarchy members, in one
+    ``commutators`` family.
+
+    For fs, each K_n^1 is integrated once (``integrate_dx``), and K_n
+    enters the family in the linearizing frame with that certificate
+    K_n^1 = D_x A + r; its remainder r need not be zero, so every bracket
+    stays exact.  A member that cannot be integrated (explicit x or t, or a
+    logarithm on the way) enters as it is.
+    """
     n = len(h.members)
-    return _table(n, commutators(h.members, _table_pairs(n)))
+    integrals = {}
+    if h.system.name == "fs":
+        for i, k in enumerate(h.members):
+            try:
+                integrals[i] = integrate_dx(k[0])
+            except (ExplicitXTDependence, NonIntegerExponentPath):
+                pass
+    return _table(n, commutators(h.members, _table_pairs(n), integrals))
 
 
 # ---------------------------------------------------------------------------
@@ -377,9 +393,13 @@ def verify_hierarchy(h: Hierarchy) -> VerificationReport:
     field is scaled, packed and given its D_x table once.  Its pairs are
     the symmetry pairs (F, K_n), then the scaling pairs (S, K_n), then the
     table pairs (K_i, K_j): the tables of F and S are dropped before those
-    of the members grow.  The report keeps its own order.  A K_n^1 with
-    explicit x or t fails the checks that need an x,t-free input, its
-    density decomposition and its Im D_x check, with the reason as detail.
+    of the members grow.  For fs the density decompositions
+    K_n^1 = c w + D_x A run before the family, and each member that has
+    one enters it in the linearizing frame of that certificate;
+    F, S and a member with none enter as they are.  The report keeps its
+    own order.  A K_n^1 with explicit x or t fails the checks that need an
+    x,t-free input, its density decomposition and its Im D_x check, with
+    the reason as detail.
     """
     checks = []
     system = h.system
@@ -389,12 +409,21 @@ def verify_hierarchy(h: Hierarchy) -> VerificationReport:
     count = len(h.members)
     fields = [system.rhs, *h.members]
     pairs = [(0, n) for n in range(1, count + 1)]
+    decompositions = {}  # n -> (c, A), or the reason K_n^1 has none
     if is_fs:
         fields.append(scaling_symmetry(h.specialized_at))
         pairs += [(count + 1, n) for n in range(1, count + 1)]
+        for n in range(1, count + 1):
+            try:
+                decompositions[n] = density_decompose(h.member(n)[0], system)
+            except JetsymError as exc:  # reported, or raised, after the family
+                decompositions[n] = exc
     table_start = len(pairs)
     pairs += _table_pairs(count, 1)
-    brackets = list(commutators(fields, pairs))
+    w = DiffPoly.var(jet(0, 0))
+    integrals = {n: ExactnessCertificate(d[1], w.scalar_mul(d[0]))
+                 for n, d in decompositions.items() if isinstance(d, tuple)}
+    brackets = list(commutators(fields, pairs, integrals))
     for n, bracket in enumerate(brackets[:count], 1):
         res = _symmetry_check(h.member(n), bracket)
         detail = "" if res.ok else f"defect {res.defect.text(names, param)}"
@@ -421,20 +450,19 @@ def verify_hierarchy(h: Hierarchy) -> VerificationReport:
             checks.append(CheckResult(f"scaling homogeneity [S, K_{n}] = {n} K_{n}",
                                       defect.is_zero))
         # K_n^1 = D_x(antiderivative) wherever the w-part is zero
-        integrals = {}
-        for n in range(1, count + 1):
-            try:
-                c, antiderivative = density_decompose(h.member(n)[0], system)
-                ok = c.is_zero
-                if ok:
-                    integrals[n] = ExactnessCertificate(antiderivative, DP_ZERO)
-                checks.append(CheckResult(
-                    f"density decomposition of K_{n}^1 has zero w-part", ok,
-                    "" if ok else f"constant part {c.text(param)}"))
-            except (NotDecomposable, ExplicitXTDependence) as exc:
-                checks.append(CheckResult(
-                    f"density decomposition of K_{n}^1 has zero w-part",
-                    False, str(exc)))
+        exact = {}
+        for n, found in decompositions.items():
+            name = f"density decomposition of K_{n}^1 has zero w-part"
+            if isinstance(found, (NotDecomposable, ExplicitXTDependence)):
+                checks.append(CheckResult(name, False, str(found)))
+                continue
+            if isinstance(found, Exception):
+                raise found
+            c, antiderivative = found
+            if c.is_zero:
+                exact[n] = ExactnessCertificate(antiderivative, DP_ZERO)
+            checks.append(CheckResult(name, c.is_zero,
+                                      "" if c.is_zero else f"constant part {c.text(param)}"))
         for cert in h.certificates:
             ok1 = cert.prev.antiderivative.dx() == h.member(cert.n - 1)[0]
             ok2 = cert.prevprev.antiderivative.dx() == h.member(cert.n - 2)[0]
@@ -444,7 +472,7 @@ def verify_hierarchy(h: Hierarchy) -> VerificationReport:
         # so certify the first components of the trailing members directly
         for n in range(max(count - 1, 1), count + 1):
             try:
-                cert = integrals[n] if n in integrals else integrate_dx(h.member(n)[0])
+                cert = exact[n] if n in exact else integrate_dx(h.member(n)[0])
             except ExplicitXTDependence as exc:
                 checks.append(CheckResult(f"K_{n}^1 lies in Im D_x", False, str(exc)))
                 continue

@@ -132,7 +132,10 @@ def cmd_commute(args) -> int:
     lines.append("all pairwise commutators vanish" if table.all_zero
                  else "commutativity FAILED")
     _emit(args, payload, "\n".join(lines))
-    return EXIT_OK if table.all_zero else EXIT_CHECK_FAILED
+    if not table.all_zero:
+        _diag(args, "check-failed", f"commutativity failed at: {table.failures[0][0]}")
+        return EXIT_CHECK_FAILED
+    return EXIT_OK
 
 
 def cmd_densities(args) -> int:

@@ -17,7 +17,7 @@ from .jetalgebra import (DP_ZERO, DiffPoly, EvoField, JsonWriter, T_GEN, X_GEN, 
                          jet, jet_depvar, jet_order, mono_degree)
 from .operators import OperatorMatrix, OpTerm, apply_sum
 from .systems import EvolutionSystem, builtin_names, builtin_system, parse_expression
-from .varcalc import ExactnessCertificate, IntegerField, integrate_dx
+from .varcalc import ExactnessCertificate, IntegerField, integrate_dx, phi_inverse
 
 _FS_VARS = ("w", "z")
 _S_POLY = AlphaPoly((-1, 2))  # 2*alpha - 1
@@ -83,7 +83,7 @@ def step_matrices(alpha0: Optional[Fraction] = None) -> tuple:
     c = alpha/(1 - 2 alpha) evaluated at alpha0 if it is given.
 
     In the free jets of (w, z, a, b), K = (a_x, b) and A = a, so
-    Phi'^{-1}(K, A) = (f, g) = (4a, -2b - 4za).  T runs the triangular
+    Phi'^{-1}(K, A) = (f, g) = (4a, -2b - 4za) (``phi_inverse``).  T runs the triangular
     matrix on (f, g), where D_x of a u-weight q reads D_x + 4qw: A gives
     T = (D_x f + 4wf, D_x g + 2wg), B gives T = (c (D_x + 4w)^2 f - 2zg, 0).
     Phi'(f, g) = (D_x f/4, -(g + zf)/2, f/4) pushes T back, and each row is
@@ -98,7 +98,7 @@ def step_matrices(alpha0: Optional[Fraction] = None) -> tuple:
 
     def dx(p, four_q):  # D_x on a u-weight four_q/4, in the frame of (f, g)
         return p.dx() + w.scalar_mul(four_q) * p
-    f, g = a.scalar_mul(4), -b.scalar_mul(2) - z * a.scalar_mul(4)
+    f, g = phi_inverse(EvoField((a.dx(), b)), a)
     pairs = []
     for tf, tg in ((dx(f, 4), dx(g, 2)),
                    (dx(dx(f, 4), 4).scalar_mul(c) - z.scalar_mul(2) * g, DP_ZERO)):

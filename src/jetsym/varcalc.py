@@ -19,7 +19,7 @@ from .coeffield import (accumulate, clear_denominators, common_scale, dividing_b
 from .errors import (DxBudgetExceeded, ExplicitXTDependence, JetOrderOutOfRange,
                      NonIntegerExponentPath)
 from .jetalgebra import (DP_ZERO, TOP_ORDER, DiffPoly, EvoField, is_jet, jet, jet_depvar,
-                         jet_order, mono_degree, mono_max_order)
+                         jet_order, mono_degree, mono_max_order, mono_mul)
 
 
 @dataclass(frozen=True)
@@ -270,10 +270,11 @@ _GAIN_BITS = 1024
 
 #: most bits of packed monomials and coefficients that D_x may form in the
 #: D_x table of one field, or in the Euler images of one polynomial (512
-#: MB).  The largest table of the symbolic fs commutativity table takes
-#: 105,551,097 bits at N = 12, 442,366,232 at N = 14 and 1,674,624,280 at
-#: N = 16 (58,481,804 and 206,407,123 at N = 14 and 16 at alpha = 1/3);
-#: the largest Euler images of the fs density search, 75,020 bits.
+#: MB).  The largest table of the symbolic fs commutativity table, its
+#: members in the linearizing frame, takes 94,790,782 bits at N = 12,
+#: 399,723,373 at N = 14 and 1,526,760,324 at N = 16 (52,892,321 and
+#: 188,438,682 at N = 14 and 16 at alpha = 1/3); the largest Euler images
+#: of the fs density search, 75,020 bits.
 _DX_BUDGET = 1 << 32
 
 
@@ -529,54 +530,171 @@ def _check_gain(gain: int):
         raise DxBudgetExceeded("D_x growth bound needs", gain.bit_length(), _GAIN_BITS)
 
 
-def commutators(fields, pairs):
+def phi_inverse(K: EvoField, A: DiffPoly) -> tuple:
+    """Phi'^{-1}(K, A) = (f, g) = (4A, -2K^2 - 4zA) for a field K on the
+    (w, z) jets and A an antiderivative of K^1.
+
+    Phi' is the tangent map of the linearizing substitution
+    w = u_x/(4u), z = -v/(2 sqrt u): a field X on the (u, v) jets goes to
+    Phi'(f, g) = (D_x f/4, -(g + zf)/2), f = X_1/u and g = X_2/sqrt u.
+    So Phi'(f, g) = (D_x A, K^2), which is K when K^1 = D_x A.
+    """
+    f = A.scalar_mul(4)
+    z = ((jet(1, 0), 1),)  # a product with one monomial merges no terms
+    return f, -K[1].scalar_mul(2) - DiffPoly({mono_mul(m, z): c for m, c in f.terms.items()})
+
+
+def _frame(field: EvoField, k: IntegerField, integral: ExactnessCertificate) -> list:
+    """k, the field (r, q) and the field (A,) at one scale, the one
+    ``clear_denominators`` gives over all of them (``common_scale``), for
+    integral the certificate K^1 = D_x A + r.
+
+    For (f, g) = ``phi_inverse``(K, A), q = -g/2 = K^2 + 2zA, so
+    K = (D_x A + r, q - 2zA)."""
+    a = integral.antiderivative
+    _, g = phi_inverse(field, a)
+    parts = [k, IntegerField(EvoField((integral.remainder, g.scalar_mul(Fraction(-1, 2))))),
+             IntegerField(EvoField((a,)))]
+    scale, factors = common_scale([p.scale for p in parts], [p.content for p in parts])
+    return [p if p.scale == scale else p.at_scale(scale, m) for p, m in zip(parts, factors)]
+
+
+def _frame_bounds(a: IntegerField, k: IntegerField) -> list:
+    """The ``_sum_bounds`` terms that an antiderivative a of one field adds
+    to its bracket with k: X = a'[k] itself, D_x X, whose monomials'
+    |exponent| sums, at most weight(c) + W_K of each term of X, bound what
+    D_x does to the norm and rise by at most the larger growth, -2zX, and
+    the product -2 k^2 a."""
+    cn, cw, n, wk = term = _frechet_bound(a, k)
+    return [term, (cn * (cw + wk), cw, n, wk + max(a.growth, k.growth)),
+            (2 * cn, cw + 1, n, wk), (2 * a.norm, a.weight, k.norms[1], k.weights[1])]
+
+
+def _negated(parts: dict) -> dict:
+    """The ``partials`` dict parts with every coefficient negated."""
+    return {key: {m: -c for m, c in q.items()} for key, q in parts.items()}
+
+
+def _packed_parts(kernel: _Kernel, table: _DxTable, local: IntegerField, antider) -> tuple:
+    """The partials of each packed component of local (the table's own
+    rows when local is the table's field), and for antider, the field
+    (A,) of an antiderivative, the partials of A and -2A, packed; else
+    None."""
+    comps = [row[0] for row in table.rows] if local is table.field else kernel.pack_field(local)
+    frame = None
+    if antider is not None:
+        [a] = kernel.pack_field(antider)
+        frame = kernel.partials(a), {m: -2 * c for m, c in a.items()}
+    return [kernel.partials(c) for c in comps], frame
+
+
+def _negated_parts(packed: tuple) -> tuple:
+    """A ``_packed_parts`` value with every coefficient negated."""
+    parts, frame = packed
+    return ([_negated(p) for p in parts],
+            frame and (_negated(frame[0]), {m: -c for m, c in frame[1].items()}))
+
+
+def commutators(fields, pairs, integrals=None):
     """Yield the bracket [fields[i], fields[j]] for each index pair (i, j), in order.
 
     The bracket [F, G] = G'[F] - F'[G] is bilinear over constants, so it is
     formed on the fields scaled to integer polynomial coefficients, each
     packed into one int by Kronecker substitution, with packed monomials
     (``_Kernel``).  Every field that a pair names is scaled, packed and
-    given one D_x table once, on one kernel for the whole family, whose
-    widths come from ``_sum_bounds`` with one row per pair: the
-    ``_frechet_bound`` terms of G'[F] and F'[G].  A bracket component is
-    one dict: G'[F] is added into it, then F'[G] with the partials of F
-    negated (once per field for the family), partial sums of that row.  A
-    field's table and partials are dropped after the last pair that names
-    it, so only the live tables are held.  A zero bracket is yielded as
-    zero; a nonzero one is unpacked exactly and divided by the product of
-    the scales.  No pairs, no width.  A pair of fields with different
-    component counts raises ValueError before any bracket is formed.
+    given one D_x table once, on one kernel for the whole family.
+
+    integrals maps the index of a two-component field K on the (w, z)
+    jets to an ``ExactnessCertificate`` K^1 = D_x A + r, whose remainder
+    r need not be zero; the certificate is trusted, as ``integrate_dx``
+    forms it.  Such a field enters in the linearizing frame: with
+    (f, g) = ``phi_inverse``(K, A), K = Phi'(f, g) + (r, 0), and since
+    (D_x A)'[U] = D_x(A'[U]),
+
+        [K_i, K_j] = Phi'(f_j'[K_i] - f_i'[K_j], g_j'[K_i] - g_i'[K_j])
+                     + (r_j'[K_i] - r_i'[K_j], -(K_i^2 f_j - K_j^2 f_i)/2).
+
+    It is formed on A = f/4, q = -g/2 and r, each brought to one scale with
+    K (``_frame``): X = A_j'[K_i] - A_i'[K_j] in a dict of its own, then
+    component 1 is r_j'[K_i] - r_i'[K_j] + D_x X and component 2 is
+    q_j'[K_i] - q_i'[K_j] - 2zX - 2 K_i^2 A_j + 2 K_j^2 A_i.  A field with
+    no antiderivative takes A = 0, r = K^1 and q = K^2, which is G'[F] -
+    F'[G] term for term.  Each bracket component is one dict: the
+    derivatives along K_i of field j's parts are added into it, then
+    those along K_j of field i's with its partials negated (once per
+    field for the family), partial sums of that pair's output.
+
+    The widths come from ``_sum_bounds`` with one row per pair: the
+    ``_frechet_bound`` terms of q, r (or K) of each field along the other,
+    and the ``_frame_bounds`` of each antiderivative.  A field's table,
+    partials and frame are dropped after the last pair that names it, so
+    only the live ones are held.  A zero bracket is yielded as zero; a
+    nonzero one is unpacked exactly and divided by the product of the
+    scales.  No pairs, no width.  A pair of fields with different
+    component counts, or a certificate of a field that has not two
+    components, raises ValueError before any bracket is formed.
     """
     pairs = list(pairs)
+    integrals = integrals or {}
     for i, j in pairs:
         if len(fields[i]) != len(fields[j]):
             raise ValueError(f"fields {i} and {j} have {len(fields[i])} and "
                              f"{len(fields[j])} components")
+    for i in integrals:
+        if len(fields[i]) != 2:
+            raise ValueError(f"field {i} has {len(fields[i])} components; "
+                             "the linearizing frame needs 2")
     if not pairs:
         return
-    scaled = {i: IntegerField(fields[i]) for i in {i for pair in pairs for i in pair}}
-    height, weight = _sum_bounds([[_frechet_bound(scaled[j], scaled[i]),
-                                   _frechet_bound(scaled[i], scaled[j])] for i, j in pairs])
-    kernel = _Kernel(max(f.nvars for f in scaled.values()), _word_bits(weight),
-                     _word_bits(height))
+    scaled, local, antider = {}, {}, {}  # K; (r, q), or K itself; (A,): at one scale
+    for i in {i for pair in pairs for i in pair}:
+        scaled[i] = local[i] = IntegerField(fields[i])
+        if i in integrals:
+            scaled[i], local[i], antider[i] = _frame(fields[i], scaled[i], integrals[i])
+    rows = []
+    for i, j in pairs:
+        row = [_frechet_bound(local[j], scaled[i]), _frechet_bound(local[i], scaled[j])]
+        for a, k in ((j, i), (i, j)):
+            if a in antider:
+                row += _frame_bounds(antider[a], scaled[k])
+        rows.append(row)
+    height, weight = _sum_bounds(rows)
+    kernel = _Kernel(max(f.nvars for f in (*scaled.values(), *local.values(),
+                                           *antider.values())),
+                     _word_bits(weight), _word_bits(height))
     tables = {i: _DxTable(kernel, f) for i, f in scaled.items()}
-    parts = {i: [kernel.partials(row[0]) for row in table.rows] for i, table in tables.items()}
-    minus = {i: [{key: {m: -c for m, c in q.items()} for key, q in comp.items()}
-                 for comp in parts[i]] for i in {i for i, _ in pairs}}
+    scales = {i: f.scale for i, f in scaled.items()}
+    plus = {i: _packed_parts(kernel, tables[i], local[i], antider.get(i)) for i in tables}
+    del scaled, local, antider  # only the tables keep their fields
+    minus = {i: _negated_parts(plus[i]) for i in {i for i, _ in pairs}}
+    minus_two_z = {kernel.pack(((jet(1, 0), 1),)): -2}
     last = {i: k for k, pair in enumerate(pairs) for i in pair}
     for k, (i, j) in enumerate(pairs):
-        bracket = [{} for _ in parts[i]]
-        for comp, plus, negated in zip(bracket, parts[j], minus[i]):
-            kernel.frechet(comp, plus, tables[i])
-            kernel.frechet(comp, negated, tables[j])
+        (parts_j, frame_j), (parts_i, frame_i) = plus[j], minus[i]
+        frames = [(frame, along) for frame, along in ((frame_j, tables[i]), (frame_i, tables[j]))
+                  if frame]
+        # X first: through A it reads the deepest table rows that K^1 names,
+        # so a deep jet meets a table's growth bound as in the direct bracket
+        x: dict = {}
+        for (a_parts, _), along in frames:
+            kernel.frechet(x, a_parts, along)
+        bracket = [{} for _ in parts_i]
+        for comp, p_j, p_i in zip(bracket, parts_j, parts_i):
+            kernel.frechet(comp, p_j, tables[i])
+            kernel.frechet(comp, p_i, tables[j])
+        for (_, a_twice), along in frames:
+            kernel.mul_add(bracket[1], along.rows[1][0], a_twice)
+        if x:
+            accumulate(bracket[0], kernel.dx(x).items())
+            kernel.mul_add(bracket[1], x, minus_two_z)
         for f in {i, j}:
             if last[f] == k:
-                del parts[f], tables[f]
+                del plus[f], tables[f]
                 minus.pop(f, None)
         if not any(bracket):
             yield EvoField(DP_ZERO for _ in bracket)
             continue
-        unscale = dividing_by(scaled[i].scale * scaled[j].scale)
+        unscale = dividing_by(scales[i] * scales[j])
         yield EvoField(kernel.unpacked(comp, unscale) for comp in bracket)
 
 

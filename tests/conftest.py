@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from jetsym.coeffield import AlphaPoly, RationalFunction
-from jetsym.jetalgebra import DiffPoly, EvoField, jet
+from jetsym.jetalgebra import DP_ZERO, DiffPoly, EvoField, jet
 from jetsym.operators import OperatorMatrix, OpTerm
-from jetsym.varcalc import _Kernel, _word_bits
+from jetsym.varcalc import ExactnessCertificate, _Kernel, _word_bits
 
 
 def random_fraction(rng, span=6):
@@ -73,6 +73,28 @@ def random_zero_free_poly(rng, nvars=2, max_order=2, terms=3):
 def random_evofield(rng, nvars=2, max_order=1, terms=2, rational=False):
     return EvoField(random_diffpoly(rng, nvars, max_order, terms, rational=rational)
                     for _ in range(nvars))
+
+
+def random_framed_field(rng, kind, alpha0=None, terms=4):
+    """A random (w, z) field K and the certificate K^1 = D_x A + r of its
+    first component: r = 0 (kind 0), c w (kind 1), a random remainder
+    (kind 2), and both components and A in x and t as well (kind 3, as
+    in S).  Symbolic coefficients are rational functions of alpha; at
+    alpha0 they are drawn as polynomials and specialized."""
+    rational, with_xt = alpha0 is None, kind == 3
+
+    def draw(max_order):
+        p = random_diffpoly(rng, max_order=max_order, terms=terms, rational=rational,
+                            with_xt=with_xt)
+        return p if alpha0 is None else p.specialize(alpha0)
+    a = draw(2)
+    if kind == 0:
+        r = DP_ZERO
+    elif kind == 1:
+        r = DiffPoly.var(jet(0, 0)).scalar_mul(rng.choice((-3, -1, 2, 5)))
+    else:
+        r = draw(3)
+    return EvoField((a.dx() + r, draw(3))), ExactnessCertificate(a, r)
 
 
 def split(matrix):

@@ -78,7 +78,7 @@ class TestCommutativity:
 
     @pytest.mark.slow
     def test_fs_table_n14(self):
-        # the largest D_x table, of 442,366,232 bits, stays under the budget
+        # the largest D_x table, of 399,723,373 bits, stays under the budget
         assert commutativity_table(fs_hierarchy(14)).all_zero
 
     def test_detects_nonzero(self, fs):
@@ -562,14 +562,16 @@ def flip_k2(h):
 #: (nvars, exponent bits, coefficient bits) of every packed kernel, in
 #: order: the antiderivative-row check of each pair of
 #: ``hierarchy.step_matrices`` (on the jets of w, z, a, b), then one per
-#: recursion step of gen; one for every bracket of verify, as wide as the
-#: table's own; one for a density search
+#: recursion step of gen; one for every bracket of verify, with each
+#: member in the linearizing frame of its antiderivative (a bit narrower
+#: than on K itself, since A, q and r have smaller norms); one for a
+#: density search
 KERNEL_WIDTHS = {
     "gen N = 12": [(4, 3, 5), (4, 4, 8),
                    (2, 4, 11), (2, 4, 14), (2, 4, 19), (2, 4, 22), (2, 5, 26), (2, 5, 29),
                    (2, 5, 33), (2, 5, 37), (2, 5, 41), (2, 5, 44)],
-    "verify N = 8 at alpha = 1/3": [(2, 6, 81)],
-    "verify N = 6 symbolic": [(2, 5, 55)],
+    "verify N = 8 at alpha = 1/3": [(2, 6, 80)],
+    "verify N = 6 symbolic": [(2, 5, 54)],
     "densities (2, 6)": [(2, 5, 28)],
 }
 
@@ -620,6 +622,26 @@ class TestVerifyHierarchy:
         assert calls == [h.member(n)[0] for n in range(1, 7)]
         assert [c.name for c in report.checks[-2:]] == ["K_5^1 lies in Im D_x",
                                                         "K_6^1 lies in Im D_x"]
+
+    def test_members_enter_in_the_frame(self, monkeypatch):
+        # one family each; every fs member brings its antiderivative, F and
+        # S none, and a ts1 member none
+        calls = []
+        family = analysis.commutators
+        monkeypatch.setattr(analysis, "commutators",
+                            lambda fields, pairs, integrals: calls.append(integrals)
+                            or family(fields, pairs, integrals))
+        h = fs_hierarchy(5)
+        assert verify_hierarchy(h).ok
+        assert commutativity_table(h).all_zero
+        assert verify_hierarchy(ts1_hierarchy(4)).ok
+        assert commutativity_table(ts1_hierarchy(4)).all_zero
+        in_verify, in_table, *ts1 = calls
+        assert ts1 == [{}, {}]
+        assert sorted(in_verify) == [1, 2, 3, 4, 5] and sorted(in_table) == [0, 1, 2, 3, 4]
+        for n in range(1, 6):
+            for cert in (in_verify[n], in_table[n - 1]):
+                assert cert.antiderivative.dx() == h.member(n)[0] and cert.is_exact
 
     def test_corruption_detected(self):
         from jetsym.hierarchy import Hierarchy

@@ -445,6 +445,21 @@ class TestCommute:
         assert code == 0
         assert json.loads(stdout)["all_zero"] is True
 
+    def test_failure_has_one_diagnostic(self, tmp_path, capsys):
+        # K_3 + (0, z_x) commutes with neither K_2 nor K_4; like verify and
+        # subst-check, commute names the first failure on stderr
+        def mutate(doc):
+            doc["members"][2][1].append(doc["members"][0][1][0])
+        path = _hierarchy_file(tmp_path, mutate, n=4)
+        code, stdout, err = run(capsys, "commute", path)
+        assert (code, stdout) == (3, "members: 4\nnonzero commutator at (2, 3)\n"
+                                     "nonzero commutator at (3, 4)\ncommutativity FAILED\n")
+        assert err == "jetsym: commutativity failed at: (2, 3)\n"
+        code, stdout, err = run(capsys, "commute", path, "--json")
+        assert (code, stdout) == (3, '{"size":4,"all_zero":false,"nonzero_pairs":[[2,3],[3,4]]}\n')
+        assert err == '{"error":{"code":"check-failed","message":"commutativity failed at: ' \
+                      '(2, 3)"}}\n'
+
 
 class TestDensities:
     def test_fs_uniqueness(self, capsys):

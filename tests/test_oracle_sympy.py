@@ -15,7 +15,7 @@ sympy = pytest.importorskip("sympy")
 import sympy as sp
 
 from jetsym.jetalgebra import DiffPoly, T_GEN, X_GEN, jet_depvar, jet_order
-from jetsym.varcalc import commutator, euler_operator, frechet
+from jetsym.varcalc import commutator, commutators, euler_operator, frechet
 
 NORD = 9
 ALPHA = sp.Symbol("alpha")
@@ -62,12 +62,18 @@ def sym_euler(e, which):
     return sp.expand(out)
 
 
-def sym_frechet(e, k1, k2):
-    out = sp.Integer(0)
+def sym_chains(k1, k2):
+    """The D_x powers of (k1, k2) below order NORD."""
     d1, d2 = [k1], [k2]
     for _ in range(NORD - 1):
         d1.append(sym_dx(d1[-1]))
         d2.append(sym_dx(d2[-1]))
+    return d1, d2
+
+
+def sym_frechet(e, k1, k2, chains=None):
+    d1, d2 = chains or sym_chains(k1, k2)
+    out = sp.Integer(0)
     for i in range(NORD):
         out += sp.diff(e, WS[i]) * d1[i] + sp.diff(e, ZS[i]) * d2[i]
     return sp.expand(out)
@@ -95,7 +101,7 @@ def assert_sym_zero(expr):
     assert sp.simplify(sp.together(expr)) == 0
 
 
-from conftest import random_diffpoly, random_evofield
+from conftest import random_diffpoly, random_evofield, random_framed_field
 
 
 class TestAgainstSympy:
@@ -137,6 +143,28 @@ class TestAgainstSympy:
                         - sym_frechet(to_sympy(f[c]), to_sympy(g[0]), to_sympy(g[1])))
                 assert_sym_zero(to_sympy(got[c]) - want)
         assert with_denominators >= 5
+
+    def test_commutators_in_the_frame(self):
+        # a family whose fields enter with antiderivatives: exact, D_x A + c w,
+        # with a remainder, and in x and t; the last one enters as it is
+        rng = random.Random(113)
+        fields, integrals = [], {}
+        for kind in (0, 1, 2, 3):
+            k, integrals[len(fields)] = random_framed_field(rng, kind, terms=2)
+            fields.append(k)
+        fields.append(random_framed_field(rng, 2, terms=2)[0])
+        pairs = [(i, j) for i in range(len(fields)) for j in range(i + 1, len(fields))]
+        exprs = [[to_sympy(c) for c in k] for k in fields]
+        chains = [sym_chains(*k) for k in exprs]
+        nonzero = 0
+        for (i, j), got in zip(pairs, commutators(fields, pairs, integrals)):
+            f, g = exprs[i], exprs[j]
+            for c in range(2):
+                want = (sym_frechet(g[c], *f, chains[i])
+                        - sym_frechet(f[c], *g, chains[j]))
+                assert sp.cancel(to_sympy(got[c]) - want) == 0
+            nonzero += not got.is_zero
+        assert nonzero == len(pairs)
 
     def test_substitution_in_sqrt_u(self):
         assert sqrt_u_residuals(sp.Rational(1, 4)) == [0, 0]

@@ -1,6 +1,7 @@
 """Euler operator, integration by parts, Frechet derivative, brackets, D_t."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,12 +11,12 @@ from jetsym.errors import (DxBudgetExceeded, ExplicitXTDependence, JetOrderOutOf
 from jetsym.hierarchy import fs_seed, scaling_symmetry
 from jetsym.jetalgebra import DP_ZERO, TOP_ORDER, DiffPoly, EvoField, T_GEN, X_GEN, jet
 from jetsym.systems import builtin_system, parse_expression
-from jetsym.varcalc import (_frechet_bound, IntegerField, _Kernel, _sum_bounds, _word_bits,
-                            commutator, commutators, dt_along, euler_operator, frechet,
-                            integrate_dx)
+from jetsym.varcalc import (_frame, _frame_bounds, _frechet_bound, ExactnessCertificate,
+                            IntegerField, _Kernel, _sum_bounds, _word_bits, commutator,
+                            commutators, dt_along, euler_operator, frechet, integrate_dx)
 
-from conftest import (one_bit_narrower, random_diffpoly, random_evofield,
-                      random_nonzero_rf, random_zero_free_poly)
+from conftest import (kernel_widths, one_bit_narrower, random_diffpoly, random_evofield,
+                      random_framed_field, random_nonzero_rf, random_zero_free_poly)
 
 W, Z = 0, 1
 
@@ -294,6 +295,33 @@ class TestCommutators:
             nonzero += not bracket.is_zero
         assert nonzero >= len(pairs) // 2
 
+    @pytest.mark.parametrize("alpha0", [None, Fraction(1, 3), Fraction(-1), Fraction(7, 5)])
+    def test_frame_matches_pairs(self, alpha0):
+        # fields given certificates K^1 = D_x A + r enter in the linearizing
+        # frame; the fs rhs and the last field enter as they are
+        rng = random.Random(139 if alpha0 is None else 139 + alpha0.numerator)
+        fields, integrals = [], {}
+        for n in range(12):
+            k, integrals[n] = random_framed_field(rng, n % 4, alpha0)
+            fields.append(k)
+        fs = builtin_system("fs")
+        fields.append((fs if alpha0 is None else fs.specialize(alpha0)).rhs)
+        fields.append(random_framed_field(rng, 2, alpha0)[0])
+        n = len(fields)
+        pairs = [(i, j) for i in range(n) for j in range(n) if (i + j) % 3 and i != j]
+        pairs += [(i, i) for i in range(0, n, 5)]
+        got = list(commutators(fields, pairs, integrals))
+        nonzero = 0
+        for (i, j), bracket in zip(pairs, got):
+            assert bracket == commutator(fields[i], fields[j])
+            nonzero += not bracket.is_zero
+        assert nonzero >= 100
+
+    def test_frame_needs_two_components(self):
+        fields = [EvoField((fs_expr("w_x"),)), EvoField((fs_expr("w"),))]
+        with pytest.raises(ValueError, match="^field 0 has 1 components; "):
+            list(commutators(fields, [(0, 1)], {0: ExactnessCertificate(fs_expr("w"), DP_ZERO)}))
+
     def test_no_pairs_no_width(self, monkeypatch):
         def no_width(rows):
             raise AssertionError("a width was computed")
@@ -442,6 +470,41 @@ class TestPackedMonomials:
         assert commutator(f, g) == ref
         monkeypatch.setattr("jetsym.varcalc._sum_bounds", one_bit_narrower(_sum_bounds, 1))
         assert commutator(f, g) != ref
+
+    def test_bound_covers_the_dx_of_the_frame(self, monkeypatch):
+        # [(w, 0), K] for K = (D_x A, -2zA), A = 3 w^16, entered in the frame:
+        # X = A'[(w, 0)] = 48 w^16, and D_x X - K^1 = 720 w^15 w_x, whose
+        # 10 bits the bound holds only with its D_x X term
+        a = fs_expr("3*w^16")
+        fields = [EvoField((fs_expr("w"), DP_ZERO)), EvoField((a.dx(), fs_expr("-2*z") * a))]
+        ref = reference_bracket(*fields)
+        assert ref == EvoField((fs_expr("720*w^15*w_x"), fs_expr("-96*w^16*z")))
+        exact = ExactnessCertificate(a, DP_ZERO)
+        k, (kf, local, integral) = IntegerField(fields[0]), _frame(fields[1],
+                                                                    IntegerField(fields[1]), exact)
+        row = [_frechet_bound(local, k), _frechet_bound(k, kf), *_frame_bounds(integral, k)]
+        dx_term = row[3]
+        assert _sum_bounds([row])[0].bit_length() == (720).bit_length() \
+            > _sum_bounds([[t for t in row if t is not dx_term]])[0].bit_length()
+        run = lambda: next(commutators(fields, [(0, 1)], {1: exact}))
+        assert run() == ref
+        monkeypatch.setattr("jetsym.varcalc._sum_bounds", one_bit_narrower(_sum_bounds, 0))
+        assert run() != ref
+
+    def test_bound_covers_the_frame_product(self, monkeypatch):
+        # [(0, w^4), K] for K = (D_x A, -2zA), A = w^4, entered in the frame: X is
+        # zero, and -2 K_i^2 A = -2 w^8 is the one term with the exponent 8,
+        # a digit at the bound's width that carries one bit narrower
+        a = fs_expr("w^4")
+        fields = [EvoField((DP_ZERO, fs_expr("w^4"))), EvoField((a.dx(), fs_expr("-2*z") * a))]
+        ref = reference_bracket(*fields)
+        assert ref == EvoField((DP_ZERO, fs_expr("-2*w^8 - 16*w^6*w_x")))
+        run = lambda: next(commutators(fields, [(0, 1)], {1: ExactnessCertificate(a, DP_ZERO)}))
+        [(_, bits, _)] = kernel_widths(monkeypatch, run)
+        assert 8 >= 1 << (bits - 2)
+        assert run() == ref
+        monkeypatch.setattr("jetsym.varcalc._sum_bounds", one_bit_narrower(_sum_bounds, 1))
+        assert run() != ref
 
     def test_dx_table_budget(self, monkeypatch):
         # the bracket with w_40 builds D_x^0..40 of the fs rhs, 220,840 bits
