@@ -397,9 +397,9 @@ def verify_hierarchy(h: Hierarchy) -> VerificationReport:
     K_n^1 = c w + D_x A run before the family, and each member that has
     one enters it in the linearizing frame of that certificate;
     F, S and a member with none enter as they are.  The report keeps its
-    own order.  A K_n^1 with explicit x or t fails the checks that need an
-    x,t-free input, its density decomposition and its Im D_x check, with
-    the reason as detail.
+    own order.  A K_n^1 with explicit x or t, or one whose integration
+    meets a logarithm, fails its density decomposition and its Im D_x
+    check, with the reason as detail.
     """
     checks = []
     system = h.system
@@ -453,7 +453,8 @@ def verify_hierarchy(h: Hierarchy) -> VerificationReport:
         exact = {}
         for n, found in decompositions.items():
             name = f"density decomposition of K_{n}^1 has zero w-part"
-            if isinstance(found, (NotDecomposable, ExplicitXTDependence)):
+            if isinstance(found, (NotDecomposable, ExplicitXTDependence,
+                                  NonIntegerExponentPath)):
                 checks.append(CheckResult(name, False, str(found)))
                 continue
             if isinstance(found, Exception):
@@ -473,7 +474,7 @@ def verify_hierarchy(h: Hierarchy) -> VerificationReport:
         for n in range(max(count - 1, 1), count + 1):
             try:
                 cert = exact[n] if n in exact else integrate_dx(h.member(n)[0])
-            except ExplicitXTDependence as exc:
+            except (ExplicitXTDependence, NonIntegerExponentPath) as exc:
                 checks.append(CheckResult(f"K_{n}^1 lies in Im D_x", False, str(exc)))
                 continue
             checks.append(CheckResult(

@@ -11,13 +11,13 @@ from typing import Optional, Tuple
 
 from .coeffield import (AlphaPoly, RF_ONE, RationalFunction, parse_rational,
                         rational_text, rf)
-from .errors import (CrossCheckFailed, HierarchyTooLarge, InvalidHierarchy,
-                     NonlocalObstruction, StructuralViolation)
+from .errors import (HierarchyTooLarge, InvalidHierarchy, NonlocalObstruction,
+                     StructuralViolation)
 from .jetalgebra import (DP_ZERO, DiffPoly, EvoField, JsonWriter, T_GEN, X_GEN, is_jet,
-                         jet, jet_depvar, jet_order, mono_degree)
+                         jet, jet_order, mono_degree)
 from .operators import OperatorMatrix, OpTerm, apply_sum
 from .systems import EvolutionSystem, builtin_names, builtin_system, parse_expression
-from .varcalc import ExactnessCertificate, IntegerField, integrate_dx, phi_inverse
+from .varcalc import ExactnessCertificate, IntegerField, integrate_dx, linearizing_frame
 
 _FS_VARS = ("w", "z")
 _S_POLY = AlphaPoly((-1, 2))  # 2*alpha - 1
@@ -77,59 +77,36 @@ def second_recursion_matrix() -> OperatorMatrix:
     return OperatorMatrix([[m11, m12], [m21, m22]])
 
 
-def step_matrices(alpha0: Optional[Fraction] = None) -> tuple:
-    """The pairs (on K, on (A,)) of the recursion matrix and of the second
-    one that ``fs_step`` reads, derived from the linearization, with
-    c = alpha/(1 - 2 alpha) evaluated at alpha0 if it is given.
+def frame_matrices(alpha0: Optional[Fraction] = None) -> tuple:
+    """(T_A, T_B, Phi') of the two-term recursion in the linearizing frame
+    (A, q) = ``linearizing_frame``(K, A), with c = alpha/(1 - 2 alpha)
+    evaluated at alpha0 if it is given:
 
-    In the free jets of (w, z, a, b), K = (a_x, b) and A = a, so
-    Phi'^{-1}(K, A) = (f, g) = (4a, -2b - 4za) (``phi_inverse``).  T runs the triangular
-    matrix on (f, g), where D_x of a u-weight q reads D_x + 4qw: A gives
-    T = (D_x f + 4wf, D_x g + 2wg), B gives T = (c (D_x + 4w)^2 f - 2zg, 0).
-    Phi'(f, g) = (D_x f/4, -(g + zf)/2, f/4) pushes T back, and each row is
-    read off: the coefficient of a_k (k >= 1) as the D_x^{k-1} term of
-    column 0 on K, that of b_k as the D_x^k term of column 1, and that of
-    a as the one D_x^0 term on (A,).  Row 2 gives A_n = D_x^{-1} K_n^1.
+        A_n = (D_x + 4w) A_{n-1} + c (D_x + 4w)^2 A_{n-2} + z q_{n-2},
+        q_n = (D_x + 2w) q_{n-1},
+        K_n = Phi'(A_n, q_n) = (D_x A_n, q_n - 2z A_n),
+
+    where (D_x + 4w)^2 = D_x^2 + 8w D_x + 4w_x + 16w^2.  T_A acts on the
+    frame of K_{n-1} and T_B on that of K_{n-2}; K_n^1 = D_x A_n by
+    construction, so A_n is the antiderivative that later steps read.
     """
-    w, z, a, b = (DiffPoly.var(jet(d, 0)) for d in range(4))
     c = RationalFunction(AlphaPoly((0, 1)), AlphaPoly((1, -2)))
     if alpha0 is not None:
         c = rf(c.eval(alpha0))
-
-    def dx(p, four_q):  # D_x on a u-weight four_q/4, in the frame of (f, g)
-        return p.dx() + w.scalar_mul(four_q) * p
-    f, g = phi_inverse(EvoField((a.dx(), b)), a)
-    pairs = []
-    for tf, tg in ((dx(f, 4), dx(g, 2)),
-                   (dx(dx(f, 4), 4).scalar_mul(c) - z.scalar_mul(2) * g, DP_ZERO)):
-        on_k, on_a = [], []
-        for row in (tf.dx().scalar_mul(Fraction(1, 4)),
-                    (tg + z * tf).scalar_mul(Fraction(-1, 2)), tf.scalar_mul(Fraction(1, 4))):
-            entries: dict = {}  # (column, power) -> terms; column 2 is on (A,)
-            for mono, coeff in row.terms.items():
-                [gen] = [gen for gen, _ in mono if is_jet(gen) and jet_depvar(gen) >= 2]
-                k = jet_order(gen)
-                slot = (1, k) if jet_depvar(gen) == 3 else (0, k - 1) if k else (2, 0)
-                entries.setdefault(slot, {})[tuple(p for p in mono if p[0] != gen)] = coeff
-            terms = [[OpTerm(DiffPoly(entries[s]), s[1]) for s in sorted(entries, reverse=True)
-                      if s[0] == column] for column in range(3)]
-            on_k.append(terms[:2])
-            on_a.append(terms[2:])
-        pairs.append((OperatorMatrix(on_k), OperatorMatrix(on_a)))
-    return tuple(pairs)
-
-
-def _check_antiderivative_rows(matrices):
-    """Raise CrossCheckFailed unless D_x of row 2 is row 0 of each
-    ``step_matrices`` pair, as an identity in the free jets of (w, z, a,
-    b): each is applied by ``apply_sum`` to K = (a_x, b) and (A,) = (a,)."""
-    a, b = DiffPoly.var(jet(2, 0)), DiffPoly.var(jet(3, 0))
-    k, integral = IntegerField(EvoField((a.dx(), b))), IntegerField(EvoField((a,)))
-    for name, (on_k, on_a) in zip(("recursion", "second recursion"), matrices):
-        top, _, antiderivative = apply_sum([(on_k, k), (on_a, integral)])
-        if antiderivative.dx() != top:
-            raise CrossCheckFailed(
-                f"D_x of the antiderivative row is not row 0 of the {name} matrix")
+    one = DiffPoly.constant(RF_ONE)
+    t_a = OperatorMatrix([
+        [(OpTerm(one, 1), OpTerm(_fs_expr("4*w"), 0)), ()],
+        [(), (OpTerm(one, 1), OpTerm(_fs_expr("2*w"), 0))],
+    ])
+    t_b = OperatorMatrix([
+        [(OpTerm(DiffPoly.constant(c), 2), OpTerm(_fs_expr("8*w").scalar_mul(c), 1),
+          OpTerm(_fs_expr("4*w_x + 16*w^2").scalar_mul(c), 0)),
+         (OpTerm(_fs_expr("z"), 0),)],
+        [(), ()],
+    ])
+    push = OperatorMatrix([[(OpTerm(one, 1),), ()],
+                           [(OpTerm(_fs_expr("-2*z"), 0),), (OpTerm(one, 0),)]])
+    return t_a, t_b, push
 
 
 @dataclass(frozen=True)
@@ -238,28 +215,30 @@ class Hierarchy:
         return Hierarchy(system, members, provenance, certs, value, triangular)
 
 
-def fs_step(prev, prevprev, rec, m) -> EvoField:
-    """One application of the two-term recursion to prev = (K_{n-1},
-    A_{n-1}) and prevprev = (K_{n-2}, A_{n-2}), A_k = D_x^{-1} K_k^1, each
-    given as its ``IntegerField`` (A_k as that of the field (A_k,)).
+def fs_step(prev: IntegerField, prevprev: IntegerField, matrices) -> tuple:
+    """One step of the two-term recursion, from the frames (A, q) of
+    K_{n-1} and K_{n-2}, each given as its ``IntegerField``.
 
-    rec and m are the pairs of ``step_matrices``, each with the
-    antiderivative as its third row, so the result is (K_n^1, K_n^2, A_n).
-    It is one ``apply_sum`` of four pairs, each pair's part on K and its
-    part on (A,), all on packed ints.
+    matrices are (T_A, T_B, Phi') of ``frame_matrices``: one ``apply_sum``
+    of T_A on prev and T_B on prevprev forms the frame (A_n, q_n), which is
+    scaled to its ``IntegerField`` once, and one of Phi' on that pushes it
+    back to K_n.  Returns K_n, the frame and its ``IntegerField``.
     """
-    (k1, a1), (k2, a2) = prev, prevprev
-    return apply_sum([(rec[0], k1), (rec[1], a1), (m[0], k2), (m[1], a2)])
+    t_a, t_b, push = matrices
+    frame = apply_sum([(t_a, prev), (t_b, prevprev)])
+    carried = IntegerField(frame)
+    return apply_sum([(push, carried)]), frame, carried
 
 
-#: most terms that the four fields one recursion step of ``fs_hierarchy``
-#: reads, K_{n-1}, A_{n-1}, K_{n-2} and A_{n-2}, may have together.  They
-#: grow about 1.35 times per member, and the step's time about 1.4 times:
-#: the symbolic fs steps read 6,203 terms at N = 16, 11,613 at N = 18,
-#: 15,684 at N = 19 and 21,015 at N = 20 (the same at alpha = 1/3).  So
-#: ``gen`` reaches N = 19, 2.0 s of CPU symbolic on a 2-core x86-64 host
-#: (Python 3.11), and refuses the step to N = 20 before its work; N = 40
-#: would otherwise run for hours.
+#: most terms that K_{n-1}, A_{n-1}, K_{n-2} and A_{n-2}, the members and
+#: antiderivatives behind the two frames one recursion step of
+#: ``fs_hierarchy`` reads, may have together.  They grow about 1.35 times
+#: per member, and the step's time about 1.4 times: the symbolic fs steps
+#: read 6,203 terms at N = 16, 11,613 at N = 18, 15,684 at N = 19 and
+#: 21,015 at N = 20 (the same at alpha = 1/3).  So ``gen`` reaches N = 19,
+#: 1.0 s of CPU symbolic on a 2-core x86-64 host (Python 3.11), and
+#: refuses the step to N = 20 before its work; N = 40 would otherwise run
+#: for hours.
 _STEP_TERMS = 16_000
 
 #: most members that ``ts1_hierarchy`` builds.  Its time grows about as
@@ -277,16 +256,13 @@ def fs_hierarchy(N: int, alpha0: Optional[Fraction] = None) -> Hierarchy:
 
     With alpha0 the whole computation runs over Q after specializing the
     seeds, then the step; specializing at a pole of any seed coefficient
-    raises PoleAtParameter.  Each member is carried with its
-    antiderivative A_n = D_x^{-1} K_n^1: ``integrate_dx`` runs on the two
-    seeds only (a non-exact one raises NonlocalObstruction at entry
-    (0, 0)), and each step forms the next A_n from the third row of the
-    pairs that ``step_matrices`` derives.  Before the first step, that row
-    is checked against the first (CrossCheckFailed).  Each K_n and
-    A_n that a later step reads is scaled to its ``IntegerField`` once,
-    when it is formed, and the two steps that read it take that form.
-    Before each step, the terms it reads are checked against
-    ``_STEP_TERMS`` (HierarchyTooLarge).
+    raises PoleAtParameter.  ``integrate_dx`` runs on the two seeds only (a
+    non-exact one raises NonlocalObstruction at entry (0, 0)), which then
+    enter the linearizing frame (A, q); each ``fs_step`` forms the next
+    frame and K_n from it (``frame_matrices``), and A_n is its first row.
+    Each frame is scaled to its ``IntegerField`` once, when it is formed,
+    and the two steps that read it take that form.  Before each step, the
+    terms it reads are checked against ``_STEP_TERMS`` (HierarchyTooLarge).
     """
     if N < 1:
         raise ValueError("hierarchy length must be at least 1")
@@ -298,25 +274,23 @@ def fs_hierarchy(N: int, alpha0: Optional[Fraction] = None) -> Hierarchy:
         system = system.specialize(alpha0)
     members = [k1, k2][:N]
     integrals = []
-    carried = []  # (K_n, A_n) of the last two members, as IntegerFields
+    frames = []  # the frames of the last two members, as IntegerFields
     if N > 2:
-        rec, m = step_matrices(alpha0)
-        _check_antiderivative_rows((rec, m))
+        matrices = frame_matrices(alpha0)
         for k in members:
             cert = integrate_dx(k[0])
             if not cert.is_exact:
                 raise NonlocalObstruction(cert.remainder, entry=(0, 0))
             integrals.append(cert.antiderivative)
-            carried.append((IntegerField(k), IntegerField(EvoField((cert.antiderivative,)))))
+            frames.append(IntegerField(EvoField(linearizing_frame(k, cert.antiderivative))))
     while len(members) < N:
-        terms = sum(len(comp) for pair in carried for f in pair for comp in f.comps)
+        terms = sum(len(p) for p in (*members[-1], *members[-2], *integrals[-2:]))
         if terms > _STEP_TERMS:
             raise HierarchyTooLarge(terms, _STEP_TERMS)
-        *kn, an = fs_step(carried[-1], carried[-2], rec, m)
-        members.append(EvoField(kn))
-        integrals.append(an)
-        if len(members) < N:
-            carried = [carried[-1], (IntegerField(members[-1]), IntegerField(EvoField((an,))))]
+        kn, frame, carried = fs_step(frames[-1], frames[-2], matrices)
+        members.append(kn)
+        integrals.append(frame[0])
+        frames = [frames[-1], carried]
     certificates = tuple(
         StepCertificates(n, ExactnessCertificate(integrals[n - 2], DP_ZERO),
                          ExactnessCertificate(integrals[n - 3], DP_ZERO))

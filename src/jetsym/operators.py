@@ -5,8 +5,8 @@ composition: D_x^{-1} appears at most once per term, rightmost.
 ``apply_detailed`` reads it as the constructive antiderivative with
 integration constant zero, and applying it to anything outside Im D_x
 raises NonlocalObstruction carrying the nonzero remainder.  ``apply_sum``,
-the packed path, takes local terms only: a caller that holds an
-antiderivative passes it as one more field.
+the packed path, takes local terms only: ``hierarchy.frame_matrices``
+writes the recursion on the frame (A, q), where it is local.
 """
 
 from __future__ import annotations
@@ -113,8 +113,8 @@ def apply_sum(pairs) -> EvoField:
     per output component; otherwise ValueError, naming the pair, before
     any work.  Every term is local: a D_x^{-1} term raises ValueError
     naming the pair and the entry, before any work (a caller that holds
-    the antiderivative passes it as one more field, as the pairs of
-    ``hierarchy.step_matrices`` read it).
+    an antiderivative passes it as a field, as ``hierarchy.fs_step`` passes
+    the frames (A, q)).
     One ``varcalc.operator_sum`` forms every product, the fields brought
     to one scale and the coefficients at another, with the D_x powers in
     packed tables, and the result equals the sum of the

@@ -530,33 +530,36 @@ def _check_gain(gain: int):
         raise DxBudgetExceeded("D_x growth bound needs", gain.bit_length(), _GAIN_BITS)
 
 
-def phi_inverse(K: EvoField, A: DiffPoly) -> tuple:
-    """Phi'^{-1}(K, A) = (f, g) = (4A, -2K^2 - 4zA) for a field K on the
-    (w, z) jets and A an antiderivative of K^1.
+def linearizing_frame(K: EvoField, A: DiffPoly) -> tuple:
+    """The frame (A, q) = (A, K^2 + 2zA) of a field K on the (w, z) jets,
+    for A an antiderivative of K^1.
 
     Phi' is the tangent map of the linearizing substitution
     w = u_x/(4u), z = -v/(2 sqrt u): a field X on the (u, v) jets goes to
-    Phi'(f, g) = (D_x f/4, -(g + zf)/2), f = X_1/u and g = X_2/sqrt u.
-    So Phi'(f, g) = (D_x A, K^2), which is K when K^1 = D_x A.
+    (D_x f/4, -(g + zf)/2), f = X_1/u and g = X_2/sqrt u.  With f = 4A and
+    g = -2q it reads Phi'(A, q) = (D_x A, q - 2zA), which is K when
+    K^1 = D_x A.
     """
-    f = A.scalar_mul(4)
     z = ((jet(1, 0), 1),)  # a product with one monomial merges no terms
-    return f, -K[1].scalar_mul(2) - DiffPoly({mono_mul(m, z): c for m, c in f.terms.items()})
+    return A, K[1] + DiffPoly({mono_mul(m, z): c for m, c in A.scalar_mul(2).terms.items()})
+
+
+def _at_one_scale(fields) -> list:
+    """The ``IntegerField``s brought to one scale, the one
+    ``clear_denominators`` gives over all of them, from the scale each
+    already has (``common_scale``); a field already at it is taken as it
+    is."""
+    scale, factors = common_scale([f.scale for f in fields], [f.content for f in fields])
+    return [f if f.scale == scale else f.at_scale(scale, m) for f, m in zip(fields, factors)]
 
 
 def _frame(field: EvoField, k: IntegerField, integral: ExactnessCertificate) -> list:
-    """k, the field (r, q) and the field (A,) at one scale, the one
-    ``clear_denominators`` gives over all of them (``common_scale``), for
-    integral the certificate K^1 = D_x A + r.
-
-    For (f, g) = ``phi_inverse``(K, A), q = -g/2 = K^2 + 2zA, so
-    K = (D_x A + r, q - 2zA)."""
-    a = integral.antiderivative
-    _, g = phi_inverse(field, a)
-    parts = [k, IntegerField(EvoField((integral.remainder, g.scalar_mul(Fraction(-1, 2))))),
-             IntegerField(EvoField((a,)))]
-    scale, factors = common_scale([p.scale for p in parts], [p.content for p in parts])
-    return [p if p.scale == scale else p.at_scale(scale, m) for p, m in zip(parts, factors)]
+    """k, the field (r, q) and the field (A,) at one scale
+    (``_at_one_scale``), for integral the certificate K^1 = D_x A + r and
+    q = K^2 + 2zA (``linearizing_frame``), so K = (D_x A + r, q - 2zA)."""
+    a, q = linearizing_frame(field, integral.antiderivative)
+    return _at_one_scale([k, IntegerField(EvoField((integral.remainder, q))),
+                          IntegerField(EvoField((a,)))])
 
 
 def _frame_bounds(a: IntegerField, k: IntegerField) -> list:
@@ -608,13 +611,13 @@ def commutators(fields, pairs, integrals=None):
     jets to an ``ExactnessCertificate`` K^1 = D_x A + r, whose remainder
     r need not be zero; the certificate is trusted, as ``integrate_dx``
     forms it.  Such a field enters in the linearizing frame: with
-    (f, g) = ``phi_inverse``(K, A), K = Phi'(f, g) + (r, 0), and since
-    (D_x A)'[U] = D_x(A'[U]),
+    (A, q) = ``linearizing_frame``(K, A), K = Phi'(A, q) + (r, 0) for
+    Phi'(A, q) = (D_x A, q - 2zA), and since (D_x A)'[U] = D_x(A'[U]),
 
-        [K_i, K_j] = Phi'(f_j'[K_i] - f_i'[K_j], g_j'[K_i] - g_i'[K_j])
-                     + (r_j'[K_i] - r_i'[K_j], -(K_i^2 f_j - K_j^2 f_i)/2).
+        [K_i, K_j] = Phi'(A_j'[K_i] - A_i'[K_j], q_j'[K_i] - q_i'[K_j])
+                     + (r_j'[K_i] - r_i'[K_j], -2 (K_i^2 A_j - K_j^2 A_i)).
 
-    It is formed on A = f/4, q = -g/2 and r, each brought to one scale with
+    It is formed on A, q and r, each brought to one scale with
     K (``_frame``): X = A_j'[K_i] - A_i'[K_j] in a dict of its own, then
     component 1 is r_j'[K_i] - r_i'[K_j] + D_x X and component 2 is
     q_j'[K_i] - q_i'[K_j] - 2zX - 2 K_i^2 A_j + 2 K_j^2 A_i.  A field with
@@ -708,12 +711,10 @@ def operator_sum(fields, rows) -> list:
 
     Each field is an ``IntegerField``, c is a ``DiffPoly`` and p >= 0: a
     caller reads D_x^{-1} as D_x^0 of one more field, the antiderivative
-    it has certified.  The fields are first brought to one scale S_K, the
-    one ``clear_denominators`` gives over all their coefficients, from the
-    scale each already has (``common_scale``): each field's integer
-    polynomials are multiplied by the exact multiple S_K / its scale, so
-    no coefficient is cleared again, and a field already at S_K is taken
-    as it is.  The coefficients c are scaled by their own scale S_c, and
+    it has certified.  The fields are first brought to one scale S_K
+    (``_at_one_scale``): each field's integer polynomials are multiplied
+    by the exact multiple S_K / its scale, so no coefficient is cleared
+    again.  The coefficients c are scaled by their own scale S_c, and
     all are packed on one kernel (``_Kernel``) at the widths
     ``_sum_bounds`` gives, the coefficient norms taken at S_c.  Each
     field's D_x powers come from its ``_DxTable``, so the growth and
@@ -722,9 +723,7 @@ def operator_sum(fields, rows) -> list:
     unpacked once, its digits read straight into the division by S_K S_c.
     """
     terms = [c for row in rows for c, _, _, _ in row]
-    scale, factors = common_scale([f.scale for f in fields], [f.content for f in fields])
-    scaled = [f if f.scale == scale else f.at_scale(scale, factor)
-              for f, factor in zip(fields, factors)]
+    scaled = _at_one_scale(fields)
     coeffs = IntegerField(EvoField(terms))
 
     def image_bound(k, j, p):
@@ -738,7 +737,7 @@ def operator_sum(fields, rows) -> list:
     kernel = _Kernel(nvars, _word_bits(weight), _word_bits(height))
     tables = {k: _DxTable(kernel, scaled[k]) for k in {k for row in rows for _, k, _, _ in row}}
     packed = iter(kernel.pack_field(coeffs))
-    unscale = dividing_by(scale * coeffs.scale)
+    unscale = dividing_by(scaled[0].scale * coeffs.scale)
     comps = []
     for row in rows:
         acc: dict = {}

@@ -560,16 +560,16 @@ def flip_k2(h):
 
 
 #: (nvars, exponent bits, coefficient bits) of every packed kernel, in
-#: order: the antiderivative-row check of each pair of
-#: ``hierarchy.step_matrices`` (on the jets of w, z, a, b), then one per
-#: recursion step of gen; one for every bracket of verify, with each
+#: order: two per recursion step of gen, T_A and T_B on the two frames,
+#: then Phi' on the new one; one for every bracket of verify, with each
 #: member in the linearizing frame of its antiderivative (a bit narrower
 #: than on K itself, since A, q and r have smaller norms); one for a
 #: density search
 KERNEL_WIDTHS = {
-    "gen N = 12": [(4, 3, 5), (4, 4, 8),
-                   (2, 4, 11), (2, 4, 14), (2, 4, 19), (2, 4, 22), (2, 5, 26), (2, 5, 29),
-                   (2, 5, 33), (2, 5, 37), (2, 5, 41), (2, 5, 44)],
+    "gen N = 12": [(2, 4, 10), (2, 4, 10), (2, 4, 13), (2, 4, 14), (2, 4, 17), (2, 4, 17),
+                   (2, 4, 20), (2, 5, 21), (2, 5, 24), (2, 5, 24), (2, 5, 27), (2, 5, 28),
+                   (2, 5, 31), (2, 5, 31), (2, 5, 34), (2, 5, 35), (2, 5, 39), (2, 5, 39),
+                   (2, 5, 42), (2, 5, 43)],
     "verify N = 8 at alpha = 1/3": [(2, 6, 80)],
     "verify N = 6 symbolic": [(2, 5, 54)],
     "densities (2, 6)": [(2, 5, 28)],

@@ -377,6 +377,49 @@ class TestExplicitXT:
         assert len(json.loads(stdout)["checks"]) == 11
 
 
+#: the term w^e w_x, appended to K_4^1: D_x^{-1} of it is log w at e = -1
+def _w_power_times_w_x(e):
+    return lambda d: d["members"][3][0].append(
+        {"exps": [[[0, 0], e], [[0, 1], 1]], "coeff": {"num": ["1"], "den": ["1"]}})
+
+
+class TestLogarithm:
+    """A K_n^1 whose integration meets a logarithm fails its density
+    decomposition and its Im D_x check with the reason, and verify still
+    reports in full, as for explicit x or t."""
+
+    LOG = "integration in a single generator hit exponent -1, a logarithm"
+    CHECKS = ("density decomposition of K_4^1 has zero w-part", "K_4^1 lies in Im D_x")
+
+    @pytest.mark.parametrize("e, status", [(-1, "fail"), (-2, "pass")])
+    def test_json_report(self, tmp_path, capsys, e, status):
+        # w_x/w has no antiderivative; w_x/w^2 = D_x(-1/w) has one
+        path = _hierarchy_file(tmp_path, _w_power_times_w_x(e), n=4)
+        code, stdout, err = run(capsys, "verify", path, "--json")
+        assert code == 3
+        failed = {"symmetry K_4", "pairwise commutativity", "scaling homogeneity [S, K_4] = 4 K_4"}
+        if status == "fail":
+            failed.update(self.CHECKS)
+        checks = json.loads(stdout)["checks"]
+        assert [(c["name"], c["status"]) for c in checks] == [
+            (name, "fail" if name in failed else "pass") for name in FS4_CHECKS]
+        details = {c["name"]: c["detail"] for c in checks}
+        assert [details[name] for name in self.CHECKS] == [
+            self.LOG if status == "fail" else ""] * 2
+        assert json.loads(err)["error"]["message"] == "verification failed at: symmetry K_4"
+
+    def test_text_report(self, tmp_path, capsys):
+        path = _hierarchy_file(tmp_path, _w_power_times_w_x(-1), n=4)
+        code, stdout, err = run(capsys, "verify", path)
+        assert code == 3
+        lines = stdout.splitlines()
+        for name in self.CHECKS:
+            assert f"[FAIL] {name}  {self.LOG}" in lines
+        assert lines[-1] == "overall: FAIL"
+        assert err == "jetsym: verification failed at: symmetry K_4\n"
+        assert run(capsys, "commute", path)[0] == 3
+
+
 def _specialized_at(value):
     return lambda d: d.update(specialized_at=value)
 

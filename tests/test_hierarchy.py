@@ -14,9 +14,8 @@ import pytest
 
 from jetsym import coeffield, hierarchy, operators, varcalc
 from jetsym.coeffield import AlphaPoly, RationalFunction, rf
-from jetsym.errors import (CrossCheckFailed, HierarchyTooLarge, NonlocalObstruction,
-                           StructuralViolation)
-from jetsym.hierarchy import (Hierarchy, StepCertificates,
+from jetsym.errors import HierarchyTooLarge, NonlocalObstruction, StructuralViolation
+from jetsym.hierarchy import (Hierarchy, StepCertificates, frame_matrices,
                               fs_hierarchy, fs_seed, fs_step, recursion_matrix,
                               scaling_symmetry,
                               second_recursion_matrix, structural_check,
@@ -24,7 +23,7 @@ from jetsym.hierarchy import (Hierarchy, StepCertificates,
 from jetsym.jetalgebra import DiffPoly, EvoField, T_GEN, X_GEN, jet
 from jetsym.operators import OperatorMatrix, OpTerm, apply_sum
 from jetsym.systems import parse_expression
-from jetsym.varcalc import DxChain, IntegerField, integrate_dx
+from jetsym.varcalc import DxChain, IntegerField, integrate_dx, linearizing_frame
 
 from conftest import (kernel_widths, one_bit_narrower, random_evofield, reference_field_json,
                       reference_hierarchy_json, split)
@@ -91,14 +90,31 @@ class TestSeeds:
 
 
 def carried(k: EvoField) -> tuple:
-    """K with its antiderivative A = D_x^{-1} K^1, as ``fs_step`` reads
-    them: the ``IntegerField``s of K and of (A,)."""
+    """K with its antiderivative A = D_x^{-1} K^1, as a ``split`` matrix
+    reads them: the ``IntegerField``s of K and of (A,)."""
     return IntegerField(k), IntegerField(EvoField((integrate_dx(k[0]).antiderivative,)))
 
 
+def frame_of(k: EvoField) -> EvoField:
+    """The frame (A, q) of K, A = D_x^{-1} K^1."""
+    return EvoField(linearizing_frame(k, integrate_dx(k[0]).antiderivative))
+
+
+def framed(k: EvoField) -> IntegerField:
+    """The frame of K as ``fs_step`` reads it, as its ``IntegerField``."""
+    return IntegerField(frame_of(k))
+
+
 def with_antiderivative(k: EvoField) -> EvoField:
-    """(K^1, K^2, D_x^{-1} K^1), what ``fs_step`` returns for K."""
+    """(K^1, K^2, D_x^{-1} K^1), what ``stepped`` returns for K."""
     return EvoField(k.components + (integrate_dx(k[0]).antiderivative,))
+
+
+def stepped(prev: EvoField, prevprev: EvoField, matrices) -> EvoField:
+    """(K_n^1, K_n^2, A_n) from ``fs_step`` on the frames of prev and
+    prevprev."""
+    k, frame, _ = fs_step(framed(prev), framed(prevprev), matrices)
+    return EvoField(k.components + (frame[0],))
 
 
 class TestRecursionStep:
@@ -136,14 +152,13 @@ class TestRecursionStep:
 
     def test_explicit_step_equals_hierarchy(self):
         k1, k2 = fs_seed()
-        k3 = fs_step(carried(k2), carried(k1), *hierarchy.step_matrices())
+        k3 = stepped(k2, k1, frame_matrices())
         assert k3 == with_antiderivative(fs_hierarchy(3).member(3))
 
     def test_every_member_satisfies_recursion(self, fs_hierarchy_8):
-        rec, m = hierarchy.step_matrices()
+        matrices = frame_matrices()
         for n in range(3, 9):
-            kn = fs_step(carried(fs_hierarchy_8.member(n - 1)),
-                         carried(fs_hierarchy_8.member(n - 2)), rec, m)
+            kn = stepped(fs_hierarchy_8.member(n - 1), fs_hierarchy_8.member(n - 2), matrices)
             assert kn == with_antiderivative(fs_hierarchy_8.member(n))
 
 
@@ -183,9 +198,9 @@ class TestFsHierarchy:
         assert not calls
 
     def test_members_share_chains(self, monkeypatch):
-        """Each member is carried with its antiderivative. Only the seeds'
+        """Each member is carried in its frame (A, q). Only the seeds'
         first components are integrated: every later antiderivative is the
-        row stacked under the matrices (7 and 11 integrals at N = 8 and 12
+        first row of its frame (7 and 11 integrals at N = 8 and 12
         when each member was integrated), the D_x powers are formed on
         packed ints (105 D_x and 12 antiderivatives at N = 8 when every
         step built its own over the field), and each recursion member
@@ -284,9 +299,9 @@ def step_fields(h, n) -> list:
 
 
 class TestIntegerCarry:
-    """Each member is scaled once, and each step brings the four fields it
+    """Each frame is scaled once, and each step brings the two frames it
     reads to the scale and the integers of one ``clear_denominators``
-    over all of them."""
+    over both, then pushes the new frame back at its own scale."""
 
     @pytest.mark.parametrize("N, alpha0", [(12, None), (10, Fraction(1, 3))])
     def test_kernel_reads_the_union_clearing(self, monkeypatch, N, alpha0):
@@ -303,38 +318,52 @@ class TestIntegerCarry:
         monkeypatch.setattr(operators, "operator_sum", spy_sum)
         monkeypatch.setattr(varcalc._DxTable, "__init__", spy_table)
         h = fs_hierarchy(N, alpha0)
-        steps = sums[2:]  # after the two antiderivative-row checks
-        assert len(steps) == N - 2
-        rescaled = 0
-        for n, tables in enumerate(steps, 3):
-            fields = step_fields(h, n)
+        assert len(sums) == 2 * (N - 2)  # each step: the recursion, then Phi'
+        rescaled = []
+        for n, (tables, pushed) in enumerate(zip(sums[::2], sums[1::2]), 3):
+            fields = [frame_of(h.member(n - 1)), frame_of(h.member(n - 2))]
             scale, polys = coeffield.clear_denominators(
                 [c for f in fields for comp in f for c in comp.terms.values()])
             it = iter(polys)
-            assert len(tables) == 4
+            assert len(tables) == 2
             for f, got in zip(fields, tables):
                 assert got.scale == scale
                 assert got.comps == [{m: next(it) for m in comp.terms} for comp in f]
-                rescaled += got.scale != IntegerField(f).scale
-        # symbolic steps take fields to multiples by (2 alpha - 1); at
-        # alpha = 1/3 the four fields have one scale
-        assert rescaled >= N - 2 if alpha0 is None else rescaled == 0
+                rescaled.append(got.scale != IntegerField(f).scale)
+            [got] = pushed
+            own = IntegerField(frame_of(h.member(n)))
+            assert (got.scale, got.comps) == (own.scale, own.comps)
+        # symbolic, frame n has the scale (2 alpha - 1)^((n - 1) // 2), so
+        # each odd step takes its older frame to the newer one's scale; at
+        # alpha = 1/3 every frame has the scale 1
+        odd = [alpha0 is None and n % 2 == 1 for n in range(3, N + 1)]
+        assert rescaled == [x for step in odd for x in (False, step)]
 
     def test_each_member_is_cleared_once(self, monkeypatch):
         calls, clear = [], varcalc.clear_denominators
+        frames, step = [], hierarchy.fs_step
+
+        def spy_step(*args):
+            out = step(*args)
+            frames.append(out[1])
+            return out
         monkeypatch.setattr(varcalc, "clear_denominators",
                             lambda coeffs: calls.append(coeffs) or clear(coeffs))
+        monkeypatch.setattr(hierarchy, "fs_step", spy_step)
         N = 12
         h = fs_hierarchy(N)
-        # a recursion member's coefficients are fresh objects, met by no other
-        # call: K_n and A_n are cleared once for the next two steps, K_N not at all
-        for n in range(3, N + 1):
-            for f in (h.member(n), EvoField((h.certificates[n - 3].prev.antiderivative,))
-                      if n < N else EvoField(())):
-                ids = {id(c) for comp in f for c in comp.terms.values()}
-                met = [coeffs for coeffs in calls if ids & {id(c) for c in coeffs}]
-                want = [[c for comp in f for c in comp.terms.values()]] if n < N else []
-                assert [list(m) for m in met] == want
+        assert len(frames) == N - 2
+        # a recursion frame's coefficients are fresh objects, met by no other
+        # call: each frame (A_n, q_n) is cleared once, for the push to K_n and
+        # the next two steps, and K_n itself not at all
+        for n, frame in enumerate(frames, 3):
+            if n < N:  # A_n, as the certificate of step n + 1 names it
+                assert frame[0] is h.certificates[n - 2].prev.antiderivative
+            for f, want in ((frame, 1), (h.member(n), 0)):
+                coeffs = [c for comp in f for c in comp.terms.values()]
+                ids = {id(c) for c in coeffs}
+                met = [list(cs) for cs in calls if ids & {id(c) for c in cs}]
+                assert met == [coeffs] * want
 
 
 class TestStepCap:
@@ -391,18 +420,28 @@ def scaled_term(matrix: OperatorMatrix, i, j, t, factor) -> OperatorMatrix:
     return OperatorMatrix(rows)
 
 
-def perturbed_pairs(matrix, alpha0=None):
-    """``hierarchy.step_matrices(alpha0)`` with one row-2 coefficient
-    changed: 4w -> 3w on (A,) under the recursion matrix, or -8 alpha/s w
-    -> -7 alpha/s w, the D_x^0 term on K, under the second."""
-    (rec_k, rec_a), (m_k, m_a) = hierarchy.step_matrices(alpha0)
-    if matrix == "rec":
-        assert rec_a.entries[2][0] == (OpTerm(fs_expr("4*w"), 0),)
-        return (rec_k, scaled_term(rec_a, 2, 0, 0, Fraction(3, 4))), (m_k, m_a)
-    eight = fs_expr("w").scalar_mul(over_s(0, -8))
-    assert m_k.entries[2][0][1] == OpTerm(eight if alpha0 is None else
-                                          eight.specialize(alpha0), 0)
-    return (rec_k, rec_a), (scaled_term(m_k, 2, 0, 1, Fraction(7, 8)), m_a)
+def perturbed_matrices(which, alpha0=None) -> tuple:
+    """``frame_matrices(alpha0)`` with one coefficient changed: 4w -> 3w in
+    T_A ("4w"), z -> 2z in T_B ("z"), or c -> 2c in T_B ("c")."""
+    t_a, t_b, push = frame_matrices(alpha0)
+    if which == "4w":
+        assert t_a.entries[0][0][1] == OpTerm(fs_expr("4*w"), 0)
+        return scaled_term(t_a, 0, 0, 1, Fraction(3, 4)), t_b, push
+    if which == "z":
+        assert t_b.entries[0][1] == (OpTerm(fs_expr("z"), 0),)
+        return t_a, scaled_term(t_b, 0, 1, 0, 2), push
+    for t in range(3):  # c (D_x + 4w)^2
+        t_b = scaled_term(t_b, 0, 0, t, 2)
+    return t_a, t_b, push
+
+
+def split_sum(prev: EvoField, prevprev: EvoField, rec, m) -> EvoField:
+    """rec K_prev + m K_prevprev by one ``apply_sum``, each matrix ``split``
+    into its part on K and its part on (A,)."""
+    pairs = []
+    for matrix, k in ((rec, prev), (m, prevprev)):
+        pairs += zip(split(matrix), carried(k))
+    return apply_sum(pairs)
 
 
 def first_only(term: OpTerm) -> OperatorMatrix:
@@ -420,7 +459,7 @@ class TestKernelStep:
     def test_random_fields_match_oracle(self, alpha0):
         rng = random.Random(151 if alpha0 is None else 157)
         rec, m = recursion_matrix(), second_recursion_matrix()
-        pairs = hierarchy.step_matrices(alpha0)
+        matrices = frame_matrices(alpha0)
         if alpha0 is not None:
             rec, m = specialized(rec, alpha0), specialized(m, alpha0)
         for _ in range(25):
@@ -430,7 +469,7 @@ class TestKernelStep:
                 # a first component in Im D_x, so that D_x^{-1} applies
                 k = EvoField((k[0].dx(), k[1]))
                 fields.append(k if alpha0 is None else k.specialize(alpha0))
-            got = fs_step(carried(fields[0]), carried(fields[1]), *pairs)
+            got = stepped(fields[0], fields[1], matrices)
             assert got == with_antiderivative(oracle_step(fields[0], fields[1], rec, m)[0])
 
     def test_bound_exceeds_a_narrower_coefficient_slot(self, monkeypatch):
@@ -442,10 +481,9 @@ class TestKernelStep:
         k = EvoField((fs_expr("w"), fs_expr("z")))
         want = oracle_step(k, k, rec, ZERO_MATRIX)[0]
         assert want[0] == fs_expr("w").scalar_mul(c)
-        pairs = split(rec), split(ZERO_MATRIX)
-        assert EvoField(fs_step(carried(k), carried(k), *pairs)[:2]) == want
+        assert split_sum(k, k, rec, ZERO_MATRIX) == want
         monkeypatch.setattr(varcalc, "_sum_bounds", one_bit_narrower(varcalc._sum_bounds, 0))
-        assert EvoField(fs_step(carried(k), carried(k), *pairs)[:2]) != want
+        assert split_sum(k, k, rec, ZERO_MATRIX) != want
 
     def test_bound_exceeds_a_narrower_exponent_slot(self, monkeypatch):
         # w^3 * w^5 = w^8: at the bound's width 8 is a digit; one bit
@@ -454,10 +492,9 @@ class TestKernelStep:
         k = EvoField((fs_expr("w^5"), fs_expr("z")))
         want = oracle_step(k, k, rec, ZERO_MATRIX)[0]
         assert want[0] == fs_expr("w^8")
-        pairs = split(rec), split(ZERO_MATRIX)
-        assert EvoField(fs_step(carried(k), carried(k), *pairs)[:2]) == want
+        assert split_sum(k, k, rec, ZERO_MATRIX) == want
         monkeypatch.setattr(varcalc, "_sum_bounds", one_bit_narrower(varcalc._sum_bounds, 1))
-        assert EvoField(fs_step(carried(k), carried(k), *pairs)[:2]) != want
+        assert split_sum(k, k, rec, ZERO_MATRIX) != want
 
     def test_antiderivative_binds_the_coefficient_slot(self, monkeypatch):
         # K_n = D_x^{-1}(c w_x) = c w for c = (2^20 - alpha)/(2 alpha - 1):
@@ -469,8 +506,7 @@ class TestKernelStep:
         k = EvoField((fs_expr("w_x").scalar_mul(c), fs_expr("z")))
         want = oracle_step(k, k, rec, ZERO_MATRIX)[0]
         assert want[0] == fs_expr("w").scalar_mul(c)
-        pairs = split(rec), split(ZERO_MATRIX)
-        run = lambda: EvoField(fs_step(carried(k), carried(k), *pairs)[:2])
+        run = lambda: split_sum(k, k, rec, ZERO_MATRIX)
         [(_, _, coeff_bits)] = kernel_widths(monkeypatch, run)
         assert coeff_bits == varcalc._word_bits(2 ** 20 + 1)  # |S_c 1|_1 |S_K c|_1
         assert run() == want
@@ -485,8 +521,7 @@ class TestKernelStep:
         k = EvoField((fs_expr("w^5").dx(), fs_expr("z")))
         want = oracle_step(k, k, rec, ZERO_MATRIX)[0]
         assert want[0] == fs_expr("w^8")
-        pairs = split(rec), split(ZERO_MATRIX)
-        run = lambda: EvoField(fs_step(carried(k), carried(k), *pairs)[:2])
+        run = lambda: split_sum(k, k, rec, ZERO_MATRIX)
         [(_, bits, _)] = kernel_widths(monkeypatch, run)
         assert bits == varcalc._word_bits(8)
         assert run() == want
@@ -510,8 +545,9 @@ class TestKernelStep:
         h = fs_hierarchy(14)
         assert (list(h.members), h.certificates) == oracle_hierarchy(14)
 
+    # alpha0 = -1 is exceptional: c = -1/3
     @pytest.mark.parametrize("alpha0", [Fraction(1, 3), Fraction(-2), Fraction(7, 5),
-                                        Fraction(0), Fraction(1)])
+                                        Fraction(0), Fraction(1), Fraction(-1)])
     def test_specialized_hierarchy_matches_oracle(self, alpha0):
         h = fs_hierarchy(10, alpha0)
         assert (list(h.members), h.certificates) == oracle_hierarchy(10, alpha0)
@@ -534,80 +570,78 @@ class TestKernelStep:
         scales = []
         divide = varcalc.dividing_by
         monkeypatch.setattr(varcalc, "dividing_by", lambda s: scales.append(s) or divide(s))
-        got = fs_step(carried(prev), carried(prevprev), *hierarchy.step_matrices())
+        got = split_sum(prev, prevprev, rec, m)
         assert [s.num.degree for s in scales] == [4]
-        assert got == with_antiderivative(oracle_step(prev, prevprev, rec, m)[0])
+        assert got == oracle_step(prev, prevprev, rec, m)[0]
 
 
 class TestAntiderivativeRows:
-    """The rows stacked under the matrices give D_x^{-1} K_n^1, and
-    ``fs_hierarchy`` checks them against the matrices it uses."""
+    """Row 0 of the frame step gives A_n = D_x^{-1} K_n^1, which later
+    steps read; a wrong coefficient in the frame matrices shows as a
+    hierarchy that differs from the printed matrices' oracle."""
 
     def test_step_forms_the_antiderivative(self):
         k1, k2 = fs_seed()
-        rec, m = hierarchy.step_matrices()
-        top, second, antiderivative = fs_step(carried(k2), carried(k1), rec, m)
-        assert EvoField((top, second)) == golden_k3()
-        assert antiderivative == integrate_dx(top).antiderivative
+        k3, (a3, q3), _ = fs_step(framed(k2), framed(k1), frame_matrices())
+        assert k3 == golden_k3()
+        assert a3 == integrate_dx(k3[0]).antiderivative
+        assert (a3, q3) == linearizing_frame(k3, a3)
         [cert] = fs_hierarchy(3).certificates
         assert (cert.prev, cert.prevprev) == (integrate_dx(k2[0]), integrate_dx(k1[0]))
 
     def test_split_refuses_a_nonlocal_term_outside_column_0(self):
-        # the pairs carry D_x^{-1} K^1 as the field (A,); a D_x^{-1} term
-        # left in a matrix is refused by its entry before any work
+        # every step reads frames, never D_x^{-1}: a D_x^{-1} term put into
+        # a frame matrix is refused by its pair and entry before any work
         k1, k2 = fs_seed()
-        rec, m = hierarchy.step_matrices()
         dinv = OpTerm(fs_expr("z"), -1)
 
-        def with_dinv(pair, i, j):
-            entries = [list(row) for row in pair[0].entries]
+        def with_dinv(matrices, which, i, j):
+            entries = [list(row) for row in matrices[which].entries]
             entries[i][j] += (dinv,)
-            return OperatorMatrix(entries), pair[1]
-        with pytest.raises(ValueError, match=r"pair 0: a D_x\^\{-1\} term at entry \(2, 1\)"):
-            fs_step(carried(k2), carried(k1), with_dinv(rec, 2, 1), m)
-        with pytest.raises(ValueError, match=r"pair 2: a D_x\^\{-1\} term at entry \(0, 1\)"):
-            fs_step(carried(k2), carried(k1), rec, with_dinv(m, 0, 1))
-
-    def test_split_reads_the_antiderivative_at_dx0(self):
-        on_k, on_a = hierarchy.step_matrices()[0]
-        assert on_k.shape == (3, 2) and on_a.shape == (3, 1)
-        assert on_a.entries == (((OpTerm(fs_expr("4*w_x"), 0),),),
-                                ((OpTerm(fs_expr("2*z_x - 4*w*z"), 0),),),
-                                ((OpTerm(fs_expr("4*w"), 0),),))
-        assert all(t.power >= 0 for row in on_k.entries for e in row for t in e)
+            return tuple(OperatorMatrix(entries) if w == which else m
+                         for w, m in enumerate(matrices))
+        matrices = frame_matrices()
+        for which, i, j, pair in ((0, 0, 1, 0), (1, 1, 1, 1), (2, 1, 1, 0)):
+            entry = rf"pair {pair}: a D_x\^\{{-1\}} term at entry \({i}, {j}\)"
+            with pytest.raises(ValueError, match=entry):
+                fs_step(framed(k2), framed(k1), with_dinv(matrices, which, i, j))
 
     @pytest.mark.parametrize("alpha0", [None, Fraction(1, 3)])
-    @pytest.mark.parametrize("matrix", ["rec", "m"])
-    def test_perturbed_row_raises(self, monkeypatch, matrix, alpha0):
-        pairs = perturbed_pairs(matrix, alpha0)
-        monkeypatch.setattr(hierarchy, "step_matrices", lambda alpha0=None: pairs)
-        with pytest.raises(CrossCheckFailed):
-            fs_hierarchy(3, alpha0)
+    @pytest.mark.parametrize("which", ["4w", "z", "c"])
+    def test_perturbed_coefficient_leaves_the_oracle(self, monkeypatch, which, alpha0):
+        members = oracle_hierarchy(5, alpha0)[0]
+        assert list(fs_hierarchy(5, alpha0).members) == members
+        matrices = perturbed_matrices(which, alpha0)
+        monkeypatch.setattr(hierarchy, "frame_matrices", lambda alpha0=None: matrices)
+        assert list(fs_hierarchy(5, alpha0).members) != members
 
     def test_short_hierarchies_step_nothing(self, monkeypatch):
-        # no step, no rows to check, at symbolic alpha and at alpha0 = 1/3
+        # no step and no frame, at symbolic alpha and at alpha0 = 1/3
+        calls = []
+        for name in ("frame_matrices", "fs_step", "integrate_dx"):
+            monkeypatch.setattr(hierarchy, name, lambda *a, name=name: calls.append(name))
         for alpha0 in (None, Fraction(1, 3)):
-            pairs = perturbed_pairs("m", alpha0)
-            with monkeypatch.context() as patch:
-                patch.setattr(hierarchy, "step_matrices", lambda alpha0=None: pairs)
-                assert fs_hierarchy(2, alpha0).members == tuple(
-                    k if alpha0 is None else k.specialize(alpha0) for k in fs_seed())
+            for N in (1, 2):
+                assert fs_hierarchy(N, alpha0).members == tuple(
+                    k if alpha0 is None else k.specialize(alpha0) for k in fs_seed())[:N]
+        assert not calls
 
 
-#: K = (a_x, b) and A = a on the free jets of (w, z, a, b)
+#: K = (a_x, b) and A = a on the free jets of (w, z, a, b), in the frame
+#: (A, q) = (a, b + 2za)
 FREE_K = EvoField((DiffPoly.var(jet(2, 1)), DiffPoly.var(jet(3, 0))))
-FREE_A = EvoField((DiffPoly.var(jet(2, 0)),))
+FREE_FRAME = EvoField(linearizing_frame(FREE_K, DiffPoly.var(jet(2, 0))))
 
 
-def on_free_jets(pair) -> EvoField:
-    """Rows 0 and 1 of a ``step_matrices`` pair, applied by ``apply_sum``
-    to K = (a_x, b) and (A,) = (a,)."""
-    on_k, on_a = (OperatorMatrix(part.entries[:2]) for part in pair)
-    return apply_sum([(on_k, IntegerField(FREE_K)), (on_a, IntegerField(FREE_A))])
+def on_free_jets(t: OperatorMatrix) -> EvoField:
+    """Phi' T (A, q) on the free frame, for T = T_A or T_B of
+    ``frame_matrices``: the two ``apply_sum``s of ``fs_step``."""
+    frame = apply_sum([(t, IntegerField(FREE_FRAME))])
+    return apply_sum([(frame_matrices()[2], IntegerField(frame))])
 
 
 class TestStepMatrices:
-    """The step derived from the linearization against the paper's printed
+    """The step in the linearizing frame against the paper's printed
     matrices, which ``apply_detailed`` applies, D_x^{-1} a_x read as a."""
 
     @pytest.mark.parametrize("alpha0", [None, Fraction(1, 3), Fraction(-1), Fraction(0),
@@ -616,8 +650,8 @@ class TestStepMatrices:
         printed = [recursion_matrix(), second_recursion_matrix()]
         if alpha0 is not None:
             printed = [specialized(p, alpha0) for p in printed]
-        for pair, matrix in zip(hierarchy.step_matrices(alpha0), printed):
-            assert on_free_jets(pair) == matrix.apply_detailed(DxChain(FREE_K))[0]
+        for t, matrix in zip(frame_matrices(alpha0), printed):
+            assert on_free_jets(t) == matrix.apply_detailed(DxChain(FREE_K))[0]
 
     @pytest.mark.parametrize("which, i, j, t", [
         (0, 0, 0, 2), (0, 1, 0, 0), (0, 1, 1, 1),
@@ -626,7 +660,7 @@ class TestStepMatrices:
         # one term of entry (i, j) of the recursion matrix (0) or the second (1)
         matrix = (recursion_matrix(), second_recursion_matrix())[which]
         changed = scaled_term(matrix, i, j, t, 2)
-        got = on_free_jets(hierarchy.step_matrices()[which])
+        got = on_free_jets(frame_matrices()[which])
         assert got == matrix.apply_detailed(DxChain(FREE_K))[0]
         assert got != changed.apply_detailed(DxChain(FREE_K))[0]
 
