@@ -24,9 +24,10 @@ from .jetalgebra import (DP_ONE, DP_ZERO, DiffPoly, EvoField, MONO_ONE, is_jet, 
                          jet_depvar, jet_order)
 from .systems import EvolutionSystem, builtin_system
 from .varcalc import (ExactnessCertificate, commutator, commutators, dt_along,
-                      dt_euler_rows, euler_operator, integrate_dx)
+                      dt_euler_rows, euler_operator, integrate_dx, phi_prime)
 
 DEFAULT_UNKNOWN_CAP = 20000
+_NO_ANTIDERIVATIVE = (ExplicitXTDependence, NonIntegerExponentPath)  # no D_x^{-1} of K^1
 
 
 def _unknown_cap() -> int:
@@ -106,7 +107,7 @@ def commutativity_table(h: Hierarchy) -> CommutativityTable:
         for i, k in enumerate(h.members):
             try:
                 integrals[i] = integrate_dx(k[0])
-            except (ExplicitXTDependence, NonIntegerExponentPath):
+            except _NO_ANTIDERIVATIVE:
                 pass
     return _table(n, commutators(h.members, _table_pairs(n), integrals))
 
@@ -294,9 +295,9 @@ class SubstitutionReport:
 
 
 def push_forward(field: EvoField) -> EvoField:
-    """Phi_*: the image (D_x(A/u)/4, -(B/sqrt u + z*A/u)/2), in the (w, z)
-    jets, of a field (A, B) on the (u, v) jets under the linearizing map
-    w = u_x/(4u), z = -v/(2 sqrt u).
+    """Phi_*: the image Phi'(A/(4u), -B/(2 sqrt u)) (``varcalc.phi_prime``),
+    in the (w, z) jets, of a field (A, B) on the (u, v) jets under the
+    linearizing map w = u_x/(4u), z = -v/(2 sqrt u).
 
     u_k/u and v_k/sqrt u are the (w, z) polynomials P_k and Q_k:
     P_0 = 1, P_{k+1} = D_x P_k + 4w P_k, Q_0 = -2z, Q_{k+1} = D_x Q_k + 2w Q_k.
@@ -328,9 +329,8 @@ def push_forward(field: EvoField) -> EvoField:
             acc = acc + term
         return acc
 
-    a_over_u = rewritten(A, "A", 2)
-    return EvoField((a_over_u.dx().scalar_mul(rf(Fraction(1, 4))),
-                     (rewritten(B, "B", 1) + z * a_over_u).scalar_mul(rf(Fraction(-1, 2)))))
+    return phi_prime(rewritten(A, "A", 2).scalar_mul(rf(Fraction(1, 4))),
+                     rewritten(B, "B", 1).scalar_mul(rf(Fraction(-1, 2))))
 
 
 def substitution_check(alpha0: Optional[Fraction] = None) -> SubstitutionReport:
@@ -453,8 +453,7 @@ def verify_hierarchy(h: Hierarchy) -> VerificationReport:
         exact = {}
         for n, found in decompositions.items():
             name = f"density decomposition of K_{n}^1 has zero w-part"
-            if isinstance(found, (NotDecomposable, ExplicitXTDependence,
-                                  NonIntegerExponentPath)):
+            if isinstance(found, (NotDecomposable, *_NO_ANTIDERIVATIVE)):
                 checks.append(CheckResult(name, False, str(found)))
                 continue
             if isinstance(found, Exception):
@@ -474,7 +473,7 @@ def verify_hierarchy(h: Hierarchy) -> VerificationReport:
         for n in range(max(count - 1, 1), count + 1):
             try:
                 cert = exact[n] if n in exact else integrate_dx(h.member(n)[0])
-            except (ExplicitXTDependence, NonIntegerExponentPath) as exc:
+            except _NO_ANTIDERIVATIVE as exc:
                 checks.append(CheckResult(f"K_{n}^1 lies in Im D_x", False, str(exc)))
                 continue
             checks.append(CheckResult(

@@ -14,7 +14,6 @@ from fractions import Fraction
 
 from .analysis import (DensityAnsatz, commutativity_table, density_search,
                        substitution_check, verify_hierarchy)
-from .coeffield import parse_rational
 from .errors import (AnsatzTooLarge, DuplicateEquation, DxBudgetExceeded, HierarchyTooLarge,
                      InvalidHierarchy, InvalidSetting, JetOrderOutOfRange, JetsymError,
                      MissingEquation, NonlocalObstruction, NumberTooLong, ParseError,
@@ -50,8 +49,13 @@ def _diag(args, code: str, message: str, extra=None):
 
 
 def _parse_rational(text: str) -> Fraction:
+    """The rational that text spells as ``p``, ``p/q`` or a decimal.  An
+    exponent is refused: ``1e999999999`` would make Fraction build an
+    integer of unbounded size past Python's limit on parsed digits."""
     try:
-        return parse_rational(text)
+        if "e" in text or "E" in text:
+            raise ValueError("an exponent is not accepted")
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise _UsageError(f"invalid rational {text!r}: {exc}") from None
 

@@ -19,26 +19,21 @@ NEG_INF = float("-inf")
 
 
 def _as_rational(value):
-    """An int or a Fraction; a string is parsed once, by int() if it can."""
+    """An int or a Fraction; anything else raises TypeError."""
     if isinstance(value, (int, Fraction)):
         return value
-    if isinstance(value, str):
-        try:
-            return int(value)
-        except ValueError:
-            return parse_rational(value)
     raise TypeError(f"cannot coerce {value!r} to a rational number")
 
 
-def parse_rational(text: str) -> Fraction:
-    """The rational that text spells as ``p``, ``p/q`` or a decimal.
-
-    An exponent is refused: ``1e999999999`` would make Fraction build an
-    integer of unbounded size past Python's limit on parsed digits.
-    """
-    if "e" in text or "E" in text:
-        raise ValueError("an exponent is not accepted")
-    return Fraction(text)
+def json_rational(value):
+    """The int or Fraction that a string in the grammar of ``rational_text``
+    spells, p or p/q in ASCII digits with an optional minus on p; any
+    other value raises ValueError."""
+    if type(value) is str and value.isascii():
+        p, slash, q = value.partition("/")
+        if p.removeprefix("-").isdigit() and (q.isdigit() or not slash):
+            return Fraction(int(p), int(q)) if slash else int(p)
+    raise ValueError(f"not a rational p or p/q in ASCII digits: {value!r:.40}")
 
 
 def rational_text(q: Fraction) -> str:
@@ -524,7 +519,12 @@ class RationalFunction:
 
     @staticmethod
     def from_json(obj) -> "RationalFunction":
-        return RationalFunction(AlphaPoly(obj["num"]), AlphaPoly(obj["den"]))
+        """Inverse of to_json; "num" and "den" are lists of ``json_rational`` texts."""
+        num, den = obj["num"], obj["den"]
+        if type(num) is not list or type(den) is not list:
+            raise ValueError("num and den must be lists")
+        return RationalFunction(AlphaPoly(map(json_rational, num)),
+                                AlphaPoly(map(json_rational, den)))
 
     def __repr__(self):
         return f"RF({self.text()})"
@@ -584,7 +584,7 @@ RF_ONE = RationalFunction._raw(_APOLY_ONE, _APOLY_ONE)
 
 
 def rf(value) -> RationalFunction:
-    """Coerce an int, Fraction, or string to a constant field element."""
+    """Coerce an int or a Fraction to a constant field element."""
     if isinstance(value, RationalFunction):
         return value
     q = _as_rational(value)

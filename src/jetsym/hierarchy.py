@@ -9,15 +9,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from .coeffield import (AlphaPoly, RF_ONE, RationalFunction, parse_rational,
-                        rational_text, rf)
+from .coeffield import AlphaPoly, RF_ONE, RationalFunction, json_rational, rational_text, rf
 from .errors import (HierarchyTooLarge, InvalidHierarchy, NonlocalObstruction,
                      StructuralViolation)
 from .jetalgebra import (DP_ZERO, DiffPoly, EvoField, JsonWriter, T_GEN, X_GEN, is_jet,
                          jet, jet_order, mono_degree)
 from .operators import OperatorMatrix, OpTerm, apply_sum
 from .systems import EvolutionSystem, builtin_names, builtin_system, parse_expression
-from .varcalc import ExactnessCertificate, IntegerField, integrate_dx, linearizing_frame
+from .varcalc import ExactnessCertificate, IntegerField, integrate_dx, linearizing_frame, phi_prime
 
 _FS_VARS = ("w", "z")
 _S_POLY = AlphaPoly((-1, 2))  # 2*alpha - 1
@@ -78,17 +77,17 @@ def second_recursion_matrix() -> OperatorMatrix:
 
 
 def frame_matrices(alpha0: Optional[Fraction] = None) -> tuple:
-    """(T_A, T_B, Phi') of the two-term recursion in the linearizing frame
+    """(T_A, T_B) of the two-term recursion in the linearizing frame
     (A, q) = ``linearizing_frame``(K, A), with c = alpha/(1 - 2 alpha)
     evaluated at alpha0 if it is given:
 
         A_n = (D_x + 4w) A_{n-1} + c (D_x + 4w)^2 A_{n-2} + z q_{n-2},
         q_n = (D_x + 2w) q_{n-1},
-        K_n = Phi'(A_n, q_n) = (D_x A_n, q_n - 2z A_n),
 
     where (D_x + 4w)^2 = D_x^2 + 8w D_x + 4w_x + 16w^2.  T_A acts on the
-    frame of K_{n-1} and T_B on that of K_{n-2}; K_n^1 = D_x A_n by
-    construction, so A_n is the antiderivative that later steps read.
+    frame of K_{n-1} and T_B on that of K_{n-2}.  K_n is the frame's image
+    under ``varcalc.phi_prime``, (D_x A_n, q_n - 2z A_n), so A_n is the
+    antiderivative of K_n^1 that later steps read.
     """
     c = RationalFunction(AlphaPoly((0, 1)), AlphaPoly((1, -2)))
     if alpha0 is not None:
@@ -104,9 +103,7 @@ def frame_matrices(alpha0: Optional[Fraction] = None) -> tuple:
          (OpTerm(_fs_expr("z"), 0),)],
         [(), ()],
     ])
-    push = OperatorMatrix([[(OpTerm(one, 1),), ()],
-                           [(OpTerm(_fs_expr("-2*z"), 0),), (OpTerm(one, 0),)]])
-    return t_a, t_b, push
+    return t_a, t_b
 
 
 @dataclass(frozen=True)
@@ -175,7 +172,7 @@ class Hierarchy:
                 f"system {system.name} has the parameter {system.parameter!r}")
         try:
             spec_at = obj.get("specialized_at")
-            value = None if spec_at is None else parse_rational(spec_at)
+            value = None if spec_at is None else Fraction(json_rational(spec_at))
             members = tuple(EvoField.from_json(m) for m in obj["members"])
             certs = tuple(
                 StepCertificates(
@@ -210,7 +207,7 @@ class Hierarchy:
                 raise InvalidHierarchy(
                     f"specialized at {system.parameter} = {spec_at}, "
                     f"but a coefficient depends on {system.parameter}")
-        if any(not isinstance(c.n, int) or not 3 <= c.n <= len(members) for c in certs):
+        if any(type(c.n) is not int or not 3 <= c.n <= len(members) for c in certs):
             raise InvalidHierarchy("a certificate names no recursion step")
         return Hierarchy(system, members, provenance, certs, value, triangular)
 
@@ -219,15 +216,14 @@ def fs_step(prev: IntegerField, prevprev: IntegerField, matrices) -> tuple:
     """One step of the two-term recursion, from the frames (A, q) of
     K_{n-1} and K_{n-2}, each given as its ``IntegerField``.
 
-    matrices are (T_A, T_B, Phi') of ``frame_matrices``: one ``apply_sum``
-    of T_A on prev and T_B on prevprev forms the frame (A_n, q_n), which is
-    scaled to its ``IntegerField`` once, and one of Phi' on that pushes it
-    back to K_n.  Returns K_n, the frame and its ``IntegerField``.
+    matrices are (T_A, T_B) of ``frame_matrices``: one ``apply_sum`` of
+    T_A on prev and T_B on prevprev forms the frame (A_n, q_n), which is
+    scaled to its ``IntegerField`` once, and ``phi_prime`` pushes it back
+    to K_n.  Returns K_n, the frame and its ``IntegerField``.
     """
-    t_a, t_b, push = matrices
-    frame = apply_sum([(t_a, prev), (t_b, prevprev)])
+    frame = apply_sum(list(zip(matrices, (prev, prevprev))))
     carried = IntegerField(frame)
-    return apply_sum([(push, carried)]), frame, carried
+    return phi_prime(*frame), frame, carried
 
 
 #: most terms that K_{n-1}, A_{n-1}, K_{n-2} and A_{n-2}, the members and
@@ -236,9 +232,9 @@ def fs_step(prev: IntegerField, prevprev: IntegerField, matrices) -> tuple:
 #: per member, and the step's time about 1.4 times: the symbolic fs steps
 #: read 6,203 terms at N = 16, 11,613 at N = 18, 15,684 at N = 19 and
 #: 21,015 at N = 20 (the same at alpha = 1/3).  So ``gen`` reaches N = 19,
-#: 1.0 s of CPU symbolic on a 2-core x86-64 host (Python 3.11), and
-#: refuses the step to N = 20 before its work; N = 40 would otherwise run
-#: for hours.
+#: 1.01 s of CPU symbolic (min of 3) on a 2-core x86-64 host (Python
+#: 3.11), and refuses the step to N = 20 before its work; N = 40 would
+#: otherwise run for hours.
 _STEP_TERMS = 16_000
 
 #: most members that ``ts1_hierarchy`` builds.  Its time grows about as
@@ -259,7 +255,7 @@ def fs_hierarchy(N: int, alpha0: Optional[Fraction] = None) -> Hierarchy:
     raises PoleAtParameter.  ``integrate_dx`` runs on the two seeds only (a
     non-exact one raises NonlocalObstruction at entry (0, 0)), which then
     enter the linearizing frame (A, q); each ``fs_step`` forms the next
-    frame and K_n from it (``frame_matrices``), and A_n is its first row.
+    frame (``frame_matrices``) and K_n = Phi'(A_n, q_n) (``phi_prime``).
     Each frame is scaled to its ``IntegerField`` once, when it is formed,
     and the two steps that read it take that form.  Before each step, the
     terms it reads are checked against ``_STEP_TERMS`` (HierarchyTooLarge).

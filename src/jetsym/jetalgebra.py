@@ -301,7 +301,8 @@ class DiffPoly:
                     g = X_GEN
                 elif gj == "t":
                     g = T_GEN
-                elif isinstance(gj[0], int) and isinstance(gj[1], int) and gj[0] >= 0:
+                elif type(gj) is list and len(gj) == 2 and type(gj[0]) is int \
+                        and type(gj[1]) is int and gj[0] >= 0:
                     g = jet(gj[0], gj[1])
                 else:
                     raise ValueError(f"invalid generator {gj!r}")

@@ -6,7 +6,7 @@ composition: D_x^{-1} appears at most once per term, rightmost.
 integration constant zero, and applying it to anything outside Im D_x
 raises NonlocalObstruction carrying the nonzero remainder.  ``apply_sum``,
 the packed path, takes local terms only: ``hierarchy.frame_matrices``
-writes the recursion on the frame (A, q), where it is local.
+writes the recursion as two matrices on the frame (A, q), where it is local.
 """
 
 from __future__ import annotations

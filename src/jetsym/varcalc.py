@@ -537,11 +537,20 @@ def linearizing_frame(K: EvoField, A: DiffPoly) -> tuple:
     Phi' is the tangent map of the linearizing substitution
     w = u_x/(4u), z = -v/(2 sqrt u): a field X on the (u, v) jets goes to
     (D_x f/4, -(g + zf)/2), f = X_1/u and g = X_2/sqrt u.  With f = 4A and
-    g = -2q it reads Phi'(A, q) = (D_x A, q - 2zA), which is K when
-    K^1 = D_x A.
+    g = -2q it reads Phi'(A, q) = (D_x A, q - 2zA) (``phi_prime``), which
+    is K when K^1 = D_x A.
     """
-    z = ((jet(1, 0), 1),)  # a product with one monomial merges no terms
-    return A, K[1] + DiffPoly({mono_mul(m, z): c for m, c in A.scalar_mul(2).terms.items()})
+    return A, K[1] + _z_times(A, 2)
+
+
+def phi_prime(A: DiffPoly, q: DiffPoly) -> EvoField:
+    """Phi'(A, q) = (D_x A, q - 2zA), the inverse of ``linearizing_frame``."""
+    return EvoField((A.dx(), q + _z_times(A, -2)))
+
+
+def _z_times(A: DiffPoly, c: int) -> DiffPoly:
+    z = ((jet(1, 0), 1),)  # c z A: a product with one monomial merges no terms
+    return DiffPoly({mono_mul(m, z): v for m, v in A.scalar_mul(c).terms.items()})
 
 
 def _at_one_scale(fields) -> list:
@@ -578,24 +587,18 @@ def _negated(parts: dict) -> dict:
     return {key: {m: -c for m, c in q.items()} for key, q in parts.items()}
 
 
-def _packed_parts(kernel: _Kernel, table: _DxTable, local: IntegerField, antider) -> tuple:
-    """The partials of each packed component of local (the table's own
-    rows when local is the table's field), and for antider, the field
-    (A,) of an antiderivative, the partials of A and -2A, packed; else
-    None."""
+def _packed_parts(kernel: _Kernel, table: _DxTable, local: IntegerField, antider) -> list:
+    """The partials of A, for antider the field (A,) of an antiderivative
+    (empty without), then of each component of local (the table's own
+    rows when local is the table's field), all packed; with A, the
+    z-partial of q, the last, less 2A, since K^2 = q - 2zA."""
     comps = [row[0] for row in table.rows] if local is table.field else kernel.pack_field(local)
-    frame = None
+    parts = [{}] + [kernel.partials(c) for c in comps]
     if antider is not None:
         [a] = kernel.pack_field(antider)
-        frame = kernel.partials(a), {m: -2 * c for m, c in a.items()}
-    return [kernel.partials(c) for c in comps], frame
-
-
-def _negated_parts(packed: tuple) -> tuple:
-    """A ``_packed_parts`` value with every coefficient negated."""
-    parts, frame = packed
-    return ([_negated(p) for p in parts],
-            frame and (_negated(frame[0]), {m: -c for m, c in frame[1].items()}))
+        parts[0] = kernel.partials(a)
+        accumulate(parts[2].setdefault((1, 0), {}), ((m, -2 * c) for m, c in a.items()))
+    return parts
 
 
 def commutators(fields, pairs, integrals=None):
@@ -620,22 +623,23 @@ def commutators(fields, pairs, integrals=None):
     It is formed on A, q and r, each brought to one scale with
     K (``_frame``): X = A_j'[K_i] - A_i'[K_j] in a dict of its own, then
     component 1 is r_j'[K_i] - r_i'[K_j] + D_x X and component 2 is
-    q_j'[K_i] - q_i'[K_j] - 2zX - 2 K_i^2 A_j + 2 K_j^2 A_i.  A field with
-    no antiderivative takes A = 0, r = K^1 and q = K^2, which is G'[F] -
-    F'[G] term for term.  Each bracket component is one dict: the
-    derivatives along K_i of field j's parts are added into it, then
-    those along K_j of field i's with its partials negated (once per
+    q_j'[K_i] - q_i'[K_j] - 2zX - 2 K_i^2 A_j + 2 K_j^2 A_i, the last two
+    from the z-partial of q less 2A (``_packed_parts``, part 0 for A).  A
+    field with no antiderivative takes A = 0, r = K^1 and q = K^2, which
+    is G'[F] - F'[G] term for term.  X and each bracket component are one
+    dict: the derivatives along K_i of field j's parts are added into it,
+    then those along K_j of field i's with its partials negated (once per
     field for the family), partial sums of that pair's output.
 
     The widths come from ``_sum_bounds`` with one row per pair: the
     ``_frechet_bound`` terms of q, r (or K) of each field along the other,
-    and the ``_frame_bounds`` of each antiderivative.  A field's table,
-    partials and frame are dropped after the last pair that names it, so
-    only the live ones are held.  A zero bracket is yielded as zero; a
-    nonzero one is unpacked exactly and divided by the product of the
-    scales.  No pairs, no width.  A pair of fields with different
-    component counts, or a certificate of a field that has not two
-    components, raises ValueError before any bracket is formed.
+    and the ``_frame_bounds`` of each antiderivative.  A field's table and
+    partials are dropped after the last pair that names it, so only the
+    live ones are held.  A zero bracket is yielded as zero; a nonzero one
+    is unpacked exactly and divided by the product of the scales.  No
+    pairs, no width.  A pair of fields with different component counts,
+    or a certificate of a field that has not two components, raises
+    ValueError before any bracket is formed.
     """
     pairs = list(pairs)
     integrals = integrals or {}
@@ -669,24 +673,17 @@ def commutators(fields, pairs, integrals=None):
     scales = {i: f.scale for i, f in scaled.items()}
     plus = {i: _packed_parts(kernel, tables[i], local[i], antider.get(i)) for i in tables}
     del scaled, local, antider  # only the tables keep their fields
-    minus = {i: _negated_parts(plus[i]) for i in {i for i, _ in pairs}}
+    minus = {i: [_negated(p) for p in plus[i]] for i in {i for i, _ in pairs}}
     minus_two_z = {kernel.pack(((jet(1, 0), 1),)): -2}
     last = {i: k for k, pair in enumerate(pairs) for i in pair}
     for k, (i, j) in enumerate(pairs):
-        (parts_j, frame_j), (parts_i, frame_i) = plus[j], minus[i]
-        frames = [(frame, along) for frame, along in ((frame_j, tables[i]), (frame_i, tables[j]))
-                  if frame]
-        # X first: through A it reads the deepest table rows that K^1 names,
-        # so a deep jet meets a table's growth bound as in the direct bracket
-        x: dict = {}
-        for (a_parts, _), along in frames:
-            kernel.frechet(x, a_parts, along)
-        bracket = [{} for _ in parts_i]
-        for comp, p_j, p_i in zip(bracket, parts_j, parts_i):
-            kernel.frechet(comp, p_j, tables[i])
-            kernel.frechet(comp, p_i, tables[j])
-        for (_, a_twice), along in frames:
-            kernel.mul_add(bracket[1], along.rows[1][0], a_twice)
+        # X first, as part 0: through A it reads the deepest table rows that
+        # K^1 names, so a deep jet meets a table's growth bound as in the
+        # direct bracket
+        x, *bracket = sums = [{} for _ in plus[j]]
+        for out, p_j, p_i in zip(sums, plus[j], minus[i]):
+            kernel.frechet(out, p_j, tables[i])
+            kernel.frechet(out, p_i, tables[j])
         if x:
             accumulate(bracket[0], kernel.dx(x).items())
             kernel.mul_add(bracket[1], x, minus_two_z)

@@ -560,16 +560,14 @@ def flip_k2(h):
 
 
 #: (nvars, exponent bits, coefficient bits) of every packed kernel, in
-#: order: two per recursion step of gen, T_A and T_B on the two frames,
-#: then Phi' on the new one; one for every bracket of verify, with each
-#: member in the linearizing frame of its antiderivative (a bit narrower
-#: than on K itself, since A, q and r have smaller norms); one for a
-#: density search
+#: order: one per recursion step of gen, T_A and T_B on the two frames
+#: (Phi' pushes the new frame back with no kernel); one for every bracket
+#: of verify, with each member in the linearizing frame of its
+#: antiderivative (a bit narrower than on K itself, since A, q and r have
+#: smaller norms); one for a density search
 KERNEL_WIDTHS = {
-    "gen N = 12": [(2, 4, 10), (2, 4, 10), (2, 4, 13), (2, 4, 14), (2, 4, 17), (2, 4, 17),
-                   (2, 4, 20), (2, 5, 21), (2, 5, 24), (2, 5, 24), (2, 5, 27), (2, 5, 28),
-                   (2, 5, 31), (2, 5, 31), (2, 5, 34), (2, 5, 35), (2, 5, 39), (2, 5, 39),
-                   (2, 5, 42), (2, 5, 43)],
+    "gen N = 12": [(2, 4, 10), (2, 4, 13), (2, 4, 17), (2, 4, 20), (2, 5, 24),
+                   (2, 5, 27), (2, 5, 31), (2, 5, 34), (2, 5, 39), (2, 5, 42)],
     "verify N = 8 at alpha = 1/3": [(2, 6, 80)],
     "verify N = 6 symbolic": [(2, 5, 54)],
     "densities (2, 6)": [(2, 5, 28)],

@@ -480,6 +480,73 @@ class TestSpecializedAt:
             "code": "parse", "message": "specialized at a = 2/7, but a coefficient depends on a"}
 
 
+def _k1_term(d):
+    """The one term of K_1^1 = w_x."""
+    return d["members"][0][0][0]
+
+
+def _coefficient(value):
+    return lambda d: _k1_term(d)["coeff"].update(num=[value])
+
+
+class TestStrictJson:
+    """A hierarchy file holds JSON integers for jet indices, never booleans,
+    and each coefficient as a string in the ASCII grammar that
+    ``rational_text`` writes, p or p/q; anything else is a parse error
+    (exit 1), not a number read leniently."""
+
+    def _refused(self, capsys, path, command="verify"):
+        code, stdout, err = run(capsys, command, path, "--json")
+        assert (code, stdout) == (1, "")
+        assert json.loads(err)["error"]["code"] == "parse"
+        assert run(capsys, command, path)[0] == 1
+
+    @pytest.mark.parametrize("command", ["verify", "commute"])
+    def test_boolean_jet_and_coefficient(self, tmp_path, capsys, command):
+        # read as w_x with coefficient 1, this file verified with exit 0
+        def mutate(d):
+            _k1_term(d).update(exps=[[[False, True], 1]], coeff={"num": [True], "den": ["1"]})
+        self._refused(capsys, _hierarchy_file(tmp_path, mutate, n=4), command)
+
+    @pytest.mark.parametrize("exps", [[[[False, 1], 1]], [[[0, True], 1]],
+                                      [[[0, 1, 0], 1]], [[[0, 1], True]]])
+    def test_boolean_or_malformed_jet(self, tmp_path, capsys, exps):
+        self._refused(capsys, _hierarchy_file(
+            tmp_path, lambda d: _k1_term(d).update(exps=exps), n=4))
+
+    @pytest.mark.parametrize("value", [
+        "\u0663", "1_0", "0_1", " 1", "1 ", "1\n", "+1", "1.0", "0.5", "1/ 2", "1/+2",
+        "\u0661/\u0662", "0x1", "", "-", "1/", "/2", 1, 1.0, True, False, None, ["1"]])
+    def test_lenient_coefficient(self, tmp_path, capsys, value):
+        self._refused(capsys, _hierarchy_file(tmp_path, _coefficient(value), n=4))
+
+    @pytest.mark.parametrize("field", ["num", "den"])
+    def test_coefficients_not_a_list(self, tmp_path, capsys, field):
+        # a string would be read digit by digit as a polynomial
+        self._refused(capsys, _hierarchy_file(
+            tmp_path, lambda d: _k1_term(d)["coeff"].update({field: "12"}), n=4))
+
+    @pytest.mark.parametrize("value", ["\u0663", "1_0", " 1/3", "0.5", True, 1])
+    def test_lenient_specialized_at(self, tmp_path, capsys, value):
+        out = tmp_path / "h.json"
+        run(capsys, "gen", "--system", "fs", "--n", "4", "--alpha", "1/3", "--out", str(out))
+        doc = json.loads(out.read_text())
+        doc["specialized_at"] = value
+        out.write_text(json.dumps(doc))
+        self._refused(capsys, str(out))
+
+    def test_boolean_step(self, tmp_path, capsys):
+        self._refused(capsys, _hierarchy_file(
+            tmp_path, lambda d: d["certificates"][0].update(n=True), n=4))
+
+    @pytest.mark.parametrize("value, code", [("1", 0), ("-3/4", 3), ("6/8", 3)])
+    def test_grammar_is_read(self, tmp_path, capsys, value, code):
+        # the grammar itself is read: 1 is K_1 unchanged, and any other
+        # coefficient is parsed, so the checks fail instead
+        assert run(capsys, "verify", _hierarchy_file(tmp_path, _coefficient(value), n=4))[0] \
+            == code
+
+
 class TestCommute:
     def test_table(self, tmp_path, capsys):
         out = tmp_path / "h.json"

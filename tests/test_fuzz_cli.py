@@ -10,12 +10,18 @@ hierarchy mutation may set the jet order of a member or a certificate to
 4090-4095.  Each run must return one of the documented exit codes 0-4
 and print no traceback.  A separate draw puts an x or t factor into one
 member or certificate term of a ``gen --system fs --n 4`` hierarchy, and
-``verify`` must fail a check on it (exit 3).
+``verify`` must fail a check on it (exit 3).  Another writes a boolean
+for one jet index, or a numeral that Python would read leniently for one
+coefficient text, and ``verify`` or ``commute`` must refuse the file as
+a parse error (exit 1).
 """
 
 import copy
 import json
 import random
+import re
+
+from fractions import Fraction
 
 import pytest
 
@@ -30,6 +36,22 @@ XT_CASES = 50
 #: replacement values for a retyped JSON node
 RETYPED = (None, True, 0, -1, 2, 1.5, 10 ** 6, "", "x", "1/0", "w", [], [[]], {},
            {"num": ["1"], "den": ["0"]})
+
+#: values that a lenient reader (int(), Fraction(), a JSON number) takes
+#: for a number, each from a coefficient text t in the grammar p or p/q;
+#: none is in that grammar
+LENIENT = (
+    lambda t: t.translate(str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                                                      "\u0665\u0666\u0667\u0668\u0669")),
+    lambda t: re.sub(r"([0-9]+)", r"0_\1", t, count=1),
+    lambda t: f" {t}",
+    lambda t: f"{t}\n",
+    lambda t: "+" + t.lstrip("-"),
+    lambda t: re.sub(r"([0-9]+)", r"\1.0", t, count=1),
+    lambda t: int(Fraction(t)),
+    lambda t: True,
+    lambda t: False,
+)
 
 #: replacement tokens for a system text
 TOKENS = ("w", "z_x", "w[3]", "^", "*", "+", "-", "(", ")", "=", "9999", "1/0", "0",
@@ -187,6 +209,32 @@ def test_explicit_xt_in_hierarchy_files(tmp_path, capsys):
         path.write_text(json.dumps(mutated))
         argv = ["verify", str(path)] + (["--json"] if i % 2 else [])
         assert _run(capsys, argv, f"x,t case {i} ({gen} at {term})") == 3
+
+
+def test_lenient_values_in_hierarchy_files(tmp_path, capsys):
+    # a boolean jet index or a leniently read coefficient: a parse error,
+    # never a number
+    rng = random.Random(SEED + 4)
+    doc = json.loads(json.dumps(fs_hierarchy(4).to_json()))
+    paths = list(_paths(doc))
+    jets = [p + (0, k) for p in paths if p[-2:-1] == ("exps",)
+            and isinstance(_at(doc, p)[0], list) for k in (0, 1)]
+    texts = [p for p in paths if p[-2:-1] in (("num",), ("den",))]
+    path = tmp_path / "h.json"
+    for i in range(XT_CASES):
+        mutated = copy.deepcopy(doc)
+        if rng.random() < 0.5:
+            where = rng.choice(jets)
+            value = rng.choice((False, True))
+        else:
+            where = rng.choice(texts)
+            value = rng.choice(LENIENT)(_at(doc, where))
+        _at(mutated, where[:-1])[where[-1]] = value
+        path.write_text(json.dumps(mutated))
+        command = rng.choice(("verify", "commute"))
+        argv = [command, str(path)] + (["--json"] if i % 2 else [])
+        label = f"lenient case {i} ({value!r} at {where})"
+        assert _run(capsys, argv, label) == 1, label
 
 
 def test_oversized_gen(capsys):

@@ -23,7 +23,7 @@ from jetsym.hierarchy import (Hierarchy, StepCertificates, frame_matrices,
 from jetsym.jetalgebra import DiffPoly, EvoField, T_GEN, X_GEN, jet
 from jetsym.operators import OperatorMatrix, OpTerm, apply_sum
 from jetsym.systems import parse_expression
-from jetsym.varcalc import DxChain, IntegerField, integrate_dx, linearizing_frame
+from jetsym.varcalc import DxChain, IntegerField, integrate_dx, linearizing_frame, phi_prime
 
 from conftest import (kernel_widths, one_bit_narrower, random_evofield, reference_field_json,
                       reference_hierarchy_json, split)
@@ -301,7 +301,8 @@ def step_fields(h, n) -> list:
 class TestIntegerCarry:
     """Each frame is scaled once, and each step brings the two frames it
     reads to the scale and the integers of one ``clear_denominators``
-    over both, then pushes the new frame back at its own scale."""
+    over both, in one packed sum; the push back to K_n is no packed
+    sum."""
 
     @pytest.mark.parametrize("N, alpha0", [(12, None), (10, Fraction(1, 3))])
     def test_kernel_reads_the_union_clearing(self, monkeypatch, N, alpha0):
@@ -318,9 +319,9 @@ class TestIntegerCarry:
         monkeypatch.setattr(operators, "operator_sum", spy_sum)
         monkeypatch.setattr(varcalc._DxTable, "__init__", spy_table)
         h = fs_hierarchy(N, alpha0)
-        assert len(sums) == 2 * (N - 2)  # each step: the recursion, then Phi'
+        assert len(sums) == N - 2  # each step: the recursion, and no table for Phi'
         rescaled = []
-        for n, (tables, pushed) in enumerate(zip(sums[::2], sums[1::2]), 3):
+        for n, tables in enumerate(sums, 3):
             fields = [frame_of(h.member(n - 1)), frame_of(h.member(n - 2))]
             scale, polys = coeffield.clear_denominators(
                 [c for f in fields for comp in f for c in comp.terms.values()])
@@ -330,9 +331,6 @@ class TestIntegerCarry:
                 assert got.scale == scale
                 assert got.comps == [{m: next(it) for m in comp.terms} for comp in f]
                 rescaled.append(got.scale != IntegerField(f).scale)
-            [got] = pushed
-            own = IntegerField(frame_of(h.member(n)))
-            assert (got.scale, got.comps) == (own.scale, own.comps)
         # symbolic, frame n has the scale (2 alpha - 1)^((n - 1) // 2), so
         # each odd step takes its older frame to the newer one's scale; at
         # alpha = 1/3 every frame has the scale 1
@@ -340,30 +338,29 @@ class TestIntegerCarry:
         assert rescaled == [x for step in odd for x in (False, step)]
 
     def test_each_member_is_cleared_once(self, monkeypatch):
-        calls, clear = [], varcalc.clear_denominators
+        cleared, init = [], IntegerField.__init__
         frames, step = [], hierarchy.fs_step
+
+        def spy_init(self, field):
+            cleared.append(field)
+            init(self, field)
 
         def spy_step(*args):
             out = step(*args)
             frames.append(out[1])
             return out
-        monkeypatch.setattr(varcalc, "clear_denominators",
-                            lambda coeffs: calls.append(coeffs) or clear(coeffs))
+        monkeypatch.setattr(IntegerField, "__init__", spy_init)
         monkeypatch.setattr(hierarchy, "fs_step", spy_step)
         N = 12
         h = fs_hierarchy(N)
         assert len(frames) == N - 2
-        # a recursion frame's coefficients are fresh objects, met by no other
-        # call: each frame (A_n, q_n) is cleared once, for the push to K_n and
-        # the next two steps, and K_n itself not at all
+        # each frame (A_n, q_n) is cleared once, for the next two steps, and
+        # K_n, which Phi' forms from it, not at all
         for n, frame in enumerate(frames, 3):
             if n < N:  # A_n, as the certificate of step n + 1 names it
                 assert frame[0] is h.certificates[n - 2].prev.antiderivative
             for f, want in ((frame, 1), (h.member(n), 0)):
-                coeffs = [c for comp in f for c in comp.terms.values()]
-                ids = {id(c) for c in coeffs}
-                met = [list(cs) for cs in calls if ids & {id(c) for c in cs}]
-                assert met == [coeffs] * want
+                assert [g for g in cleared if g == f] == [f] * want
 
 
 class TestStepCap:
@@ -423,16 +420,16 @@ def scaled_term(matrix: OperatorMatrix, i, j, t, factor) -> OperatorMatrix:
 def perturbed_matrices(which, alpha0=None) -> tuple:
     """``frame_matrices(alpha0)`` with one coefficient changed: 4w -> 3w in
     T_A ("4w"), z -> 2z in T_B ("z"), or c -> 2c in T_B ("c")."""
-    t_a, t_b, push = frame_matrices(alpha0)
+    t_a, t_b = frame_matrices(alpha0)
     if which == "4w":
         assert t_a.entries[0][0][1] == OpTerm(fs_expr("4*w"), 0)
-        return scaled_term(t_a, 0, 0, 1, Fraction(3, 4)), t_b, push
+        return scaled_term(t_a, 0, 0, 1, Fraction(3, 4)), t_b
     if which == "z":
         assert t_b.entries[0][1] == (OpTerm(fs_expr("z"), 0),)
-        return t_a, scaled_term(t_b, 0, 1, 0, 2), push
+        return t_a, scaled_term(t_b, 0, 1, 0, 2)
     for t in range(3):  # c (D_x + 4w)^2
         t_b = scaled_term(t_b, 0, 0, t, 2)
-    return t_a, t_b, push
+    return t_a, t_b
 
 
 def split_sum(prev: EvoField, prevprev: EvoField, rec, m) -> EvoField:
@@ -601,7 +598,7 @@ class TestAntiderivativeRows:
             return tuple(OperatorMatrix(entries) if w == which else m
                          for w, m in enumerate(matrices))
         matrices = frame_matrices()
-        for which, i, j, pair in ((0, 0, 1, 0), (1, 1, 1, 1), (2, 1, 1, 0)):
+        for which, i, j, pair in ((0, 0, 1, 0), (1, 1, 1, 1)):
             entry = rf"pair {pair}: a D_x\^\{{-1\}} term at entry \({i}, {j}\)"
             with pytest.raises(ValueError, match=entry):
                 fs_step(framed(k2), framed(k1), with_dinv(matrices, which, i, j))
@@ -635,9 +632,9 @@ FREE_FRAME = EvoField(linearizing_frame(FREE_K, DiffPoly.var(jet(2, 0))))
 
 def on_free_jets(t: OperatorMatrix) -> EvoField:
     """Phi' T (A, q) on the free frame, for T = T_A or T_B of
-    ``frame_matrices``: the two ``apply_sum``s of ``fs_step``."""
-    frame = apply_sum([(t, IntegerField(FREE_FRAME))])
-    return apply_sum([(frame_matrices()[2], IntegerField(frame))])
+    ``frame_matrices``: the ``apply_sum`` and the ``phi_prime`` of
+    ``fs_step``."""
+    return phi_prime(*apply_sum([(t, IntegerField(FREE_FRAME))]))
 
 
 class TestStepMatrices:

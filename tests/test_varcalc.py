@@ -13,7 +13,8 @@ from jetsym.jetalgebra import DP_ZERO, TOP_ORDER, DiffPoly, EvoField, T_GEN, X_G
 from jetsym.systems import builtin_system, parse_expression
 from jetsym.varcalc import (_frame, _frame_bounds, _frechet_bound, ExactnessCertificate,
                             IntegerField, _Kernel, _sum_bounds, _word_bits, commutator,
-                            commutators, dt_along, euler_operator, frechet, integrate_dx)
+                            commutators, dt_along, euler_operator, frechet, integrate_dx,
+                            linearizing_frame, phi_prime)
 
 from conftest import (kernel_widths, one_bit_narrower, random_diffpoly, random_evofield,
                       random_framed_field, random_nonzero_rf, random_zero_free_poly)
@@ -148,6 +149,28 @@ class TestFrechet:
             f = random_diffpoly(rng)  # x,t-free
             k = random_evofield(rng)
             assert frechet(f.dx(), k) == frechet(f, k).dx()
+
+
+class TestPhiPrime:
+    """Phi'(A, q) = (D_x A, q - 2zA) inverts ``linearizing_frame``."""
+
+    def test_on_free_jets(self):
+        # A = a and q = b on the free jets of (w, z, a, b)
+        a, b = DiffPoly.var(jet(2, 0)), DiffPoly.var(jet(3, 0))
+        z = DiffPoly.var(jet(Z, 0))
+        assert phi_prime(a, b) == EvoField((DiffPoly.var(jet(2, 1)), b - z * a.scalar_mul(2)))
+
+    @pytest.mark.parametrize("alpha0", [None, Fraction(1, 3)])
+    def test_inverts_the_frame(self, alpha0):
+        # K^1 = D_x A + r: Phi' of the frame of K is K less (r, 0), so K
+        # itself when r = 0 (kind 0)
+        rng = random.Random(163 if alpha0 is None else 167)
+        for n in range(40):
+            k, cert = random_framed_field(rng, n % 4, alpha0)
+            pushed = phi_prime(*linearizing_frame(k, cert.antiderivative))
+            assert pushed + EvoField((cert.remainder, DP_ZERO)) == k
+            if n % 4 == 0:
+                assert pushed == k
 
 
 class TestCommutator:
