@@ -10,10 +10,9 @@ analysis is needed; specializations are separate explicit runs.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .coeffield import RationalFunction, accumulate, rf, sparse_nullspace
 from .errors import (AnsatzTooLarge, CrossCheckFailed, ExplicitXTDependence,
@@ -47,8 +46,7 @@ def _unknown_cap() -> int:
 # Symmetry condition
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SymmetryCheck:
+class SymmetryCheck(NamedTuple):
     ok: bool
     defect: EvoField
 
@@ -68,8 +66,7 @@ def _symmetry_check(K: EvoField, bracket: EvoField) -> SymmetryCheck:
 # Commutativity
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CommutativityTable:
+class CommutativityTable(NamedTuple):
     size: int
     failures: Tuple  # ((i, j), defect EvoField) pairs, 1-indexed
 
@@ -116,8 +113,7 @@ def commutativity_table(h: Hierarchy) -> CommutativityTable:
 # Conserved densities
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DensityClassification:
+class DensityClassification(NamedTuple):
     status: str  # "trivial" | "nontrivial" | "not_conserved"
     dt_certificate: ExactnessCertificate
     rho_certificate: Optional[ExactnessCertificate]
@@ -162,8 +158,7 @@ def density_decompose(rho: DiffPoly, system: Optional[EvolutionSystem] = None):
     return c, cert.antiderivative
 
 
-@dataclass(frozen=True)
-class DensityAnsatz:
+class DensityAnsatz(NamedTuple):
     """Monomial densities bounded in jet order and total degree."""
 
     max_order: int
@@ -198,15 +193,13 @@ class DensityAnsatz:
         return count
 
 
-@dataclass(frozen=True)
-class TrivialDensity:
+class TrivialDensity(NamedTuple):
     density: DiffPoly
     constant_part: RationalFunction
     certificate: ExactnessCertificate
 
 
-@dataclass(frozen=True)
-class DensityReport:
+class DensityReport(NamedTuple):
     system_name: str
     ansatz: DensityAnsatz
     unknowns: int
@@ -288,8 +281,7 @@ def density_search(system: EvolutionSystem, ansatz: DensityAnsatz) -> DensityRep
 # Linearizing substitution
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SubstitutionReport:
+class SubstitutionReport(NamedTuple):
     ok: bool
     defects: Tuple[DiffPoly, DiffPoly]
 
@@ -349,8 +341,7 @@ def substitution_check(alpha0: Optional[Fraction] = None) -> SubstitutionReport:
 # Hierarchy verification checklist
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str = ""
@@ -364,8 +355,7 @@ class CheckResult:
         return out
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     checks: Tuple[CheckResult, ...]
 
     @property

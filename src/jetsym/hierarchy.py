@@ -5,9 +5,8 @@ symmetry and the leading-linear structural check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .coeffield import AlphaPoly, RF_ONE, RationalFunction, json_rational, rational_text, rf
 from .errors import (HierarchyTooLarge, InvalidHierarchy, NonlocalObstruction,
@@ -106,8 +105,7 @@ def frame_matrices(alpha0: Optional[Fraction] = None) -> tuple:
     return t_a, t_b
 
 
-@dataclass(frozen=True)
-class StepCertificates:
+class StepCertificates(NamedTuple):
     """Im D_x witnesses consumed by one recursion step."""
 
     n: int
@@ -115,16 +113,14 @@ class StepCertificates:
     prevprev: ExactnessCertificate
 
 
-@dataclass(frozen=True)
-class TriangularCoeffs:
+class TriangularCoeffs(NamedTuple):
     """Leading coefficients b_n and tails Q_n of the triangular hierarchy."""
 
     b: Tuple[RationalFunction, ...]  # b[0] unused, b[n] for member n
     Q: Tuple[DiffPoly, ...]
 
 
-@dataclass(frozen=True)
-class Hierarchy:
+class Hierarchy(NamedTuple):
     """Generated symmetries K_1..K_N with provenance and certificates."""
 
     system: EvolutionSystem
@@ -170,6 +166,8 @@ class Hierarchy:
         if "parameter" not in obj or obj["parameter"] != system.parameter:
             raise InvalidHierarchy(
                 f"system {system.name} has the parameter {system.parameter!r}")
+        if "b_sequence" in obj and system.name != "ts1":
+            raise InvalidHierarchy(f"system {system.name} has no b_sequence")
         try:
             spec_at = obj.get("specialized_at")
             value = None if spec_at is None else Fraction(json_rational(spec_at))
@@ -180,7 +178,6 @@ class Hierarchy:
                     ExactnessCertificate(DiffPoly.from_json(c["prev"]), DP_ZERO),
                     ExactnessCertificate(DiffPoly.from_json(c["prevprev"]), DP_ZERO))
                 for c in obj.get("certificates", ()))
-            provenance = tuple(obj.get("provenance", ()))
             triangular = None
             if "b_sequence" in obj:
                 bs = (rf(0),) + tuple(RationalFunction.from_json(b)
@@ -193,6 +190,11 @@ class Hierarchy:
             raise InvalidHierarchy("a hierarchy needs at least one member")
         if any(len(m) != nvars for m in members):
             raise InvalidHierarchy(f"members need {nvars} components")
+        provenance = obj.get("provenance", ())
+        if "provenance" in obj and not (type(provenance) is list
+                                        and len(provenance) == len(members)
+                                        and all(type(p) is str for p in provenance)):
+            raise InvalidHierarchy("provenance must be a list of strings, one per member")
         polys = [p for m in members for p in m]
         polys += [c.prev.antiderivative for c in certs]
         polys += [c.prevprev.antiderivative for c in certs]
@@ -209,7 +211,7 @@ class Hierarchy:
                     f"but a coefficient depends on {system.parameter}")
         if any(type(c.n) is not int or not 3 <= c.n <= len(members) for c in certs):
             raise InvalidHierarchy("a certificate names no recursion step")
-        return Hierarchy(system, members, provenance, certs, value, triangular)
+        return Hierarchy(system, members, tuple(provenance), certs, value, triangular)
 
 
 def fs_step(prev: IntegerField, prevprev: IntegerField, matrices) -> tuple:
@@ -345,8 +347,7 @@ def scaling_symmetry(alpha0: Optional[Fraction] = None) -> EvoField:
     return s
 
 
-@dataclass(frozen=True)
-class StructuralForm:
+class StructuralForm(NamedTuple):
     """Leading linear coefficients of a symmetry in the canonical shape."""
 
     leading: Tuple[RationalFunction, ...]

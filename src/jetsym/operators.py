@@ -11,7 +11,7 @@ writes the recursion as two matrices on the frame (A, q), where it is local.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .coeffield import accumulate
 from .errors import NonlocalObstruction
@@ -19,16 +19,21 @@ from .jetalgebra import DiffPoly, EvoField
 from .varcalc import DxChain, integrate_dx, operator_sum
 
 
-@dataclass(frozen=True)
-class OpTerm:
-    """One summand coeff * D_x^power; power -1 is the nonlocal piece."""
-
+class _OpTermFields(NamedTuple):
     coeff: DiffPoly
     power: int
 
-    def __post_init__(self):
-        if self.power < -1:
+
+class OpTerm(_OpTermFields):
+    """One summand coeff * D_x^power; power -1 is the nonlocal piece."""
+
+    __slots__ = ()
+
+    # the check sits on a subclass: a NamedTuple body may not define __new__
+    def __new__(cls, coeff: DiffPoly, power: int):
+        if power < -1:
             raise ValueError("operator powers below D_x^{-1} are not supported")
+        return super().__new__(cls, coeff, power)
 
 
 class OperatorMatrix:

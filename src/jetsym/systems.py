@@ -18,9 +18,8 @@ numeric form is what the canonical renderer emits beyond order 2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .coeffield import RationalFunction, rf
 from .errors import (DuplicateEquation, MissingEquation, ParseError,
@@ -28,14 +27,27 @@ from .errors import (DuplicateEquation, MissingEquation, ParseError,
 from .jetalgebra import DP_ONE, DiffPoly, EvoField, T_GEN, jet
 
 
-@dataclass(frozen=True)
-class EvolutionSystem:
-    """Named evolution system: one equation per dependent variable."""
-
+class _EvolutionSystemFields(NamedTuple):
     name: str
     depvars: Tuple[str, ...]
     parameter: Optional[str]
     rhs: EvoField
+
+
+class EvolutionSystem(_EvolutionSystemFields):
+    """Named evolution system: one equation per dependent variable."""
+
+    __slots__ = ()
+
+    # the check sits on a subclass: a NamedTuple body may not define __new__
+    def __new__(cls, name: str, depvars: Tuple[str, ...], parameter: Optional[str],
+                rhs: EvoField):
+        if len(rhs) != len(depvars):
+            raise ValueError("component count does not match dependent variables")
+        for comp in rhs:
+            if any(g == T_GEN for m in comp.terms for g, _ in m):
+                raise ValueError("system right-hand side must not contain explicit t")
+        return super().__new__(cls, name, depvars, parameter, rhs)
 
     @property
     def nvars(self) -> int:
@@ -45,13 +57,6 @@ class EvolutionSystem:
         return EvolutionSystem(self.name, self.depvars, self.parameter,
                                self.rhs.specialize(value))
 
-    def __post_init__(self):
-        if len(self.rhs) != len(self.depvars):
-            raise ValueError("component count does not match dependent variables")
-        for comp in self.rhs:
-            if any(g == T_GEN for m in comp.terms for g, _ in m):
-                raise ValueError("system right-hand side must not contain explicit t")
-
 
 # ---------------------------------------------------------------------------
 # Tokenizer
@@ -60,8 +65,7 @@ class EvolutionSystem:
 _SYMBOLS = "+-*/^()[]="
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # 'name' | 'int' | 'sym' | 'newline' | 'eof'
     value: str
     line: int

@@ -10,9 +10,9 @@ exactness obstruction.
 from __future__ import annotations
 
 from copy import copy
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .coeffield import (accumulate, clear_denominators, common_scale, dividing_by,
                         int_multiple, kronecker_pack, kronecker_unpack)
@@ -22,8 +22,7 @@ from .jetalgebra import (DP_ZERO, TOP_ORDER, DiffPoly, EvoField, is_jet, jet, je
                          jet_order, mono_degree, mono_max_order, mono_mul)
 
 
-@dataclass(frozen=True)
-class ExactnessCertificate:
+class ExactnessCertificate(NamedTuple):
     """Witness of integration by parts: input = D_x(antiderivative) + remainder."""
 
     antiderivative: DiffPoly

@@ -14,7 +14,7 @@ import jetsym
 from jetsym import hierarchy, varcalc
 from jetsym.analysis import commutativity_table, is_symmetry
 from jetsym.cli import main
-from jetsym.errors import NonlocalObstruction
+from jetsym.errors import InvalidHierarchy, NonlocalObstruction
 from jetsym.hierarchy import Hierarchy, fs_hierarchy, scaling_symmetry
 from jetsym.jetalgebra import DiffPoly, EvoField, jet
 from jetsym.systems import _BUILTIN_CACHE, _BUILTIN_SOURCES, parse_system
@@ -538,6 +538,43 @@ class TestStrictJson:
     def test_boolean_step(self, tmp_path, capsys):
         self._refused(capsys, _hierarchy_file(
             tmp_path, lambda d: d["certificates"][0].update(n=True), n=4))
+
+    @pytest.mark.parametrize("value", [
+        "seed", "abc", ["seed", "seed", "recursion"], ["seed"] * 5, [], [1, 2, 3, 4],
+        ["seed", "seed", "recursion", None], ["seed", "seed", "recursion", ["x"]], None, {}])
+    def test_provenance_not_one_string_per_member(self, tmp_path, capsys, value):
+        # "seed" was read as the four provenances ('s', 'e', 'e', 'd')
+        path = _hierarchy_file(tmp_path, lambda d: d.update(provenance=value), n=4)
+        self._refused(capsys, path)
+        assert json.loads(run(capsys, "verify", path, "--json")[2])["error"]["message"] \
+            == "provenance must be a list of strings, one per member"
+
+    @pytest.mark.parametrize("value", [["a", "", "seed", "é"], "absent"])
+    def test_provenance_is_read(self, tmp_path, capsys, value):
+        def mutate(d):
+            if value == "absent":
+                del d["provenance"]
+            else:
+                d["provenance"] = value
+        path = _hierarchy_file(tmp_path, mutate, n=4)
+        assert run(capsys, "verify", path)[0] == 0
+        h = Hierarchy.from_json(json.loads(Path(path).read_text()))
+        assert h.provenance == (() if value == "absent" else tuple(value))
+
+    @pytest.mark.parametrize("command", ["verify", "commute"])
+    @pytest.mark.parametrize("value", [None, [], [{"num": ["1"], "den": ["1"]}]])
+    def test_b_sequence_in_fs_file(self, tmp_path, capsys, command, value):
+        # only ts1 reads a b_sequence; an fs file's was read and then ignored
+        path = _hierarchy_file(tmp_path, lambda d: d.update(b_sequence=value), n=4)
+        self._refused(capsys, path, command)
+        assert json.loads(run(capsys, command, path, "--json")[2])["error"]["message"] \
+            == "system fs has no b_sequence"
+
+    def test_b_sequence_in_ts_file(self):
+        doc = dict(fs_hierarchy(2).to_json(), system="ts")
+        assert Hierarchy.from_json(doc).system.name == "ts"
+        with pytest.raises(InvalidHierarchy, match="^system ts has no b_sequence$"):
+            Hierarchy.from_json(dict(doc, b_sequence=[{"num": ["1"], "den": ["1"]}]))
 
     @pytest.mark.parametrize("value, code", [("1", 0), ("-3/4", 3), ("6/8", 3)])
     def test_grammar_is_read(self, tmp_path, capsys, value, code):

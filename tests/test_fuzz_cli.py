@@ -13,7 +13,10 @@ member or certificate term of a ``gen --system fs --n 4`` hierarchy, and
 ``verify`` must fail a check on it (exit 3).  Another writes a boolean
 for one jet index, or a numeral that Python would read leniently for one
 coefficient text, and ``verify`` or ``commute`` must refuse the file as
-a parse error (exit 1).
+a parse error (exit 1).  A last draw replaces the provenance of a ``gen
+--system fs --n 4`` hierarchy with anything but one string per member, or
+gives the file a ``b_sequence``, which only ts1 reads; ``verify --json``
+must refuse it the same way.
 """
 
 import copy
@@ -26,7 +29,7 @@ from fractions import Fraction
 import pytest
 
 from jetsym.cli import main
-from jetsym.hierarchy import fs_hierarchy
+from jetsym.hierarchy import fs_hierarchy, ts1_hierarchy
 from jetsym.systems import builtin_system, render_system
 
 SEED = 20081
@@ -235,6 +238,34 @@ def test_lenient_values_in_hierarchy_files(tmp_path, capsys):
         argv = [command, str(path)] + (["--json"] if i % 2 else [])
         label = f"lenient case {i} ({value!r} at {where})"
         assert _run(capsys, argv, label) == 1, label
+
+
+def test_provenance_and_b_sequence_in_hierarchy_files(tmp_path, capsys):
+    rng = random.Random(SEED + 5)
+    doc = json.loads(json.dumps(fs_hierarchy(4).to_json()))
+    good, b_sequence = doc["provenance"], ts1_hierarchy(4).to_json()["b_sequence"]
+    not_strings = [v for v in RETYPED if not isinstance(v, str)]
+    path = tmp_path / "h.json"
+    for i in range(XT_CASES):
+        mutated = copy.deepcopy(doc)
+        if rng.random() < 0.5:
+            where = "provenance"
+            value = rng.choice((
+                "".join(rng.choice("abc") for _ in good),  # one character per member
+                list(range(len(good))),
+                good[:rng.randrange(len(good))],
+                good + rng.choices(good, k=rng.randint(1, 3)),
+                good[:-1] + [copy.deepcopy(rng.choice(not_strings))],
+                copy.deepcopy(rng.choice(RETYPED)),
+            ))
+        else:
+            where = "b_sequence"
+            value = rng.choice((b_sequence, b_sequence[:rng.randrange(len(b_sequence))],
+                                copy.deepcopy(rng.choice(RETYPED))))
+        mutated[where] = value
+        path.write_text(json.dumps(mutated))
+        label = f"case {i} ({where} = {value!r})"
+        assert _run(capsys, ["verify", str(path), "--json"], label) == 1, label
 
 
 def test_oversized_gen(capsys):

@@ -1,9 +1,25 @@
 """The package's public surface and its source."""
 
 import ast
+import subprocess
+import sys
+from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 import jetsym
+from jetsym import analysis, hierarchy, operators, systems, varcalc
+
+#: the result records: immutable named tuples that compare by value
+RECORDS = (
+    varcalc.ExactnessCertificate, operators.OpTerm, systems.EvolutionSystem, systems.Token,
+    hierarchy.StepCertificates, hierarchy.TriangularCoeffs, hierarchy.Hierarchy,
+    hierarchy.StructuralForm, analysis.SymmetryCheck, analysis.CommutativityTable,
+    analysis.DensityClassification, analysis.DensityAnsatz, analysis.TrivialDensity,
+    analysis.DensityReport, analysis.SubstitutionReport, analysis.CheckResult,
+    analysis.VerificationReport,
+)
 
 
 def test_every_exported_name_resolves():
@@ -54,3 +70,47 @@ def test_readme_library_example_runs():
     example = library.split("```python\n", 1)[1].split("```", 1)[0]
     assert "fs_hierarchy" in example
     exec(compile(example, str(readme), "exec"), {})
+
+
+def test_import_leaves_out_dataclasses_and_inspect():
+    # importing dataclasses, and inspect through it, costs about as much as
+    # the rest of jetsym's start-up; -S keeps site-packages from importing
+    # either before jetsym does
+    src = str(Path(jetsym.__file__).resolve().parent.parent)
+    code = (f"import sys; sys.path.insert(0, {src!r}); import jetsym; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout == "[]\n"
+
+
+def test_records_are_listed():
+    modules = (varcalc, operators, systems, hierarchy, analysis)
+    found = {obj for mod in modules for obj in vars(mod).values()
+             if isinstance(obj, type) and issubclass(obj, tuple)
+             and obj.__module__ == mod.__name__ and not obj.__name__.startswith("_")}
+    assert found == set(RECORDS)
+
+
+def _record(cls, first):
+    """A record of fresh, hashable field values, ``first`` first;
+    EvolutionSystem, which checks its rhs against its depvars, gets empty
+    ones."""
+    fields = {name: Fraction(i + 1, 3) for i, name in enumerate(cls._fields)}
+    if cls is systems.EvolutionSystem:
+        fields.update(depvars=(), rhs=())
+    return cls(**{**fields, cls._fields[0]: first})
+
+
+@pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
+def test_record_is_an_immutable_value(cls):
+    a, b = _record(cls, "first"), _record(cls, "".join(("fir", "st")))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != _record(cls, "other")
+    shown = ", ".join(f"{name}={getattr(a, name)!r}" for name in cls._fields)
+    assert repr(a) == f"{cls.__name__}({shown})"
+    for name in cls._fields:
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+    with pytest.raises(AttributeError):
+        a.extra = None

@@ -4,9 +4,9 @@ import pytest
 
 from jetsym.errors import (DuplicateEquation, MissingEquation, ParseError,
                            UnknownIdentifier)
-from jetsym.jetalgebra import jet
-from jetsym.systems import (builtin_names, builtin_system, parse_expression,
-                            parse_system, render_system)
+from jetsym.jetalgebra import T_GEN, DiffPoly, EvoField, jet
+from jetsym.systems import (EvolutionSystem, builtin_names, builtin_system,
+                            parse_expression, parse_system, render_system)
 
 FS_SRC = """
 system fs
@@ -89,6 +89,24 @@ class TestBuiltins:
         ts1 = builtin_system("ts1")
         assert ts1.parameter == "a"
         assert ts1.rhs[0].coefficient(((jet(0, 2), 1),)).text("a") == "a"
+
+
+class TestConstructorChecks:
+    """``EvolutionSystem`` refuses a misfit right-hand side itself: the
+    parser refuses ``t`` first, so only a direct construction reaches these."""
+
+    def test_component_count_must_match_depvars(self):
+        fs = builtin_system("fs")
+        with pytest.raises(ValueError,
+                           match="^component count does not match dependent variables$"):
+            EvolutionSystem(fs.name, ("w",), fs.parameter, fs.rhs)
+
+    def test_rhs_term_in_t_is_refused(self):
+        fs = builtin_system("fs")
+        rhs = EvoField((fs.rhs[0] * DiffPoly.var(T_GEN), fs.rhs[1]))
+        with pytest.raises(ValueError,
+                           match="^system right-hand side must not contain explicit t$"):
+            EvolutionSystem(fs.name, fs.depvars, fs.parameter, rhs)
 
 
 class TestRenderRoundTrip:
