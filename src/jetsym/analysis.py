@@ -125,13 +125,11 @@ def is_conserved_density(rho: DiffPoly, system: EvolutionSystem) -> DensityClass
         raise ExplicitXTDependence("density classification needs x,t-free input")
     dt = dt_along(rho, system)
     dt_cert = integrate_dx(dt)
-    # independent cross-check: the Euler images must agree with the remainder
-    if dt_cert.is_exact:
-        for d in range(system.nvars):
-            if not euler_operator(dt, d).is_zero:
-                raise CrossCheckFailed("exactness oracles disagree")
     if not dt_cert.is_exact:
         return DensityClassification("not_conserved", dt_cert, None)
+    # independent cross-check: the Euler images must agree with the remainder
+    if any(not euler_operator(dt, d).is_zero for d in range(system.nvars)):
+        raise CrossCheckFailed("exactness oracles disagree")
     rho_cert = integrate_dx(rho)
     status = "trivial" if rho_cert.is_exact else "nontrivial"
     return DensityClassification(status, dt_cert, rho_cert)
@@ -140,22 +138,20 @@ def is_conserved_density(rho: DiffPoly, system: EvolutionSystem) -> DensityClass
 def density_decompose(rho: DiffPoly, system: Optional[EvolutionSystem] = None):
     """Split a conserved density as c * w + D_x(exact part), exactly.
 
-    The Euler image with respect to the first variable must be the
-    constant c and the second Euler image must vanish; anything else
-    raises NotDecomposable.
+    One ``integrate_dx`` gives the certificate rho = D_x A + r; it strips
+    jets of order 1 and up only, so rho splits iff r is c * w, and then
+    (c, A) is returned.  A constant or any other term in r raises
+    NotDecomposable, and a logarithm on the way NonIntegerExponentPath.
     """
     if rho.contains_xt():
         raise ExplicitXTDependence("decomposition needs x,t-free input")
-    e_w = euler_operator(rho, 0)
-    e_z = euler_operator(rho, 1)
-    if not e_z.is_zero or any(m != MONO_ONE for m in e_w.terms):
+    cert = integrate_dx(rho)
+    w = ((jet(0, 0), 1),)
+    if any(m not in (w, MONO_ONE) for m in cert.remainder.terms):
         raise NotDecomposable("density is not constant * w modulo Im D_x")
-    c = e_w.free_term()
-    resid = rho - DiffPoly.var(jet(0, 0)).scalar_mul(c)
-    cert = integrate_dx(resid)
-    if not cert.is_exact:
+    if MONO_ONE in cert.remainder.terms:
         raise NotDecomposable("residual after removing constant * w is inexact")
-    return c, cert.antiderivative
+    return cert.remainder.coefficient(w), cert.antiderivative
 
 
 class DensityAnsatz(NamedTuple):
@@ -439,8 +435,6 @@ def verify_hierarchy(h: Hierarchy) -> VerificationReport:
             defect = bracket - h.member(n).scalar_mul(n)
             checks.append(CheckResult(f"scaling homogeneity [S, K_{n}] = {n} K_{n}",
                                       defect.is_zero))
-        # K_n^1 = D_x(antiderivative) wherever the w-part is zero
-        exact = {}
         for n, found in decompositions.items():
             name = f"density decomposition of K_{n}^1 has zero w-part"
             if isinstance(found, (NotDecomposable, *_NO_ANTIDERIVATIVE)):
@@ -448,9 +442,7 @@ def verify_hierarchy(h: Hierarchy) -> VerificationReport:
                 continue
             if isinstance(found, Exception):
                 raise found
-            c, antiderivative = found
-            if c.is_zero:
-                exact[n] = ExactnessCertificate(antiderivative, DP_ZERO)
+            c = found[0]
             checks.append(CheckResult(name, c.is_zero,
                                       "" if c.is_zero else f"constant part {c.text(param)}"))
         for cert in h.certificates:
@@ -459,10 +451,11 @@ def verify_hierarchy(h: Hierarchy) -> VerificationReport:
             checks.append(CheckResult(
                 f"Im D_x certificates for step {cert.n}", ok1 and ok2))
         # recursion steps only consume antiderivatives of earlier members,
-        # so certify the first components of the trailing members directly
+        # so certify the first components of the trailing members directly,
+        # by the decomposition's certificate (A, c w) where there is one
         for n in range(max(count - 1, 1), count + 1):
             try:
-                cert = exact[n] if n in exact else integrate_dx(h.member(n)[0])
+                cert = integrals[n] if n in integrals else integrate_dx(h.member(n)[0])
             except _NO_ANTIDERIVATIVE as exc:
                 checks.append(CheckResult(f"K_{n}^1 lies in Im D_x", False, str(exc)))
                 continue
@@ -472,15 +465,11 @@ def verify_hierarchy(h: Hierarchy) -> VerificationReport:
                 None if cert.is_exact else cert.remainder.to_json()))
     if system.name == "ts1" and h.triangular is not None:
         bs = h.triangular.b
-        ok = True
-        detail = ""
-        for n in range(1, count + 1):
-            lead = h.member(n)[0].coefficient(((jet(0, n), 1),))
-            if n < len(bs) and lead != bs[n]:
-                ok = False
-                detail = f"u_{n} coefficient differs from b_{n}"
-                break
-        checks.append(CheckResult("triangular leading coefficients", ok, detail))
+        bad = next((n for n in range(1, count + 1)
+                    if h.member(n)[0].coefficient(((jet(0, n), 1),)) != bs[n]), None)
+        checks.append(CheckResult(
+            "triangular leading coefficients", bad is None,
+            "" if bad is None else f"u_{bad} coefficient differs from b_{bad}"))
         if len(bs) > 3:
             a_rf = (rf(h.specialized_at) if h.specialized_at is not None
                     else RationalFunction.param())

@@ -136,10 +136,13 @@ class Hierarchy(NamedTuple):
 
     def to_json(self):
         """The hierarchy as JSON values, in one pass by one ``JsonWriter``:
-        each distinct denominator's texts and each factor's form are
-        written once, and so is each antiderivative, which two certificates
-        name.  Parts of the result are shared; each call returns a new
-        structure."""
+        each distinct denominator's texts and each factor's form are written
+        once, and so is each antiderivative, which two certificates name.
+        Parts of the result are shared; each call returns a new structure.
+        An empty provenance is left out; any other length but the member
+        count raises ValueError."""
+        if len(self.provenance) not in (0, len(self.members)):
+            raise ValueError("provenance needs one entry per member, or none")
         w = JsonWriter()
         out = {
             "system": self.system.name,
@@ -154,6 +157,8 @@ class Hierarchy(NamedTuple):
                  "prevprev": w.poly(c.prevprev.antiderivative)}
                 for c in self.certificates],
         }
+        if not self.provenance:
+            del out["provenance"]
         if self.triangular is not None:
             out["b_sequence"] = [w.coeff(b) for b in self.triangular.b[1:]]
         return out
@@ -190,6 +195,8 @@ class Hierarchy(NamedTuple):
             raise InvalidHierarchy("a hierarchy needs at least one member")
         if any(len(m) != nvars for m in members):
             raise InvalidHierarchy(f"members need {nvars} components")
+        if triangular is not None and len(triangular.b) != len(members) + 1:
+            raise InvalidHierarchy("b_sequence must have one entry per member")
         provenance = obj.get("provenance", ())
         if "provenance" in obj and not (type(provenance) is list
                                         and len(provenance) == len(members)

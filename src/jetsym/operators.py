@@ -35,6 +35,10 @@ class OpTerm(_OpTermFields):
             raise ValueError("operator powers below D_x^{-1} are not supported")
         return super().__new__(cls, coeff, power)
 
+    @classmethod
+    def _make(cls, iterable):  # and so _replace: both run the checks of __new__
+        return cls(*iterable)
+
 
 class OperatorMatrix:
     """Rows x columns grid of operator-term lists acting on evolutionary

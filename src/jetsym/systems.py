@@ -49,13 +49,16 @@ class EvolutionSystem(_EvolutionSystemFields):
                 raise ValueError("system right-hand side must not contain explicit t")
         return super().__new__(cls, name, depvars, parameter, rhs)
 
+    @classmethod
+    def _make(cls, iterable):  # and so _replace: both run the checks of __new__
+        return cls(*iterable)
+
     @property
     def nvars(self) -> int:
         return len(self.depvars)
 
     def specialize(self, value) -> "EvolutionSystem":
-        return EvolutionSystem(self.name, self.depvars, self.parameter,
-                               self.rhs.specialize(value))
+        return self._replace(rhs=self.rhs.specialize(value))
 
 
 # ---------------------------------------------------------------------------

@@ -88,24 +88,20 @@ def _top_block_linear(f: DiffPoly, k: int) -> bool:
 def integrate_dx(f: DiffPoly) -> ExactnessCertificate:
     """Constructive D_x^{-1} by integration by parts.
 
-    Repeatedly strips the highest jet order k: for each dependent
+    Repeatedly strips the highest jet order k >= 1: for each dependent
     variable d with d_k present the input must be affine in d_k with a
     coefficient free of order-k jets; that coefficient is integrated
     formally in d_{k-1} and the exact part subtracted.  The loop stops
-    when the maximal order no longer decreases; whatever is left is the
-    remainder, and remainder == 0 exactly when f lies in Im D_x within
-    the zero-free-term polynomial class.
+    when the maximal order no longer decreases or is 0; the rest, which
+    keeps every term of f of order 0, is the remainder, and remainder == 0
+    exactly when f lies in Im D_x within the zero-free-term polynomial class.
     """
     if f.contains_xt():
         raise ExplicitXTDependence("D_x^{-1} needs an x,t-free input")
     acc = DP_ZERO
     cur = f
     k = cur.max_jet_order()
-    while not cur.is_zero:
-        if k is None or k == 0:
-            break
-        if not _top_block_linear(cur, k):
-            break
+    while not cur.is_zero and k and _top_block_linear(cur, k):
         for d in sorted(cur.depvars()):
             a = cur.partial(jet(d, k))
             if a.is_zero:

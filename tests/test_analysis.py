@@ -4,6 +4,8 @@ import hashlib
 import json
 import math
 import random
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,17 +17,19 @@ from jetsym.analysis import (DensityAnsatz, commutativity_table,
                              substitution_check, verify_hierarchy)
 from jetsym.coeffield import (RF_ONE, AlphaPoly, RationalFunction, accumulate, rf,
                               sparse_nullspace)
-from jetsym.errors import AnsatzTooLarge, CrossCheckFailed, DxBudgetExceeded, NotDecomposable
+from jetsym.errors import (AnsatzTooLarge, CrossCheckFailed, DxBudgetExceeded,
+                           NonIntegerExponentPath, NotDecomposable)
 from jetsym.hierarchy import (fs_hierarchy, fs_seed, scaling_symmetry, triangular_coeffs,
                               ts1_hierarchy)
 from jetsym.jetalgebra import DP_ZERO, X_GEN, DiffPoly, EvoField, jet
 from jetsym.systems import (_BUILTIN_CACHE, _BUILTIN_SOURCES, EvolutionSystem,
                             parse_expression, parse_system)
 from jetsym.varcalc import (ExactnessCertificate, IntegerField, _Kernel, dt_along,
-                            dt_euler_rows, euler_operator)
+                            dt_euler_rows, euler_operator, integrate_dx)
 
-from conftest import (kernel_widths, random_evofield, random_nonzero_rf, reference_coeff_json,
-                      reference_field_json, reference_poly_json)
+from conftest import (kernel_widths, random_diffpoly, random_evofield, random_nonzero_rf,
+                      random_rf, reference_coeff_json, reference_field_json,
+                      reference_poly_json)
 
 
 def fs_expr(src):
@@ -136,6 +140,99 @@ class TestDensityDecompose:
     def test_not_decomposable(self):
         with pytest.raises(NotDecomposable):
             density_decompose(fs_expr("w^2"))
+
+    @pytest.mark.parametrize("src, message", [
+        ("w + 2*w*w_x + 5", "residual after removing constant * w is inexact"),
+        ("3", "residual after removing constant * w is inexact"),
+        ("w^2 + 5", "density is not constant * w modulo Im D_x"),
+        ("z", "density is not constant * w modulo Im D_x"),
+        ("w_x*z_x", "density is not constant * w modulo Im D_x")])
+    def test_messages(self, src, message):
+        with pytest.raises(NotDecomposable, match=f"^{re.escape(message)}$"):
+            density_decompose(fs_expr(src))
+
+    def test_one_integration_no_euler_image(self, monkeypatch):
+        calls = count_calls(monkeypatch)
+        assert density_decompose(fs_expr("3*w + 2*w*w_x")) == (rf(3), fs_expr("w^2"))
+        assert calls == {"integrate_dx": 1, "euler_operator": 0}
+
+    @pytest.mark.parametrize("laurent", [False, True], ids=["polynomial", "laurent"])
+    def test_against_euler_images(self, laurent):
+        # rho = D_x B + c w, and sometimes a constant and a noise term; the
+        # Euler-image route is the oracle
+        rng = random.Random(3201 + laurent)
+        w = DiffPoly.var(jet(0, 0))
+        seen = set()
+        for _ in range(150):
+            rho = random_laurent_poly(rng, laurent).dx() \
+                + w.scalar_mul(random_rf(rng, True) if rng.random() < 0.7 else rf(0))
+            if rng.random() < 0.3:
+                rho = rho + DiffPoly.constant(random_nonzero_rf(rng))
+            if rng.random() < 0.3:
+                rho = rho + random_laurent_poly(rng, laurent)
+            got, want = decomposed(density_decompose, rho), decomposed(euler_route, rho)
+            seen.add(got if isinstance(got, str) else "split")
+            if laurent:
+                assert isinstance(got, tuple) == isinstance(want, tuple)
+                if isinstance(got, tuple):
+                    assert got[0] == want[0]
+            else:
+                assert got == want
+            if isinstance(got, tuple):
+                c, A = got
+                assert rho == w.scalar_mul(c) + A.dx()
+        assert seen == {"split", "density is not constant * w modulo Im D_x",
+                        "residual after removing constant * w is inexact"} \
+            | ({"integration in a single generator hit exponent -1, a logarithm"}
+               if laurent else set())
+
+
+def random_laurent_poly(rng, laurent: bool) -> DiffPoly:
+    """A random (w, z) polynomial of order at most 2 with no free term;
+    with laurent, each factor has a negative exponent half the time."""
+    p = random_diffpoly(rng, rational=True)
+    if laurent:
+        p = DiffPoly.from_terms(
+            (tuple((g, -e if rng.random() < 0.5 else e) for g, e in m), c)
+            for m, c in p.terms.items())
+    return p - DiffPoly.constant(p.free_term())
+
+
+def euler_route(rho: DiffPoly):
+    """The decomposition read off the Euler images: E_z(rho) must vanish
+    and E_w(rho) be a constant c, then rho - c w is integrated."""
+    e_w, e_z = euler_operator(rho, 0), euler_operator(rho, 1)
+    if not e_z.is_zero or any(m != () for m in e_w.terms):
+        raise NotDecomposable("density is not constant * w modulo Im D_x")
+    c = e_w.free_term()
+    cert = integrate_dx(rho - DiffPoly.var(jet(0, 0)).scalar_mul(c))
+    if not cert.is_exact:
+        raise NotDecomposable("residual after removing constant * w is inexact")
+    return c, cert.antiderivative
+
+
+def decomposed(route, rho):
+    """(c, A), or the message of the reason rho has no decomposition."""
+    try:
+        return route(rho)
+    except (NotDecomposable, NonIntegerExponentPath) as exc:
+        return str(exc)
+
+
+def count_calls(monkeypatch, names=("integrate_dx", "euler_operator")) -> dict:
+    """Counts the calls of each named varcalc function, through every
+    binding of it in jetsym; the dict fills in as they are made."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(varcalc, name)
+
+        def spy(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+        for module in [m for key, m in sys.modules.items() if key.startswith("jetsym")]:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, spy)
+    return counts
 
 
 class TestDensitySearch:
@@ -620,6 +717,33 @@ class TestVerifyHierarchy:
         assert calls == [h.member(n)[0] for n in range(1, 7)]
         assert [c.name for c in report.checks[-2:]] == ["K_5^1 lies in Im D_x",
                                                         "K_6^1 lies in Im D_x"]
+
+    @pytest.mark.parametrize("alpha0", [None, Fraction(1, 3)])
+    def test_no_euler_image_one_integration_per_member(self, monkeypatch, alpha0):
+        h = fs_hierarchy(8, alpha0)
+        calls = count_calls(monkeypatch)
+        assert verify_hierarchy(h).ok
+        assert calls == {"integrate_dx": 8, "euler_operator": 0}
+
+    @pytest.mark.parametrize("added, integrations, detail", [
+        (fs_expr("3*w"), 6, "nonzero remainder"),
+        (fs_expr("w^2"), 7, "nonzero remainder"),
+        (DiffPoly({((jet(0, 0), -1), (jet(0, 1), 1)): RF_ONE}), 7,
+         "integration in a single generator hit exponent -1, a logarithm")],
+        ids=["3w", "w^2", "w_x/w"])
+    def test_trailing_member_off_im_dx(self, monkeypatch, added, integrations, detail):
+        # K_6^1 + 3w reads the certificate (A, 3w) of its decomposition; a
+        # member with none is integrated again for its Im D_x check
+        from jetsym.hierarchy import Hierarchy
+        h = fs_hierarchy(6)
+        k6 = EvoField((h.member(6)[0] + added, h.member(6)[1]))
+        bad = Hierarchy(h.system, h.members[:5] + (k6,), h.provenance, h.certificates)
+        calls = count_calls(monkeypatch)
+        last = verify_hierarchy(bad).checks[-1]
+        assert calls == {"integrate_dx": integrations, "euler_operator": 0}
+        assert (last.name, last.ok, last.detail) == ("K_6^1 lies in Im D_x", False, detail)
+        if detail == "nonzero remainder":
+            assert last.defect == integrate_dx(k6[0]).remainder.to_json()
 
     def test_members_enter_in_the_frame(self, monkeypatch):
         # one family each; every fs member brings its antiderivative, F and

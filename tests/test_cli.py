@@ -576,6 +576,23 @@ class TestStrictJson:
         with pytest.raises(InvalidHierarchy, match="^system ts has no b_sequence$"):
             Hierarchy.from_json(dict(doc, b_sequence=[{"num": ["1"], "den": ["1"]}]))
 
+    @pytest.mark.parametrize("command", ["verify", "commute"])
+    @pytest.mark.parametrize("cut", ["first", "all but last", "extended", "empty"])
+    def test_b_sequence_not_one_per_member(self, tmp_path, capsys, command, cut):
+        # with one entry or none, the leading-coefficient check compared
+        # nothing past b_1 and "b recurrence" was dropped: verify exited 0
+        out = tmp_path / "h.json"
+        run(capsys, "gen", "--system", "ts1", "--n", "5", "--out", str(out))
+        assert run(capsys, "verify", str(out))[0] == 0
+        doc = json.loads(out.read_text())
+        bs = doc["b_sequence"]
+        doc["b_sequence"] = {"first": bs[:1], "all but last": bs[:-1],
+                             "extended": bs + bs[-1:], "empty": []}[cut]
+        out.write_text(json.dumps(doc))
+        self._refused(capsys, str(out), command)
+        assert json.loads(run(capsys, command, str(out), "--json")[2])["error"]["message"] \
+            == "b_sequence must have one entry per member"
+
     @pytest.mark.parametrize("value, code", [("1", 0), ("-3/4", 3), ("6/8", 3)])
     def test_grammar_is_read(self, tmp_path, capsys, value, code):
         # the grammar itself is read: 1 is K_1 unchanged, and any other

@@ -244,6 +244,22 @@ class TestFsHierarchy:
         assert h2.members == h.members
         assert json.dumps(h2.to_json(), separators=(",", ":")) == doc
 
+    @pytest.mark.parametrize("make", [fs_hierarchy, ts1_hierarchy])
+    def test_json_round_trip_without_provenance(self, make):
+        # an empty provenance is left out, and an absent one is read as ()
+        h = make(4)._replace(provenance=())
+        doc = h.to_json()
+        assert "provenance" not in doc
+        assert list(doc) == [k for k in make(4).to_json() if k != "provenance"]
+        h2 = Hierarchy.from_json(json.loads(json.dumps(doc)))
+        assert h2.provenance == () and h2.members == h.members
+        assert h2.to_json() == doc
+
+    @pytest.mark.parametrize("provenance", [("seed",), ("seed",) * 5])
+    def test_provenance_of_another_length_is_refused(self, provenance):
+        with pytest.raises(ValueError, match="^provenance needs one entry per member, or none$"):
+            fs_hierarchy(4)._replace(provenance=provenance).to_json()
+
 
 def dumped(doc) -> str:
     return json.dumps(doc, separators=(",", ":"))

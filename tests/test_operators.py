@@ -46,6 +46,16 @@ class TestApplyTerm:
         with pytest.raises(ValueError):
             OpTerm(DiffPoly.constant(1), -2)
 
+    def test_make_and_replace_are_checked(self):
+        with pytest.raises(ValueError, match="^operator powers below D_x"):
+            OpTerm._make((DiffPoly.constant(1), -5))
+        term = OpTerm(DiffPoly.constant(1), 1)
+        with pytest.raises(ValueError, match="^operator powers below D_x"):
+            term._replace(power=-2)
+        assert term._replace(power=-1) == OpTerm(DiffPoly.constant(1), -1)
+        assert type(term._replace(power=-1)) is OpTerm
+        assert type(OpTerm._make((DiffPoly.constant(1), 0))) is OpTerm
+
 
 class TestApplyMatrix:
     def test_rec_first_row_on_seed(self):

@@ -108,6 +108,22 @@ class TestConstructorChecks:
                            match="^system right-hand side must not contain explicit t$"):
             EvolutionSystem(fs.name, fs.depvars, fs.parameter, rhs)
 
+    def test_make_and_replace_are_checked(self):
+        fs = builtin_system("fs")
+        with pytest.raises(ValueError,
+                           match="^component count does not match dependent variables$"):
+            fs._replace(depvars=("w",))
+        with pytest.raises(ValueError,
+                           match="^component count does not match dependent variables$"):
+            EvolutionSystem._make((fs.name, ("w",), fs.parameter, fs.rhs))
+        rhs = EvoField((fs.rhs[0] * DiffPoly.var(T_GEN), fs.rhs[1]))
+        with pytest.raises(ValueError,
+                           match="^system right-hand side must not contain explicit t$"):
+            fs._replace(rhs=rhs)
+        renamed = fs._replace(depvars=("p", "q"))
+        assert type(renamed) is EvolutionSystem
+        assert renamed == EvolutionSystem(fs.name, ("p", "q"), fs.parameter, fs.rhs)
+
 
 class TestRenderRoundTrip:
     @pytest.mark.parametrize("name", ["fs", "ts", "ts1"])
