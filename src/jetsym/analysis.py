@@ -141,16 +141,17 @@ def density_decompose(rho: DiffPoly, system: Optional[EvolutionSystem] = None):
     One ``integrate_dx`` gives the certificate rho = D_x A + r; it strips
     jets of order 1 and up only, so rho splits iff r is c * w, and then
     (c, A) is returned.  A constant or any other term in r raises
-    NotDecomposable, and a logarithm on the way NonIntegerExponentPath.
+    NotDecomposable, which carries the certificate, and a logarithm on
+    the way NonIntegerExponentPath.
     """
     if rho.contains_xt():
         raise ExplicitXTDependence("decomposition needs x,t-free input")
     cert = integrate_dx(rho)
     w = ((jet(0, 0), 1),)
     if any(m not in (w, MONO_ONE) for m in cert.remainder.terms):
-        raise NotDecomposable("density is not constant * w modulo Im D_x")
+        raise NotDecomposable("density is not constant * w modulo Im D_x", cert)
     if MONO_ONE in cert.remainder.terms:
-        raise NotDecomposable("residual after removing constant * w is inexact")
+        raise NotDecomposable("residual after removing constant * w is inexact", cert)
     return cert.remainder.coefficient(w), cert.antiderivative
 
 
@@ -385,7 +386,10 @@ def verify_hierarchy(h: Hierarchy) -> VerificationReport:
     F, S and a member with none enter as they are.  The report keeps its
     own order.  A K_n^1 with explicit x or t, or one whose integration
     meets a logarithm, fails its density decomposition and its Im D_x
-    check, with the reason as detail.
+    check, with the reason as detail.  Each K_n^1 is integrated once: the
+    Im D_x check of a trailing member reads the certificate or the error
+    of its decomposition, and only a member with x or t goes to
+    ``integrate_dx`` again, which refuses it at entry with its own detail.
     """
     checks = []
     system = h.system
@@ -452,13 +456,18 @@ def verify_hierarchy(h: Hierarchy) -> VerificationReport:
                 f"Im D_x certificates for step {cert.n}", ok1 and ok2))
         # recursion steps only consume antiderivatives of earlier members,
         # so certify the first components of the trailing members directly,
-        # by the decomposition's certificate (A, c w) where there is one
+        # by the decomposition's certificate (A, c w) or its error
         for n in range(max(count - 1, 1), count + 1):
-            try:
-                cert = integrals[n] if n in integrals else integrate_dx(h.member(n)[0])
-            except _NO_ANTIDERIVATIVE as exc:
-                checks.append(CheckResult(f"K_{n}^1 lies in Im D_x", False, str(exc)))
+            found = decompositions[n]
+            if isinstance(found, ExplicitXTDependence):
+                try:
+                    integrate_dx(h.member(n)[0])
+                except ExplicitXTDependence as exc:
+                    found = exc
+            if isinstance(found, _NO_ANTIDERIVATIVE):
+                checks.append(CheckResult(f"K_{n}^1 lies in Im D_x", False, str(found)))
                 continue
+            cert = found.certificate if isinstance(found, NotDecomposable) else integrals[n]
             checks.append(CheckResult(
                 f"K_{n}^1 lies in Im D_x", cert.is_exact,
                 "" if cert.is_exact else "nonzero remainder",

@@ -624,35 +624,6 @@ def _monic_lcm(dens) -> AlphaPoly:
     return out
 
 
-def common_scale(scales, contents) -> tuple:
-    """(s, factors): the scale that ``clear_denominators`` gives over the
-    union of several coefficient lists, from what it gave for each.
-
-    scales[i] is the scale of list i and contents[i] the gcd of every int
-    of its integer polynomials (0 for none).  Each scale is l_i I_i, l_i
-    the monic lcm of the list's denominators and I_i an int, so s is l I,
-    l the lcm of the l_i.  The union's polynomial of a coefficient c of
-    list i is I c.num (l // c.den) = f_i p, for p its polynomial at
-    scales[i] and f_i = s / scales[i] = (l / l_i) (I / I_i), which is
-    factors[i], an AlphaPoly: ``int_multiple`` forms f_i p.  I is the lcm
-    of the denominators of the contents of the (l / l_i) p / I_i, which by
-    Gauss's lemma are content(l / l_i) contents[i] / I_i.
-    """
-    parts = [(_monic_ints(s.num.ints), s.num.ints[-1] // s.num.den) for s in scales]
-    den = _monic_lcm({d for d, _ in parts})
-    quotients = [den // d for d, _ in parts]
-    ints = lcm(*(q.den * i // gcd(q.den * i, g * gcd(*q.ints))
-                 for q, (_, i), g in zip(quotients, parts, contents)))
-    return (RationalFunction._raw(den.scale(ints), _APOLY_ONE),
-            [q.scale(Fraction(ints, i)) for q, (_, i) in zip(quotients, parts)])
-
-
-def int_multiple(p: tuple, factor: AlphaPoly) -> tuple:
-    """factor * p for an integer polynomial p, lowest degree first, and a
-    factor whose product with it has integer coefficients."""
-    return (AlphaPoly._of(p) * factor).ints
-
-
 def dividing_by(s: RationalFunction):
     """The map p -> p / s from integer polynomials p, given as a list of
     ints lowest degree first with a nonzero last entry (as

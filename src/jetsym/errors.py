@@ -58,7 +58,12 @@ class CrossCheckFailed(JetsymError):
 
 
 class NotDecomposable(JetsymError):
-    """Density does not split as constant * w + exact part."""
+    """Density does not split as constant * w + exact part; ``certificate``
+    is the integration that shows it."""
+
+    def __init__(self, message, certificate=None):
+        self.certificate = certificate
+        super().__init__(message)
 
 
 class AnsatzTooLarge(JetsymError):

@@ -15,7 +15,7 @@ from .jetalgebra import (DP_ZERO, DiffPoly, EvoField, JsonWriter, T_GEN, X_GEN, 
                          jet, jet_order, mono_degree)
 from .operators import OperatorMatrix, OpTerm, apply_sum
 from .systems import EvolutionSystem, builtin_names, builtin_system, parse_expression
-from .varcalc import ExactnessCertificate, IntegerField, integrate_dx, linearizing_frame, phi_prime
+from .varcalc import ExactnessCertificate, integrate_dx, linearizing_frame, phi_prime
 
 _FS_VARS = ("w", "z")
 _S_POLY = AlphaPoly((-1, 2))  # 2*alpha - 1
@@ -221,18 +221,17 @@ class Hierarchy(NamedTuple):
         return Hierarchy(system, members, tuple(provenance), certs, value, triangular)
 
 
-def fs_step(prev: IntegerField, prevprev: IntegerField, matrices) -> tuple:
+def fs_step(prev: EvoField, prevprev: EvoField, matrices) -> tuple:
     """One step of the two-term recursion, from the frames (A, q) of
-    K_{n-1} and K_{n-2}, each given as its ``IntegerField``.
+    K_{n-1} and K_{n-2}.
 
     matrices are (T_A, T_B) of ``frame_matrices``: one ``apply_sum`` of
-    T_A on prev and T_B on prevprev forms the frame (A_n, q_n), which is
-    scaled to its ``IntegerField`` once, and ``phi_prime`` pushes it back
-    to K_n.  Returns K_n, the frame and its ``IntegerField``.
+    T_A on prev and T_B on prevprev, which clears the two frames together,
+    forms the frame (A_n, q_n), and ``phi_prime`` pushes it back to K_n.
+    Returns K_n and the frame.
     """
     frame = apply_sum(list(zip(matrices, (prev, prevprev))))
-    carried = IntegerField(frame)
-    return phi_prime(*frame), frame, carried
+    return phi_prime(*frame), frame
 
 
 #: most terms that K_{n-1}, A_{n-1}, K_{n-2} and A_{n-2}, the members and
@@ -265,9 +264,10 @@ def fs_hierarchy(N: int, alpha0: Optional[Fraction] = None) -> Hierarchy:
     non-exact one raises NonlocalObstruction at entry (0, 0)), which then
     enter the linearizing frame (A, q); each ``fs_step`` forms the next
     frame (``frame_matrices``) and K_n = Phi'(A_n, q_n) (``phi_prime``).
-    Each frame is scaled to its ``IntegerField`` once, when it is formed,
-    and the two steps that read it take that form.  Before each step, the
-    terms it reads are checked against ``_STEP_TERMS`` (HierarchyTooLarge).
+    Each step clears the two frames it reads together, so a frame is
+    cleared with each neighbour in the two steps that read it.  Before
+    each step, the terms it reads are checked against ``_STEP_TERMS``
+    (HierarchyTooLarge).
     """
     if N < 1:
         raise ValueError("hierarchy length must be at least 1")
@@ -279,7 +279,7 @@ def fs_hierarchy(N: int, alpha0: Optional[Fraction] = None) -> Hierarchy:
         system = system.specialize(alpha0)
     members = [k1, k2][:N]
     integrals = []
-    frames = []  # the frames of the last two members, as IntegerFields
+    frames = []  # the frames of the last two members
     if N > 2:
         matrices = frame_matrices(alpha0)
         for k in members:
@@ -287,15 +287,15 @@ def fs_hierarchy(N: int, alpha0: Optional[Fraction] = None) -> Hierarchy:
             if not cert.is_exact:
                 raise NonlocalObstruction(cert.remainder, entry=(0, 0))
             integrals.append(cert.antiderivative)
-            frames.append(IntegerField(EvoField(linearizing_frame(k, cert.antiderivative))))
+            frames.append(EvoField(linearizing_frame(k, cert.antiderivative)))
     while len(members) < N:
         terms = sum(len(p) for p in (*members[-1], *members[-2], *integrals[-2:]))
         if terms > _STEP_TERMS:
             raise HierarchyTooLarge(terms, _STEP_TERMS)
-        kn, frame, carried = fs_step(frames[-1], frames[-2], matrices)
+        kn, frame = fs_step(frames[-1], frames[-2], matrices)
         members.append(kn)
         integrals.append(frame[0])
-        frames = [frames[-1], carried]
+        frames = [frames[-1], frame]
     certificates = tuple(
         StepCertificates(n, ExactnessCertificate(integrals[n - 2], DP_ZERO),
                          ExactnessCertificate(integrals[n - 3], DP_ZERO))

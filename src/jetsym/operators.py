@@ -115,19 +115,17 @@ def _check_shapes(pairs):
 def apply_sum(pairs) -> EvoField:
     """The sum of matrix.field over (matrix, field) pairs, on ints.
 
-    Each field is given as its ``varcalc.IntegerField``, at its own scale,
-    so a caller that applies matrices to one field in several sums scales
-    it once.  The matrices may be rectangular: each has as many columns as
-    its field has components, and all have the same number of rows, one
+    The matrices may be rectangular: each has as many columns as its
+    ``EvoField`` has components, and all have the same number of rows, one
     per output component; otherwise ValueError, naming the pair, before
     any work.  Every term is local: a D_x^{-1} term raises ValueError
     naming the pair and the entry, before any work (a caller that holds
     an antiderivative passes it as a field, as ``hierarchy.fs_step`` passes
     the frames (A, q)).
-    One ``varcalc.operator_sum`` forms every product, the fields brought
-    to one scale and the coefficients at another, with the D_x powers in
-    packed tables, and the result equals the sum of the
-    ``apply_detailed`` results on the fields themselves.
+    One ``varcalc.operator_sum`` forms every product, the fields cleared
+    together to one scale and the coefficients to another, with the D_x
+    powers in packed tables, and the result equals the sum of the
+    ``apply_detailed`` results on the fields.
     """
     _check_shapes(pairs)
     rows: list = [[] for _ in pairs[0][0].entries]

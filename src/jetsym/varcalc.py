@@ -9,13 +9,11 @@ exactness obstruction.
 
 from __future__ import annotations
 
-from copy import copy
 from fractions import Fraction
-from math import gcd
 from typing import NamedTuple
 
-from .coeffield import (accumulate, clear_denominators, common_scale, dividing_by,
-                        int_multiple, kronecker_pack, kronecker_unpack)
+from .coeffield import (accumulate, clear_denominators, dividing_by, kronecker_pack,
+                        kronecker_unpack)
 from .errors import (DxBudgetExceeded, ExplicitXTDependence, JetOrderOutOfRange,
                      NonIntegerExponentPath)
 from .jetalgebra import (DP_ZERO, TOP_ORDER, DiffPoly, EvoField, is_jet, jet, jet_depvar,
@@ -95,12 +93,22 @@ def integrate_dx(f: DiffPoly) -> ExactnessCertificate:
     when the maximal order no longer decreases or is 0; the rest, which
     keeps every term of f of order 0, is the remainder, and remainder == 0
     exactly when f lies in Im D_x within the zero-free-term polynomial class.
+
+    Before any D_x, the D_x tower is held to ``_GAIN_BITS``
+    (``_check_gain``): its bound is the ``_tower_gain`` over the top jet
+    order of the weight of what by-parts integrates, the largest
+    |exponent| sum of a monomial without its factor of highest jet order.
+    So a lone linear jet, such as w_4095, gains nothing at any order.
     """
     if f.contains_xt():
         raise ExplicitXTDependence("D_x^{-1} needs an x,t-free input")
     acc = DP_ZERO
     cur = f
     k = cur.max_jet_order()
+    if k:
+        weight = max(sum(abs(e) for _, e in m) - max((jet_order(g), abs(e)) for g, e in m)[1]
+                     for m in f.terms if m)
+        _check_gain(_tower_gain(weight, _growth(f.terms), k))
     while not cur.is_zero and k and _top_block_linear(cur, k):
         for d in sorted(cur.depvars()):
             a = cur.partial(jet(d, k))
@@ -156,62 +164,68 @@ class IntegerField:
     """A field scaled into Z[alpha] coefficients, with its height data.
 
     ``scale * field`` has the integer polynomial coefficients of ``comps``
-    (one dict monomial -> int tuple per component), and ``content`` is the
-    gcd of all those ints (0 for none).  ``scale`` is the one that
-    ``clear_denominators`` gives over the field's coefficients, or for a
-    field from ``at_scale``, a multiple of it.  For the height
-    bounds it keeps ``norms``, the sum of the L1 norms of the coefficients
-    of each component, and ``norm``, their sum; ``weights``, the largest
-    sum of |exponent| over the factors of one monomial of each component,
-    and ``weight``, the largest of them and 1, which bounds the factor one
-    D_x or one jet-summed partial derivative puts on the norm; ``growth``,
-    what one D_x can add to that weight (0 while every exponent is a
-    positive integer, else 2); ``top``, the highest jet order; and
-    ``nvars``, one past the highest dependent variable it names, at least
-    its component count.
+    (one dict monomial -> int tuple per component).  cleared is the
+    (scale, iterator over its integer polynomials) of one
+    ``clear_denominators`` over the coefficients of every field that one
+    kernel reads, each field taking the next of them (``_integer_fields``);
+    without it the field is cleared alone, the one-field case.  For the
+    height bounds it keeps ``norms``, the sum of the L1 norms of the
+    coefficients of each component, and ``norm``, their sum; ``weights``,
+    the largest sum of |exponent| over the factors of one monomial of each
+    component, and ``weight``, the largest of them and 1, which bounds the
+    factor one D_x or one jet-summed partial derivative puts on the norm;
+    ``growth``, what one D_x can add to that weight (0 while every
+    exponent is a positive integer, else 2); ``top``, the highest jet
+    order; and ``nvars``, one past the highest dependent variable it
+    names, at least its component count.
     """
 
-    def __init__(self, field: EvoField):
-        self.scale, polys = clear_denominators(
-            [coeff for comp in field for coeff in comp.terms.values()])
-        it = iter(polys)
-        self.comps = [{m: next(it) for m in comp.terms} for comp in field]
-        self._coefficient_data()
+    def __init__(self, field: EvoField, cleared=None):
+        self.scale, polys = cleared or _clearing([field])
+        self.comps = [{m: next(polys) for m in comp.terms} for comp in field]
+        self.norms = [sum(abs(c) for p in comp.values() for c in p) for comp in self.comps]
+        self.norm = sum(self.norms)
         self.weights = [max((sum(abs(e) for _, e in m) for m in comp.terms), default=0)
                         for comp in field]
         self.weight = max([1] + self.weights)
-        self.growth = 0 if all(e > 0 for comp in field for m in comp.terms
-                               for _, e in m) else 2
+        self.growth = _growth(m for comp in field for m in comp.terms)
         self.top = field.max_jet_order() or 0
         self.nvars = max([len(field)] + [d + 1 for comp in field for d in comp.depvars()])
 
-    def _coefficient_data(self):
-        """Set ``norms``, ``norm`` and ``content`` from ``comps``."""
-        self.norms = [sum(abs(c) for p in comp.values() for c in p) for comp in self.comps]
-        self.norm = sum(self.norms)
-        self.content = gcd(*(c for comp in self.comps for p in comp.values() for c in p))
-
-    def __len__(self):
-        return len(self.comps)
-
-    def at_scale(self, scale, factor) -> "IntegerField":
-        """This field at scale, which is factor times its own: each integer
-        polynomial times factor (``int_multiple``), whose products with
-        them have integer coefficients.  The monomials, and the data read
-        off them, are unchanged."""
-        out = copy(self)
-        out.scale = scale
-        out.comps = [{m: int_multiple(p, factor) for m, p in comp.items()}
-                     for comp in self.comps]
-        out._coefficient_data()
-        return out
-
     def dx_gain(self, i: int) -> int:
         """Bound on norm(D_x^i c) / norm(c) for a component c."""
-        gain = 1
-        for j in range(i):
-            gain *= self.weight + j * self.growth
-        return gain
+        return _tower_gain(self.weight, self.growth, i)
+
+
+def _clearing(fields) -> tuple:
+    """(scale, polys) of one ``clear_denominators`` over every coefficient
+    of fields, polys an iterator in field, component and term order."""
+    scale, polys = clear_denominators(
+        [coeff for field in fields for comp in field for coeff in comp.terms.values()])
+    return scale, iter(polys)
+
+
+def _integer_fields(fields) -> list:
+    """The ``IntegerField`` of each field, all from one clearing of them
+    together, so all at its one scale."""
+    cleared = _clearing(fields)
+    return [IntegerField(field, cleared) for field in fields]
+
+
+def _growth(monos) -> int:
+    """What one D_x can add to the |exponent| sum of a monomial of monos:
+    0 while every exponent is positive, else 2."""
+    return 0 if all(e > 0 for m in monos for _, e in m) else 2
+
+
+def _tower_gain(weight: int, growth: int, i: int) -> int:
+    """Bound on what i D_x put on the norm of a polynomial whose monomials
+    have |exponent| sums at most weight: the j-th multiplies it by at
+    most weight + j growth."""
+    gain = 1
+    for j in range(i):
+        gain *= weight + j * growth
+    return gain
 
 
 def _word_bits(height: int) -> int:
@@ -548,22 +562,13 @@ def _z_times(A: DiffPoly, c: int) -> DiffPoly:
     return DiffPoly({mono_mul(m, z): v for m, v in A.scalar_mul(c).terms.items()})
 
 
-def _at_one_scale(fields) -> list:
-    """The ``IntegerField``s brought to one scale, the one
-    ``clear_denominators`` gives over all of them, from the scale each
-    already has (``common_scale``); a field already at it is taken as it
-    is."""
-    scale, factors = common_scale([f.scale for f in fields], [f.content for f in fields])
-    return [f if f.scale == scale else f.at_scale(scale, m) for f, m in zip(fields, factors)]
-
-
-def _frame(field: EvoField, k: IntegerField, integral: ExactnessCertificate) -> list:
-    """k, the field (r, q) and the field (A,) at one scale
-    (``_at_one_scale``), for integral the certificate K^1 = D_x A + r and
-    q = K^2 + 2zA (``linearizing_frame``), so K = (D_x A + r, q - 2zA)."""
+def _frame(field: EvoField, integral: ExactnessCertificate) -> list:
+    """K, the field (r, q) and the field (A,), as ``IntegerField``s from one
+    clearing (``_integer_fields``), for integral the certificate
+    K^1 = D_x A + r and q = K^2 + 2zA (``linearizing_frame``), so
+    K = (D_x A + r, q - 2zA)."""
     a, q = linearizing_frame(field, integral.antiderivative)
-    return _at_one_scale([k, IntegerField(EvoField((integral.remainder, q))),
-                          IntegerField(EvoField((a,)))])
+    return _integer_fields([field, EvoField((integral.remainder, q)), EvoField((a,))])
 
 
 def _frame_bounds(a: IntegerField, k: IntegerField) -> list:
@@ -602,8 +607,9 @@ def commutators(fields, pairs, integrals=None):
     The bracket [F, G] = G'[F] - F'[G] is bilinear over constants, so it is
     formed on the fields scaled to integer polynomial coefficients, each
     packed into one int by Kronecker substitution, with packed monomials
-    (``_Kernel``).  Every field that a pair names is scaled, packed and
-    given one D_x table once, on one kernel for the whole family.
+    (``_Kernel``).  Every field that a pair names is scaled (a field in the
+    frame together with its frame, in one clearing), packed and given one
+    D_x table once, on one kernel for the whole family.
 
     integrals maps the index of a two-component field K on the (w, z)
     jets to an ``ExactnessCertificate`` K^1 = D_x A + r, whose remainder
@@ -615,9 +621,8 @@ def commutators(fields, pairs, integrals=None):
         [K_i, K_j] = Phi'(A_j'[K_i] - A_i'[K_j], q_j'[K_i] - q_i'[K_j])
                      + (r_j'[K_i] - r_i'[K_j], -2 (K_i^2 A_j - K_j^2 A_i)).
 
-    It is formed on A, q and r, each brought to one scale with
-    K (``_frame``): X = A_j'[K_i] - A_i'[K_j] in a dict of its own, then
-    component 1 is r_j'[K_i] - r_i'[K_j] + D_x X and component 2 is
+    It is formed on A, q and r, cleared together with K (``_frame``):
+    X = A_j'[K_i] - A_i'[K_j] in a dict of its own, then component 1 is r_j'[K_i] - r_i'[K_j] + D_x X and component 2 is
     q_j'[K_i] - q_i'[K_j] - 2zX - 2 K_i^2 A_j + 2 K_j^2 A_i, the last two
     from the z-partial of q less 2A (``_packed_parts``, part 0 for A).  A
     field with no antiderivative takes A = 0, r = K^1 and q = K^2, which
@@ -650,9 +655,10 @@ def commutators(fields, pairs, integrals=None):
         return
     scaled, local, antider = {}, {}, {}  # K; (r, q), or K itself; (A,): at one scale
     for i in {i for pair in pairs for i in pair}:
-        scaled[i] = local[i] = IntegerField(fields[i])
         if i in integrals:
-            scaled[i], local[i], antider[i] = _frame(fields[i], scaled[i], integrals[i])
+            scaled[i], local[i], antider[i] = _frame(fields[i], integrals[i])
+        else:
+            scaled[i] = local[i] = IntegerField(fields[i])
     rows = []
     for i, j in pairs:
         row = [_frechet_bound(local[j], scaled[i]), _frechet_bound(local[i], scaled[j])]
@@ -701,13 +707,11 @@ def commutator(F: EvoField, G: EvoField) -> EvoField:
 def operator_sum(fields, rows) -> list:
     """The components sum over (c, k, j, p) in rows[i] of c D_x^p fields[k][j].
 
-    Each field is an ``IntegerField``, c is a ``DiffPoly`` and p >= 0: a
+    Each field is an ``EvoField``, c is a ``DiffPoly`` and p >= 0: a
     caller reads D_x^{-1} as D_x^0 of one more field, the antiderivative
-    it has certified.  The fields are first brought to one scale S_K
-    (``_at_one_scale``): each field's integer polynomials are multiplied
-    by the exact multiple S_K / its scale, so no coefficient is cleared
-    again.  The coefficients c are scaled by their own scale S_c, and
-    all are packed on one kernel (``_Kernel``) at the widths
+    it has certified.  The fields are cleared together, to one scale S_K
+    (``_integer_fields``), and the coefficients c to their own scale S_c,
+    and all are packed on one kernel (``_Kernel``) at the widths
     ``_sum_bounds`` gives, the coefficient norms taken at S_c.  Each
     field's D_x powers come from its ``_DxTable``, so the growth and
     memory budgets apply.  Each output component is one dict of S_K S_c
@@ -715,7 +719,7 @@ def operator_sum(fields, rows) -> list:
     unpacked once, its digits read straight into the division by S_K S_c.
     """
     terms = [c for row in rows for c, _, _, _ in row]
-    scaled = _at_one_scale(fields)
+    scaled = _integer_fields(fields)
     coeffs = IntegerField(EvoField(terms))
 
     def image_bound(k, j, p):

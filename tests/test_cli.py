@@ -927,12 +927,23 @@ def _deep_k3(doc):
     doc["members"][2][0][0]["exps"] = [[[0, 4091], 1]]
 
 
+def _deep_k3_product(doc):
+    # K_3^1's term 6*w_x*z^2 becomes 6*w_4095*z^2
+    [term] = [t for t in doc["members"][2][0] if t["exps"] == [[[0, 1], 1], [[1, 0], 2]]]
+    term["exps"][0][0][1] = 4095
+
+
 # a member jet near the top order makes a bracket expand D_x^k of another
 # member for k near that order, and a system jet near it makes the Euler
-# operator do so on D_t m
+# operator do so on D_t m; a nonlinear one makes D_x^{-1} integrate by
+# parts that many times, each D_x growing the terms
 DEEP_INPUTS = {
     "verify-k1-top-order": lambda p: ["verify", _hierarchy_file(p, _top_order_k1)],
     "commute-k3-order-4091": lambda p: ["commute", _hierarchy_file(p, _deep_k3, n=3)],
+    "verify-k3-product-order-4095": lambda p: [
+        "verify", _hierarchy_file(p, _deep_k3_product, n=3)],
+    "commute-k3-product-order-4095": lambda p: [
+        "commute", _hierarchy_file(p, _deep_k3_product, n=3)],
     "densities-product-order-4094": lambda p: [
         "densities", "--file", _input_file(p, "system s\nvars w\neq w_t = w[4094]*w\n"),
         "--max-order", "1", "--max-degree", "2"],

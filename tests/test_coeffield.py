@@ -521,40 +521,6 @@ class TestClearDenominators:
             for c, p in zip(coeffs, polys):
                 assert RationalFunction(AlphaPoly(p)) == s * c
 
-    def test_common_scale_matches_union(self):
-        """Lists cleared apart and brought to ``common_scale`` by
-        ``int_multiple`` give the scale and the integers of one clearing of
-        their union: denominators with rational roots, shared and not,
-        numerators with a common factor, constant and empty lists."""
-        rng = random.Random(47)
-        rescaled = divided = 0
-        for _ in range(150):
-            lists = []
-            for _ in range(rng.randint(1, 4)):
-                content = rng.choice((1, 2, 4, 12, Fraction(1, 4)))
-                coeffs = []
-                for _ in range(rng.randint(0, 5)):
-                    num = random_alpha_poly(rng, 3).scale(Fraction(content))
-                    kind = rng.randrange(3)
-                    den = power_of_linear(rng.choice((Fraction(1, 2), Fraction(-2, 3))),
-                                          rng.randint(1, 3)) if kind == 0 else \
-                        AlphaPoly((random_content(rng),)) if kind == 1 else AlphaPoly((1,))
-                    if not num.is_zero:
-                        coeffs.append(RationalFunction(num, den))
-                lists.append(coeffs)
-            cleared = [coeffield.clear_denominators(c) for c in lists]
-            contents = [gcd(*(x for p in polys for x in p)) for _, polys in cleared]
-            s, factors = coeffield.common_scale([s for s, _ in cleared], contents)
-            want_s, want = coeffield.clear_denominators([c for cs in lists for c in cs])
-            assert s == want_s
-            got = [coeffield.int_multiple(p, f) for (_, polys), f in zip(cleared, factors)
-                   for p in polys]
-            assert got == want
-            rescaled += any(f != AlphaPoly((1,)) for f in factors)
-            divided += any(f.den > 1 for f in factors)
-        # most lists are brought to a multiple, some by an exact division
-        assert rescaled > 100 and divided >= 3
-
     def test_one_division_per_distinct_denominator(self, monkeypatch):
         calls = []
         floordiv = AlphaPoly.__floordiv__

@@ -7,8 +7,9 @@ text mutation may also replace one factor of a right-hand side with a
 number literal too long to parse, a power past the expansion budget of
 ``^``, a chain of ``*`` past that budget or a jet of order 4093-4095; a
 hierarchy mutation may set the jet order of a member or a certificate to
-4090-4095.  Each run must return one of the documented exit codes 0-4
-and print no traceback.  A separate draw puts an x or t factor into one
+4090-4095.  Each run must return one of the documented exit codes 0-4,
+print no traceback and take at most ``CASE_CPU_S`` of CPU, so an
+unbounded path shows as a failure, not as a slow suite.  A separate draw puts an x or t factor into one
 member or certificate term of a ``gen --system fs --n 4`` hierarchy, and
 ``verify`` must fail a check on it (exit 3).  Another writes a boolean
 for one jet index, or a numeral that Python would read leniently for one
@@ -23,6 +24,7 @@ import copy
 import json
 import random
 import re
+import time
 
 from fractions import Fraction
 
@@ -35,6 +37,10 @@ from jetsym.systems import builtin_system, render_system
 SEED = 20081
 CASES = 100  # per input kind
 XT_CASES = 50
+
+#: most CPU seconds (``time.process_time``) that one case may take; the
+#: slowest takes well under one
+CASE_CPU_S = 10
 
 #: replacement values for a retyped JSON node
 RETYPED = (None, True, 0, -1, 2, 1.5, 10 ** 6, "", "x", "1/0", "w", [], [[]], {},
@@ -173,10 +179,13 @@ def _mutate_system(rng, text: str):
 
 
 def _run(capsys, argv, label):
+    start = time.process_time()
     try:
         code = main(argv)
     except Exception as exc:  # an escape from main is what this test hunts
         pytest.fail(f"{label}: {exc!r} escaped cli.main")
+    spent = time.process_time() - start
+    assert spent <= CASE_CPU_S, f"{label}: {spent:.1f} s of CPU"
     err = capsys.readouterr().err
     assert code in range(5), label
     assert "Traceback" not in err, label

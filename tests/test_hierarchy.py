@@ -91,18 +91,13 @@ class TestSeeds:
 
 def carried(k: EvoField) -> tuple:
     """K with its antiderivative A = D_x^{-1} K^1, as a ``split`` matrix
-    reads them: the ``IntegerField``s of K and of (A,)."""
-    return IntegerField(k), IntegerField(EvoField((integrate_dx(k[0]).antiderivative,)))
+    reads them: K and (A,)."""
+    return k, EvoField((integrate_dx(k[0]).antiderivative,))
 
 
 def frame_of(k: EvoField) -> EvoField:
     """The frame (A, q) of K, A = D_x^{-1} K^1."""
     return EvoField(linearizing_frame(k, integrate_dx(k[0]).antiderivative))
-
-
-def framed(k: EvoField) -> IntegerField:
-    """The frame of K as ``fs_step`` reads it, as its ``IntegerField``."""
-    return IntegerField(frame_of(k))
 
 
 def with_antiderivative(k: EvoField) -> EvoField:
@@ -113,7 +108,7 @@ def with_antiderivative(k: EvoField) -> EvoField:
 def stepped(prev: EvoField, prevprev: EvoField, matrices) -> EvoField:
     """(K_n^1, K_n^2, A_n) from ``fs_step`` on the frames of prev and
     prevprev."""
-    k, frame, _ = fs_step(framed(prev), framed(prevprev), matrices)
+    k, frame = fs_step(frame_of(prev), frame_of(prevprev), matrices)
     return EvoField(k.components + (frame[0],))
 
 
@@ -315,10 +310,9 @@ def step_fields(h, n) -> list:
 
 
 class TestIntegerCarry:
-    """Each frame is scaled once, and each step brings the two frames it
-    reads to the scale and the integers of one ``clear_denominators``
-    over both, in one packed sum; the push back to K_n is no packed
-    sum."""
+    """Each step clears the two frames it reads together, to the scale
+    and the integers of one ``clear_denominators`` over both, in one
+    packed sum; the push back to K_n is no packed sum."""
 
     @pytest.mark.parametrize("N, alpha0", [(12, None), (10, Fraction(1, 3))])
     def test_kernel_reads_the_union_clearing(self, monkeypatch, N, alpha0):
@@ -353,30 +347,31 @@ class TestIntegerCarry:
         odd = [alpha0 is None and n % 2 == 1 for n in range(3, N + 1)]
         assert rescaled == [x for step in odd for x in (False, step)]
 
-    def test_each_member_is_cleared_once(self, monkeypatch):
-        cleared, init = [], IntegerField.__init__
-        frames, step = [], hierarchy.fs_step
+    def test_each_step_clears_its_frames_together(self, monkeypatch):
+        # each step hands the two frames it reads to one clear_denominators
+        # call, and its matrices' coefficients to one more; no frame is
+        # cleared alone, and no K_n at all
+        calls, clear = [], varcalc.clear_denominators
+        steps, step = [], hierarchy.fs_step
 
-        def spy_init(self, field):
-            cleared.append(field)
-            init(self, field)
-
-        def spy_step(*args):
-            out = step(*args)
-            frames.append(out[1])
+        def spy_step(prev, prevprev, matrices):
+            out = step(prev, prevprev, matrices)
+            steps.append((prev, prevprev, out[0]))
             return out
-        monkeypatch.setattr(IntegerField, "__init__", spy_init)
+        monkeypatch.setattr(varcalc, "clear_denominators",
+                            lambda coeffs: calls.append(list(coeffs)) or clear(coeffs))
         monkeypatch.setattr(hierarchy, "fs_step", spy_step)
         N = 12
         h = fs_hierarchy(N)
-        assert len(frames) == N - 2
-        # each frame (A_n, q_n) is cleared once, for the next two steps, and
-        # K_n, which Phi' forms from it, not at all
-        for n, frame in enumerate(frames, 3):
-            if n < N:  # A_n, as the certificate of step n + 1 names it
-                assert frame[0] is h.certificates[n - 2].prev.antiderivative
-            for f, want in ((frame, 1), (h.member(n), 0)):
-                assert [g for g in cleared if g == f] == [f] * want
+        assert len(steps) == N - 2 and len(calls) == 2 * (N - 2)
+
+        def coeffs(*fields):
+            return [c for f in fields for comp in f for c in comp.terms.values()]
+        for n, (prev, prevprev, kn) in enumerate(steps, 3):
+            assert (prev, prevprev) == (frame_of(h.member(n - 1)), frame_of(h.member(n - 2)))
+            assert calls.count(coeffs(prev, prevprev)) == 1
+            for f in (prev, prevprev, kn):
+                assert coeffs(f) not in calls
 
 
 class TestStepCap:
@@ -595,7 +590,7 @@ class TestAntiderivativeRows:
 
     def test_step_forms_the_antiderivative(self):
         k1, k2 = fs_seed()
-        k3, (a3, q3), _ = fs_step(framed(k2), framed(k1), frame_matrices())
+        k3, (a3, q3) = fs_step(frame_of(k2), frame_of(k1), frame_matrices())
         assert k3 == golden_k3()
         assert a3 == integrate_dx(k3[0]).antiderivative
         assert (a3, q3) == linearizing_frame(k3, a3)
@@ -617,7 +612,7 @@ class TestAntiderivativeRows:
         for which, i, j, pair in ((0, 0, 1, 0), (1, 1, 1, 1)):
             entry = rf"pair {pair}: a D_x\^\{{-1\}} term at entry \({i}, {j}\)"
             with pytest.raises(ValueError, match=entry):
-                fs_step(framed(k2), framed(k1), with_dinv(matrices, which, i, j))
+                fs_step(frame_of(k2), frame_of(k1), with_dinv(matrices, which, i, j))
 
     @pytest.mark.parametrize("alpha0", [None, Fraction(1, 3)])
     @pytest.mark.parametrize("which", ["4w", "z", "c"])
@@ -650,7 +645,7 @@ def on_free_jets(t: OperatorMatrix) -> EvoField:
     """Phi' T (A, q) on the free frame, for T = T_A or T_B of
     ``frame_matrices``: the ``apply_sum`` and the ``phi_prime`` of
     ``fs_step``."""
-    return phi_prime(*apply_sum([(t, IntegerField(FREE_FRAME))]))
+    return phi_prime(*apply_sum([(t, FREE_FRAME)]))
 
 
 class TestStepMatrices:

@@ -11,7 +11,7 @@ from jetsym.hierarchy import fs_seed, recursion_matrix, second_recursion_matrix
 from jetsym.jetalgebra import DiffPoly, EvoField, jet
 from jetsym.operators import OperatorMatrix, OpTerm, apply_sum
 from jetsym.systems import parse_expression
-from jetsym.varcalc import DxChain, IntegerField, integrate_dx
+from jetsym.varcalc import DxChain, integrate_dx
 
 from conftest import random_diffpoly, random_evofield, split
 
@@ -181,7 +181,7 @@ class TestApplySum:
                 matrix = random_matrix(rng, rows, n)
                 on_k, on_a = split(matrix)
                 a = EvoField((integrate_dx(k[0]).antiderivative,))
-                pairs += [(on_k, IntegerField(k)), (on_a, IntegerField(a))]
+                pairs += [(on_k, k), (on_a, a)]
                 want.append(matrix.apply_detailed(DxChain(k)))
             got = apply_sum(pairs)
             total = want[0][0]
@@ -196,14 +196,13 @@ class TestApplySum:
         monkeypatch.setattr(operators, "operator_sum", lambda *a: calls.append(a))
         k1, k2 = fs_seed()
         with pytest.raises(ValueError, match=r"pair 1: a D_x\^\{-1\} term at entry \(1, 0\)"):
-            apply_sum([(OperatorMatrix([[(), ()], [(), ()]]), IntegerField(k2)),
-                       (OperatorMatrix([[(), ()], [(OpTerm(fs_expr("z"), -1),), ()]]),
-                        IntegerField(k1))])
+            apply_sum([(OperatorMatrix([[(), ()], [(), ()]]), k2),
+                       (OperatorMatrix([[(), ()], [(OpTerm(fs_expr("z"), -1),), ()]]), k1)])
         assert not calls
 
 
 def apply_one(matrix, field):
-    return apply_sum([(matrix, IntegerField(field))])
+    return apply_sum([(matrix, field)])
 
 
 def apply_reference(matrix, field):
@@ -239,13 +238,12 @@ class TestShapes:
         k1, k2 = fs_seed()
         three_rows = OperatorMatrix([[(), ()], [(), ()], [(), ()]])
         with pytest.raises(ValueError, match="pairs 0 and 1 have matrices of 2 and 3 rows"):
-            apply_sum([(recursion_matrix(), IntegerField(k2)), (three_rows, IntegerField(k1))])
+            apply_sum([(recursion_matrix(), k2), (three_rows, k1)])
 
     def test_second_pair_is_named(self):
         k1, k2 = fs_seed()
         with pytest.raises(ValueError, match="pair 1: "):
-            apply_sum([(recursion_matrix(), IntegerField(k2)),
-                       (second_recursion_matrix(), IntegerField(EvoField((k1[0],))))])
+            apply_sum([(recursion_matrix(), k2), (second_recursion_matrix(), EvoField((k1[0],)))])
 
     def test_no_pairs(self):
         with pytest.raises(ValueError):

@@ -503,8 +503,7 @@ class TestPackedMonomials:
         ref = reference_bracket(*fields)
         assert ref == EvoField((fs_expr("720*w^15*w_x"), fs_expr("-96*w^16*z")))
         exact = ExactnessCertificate(a, DP_ZERO)
-        k, (kf, local, integral) = IntegerField(fields[0]), _frame(fields[1],
-                                                                    IntegerField(fields[1]), exact)
+        k, (kf, local, integral) = IntegerField(fields[0]), _frame(fields[1], exact)
         row = [_frechet_bound(local, k), _frechet_bound(k, kf), *_frame_bounds(integral, k)]
         dx_term = row[3]
         assert _sum_bounds([row])[0].bit_length() == (720).bit_length() \
