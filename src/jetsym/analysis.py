@@ -19,8 +19,8 @@ from .errors import (AnsatzTooLarge, CrossCheckFailed, ExplicitXTDependence,
                      InvalidSetting, JetsymError, NonIntegerExponentPath, NotDecomposable,
                      StructuralViolation)
 from .hierarchy import Hierarchy, scaling_symmetry, structural_check
-from .jetalgebra import (DP_ONE, DP_ZERO, DiffPoly, EvoField, MONO_ONE, is_jet, jet,
-                         jet_depvar, jet_order)
+from .jetalgebra import (DP_ONE, DP_ZERO, T_GEN, DiffPoly, EvoField, MONO_ONE, is_jet,
+                         jet, jet_depvar, jet_order)
 from .systems import EvolutionSystem, builtin_system
 from .varcalc import (ExactnessCertificate, commutator, commutators, dt_along,
                       dt_euler_rows, euler_operator, integrate_dx, phi_prime)
@@ -58,7 +58,7 @@ def is_symmetry(K: EvoField, system: EvolutionSystem) -> SymmetryCheck:
 
 def _symmetry_check(K: EvoField, bracket: EvoField) -> SymmetryCheck:
     """The symmetry check of K, given its bracket [F, K]."""
-    defect = EvoField(k.partial_t() for k in K) + bracket
+    defect = EvoField(k.partial(T_GEN) for k in K) + bracket
     return SymmetryCheck(defect.is_zero, defect)
 
 

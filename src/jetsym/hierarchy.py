@@ -140,9 +140,10 @@ class Hierarchy(NamedTuple):
         once, and so is each antiderivative, which two certificates name.
         Parts of the result are shared; each call returns a new structure.
         An empty provenance is left out; any other length but the member
-        count raises ValueError."""
+        count, or certificates ``from_json`` refuses, raise ValueError."""
         if len(self.provenance) not in (0, len(self.members)):
             raise ValueError("provenance needs one entry per member, or none")
+        self._check_steps(ValueError)
         w = JsonWriter()
         out = {
             "system": self.system.name,
@@ -216,9 +217,15 @@ class Hierarchy(NamedTuple):
                 raise InvalidHierarchy(
                     f"specialized at {system.parameter} = {spec_at}, "
                     f"but a coefficient depends on {system.parameter}")
-        if any(type(c.n) is not int or not 3 <= c.n <= len(members) for c in certs):
-            raise InvalidHierarchy("a certificate names no recursion step")
-        return Hierarchy(system, members, tuple(provenance), certs, value, triangular)
+        h = Hierarchy(system, members, tuple(provenance), certs, value, triangular)
+        h._check_steps(InvalidHierarchy)
+        return h
+
+    def _check_steps(self, error):
+        """Raise error unless the certificates name fs steps 3..N in order."""
+        steps = range(3, len(self.members) + 1) if self.system.name == "fs" else ()
+        if [(type(c.n), c.n) for c in self.certificates] != [(int, n) for n in steps]:
+            raise error("certificates must name each recursion step once, in order")
 
 
 def fs_step(prev: EvoField, prevprev: EvoField, matrices) -> tuple:
@@ -266,8 +273,8 @@ def fs_hierarchy(N: int, alpha0: Optional[Fraction] = None) -> Hierarchy:
     frame (``frame_matrices``) and K_n = Phi'(A_n, q_n) (``phi_prime``).
     Each step clears the two frames it reads together, so a frame is
     cleared with each neighbour in the two steps that read it.  Before
-    each step, the terms it reads are checked against ``_STEP_TERMS``
-    (HierarchyTooLarge).
+    each step, the terms of K_{n-1}, A_{n-1}, K_{n-2} and A_{n-2}, behind
+    its two frames, are checked against ``_STEP_TERMS`` (HierarchyTooLarge).
     """
     if N < 1:
         raise ValueError("hierarchy length must be at least 1")

@@ -248,9 +248,6 @@ class DiffPoly:
                     base = mono_mul(base, ((jet(jet_depvar(g), jet_order(g) + 1), 1),))
                 yield base, c
 
-    def partial_t(self) -> "DiffPoly":
-        return self.partial(T_GEN)
-
     def specialize(self, value) -> "DiffPoly":
         """Evaluate every coefficient at a parameter point."""
         out: dict = {}

@@ -62,38 +62,33 @@ class OperatorMatrix:
         """(rows, columns)."""
         return len(self.entries), len(self.entries[0]) if self.entries else 0
 
-    def apply_detailed(self, chain: DxChain):
-        """Matrix-vector action on ``chain.field`` over field coefficients;
-        returns (result, antiderivative certificates).
+    def apply_detailed(self, field: EvoField) -> EvoField:
+        """Matrix-vector action on ``field`` over field coefficients.
 
         It is the reference that ``apply_sum``, the packed path, is tested
         against, and the one application that reads D_x^{-1} itself: each
         column a D_x^{-1} term reads is integrated by ``integrate_dx`` once
         per call, and a non-exact antiderivative raises NonlocalObstruction
-        naming the entry (i, j).  The D_x powers come from the chain.  The
-        returned certificates are keyed by the column index, one for each
-        column this matrix integrates.  A field whose component count is
-        not the column count raises ValueError.
+        naming the entry (i, j).  A field whose component count is not the
+        column count raises ValueError.
         """
-        _check_shapes([(self, chain.field)])
-        used: dict = {}
+        _check_shapes([(self, field)])
+        chain = DxChain(field)
+        integrals: dict = {}
         comps = []
         for i, row in enumerate(self.entries):
             acc: dict = {}
             for j, entry in enumerate(row):
                 for term in entry:
-                    if term.power >= 0:
-                        image = chain.get(j, term.power)
-                    else:
-                        if j not in used:
-                            cert = integrate_dx(chain.field[j])
-                            if not cert.is_exact:
-                                raise NonlocalObstruction(cert.remainder, entry=(i, j))
-                            used[j] = cert
-                        image = used[j].antiderivative
+                    if term.power < 0 and j not in integrals:
+                        cert = integrate_dx(field[j])
+                        if not cert.is_exact:
+                            raise NonlocalObstruction(cert.remainder, entry=(i, j))
+                        integrals[j] = cert.antiderivative
+                    image = integrals[j] if term.power < 0 else chain.get(j, term.power)
                     accumulate(acc, (term.coeff * image).terms.items())
             comps.append(DiffPoly(acc))
-        return EvoField(comps), used
+        return EvoField(comps)
 
 
 def _check_shapes(pairs):

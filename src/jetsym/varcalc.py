@@ -16,8 +16,8 @@ from .coeffield import (accumulate, clear_denominators, dividing_by, kronecker_p
                         kronecker_unpack)
 from .errors import (DxBudgetExceeded, ExplicitXTDependence, JetOrderOutOfRange,
                      NonIntegerExponentPath)
-from .jetalgebra import (DP_ZERO, TOP_ORDER, DiffPoly, EvoField, is_jet, jet, jet_depvar,
-                         jet_order, mono_degree, mono_max_order, mono_mul)
+from .jetalgebra import (DP_ZERO, T_GEN, TOP_ORDER, DiffPoly, EvoField, is_jet, jet,
+                         jet_depvar, jet_order, mono_degree, mono_max_order, mono_mul)
 
 
 class ExactnessCertificate(NamedTuple):
@@ -131,7 +131,6 @@ class DxChain:
     """Lazily extended table of D_x powers of an evolutionary field."""
 
     def __init__(self, field: EvoField):
-        self.field = field
         self._rows = [[c] for c in field.components]
 
     def get(self, depvar: int, order: int) -> DiffPoly:
@@ -745,7 +744,7 @@ def operator_sum(fields, rows) -> list:
 
 def dt_along(f: DiffPoly, system) -> DiffPoly:
     """Total time derivative of f along the flow of a system."""
-    return f.partial_t() + frechet(f, system.rhs)
+    return f.partial(T_GEN) + frechet(f, system.rhs)
 
 
 def dt_euler_rows(monos, field: EvoField) -> dict:

@@ -539,6 +539,47 @@ class TestStrictJson:
         self._refused(capsys, _hierarchy_file(
             tmp_path, lambda d: d["certificates"][0].update(n=True), n=4))
 
+    @pytest.mark.parametrize("edit", ["empty", "deleted", "step 3 thrice", "4, 3, 5",
+                                      "ts1 with one", "float step"])
+    def test_certificates_not_one_per_step(self, tmp_path, capsys, edit):
+        # each file verified with exit 0: the steps that no certificate
+        # named went unchecked, and a ts1 file's certificate was never read
+        if edit == "ts1 with one":
+            out = tmp_path / "ts1.json"
+            run(capsys, "gen", "--system", "ts1", "--n", "4", "--out", str(out))
+            doc = json.loads(out.read_text())
+            doc["certificates"] = fs_hierarchy(3).to_json()["certificates"]
+            out.write_text(json.dumps(doc))
+            path = str(out)
+        else:
+            def mutate(d):
+                c3, c4, c5 = d["certificates"]
+                if edit == "deleted":
+                    del d["certificates"]
+                else:
+                    d["certificates"] = {"empty": [], "step 3 thrice": [c3, c3, c3],
+                                         "4, 3, 5": [c4, c3, c5],
+                                         "float step": [c3, dict(c4, n=4.0), c5]}[edit]
+            path = _hierarchy_file(tmp_path, mutate, n=5)
+        self._refused(capsys, path)
+        assert json.loads(run(capsys, "verify", path, "--json")[2]) == {"error": {
+            "code": "parse",
+            "message": "certificates must name each recursion step once, in order"}}
+
+    @pytest.mark.parametrize("system, n", [("fs", 1), ("fs", 2), ("fs", 3), ("fs", 4),
+                                           ("fs", 5), ("ts1", 4)])
+    def test_gen_files_carry_one_certificate_per_step(self, tmp_path, capsys, system, n):
+        out = tmp_path / "h.json"
+        run(capsys, "gen", "--system", system, "--n", str(n), "--out", str(out))
+        doc = json.loads(out.read_text())
+        assert [c["n"] for c in doc["certificates"]] == \
+            (list(range(3, n + 1)) if system == "fs" else [])
+        code, stdout, _ = run(capsys, "verify", str(out), "--json")
+        assert code == 0
+        names = [c["name"] for c in json.loads(stdout)["checks"]]
+        assert [x for x in names if x.startswith("Im D_x certificates")] == \
+            [f"Im D_x certificates for step {k}" for k in range(3, n + 1) if system == "fs"]
+
     @pytest.mark.parametrize("value", [
         "seed", "abc", ["seed", "seed", "recursion"], ["seed"] * 5, [], [1, 2, 3, 4],
         ["seed", "seed", "recursion", None], ["seed", "seed", "recursion", ["x"]], None, {}])

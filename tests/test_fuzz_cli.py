@@ -17,7 +17,10 @@ coefficient text, and ``verify`` or ``commute`` must refuse the file as
 a parse error (exit 1).  A last draw replaces the provenance of a ``gen
 --system fs --n 4`` hierarchy with anything but one string per member, or
 gives the file a ``b_sequence``, which only ts1 reads; ``verify --json``
-must refuse it the same way.
+must refuse it the same way.  So must it refuse a ``gen --system fs --n 5``
+hierarchy with one certificate dropped, repeated or swapped with another,
+and a ``gen --system ts1 --n 4`` hierarchy given one: an fs file carries
+one certificate per recursion step, in order, and no other file has any.
 """
 
 import copy
@@ -274,6 +277,29 @@ def test_provenance_and_b_sequence_in_hierarchy_files(tmp_path, capsys):
         mutated[where] = value
         path.write_text(json.dumps(mutated))
         label = f"case {i} ({where} = {value!r})"
+        assert _run(capsys, ["verify", str(path), "--json"], label) == 1, label
+
+
+def test_certificates_in_hierarchy_files(tmp_path, capsys):
+    rng = random.Random(SEED + 6)
+    fs_doc = json.loads(json.dumps(fs_hierarchy(5).to_json()))
+    ts1_doc = json.loads(json.dumps(ts1_hierarchy(4).to_json()))
+    path = tmp_path / "h.json"
+    for i in range(XT_CASES):
+        kind = rng.choice(("drop", "repeat", "swap", "ts1"))
+        mutated = copy.deepcopy(ts1_doc if kind == "ts1" else fs_doc)
+        certs = mutated["certificates"]
+        if kind == "drop":
+            del certs[rng.randrange(len(certs))]
+        elif kind == "repeat":
+            certs.insert(rng.randrange(len(certs) + 1), copy.deepcopy(rng.choice(certs)))
+        elif kind == "swap":
+            a, b = rng.sample(range(len(certs)), 2)
+            certs[a], certs[b] = certs[b], certs[a]
+        else:
+            certs.append(copy.deepcopy(rng.choice(fs_doc["certificates"])))
+        path.write_text(json.dumps(mutated))
+        label = f"case {i} ({kind}: steps {[c['n'] for c in certs]})"
         assert _run(capsys, ["verify", str(path), "--json"], label) == 1, label
 
 

@@ -23,7 +23,7 @@ from jetsym.hierarchy import (Hierarchy, StepCertificates, frame_matrices,
 from jetsym.jetalgebra import DiffPoly, EvoField, T_GEN, X_GEN, jet
 from jetsym.operators import OperatorMatrix, OpTerm, apply_sum
 from jetsym.systems import parse_expression
-from jetsym.varcalc import DxChain, IntegerField, integrate_dx, linearizing_frame, phi_prime
+from jetsym.varcalc import IntegerField, integrate_dx, linearizing_frame, phi_prime
 
 from conftest import (kernel_widths, one_bit_narrower, random_evofield, reference_field_json,
                       reference_hierarchy_json, split)
@@ -255,6 +255,19 @@ class TestFsHierarchy:
         with pytest.raises(ValueError, match="^provenance needs one entry per member, or none$"):
             fs_hierarchy(4)._replace(provenance=provenance).to_json()
 
+    @pytest.mark.parametrize("edit", ["none", "repeated", "reordered", "extra", "ts1"])
+    def test_certificates_not_one_per_step_are_refused(self, edit):
+        # what from_json refuses, to_json does not write
+        h = fs_hierarchy(5)
+        c3, c4, c5 = h.certificates
+        if edit == "ts1":
+            h = ts1_hierarchy(4)
+        certificates = {"none": (), "repeated": (c3, c3, c3), "reordered": (c4, c3, c5),
+                        "extra": (c3, c4, c5, c5._replace(n=6)), "ts1": (c3,)}[edit]
+        with pytest.raises(ValueError, match="^certificates must name each recursion step "
+                                             "once, in order$"):
+            h._replace(certificates=certificates).to_json()
+
 
 def dumped(doc) -> str:
     return json.dumps(doc, separators=(",", ":"))
@@ -392,10 +405,9 @@ class TestStepCap:
 
 def oracle_step(prev: EvoField, prevprev: EvoField, rec, m):
     """K_n over field coefficients: the two ``apply_detailed`` results
-    summed, with their certificates."""
-    first, certs1 = rec.apply_detailed(DxChain(prev))
-    second, certs2 = m.apply_detailed(DxChain(prevprev))
-    return first + second, certs1.get(0), certs2.get(0)
+    summed, with the certificates of the first components it integrates."""
+    kn = rec.apply_detailed(prev) + m.apply_detailed(prevprev)
+    return kn, integrate_dx(prev[0]), integrate_dx(prevprev[0])
 
 
 def specialized(matrix: OperatorMatrix, alpha0) -> OperatorMatrix:
@@ -659,7 +671,7 @@ class TestStepMatrices:
         if alpha0 is not None:
             printed = [specialized(p, alpha0) for p in printed]
         for t, matrix in zip(frame_matrices(alpha0), printed):
-            assert on_free_jets(t) == matrix.apply_detailed(DxChain(FREE_K))[0]
+            assert on_free_jets(t) == matrix.apply_detailed(FREE_K)
 
     @pytest.mark.parametrize("which, i, j, t", [
         (0, 0, 0, 2), (0, 1, 0, 0), (0, 1, 1, 1),
@@ -669,8 +681,8 @@ class TestStepMatrices:
         matrix = (recursion_matrix(), second_recursion_matrix())[which]
         changed = scaled_term(matrix, i, j, t, 2)
         got = on_free_jets(frame_matrices()[which])
-        assert got == matrix.apply_detailed(DxChain(FREE_K))[0]
-        assert got != changed.apply_detailed(DxChain(FREE_K))[0]
+        assert got == matrix.apply_detailed(FREE_K)
+        assert got != changed.apply_detailed(FREE_K)
 
     def test_gen_reads_no_printed_matrix(self, monkeypatch):
         calls = []

@@ -11,7 +11,7 @@ from jetsym.hierarchy import fs_seed, recursion_matrix, second_recursion_matrix
 from jetsym.jetalgebra import DiffPoly, EvoField, jet
 from jetsym.operators import OperatorMatrix, OpTerm, apply_sum
 from jetsym.systems import parse_expression
-from jetsym.varcalc import DxChain, integrate_dx
+from jetsym.varcalc import integrate_dx
 
 from conftest import random_diffpoly, random_evofield, split
 
@@ -22,7 +22,7 @@ def fs_expr(src):
 
 def apply_term(term, f):
     """A single operator term applied as a 1x1 matrix to a scalar field."""
-    return OperatorMatrix([[(term,)]]).apply_detailed(DxChain(EvoField((f,))))[0][0]
+    return OperatorMatrix([[(term,)]]).apply_detailed(EvoField((f,)))[0]
 
 
 class TestApplyTerm:
@@ -61,18 +61,18 @@ class TestApplyMatrix:
     def test_rec_first_row_on_seed(self):
         k1, _ = fs_seed()
         rec = recursion_matrix()
-        out = rec.apply_detailed(DxChain(k1))[0]
+        out = rec.apply_detailed(k1)
         assert out[0] == fs_expr("w_xx + 8*w*w_x")
 
     def test_zero_matrix(self):
         _, k2 = fs_seed()
         zero = OperatorMatrix([[(), ()], [(), ()]])
-        assert zero.apply_detailed(DxChain(k2))[0].is_zero
+        assert zero.apply_detailed(k2).is_zero
 
     def test_second_recursion_matrix_second_component_on_seed(self):
         k1, _ = fs_seed()
         m = second_recursion_matrix()
-        out = m.apply_detailed(DxChain(k1))[0]
+        out = m.apply_detailed(k1)
         s = AlphaPoly((-1, 2))
         alpha = AlphaPoly((0, 1))
         two_a_over_s = RationalFunction(AlphaPoly((0, 2)), s)
@@ -94,23 +94,23 @@ class TestApplyMatrix:
         rec = recursion_matrix()
         bad = EvoField((fs_expr("w_x^2"), fs_expr("z_x")))
         with pytest.raises(NonlocalObstruction) as exc:
-            rec.apply_detailed(DxChain(bad))
+            rec.apply_detailed(bad)
         assert exc.value.entry == (0, 0)
 
     def test_cached_obstruction_raises_at_every_reading(self):
         """Every matrix that reads a non-exact first component raises with
         its own entry and the same remainder."""
-        chain = DxChain(EvoField((fs_expr("w_x^2"), fs_expr("z_x"))))
+        field = EvoField((fs_expr("w_x^2"), fs_expr("z_x")))
         lower = OperatorMatrix([[(), ()], [(OpTerm(DiffPoly.constant(1), -1),), ()]])
         remainders = []
         for matrix, entry in ((recursion_matrix(), (0, 0)),
                               (second_recursion_matrix(), (0, 0)),
                               (lower, (1, 0))):
             with pytest.raises(NonlocalObstruction) as exc:
-                matrix.apply_detailed(chain)
+                matrix.apply_detailed(field)
             assert exc.value.entry == entry
             remainders.append(exc.value.remainder)
-        assert remainders == [integrate_dx(chain.field[0]).remainder] * 3
+        assert remainders == [integrate_dx(field[0]).remainder] * 3
 
     def test_each_column_is_integrated_once_per_call(self, monkeypatch):
         # the recursion matrix reads D_x^{-1} K^1 in both rows
@@ -119,10 +119,9 @@ class TestApplyMatrix:
         monkeypatch.setattr(operators, "integrate_dx",
                             lambda f: calls.append(f) or integrate(f))
         k1, _ = fs_seed()
-        out, certs = recursion_matrix().apply_detailed(DxChain(k1))
+        out = recursion_matrix().apply_detailed(k1)
         assert calls == [k1[0]]
-        assert certs == {0: integrate(k1[0])}
-        out2, _ = recursion_matrix().apply_detailed(DxChain(k1))
+        out2 = recursion_matrix().apply_detailed(k1)
         assert out2 == out and len(calls) == 2
 
     def test_linearity(self):
@@ -135,9 +134,9 @@ class TestApplyMatrix:
             k = EvoField((k[0].dx(), k[1]))
             l = EvoField((l[0].dx(), l[1]))
             a, b = rf(3), rf(-2)
-            lhs = rec.apply_detailed(DxChain(k.scalar_mul(a) + l.scalar_mul(b)))[0]
-            rhs = (rec.apply_detailed(DxChain(k))[0].scalar_mul(a)
-                   + rec.apply_detailed(DxChain(l))[0].scalar_mul(b))
+            lhs = rec.apply_detailed(k.scalar_mul(a) + l.scalar_mul(b))
+            rhs = (rec.apply_detailed(k).scalar_mul(a)
+                   + rec.apply_detailed(l).scalar_mul(b))
             assert lhs == rhs
 
     def test_dinv_local_consistency(self):
@@ -182,10 +181,10 @@ class TestApplySum:
                 on_k, on_a = split(matrix)
                 a = EvoField((integrate_dx(k[0]).antiderivative,))
                 pairs += [(on_k, k), (on_a, a)]
-                want.append(matrix.apply_detailed(DxChain(k)))
+                want.append(matrix.apply_detailed(k))
             got = apply_sum(pairs)
-            total = want[0][0]
-            for field, _ in want[1:]:
+            total = want[0]
+            for field in want[1:]:
                 total = total + field
             assert len(got) == rows
             assert got == total
@@ -206,7 +205,7 @@ def apply_one(matrix, field):
 
 
 def apply_reference(matrix, field):
-    return matrix.apply_detailed(DxChain(field))
+    return matrix.apply_detailed(field)
 
 
 class TestShapes:

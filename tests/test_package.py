@@ -1,6 +1,7 @@
 """The package's public surface and its source."""
 
 import ast
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -37,6 +38,19 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert not found
+
+
+def test_source_parses_at_the_declared_python_floor():
+    # pyproject.toml's requires-python is the oldest grammar the package may use
+    pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$',
+                      pyproject.read_text(encoding="utf-8"), re.MULTILINE)
+    assert floor, "pyproject.toml declares no requires-python floor"
+    version = (int(floor[1]), int(floor[2]))
+    modules = sorted(Path(jetsym.__file__).parent.glob("*.py"))
+    assert len(modules) > 5
+    for path in modules:
+        ast.parse(path.read_text(encoding="utf-8"), path.name, feature_version=version)
 
 
 def test_benchmark_probe_points_exist():
