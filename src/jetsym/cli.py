@@ -15,7 +15,7 @@ from fractions import Fraction
 from .analysis import (DensityAnsatz, commutativity_table, density_search,
                        substitution_check, verify_hierarchy)
 from .errors import (AnsatzTooLarge, DuplicateEquation, DxBudgetExceeded, HierarchyTooLarge,
-                     InvalidHierarchy, InvalidSetting, JetOrderOutOfRange, JetsymError,
+                     InvalidHierarchy, JetOrderOutOfRange, JetsymError,
                      MissingEquation, NonlocalObstruction, NumberTooLong, ParseError,
                      PoleAtParameter)
 from .hierarchy import Hierarchy, fs_hierarchy, ts1_hierarchy
@@ -107,7 +107,8 @@ def _load_hierarchy(path: str) -> Hierarchy:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return Hierarchy.from_json(json.load(fh))
-        except ValueError as exc:  # not JSON or not UTF-8, bad rational or jet
+        except (ValueError, RecursionError) as exc:  # not JSON, not UTF-8 or
+            # nested past Python's recursion limit; a bad rational or jet
             raise InvalidHierarchy(f"{path}: {exc}") from None
 
 
@@ -250,7 +251,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except (_UsageError, InvalidSetting) as exc:
+    except _UsageError as exc:
         _diag(args, "usage", str(exc))
         return EXIT_USAGE
     except PoleAtParameter as exc:
@@ -263,9 +264,8 @@ def main(argv=None) -> int:
         _diag(args, "io", str(exc))
         return EXIT_USAGE
     except NonlocalObstruction as exc:
-        extra = {"remainder": exc.remainder.to_json(),
-                 "entry": list(exc.entry) if exc.entry else None}
-        _diag(args, "nonlocal", str(exc), extra)
+        _diag(args, "nonlocal", str(exc),
+              {"remainder": exc.remainder.to_json(), "entry": list(exc.entry)})
         return EXIT_NONLOCAL
     except (AnsatzTooLarge, HierarchyTooLarge) as exc:
         _diag(args, "resource", str(exc), {"count": exc.count, "cap": exc.cap})

@@ -12,14 +12,11 @@ class DivisionByZero(JetsymError):
 class PoleAtParameter(JetsymError):
     """A coefficient denominator vanishes at the requested parameter value."""
 
-    def __init__(self, value, den_text="", monomial=None):
+    def __init__(self, value, den_text, monomial=None):
         self.value = value
         self.den_text = den_text
         self.monomial = monomial
-        msg = f"pole at parameter = {value}"
-        if den_text:
-            msg += f" (denominator {den_text})"
-        super().__init__(msg)
+        super().__init__(f"pole at parameter = {value} (denominator {den_text})")
 
 
 class ExplicitXTDependence(JetsymError):
@@ -33,21 +30,14 @@ class NonIntegerExponentPath(JetsymError):
 class NonlocalObstruction(JetsymError):
     """An antiderivative was requested for an expression outside Im D_x."""
 
-    def __init__(self, remainder, entry=None):
+    def __init__(self, remainder, entry):
         self.remainder = remainder
         self.entry = entry
-        where = f" at matrix entry {entry}" if entry is not None else ""
-        super().__init__(f"nonlocal obstruction{where}: remainder is nonzero")
+        super().__init__(f"nonlocal obstruction at matrix entry {entry}: remainder is nonzero")
 
 
 class StructuralViolation(JetsymError):
     """A field fails the required leading-linear-plus-nonlinear-tail shape."""
-
-    def __init__(self, reason, monomial=None, component=None):
-        self.reason = reason
-        self.monomial = monomial
-        self.component = component
-        super().__init__(reason)
 
 
 class CrossCheckFailed(JetsymError):
@@ -67,7 +57,7 @@ class NotDecomposable(JetsymError):
 
 
 class AnsatzTooLarge(JetsymError):
-    """Density ansatz exceeds the configured unknown-count cap."""
+    """Density ansatz exceeds the unknown cap."""
 
     def __init__(self, count, cap):
         self.count = count  # None past 2^64
@@ -131,7 +121,3 @@ class MissingEquation(JetsymError):
 
 class InvalidHierarchy(JetsymError):
     """Hierarchy JSON names an unknown system or does not fit its system."""
-
-
-class InvalidSetting(JetsymError):
-    """An environment setting holds a value the package cannot use."""

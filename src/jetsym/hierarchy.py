@@ -11,8 +11,8 @@ from typing import NamedTuple, Optional, Tuple
 from .coeffield import AlphaPoly, RF_ONE, RationalFunction, json_rational, rational_text, rf
 from .errors import (HierarchyTooLarge, InvalidHierarchy, NonlocalObstruction,
                      StructuralViolation)
-from .jetalgebra import (DP_ZERO, DiffPoly, EvoField, JsonWriter, T_GEN, X_GEN, is_jet,
-                         jet, jet_order, mono_degree)
+from .jetalgebra import (DP_ZERO, DiffPoly, EvoField, JsonWriter, T_GEN, X_GEN, jet,
+                         mono_degree)
 from .operators import OperatorMatrix, OpTerm, apply_sum
 from .systems import EvolutionSystem, builtin_names, builtin_system, parse_expression
 from .varcalc import ExactnessCertificate, integrate_dx, linearizing_frame, phi_prime
@@ -381,18 +381,10 @@ def structural_check(K: EvoField, j: int) -> StructuralForm:
         tail = comp - DiffPoly.var(jet(c, j)).scalar_mul(lead)
         top = tail.max_jet_order()
         if top is not None and top >= j:
-            offender = next(m for m in tail.terms
-                            if any(is_jet(g) and jet_order(g) >= j for g, _ in m))
-            raise StructuralViolation(
-                f"component {c} tail contains a jet of order >= {j}",
-                monomial=offender, component=c)
+            raise StructuralViolation(f"component {c} tail contains a jet of order >= {j}")
         if not tail.free_term().is_zero:
-            raise StructuralViolation(
-                f"component {c} tail has a free term", monomial=(), component=c)
-        for mono in tail.terms:
-            if mono_degree(mono) == 1:
-                raise StructuralViolation(
-                    f"component {c} tail has a linear term",
-                    monomial=mono, component=c)
+            raise StructuralViolation(f"component {c} tail has a free term")
+        if any(mono_degree(mono) == 1 for mono in tail.terms):
+            raise StructuralViolation(f"component {c} tail has a linear term")
         leading.append(lead)
     return StructuralForm(tuple(leading))

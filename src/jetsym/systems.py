@@ -152,7 +152,8 @@ class ExprParser:
     """Recursive-descent parser from tokens to DiffPoly.
 
     ``depvars`` maps variable name to index; ``parameter`` is the single
-    declared parameter name, if any.
+    declared parameter name, if any.  ``depth`` counts the open ``(`` and
+    unary ``-`` around the current token, at most ``NESTING``.
     """
 
     def __init__(self, stream: _TokenStream, depvars: dict,
@@ -160,6 +161,7 @@ class ExprParser:
         self.ts = stream
         self.depvars = depvars
         self.parameter = parameter
+        self.depth = 0
 
     def parse_expr(self) -> DiffPoly:
         acc = self.parse_term()
@@ -189,13 +191,17 @@ class ExprParser:
 
     def parse_base(self) -> DiffPoly:
         tok = self.ts.peek()
-        if tok.kind == "sym" and tok.value == "-":
+        if tok.kind == "sym" and tok.value in "-(":
+            if self.depth == NESTING:
+                raise ParseError(tok.line, tok.col, f"nested deeper than {NESTING}")
+            self.depth += 1
             self.ts.next()
-            return -self.parse_factor()
-        if tok.kind == "sym" and tok.value == "(":
-            self.ts.next()
-            inner = self.parse_expr()
-            self.ts.expect("sym", ")")
+            if tok.value == "-":
+                inner = -self.parse_factor()
+            else:
+                inner = self.parse_expr()
+                self.ts.expect("sym", ")")
+            self.depth -= 1
             return inner
         if tok.kind == "int":
             self.ts.next()
@@ -242,6 +248,11 @@ class ExprParser:
 #: a product, of ``*`` or inside ``^``, is refused when it would multiply
 #: more pairs of coefficient words (``RationalFunction.size``) than this
 POWER_BUDGET = 10 ** 5
+
+#: most ``(`` and unary ``-`` that may be open at once.  Each level is up
+#: to four frames of the recursive descent, so Python's recursion limit
+#: would otherwise end a deeper input in a RecursionError.
+NESTING = 100
 
 
 def _nat(tok: Token, digits: Optional[str] = None) -> int:
@@ -310,6 +321,8 @@ def parse_system(source: str) -> EvolutionSystem:
             if parameter is not None:
                 raise ParseError(kw.line, kw.col, "parameter already declared")
             parameter = ts.expect("name", what="a parameter name").value
+            if parameter in depvars:
+                raise ParseError(kw.line, kw.col, f"duplicate name {parameter!r}")
             ts.expect("newline", what="end of line")
         elif kw.value == "eq":
             head = ts.expect("name", what="an equation head like w_t")

@@ -279,10 +279,10 @@ class TestDensitySearch:
         assert report.solution_dimension == 496
         assert report.nontrivial_dimension == 1
 
-    def test_ansatz_cap(self, fs, monkeypatch):
-        monkeypatch.setenv("JETSYM_MAX_UNKNOWNS", "100")
-        with pytest.raises(AnsatzTooLarge):
-            density_search(fs, DensityAnsatz(2, 6))
+    def test_ansatz_cap(self, fs):
+        with pytest.raises(AnsatzTooLarge) as info:
+            density_search(fs, DensityAnsatz(2, 13))
+        assert (info.value.count, info.value.cap) == (27132, 20000)
 
     @pytest.mark.parametrize("order, degree, count", [
         (2, 6, 924), (0, 2, 6), (2, 4, 210), (3, 4, 495), (1, 3, 35)])
@@ -291,10 +291,9 @@ class TestDensitySearch:
         assert ansatz.size(fs) == len(ansatz.monomials(fs)) == count
         assert count == math.comb(2 * (order + 1) + degree, degree)
 
-    def test_ansatz_size_past_64_bits(self, fs, monkeypatch):
+    def test_ansatz_size_past_64_bits(self, fs):
         assert DensityAnsatz(2, 60).size(fs) == math.comb(66, 60)
         assert DensityAnsatz(4095, 10 ** 18).size(fs) is None
-        monkeypatch.setenv("JETSYM_MAX_UNKNOWNS", "9" * 18)
         with pytest.raises(AnsatzTooLarge) as info:
             density_search(fs, DensityAnsatz(0, 10 ** 18))
         assert info.value.count is None

@@ -710,34 +710,12 @@ class TestDensities:
         assert error["code"] == "resource"
         assert error["count"] == count
 
-    def test_cap_exit_code(self, capsys, monkeypatch):
-        monkeypatch.setenv("JETSYM_MAX_UNKNOWNS", "5")
-        code, _, err = run(capsys, "densities", "--system", "fs",
-                           "--max-order", "2", "--max-degree", "4", "--json")
-        assert code == 4
-        assert json.loads(err)["error"]["code"] == "resource"
-
-    @pytest.mark.parametrize("value", ["abc", "1.5", "-5", " 12", "9" * 5000])
-    def test_cap_setting_must_be_a_natural_number(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("JETSYM_MAX_UNKNOWNS", value)
+    def test_cap_exit_code(self, capsys):
         code, stdout, err = run(capsys, "densities", "--system", "fs",
-                                "--max-order", "0", "--max-degree", "1", "--json")
-        assert code == 1
-        assert stdout == ""
-        lines = err.splitlines()
-        assert len(lines) == 1
-        assert json.loads(lines[0])["error"]["code"] == "usage"
-
-    def test_cap_setting_is_the_cap(self, capsys, monkeypatch):
-        monkeypatch.setenv("JETSYM_MAX_UNKNOWNS", "12")
-        code, stdout, _ = run(capsys, "densities", "--system", "fs",
-                              "--max-order", "0", "--max-degree", "1", "--json")
-        assert code == 0
-        assert json.loads(stdout)["unknowns"] == 3
-        code, _, err = run(capsys, "densities", "--system", "fs",
-                           "--max-order", "2", "--max-degree", "4", "--json")
-        assert code == 4
-        assert json.loads(err)["error"]["cap"] == 12
+                                "--max-order", "2", "--max-degree", "13", "--json")
+        assert (code, stdout) == (4, "")
+        error = json.loads(err)["error"]
+        assert (error["code"], error["count"], error["cap"]) == ("resource", 27132, 20000)
 
 
 class TestPinnedStdout:
@@ -928,7 +906,22 @@ BAD_INPUTS = {
     "commute-jet-order-4096": lambda p: [
         "commute", _hierarchy_file(
             p, lambda d: d["members"][0][0][0].update(exps=[[[0, 4096], 1]]))],
+    "verify-nested-json": lambda p: [
+        "verify", _input_file(p, "[" * 100_000 + "]" * 100_000)],
+    "commute-nested-json": lambda p: [
+        "commute", _input_file(p, "[" * 100_000 + "]" * 100_000)],
+    "render-nested-parentheses": lambda p: [
+        "render", "--file", _input_file(
+            p, "system s\nvars w\neq w_t = " + "(" * 3000 + "w" + ")" * 3000 + "\n")],
+    "densities-nested-minus": lambda p: [
+        "densities", "--file", _input_file(p, "system s\nvars w\neq w_t = " + "-" * 3000 + "w\n")],
+    "render-parameter-named-after-variable": lambda p: [
+        "render", "--file", _input_file(p, "system s\nvars w\nparam w\neq w_t = w_x + w\n")],
 }
+
+#: the BAD_INPUTS cases that a parse error refuses
+PARSE_CASES = ("verify-nested-json", "commute-nested-json", "render-nested-parentheses",
+               "densities-nested-minus", "render-parameter-named-after-variable")
 
 
 def _top_order_k1(doc):
@@ -1031,6 +1024,12 @@ class TestBadInputs:
         lines = err.splitlines()
         assert len(lines) == 1
         assert set(json.loads(lines[0])) == {"error"}
+
+    @pytest.mark.parametrize("case", PARSE_CASES)
+    def test_parse_code(self, tmp_path, capsys, case):
+        _, stdout, err = run(capsys, *BAD_INPUTS[case](tmp_path), "--json")
+        assert stdout == ""
+        assert json.loads(err)["error"]["code"] == "parse"
 
 
 class TestUsage:

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import jetsym
-from jetsym import analysis, hierarchy, operators, systems, varcalc
+from jetsym import analysis, errors, hierarchy, operators, systems, varcalc
 
 #: the result records: immutable named tuples that compare by value
 RECORDS = (
@@ -38,6 +38,43 @@ def test_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.Assert)]
     assert not found
+
+
+def _trees(*dirs):
+    return [ast.parse(path.read_text(encoding="utf-8"))
+            for d in dirs for path in sorted(Path(d).glob("*.py"))]
+
+
+def test_every_error_is_raised():
+    # an exception class that nothing raises is API no computation uses
+    raised = set()
+    for tree in _trees(Path(jetsym.__file__).parent):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    classes = {name for name, obj in vars(errors).items()
+               if isinstance(obj, type) and issubclass(obj, errors.JetsymError)}
+    assert len(classes) > 10
+    assert classes - raised == {"JetsymError"}
+
+
+def test_every_error_field_is_read():
+    # each attribute an exception's __init__ stores is read somewhere
+    stored = {target.attr
+              for node in ast.walk(ast.parse(Path(errors.__file__).read_text(encoding="utf-8")))
+              if isinstance(node, ast.FunctionDef) and node.name == "__init__"
+              for assign in ast.walk(node) if isinstance(assign, ast.Assign)
+              for target in assign.targets
+              if isinstance(target, ast.Attribute) and isinstance(target.value, ast.Name)
+              and target.value.id == "self"}
+    assert len(stored) > 5
+    read = {node.attr
+            for tree in _trees(Path(jetsym.__file__).parent, Path(__file__).parent)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    assert stored - read == set()
 
 
 def test_source_parses_at_the_declared_python_floor():

@@ -5,7 +5,7 @@ import pytest
 from jetsym.errors import (DuplicateEquation, MissingEquation, ParseError,
                            UnknownIdentifier)
 from jetsym.jetalgebra import T_GEN, DiffPoly, EvoField, jet
-from jetsym.systems import (EvolutionSystem, builtin_names, builtin_system,
+from jetsym.systems import (NESTING, EvolutionSystem, builtin_names, builtin_system,
                             parse_expression, parse_system, render_system)
 
 FS_SRC = """
@@ -69,6 +69,23 @@ class TestParse:
         src = "system s  # heat\nvars w\neq w_t = w_xx  # diffusion\n"
         sys1 = parse_system(src)
         assert sys1.name == "s"
+
+    @pytest.mark.parametrize("order", ["vars w\nparam w", "param w\nvars w"])
+    def test_parameter_named_after_a_variable(self, order):
+        with pytest.raises(ParseError, match="duplicate name 'w'"):
+            parse_system(f"system s\n{order}\neq w_t = w_x + w\n")
+
+    @pytest.mark.parametrize("opening, closing", [("(", ")"), ("-", ""), ("-(", ")")])
+    def test_nesting_limit(self, opening, closing):
+        def nested(depth):
+            return opening * depth + "w" + closing * depth
+        levels = NESTING // len(opening)
+        w = DiffPoly.var(jet(0, 0))
+        expected = -w if "-" in opening and levels % 2 else w
+        assert parse_expression(nested(levels), ("w",), None) == expected
+        with pytest.raises(ParseError, match=f"nested deeper than {NESTING}") as exc:
+            parse_expression("(" + nested(levels), ("w",), None)
+        assert exc.value.column == NESTING + 1
 
 
 class TestBuiltins:
