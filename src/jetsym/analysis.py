@@ -15,8 +15,7 @@ from typing import NamedTuple, Optional, Tuple
 
 from .coeffield import RationalFunction, accumulate, rf, sparse_nullspace
 from .errors import (AnsatzTooLarge, CrossCheckFailed, ExplicitXTDependence,
-                     JetsymError, NonIntegerExponentPath, NotDecomposable,
-                     StructuralViolation)
+                     NonIntegerExponentPath, NotDecomposable, StructuralViolation)
 from .hierarchy import Hierarchy, scaling_symmetry, structural_check
 from .jetalgebra import (DP_ONE, DP_ZERO, T_GEN, DiffPoly, EvoField, MONO_ONE, is_jet,
                          jet, jet_depvar, jet_order)
@@ -31,6 +30,7 @@ from .varcalc import (ExactnessCertificate, commutator, commutators, dt_along,
 #: any work, so a refused search costs nothing.
 _UNKNOWNS = 20_000
 _NO_ANTIDERIVATIVE = (ExplicitXTDependence, NonIntegerExponentPath)  # no D_x^{-1} of K^1
+_XT_FREE = "decomposition needs x,t-free input"
 
 
 # ---------------------------------------------------------------------------
@@ -79,24 +79,33 @@ def _table(n: int, brackets) -> CommutativityTable:
     return CommutativityTable(n, failures)
 
 
+def _member_integrals(h: Hierarchy) -> dict:
+    """n -> ``integrate_dx``(K_n^1) for each member of an fs hierarchy, or
+    the ExplicitXTDependence or NonIntegerExponentPath that refused it;
+    any other error propagates.  Empty for any other system."""
+    integrals = {}
+    if h.system.name == "fs":
+        for n, k in enumerate(h.members, 1):
+            try:
+                integrals[n] = integrate_dx(k[0])
+            except _NO_ANTIDERIVATIVE as exc:
+                integrals[n] = exc
+    return integrals
+
+
 def commutativity_table(h: Hierarchy) -> CommutativityTable:
     """All-pairs commutators of the hierarchy members, in one
     ``commutators`` family.
 
-    For fs, each K_n^1 is integrated once (``integrate_dx``), and K_n
+    For fs, each K_n^1 is integrated once (``_member_integrals``), and K_n
     enters the family in the linearizing frame with that certificate
     K_n^1 = D_x A + r; its remainder r need not be zero, so every bracket
     stays exact.  A member that cannot be integrated (explicit x or t, or a
     logarithm on the way) enters as it is.
     """
     n = len(h.members)
-    integrals = {}
-    if h.system.name == "fs":
-        for i, k in enumerate(h.members):
-            try:
-                integrals[i] = integrate_dx(k[0])
-            except _NO_ANTIDERIVATIVE:
-                pass
+    integrals = {i - 1: cert for i, cert in _member_integrals(h).items()
+                 if isinstance(cert, ExactnessCertificate)}
     return _table(n, commutators(h.members, _table_pairs(n), integrals))
 
 
@@ -126,24 +135,26 @@ def is_conserved_density(rho: DiffPoly, system: EvolutionSystem) -> DensityClass
     return DensityClassification(status, dt_cert, rho_cert)
 
 
-def density_decompose(rho: DiffPoly, system: Optional[EvolutionSystem] = None):
-    """Split a conserved density as c * w + D_x(exact part), exactly.
-
-    One ``integrate_dx`` gives the certificate rho = D_x A + r; it strips
-    jets of order 1 and up only, so rho splits iff r is c * w, and then
-    (c, A) is returned.  A constant or any other term in r raises
-    NotDecomposable, which carries the certificate, and a logarithm on
-    the way NonIntegerExponentPath.
-    """
-    if rho.contains_xt():
-        raise ExplicitXTDependence("decomposition needs x,t-free input")
-    cert = integrate_dx(rho)
+def _w_part(cert: ExactnessCertificate) -> RationalFunction:
+    """c, when the remainder r of the certificate rho = D_x A + r is c * w;
+    NotDecomposable for a constant or any other term in r."""
     w = ((jet(0, 0), 1),)
     if any(m not in (w, MONO_ONE) for m in cert.remainder.terms):
-        raise NotDecomposable("density is not constant * w modulo Im D_x", cert)
+        raise NotDecomposable("density is not constant * w modulo Im D_x")
     if MONO_ONE in cert.remainder.terms:
-        raise NotDecomposable("residual after removing constant * w is inexact", cert)
-    return cert.remainder.coefficient(w), cert.antiderivative
+        raise NotDecomposable("residual after removing constant * w is inexact")
+    return cert.remainder.coefficient(w)
+
+
+def density_decompose(rho: DiffPoly, system: Optional[EvolutionSystem] = None):
+    """(c, A) with rho = c * w + D_x A, exactly, from the one certificate
+    rho = D_x A + r: ``integrate_dx`` strips jets of order 1 and up only, so
+    rho splits iff r is c * w (``_w_part``).  A logarithm on the way raises
+    NonIntegerExponentPath."""
+    if rho.contains_xt():
+        raise ExplicitXTDependence(_XT_FREE)
+    cert = integrate_dx(rho)
+    return _w_part(cert), cert.antiderivative
 
 
 class DensityAnsatz(NamedTuple):
@@ -370,16 +381,16 @@ def verify_hierarchy(h: Hierarchy) -> VerificationReport:
     field is scaled, packed and given its D_x table once.  Its pairs are
     the symmetry pairs (F, K_n), then the scaling pairs (S, K_n), then the
     table pairs (K_i, K_j): the tables of F and S are dropped before those
-    of the members grow.  For fs the density decompositions
-    K_n^1 = c w + D_x A run before the family, and each member that has
-    one enters it in the linearizing frame of that certificate;
-    F, S and a member with none enter as they are.  The report keeps its
-    own order.  A K_n^1 with explicit x or t, or one whose integration
-    meets a logarithm, fails its density decomposition and its Im D_x
-    check, with the reason as detail.  Each K_n^1 is integrated once: the
-    Im D_x check of a trailing member reads the certificate or the error
-    of its decomposition, and only a member with x or t goes to
-    ``integrate_dx`` again, which refuses it at entry with its own detail.
+    of the members grow.  For fs each K_n^1 is integrated once, before the
+    family (``_member_integrals``, as ``commutativity_table`` does), and
+    each member with a certificate K_n^1 = D_x A + r enters the family in
+    its linearizing frame; F, S and a member with none enter as they are.
+    The density decomposition K_n^1 = c w + D_x A reads c off r
+    (``_w_part``), and the Im D_x checks of the trailing members read the
+    same certificate.  The report keeps its own order.  A K_n^1 with
+    explicit x or t, or one whose integration meets a logarithm, fails
+    its density decomposition and its Im D_x check, with the reason as
+    detail.
     """
     checks = []
     system = h.system
@@ -389,20 +400,13 @@ def verify_hierarchy(h: Hierarchy) -> VerificationReport:
     count = len(h.members)
     fields = [system.rhs, *h.members]
     pairs = [(0, n) for n in range(1, count + 1)]
-    decompositions = {}  # n -> (c, A), or the reason K_n^1 has none
+    found = _member_integrals(h)  # n -> certificate of K_n^1, or its refusal
     if is_fs:
         fields.append(scaling_symmetry(h.specialized_at))
         pairs += [(count + 1, n) for n in range(1, count + 1)]
-        for n in range(1, count + 1):
-            try:
-                decompositions[n] = density_decompose(h.member(n)[0], system)
-            except JetsymError as exc:  # reported, or raised, after the family
-                decompositions[n] = exc
     table_start = len(pairs)
     pairs += _table_pairs(count, 1)
-    w = DiffPoly.var(jet(0, 0))
-    integrals = {n: ExactnessCertificate(d[1], w.scalar_mul(d[0]))
-                 for n, d in decompositions.items() if isinstance(d, tuple)}
+    integrals = {n: cert for n, cert in found.items() if isinstance(cert, ExactnessCertificate)}
     brackets = list(commutators(fields, pairs, integrals))
     for n, bracket in enumerate(brackets[:count], 1):
         res = _symmetry_check(h.member(n), bracket)
@@ -429,51 +433,47 @@ def verify_hierarchy(h: Hierarchy) -> VerificationReport:
             defect = bracket - h.member(n).scalar_mul(n)
             checks.append(CheckResult(f"scaling homogeneity [S, K_{n}] = {n} K_{n}",
                                       defect.is_zero))
-        for n, found in decompositions.items():
-            name = f"density decomposition of K_{n}^1 has zero w-part"
-            if isinstance(found, (NotDecomposable, *_NO_ANTIDERIVATIVE)):
-                checks.append(CheckResult(name, False, str(found)))
-                continue
-            if isinstance(found, Exception):
-                raise found
-            c = found[0]
-            checks.append(CheckResult(name, c.is_zero,
-                                      "" if c.is_zero else f"constant part {c.text(param)}"))
+        for n, cert in found.items():
+            if isinstance(cert, ExplicitXTDependence):
+                detail = _XT_FREE
+            elif isinstance(cert, NonIntegerExponentPath):
+                detail = str(cert)
+            else:
+                try:
+                    c = _w_part(cert)
+                    detail = "" if c.is_zero else f"constant part {c.text(param)}"
+                except NotDecomposable as exc:
+                    detail = str(exc)
+            checks.append(CheckResult(f"density decomposition of K_{n}^1 has zero w-part",
+                                      not detail, detail))
         for cert in h.certificates:
             ok1 = cert.prev.antiderivative.dx() == h.member(cert.n - 1)[0]
             ok2 = cert.prevprev.antiderivative.dx() == h.member(cert.n - 2)[0]
             checks.append(CheckResult(
                 f"Im D_x certificates for step {cert.n}", ok1 and ok2))
         # recursion steps only consume antiderivatives of earlier members,
-        # so certify the first components of the trailing members directly,
-        # by the decomposition's certificate (A, c w) or its error
+        # so certify the first components of the trailing members directly
         for n in range(max(count - 1, 1), count + 1):
-            found = decompositions[n]
-            if isinstance(found, ExplicitXTDependence):
-                try:
-                    integrate_dx(h.member(n)[0])
-                except ExplicitXTDependence as exc:
-                    found = exc
-            if isinstance(found, _NO_ANTIDERIVATIVE):
-                checks.append(CheckResult(f"K_{n}^1 lies in Im D_x", False, str(found)))
+            cert = found[n]
+            if isinstance(cert, _NO_ANTIDERIVATIVE):
+                checks.append(CheckResult(f"K_{n}^1 lies in Im D_x", False, str(cert)))
                 continue
-            cert = found.certificate if isinstance(found, NotDecomposable) else integrals[n]
             checks.append(CheckResult(
                 f"K_{n}^1 lies in Im D_x", cert.is_exact,
                 "" if cert.is_exact else "nonzero remainder",
                 None if cert.is_exact else cert.remainder.to_json()))
-    if system.name == "ts1" and h.triangular is not None:
-        bs = h.triangular.b
+    bs = h.b_sequence
+    if system.name == "ts1" and bs is not None:
         bad = next((n for n in range(1, count + 1)
-                    if h.member(n)[0].coefficient(((jet(0, n), 1),)) != bs[n]), None)
+                    if h.member(n)[0].coefficient(((jet(0, n), 1),)) != bs[n - 1]), None)
         checks.append(CheckResult(
             "triangular leading coefficients", bad is None,
             "" if bad is None else f"u_{bad} coefficient differs from b_{bad}"))
-        if len(bs) > 3:
+        if len(bs) > 2:
             a_rf = (rf(h.specialized_at) if h.specialized_at is not None
                     else RationalFunction.param())
             rec_ok = all(
-                bs[n] == bs[n - 1] - (rf(1) - a_rf) * rf(Fraction(1, 2)) * bs[n - 2]
-                for n in range(3, len(bs)))
+                bs[i] == bs[i - 1] - (rf(1) - a_rf) * rf(Fraction(1, 2)) * bs[i - 2]
+                for i in range(2, len(bs)))
             checks.append(CheckResult("b recurrence", rec_ok))
     return VerificationReport(tuple(checks))

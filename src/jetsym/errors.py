@@ -48,12 +48,7 @@ class CrossCheckFailed(JetsymError):
 
 
 class NotDecomposable(JetsymError):
-    """Density does not split as constant * w + exact part; ``certificate``
-    is the integration that shows it."""
-
-    def __init__(self, message, certificate=None):
-        self.certificate = certificate
-        super().__init__(message)
+    """Density does not split as constant * w + exact part."""
 
 
 class AnsatzTooLarge(JetsymError):

@@ -128,7 +128,7 @@ class Hierarchy(NamedTuple):
     provenance: Tuple[str, ...]
     certificates: Tuple[StepCertificates, ...]
     specialized_at: Optional[Fraction] = None
-    triangular: Optional[TriangularCoeffs] = None
+    b_sequence: Optional[Tuple[RationalFunction, ...]] = None  # ts1: b_1..b_N
 
     def member(self, n: int) -> EvoField:
         """1-indexed access matching the K_n numbering."""
@@ -160,8 +160,8 @@ class Hierarchy(NamedTuple):
         }
         if not self.provenance:
             del out["provenance"]
-        if self.triangular is not None:
-            out["b_sequence"] = [w.coeff(b) for b in self.triangular.b[1:]]
+        if self.b_sequence is not None:
+            out["b_sequence"] = [w.coeff(b) for b in self.b_sequence]
         return out
 
     @staticmethod
@@ -184,11 +184,8 @@ class Hierarchy(NamedTuple):
                     ExactnessCertificate(DiffPoly.from_json(c["prev"]), DP_ZERO),
                     ExactnessCertificate(DiffPoly.from_json(c["prevprev"]), DP_ZERO))
                 for c in obj.get("certificates", ()))
-            triangular = None
-            if "b_sequence" in obj:
-                bs = (rf(0),) + tuple(RationalFunction.from_json(b)
-                                      for b in obj["b_sequence"])
-                triangular = TriangularCoeffs(bs, ())
+            bs = (tuple(RationalFunction.from_json(b) for b in obj["b_sequence"])
+                  if "b_sequence" in obj else None)
         except (KeyError, IndexError, TypeError, ValueError, ZeroDivisionError) as exc:
             raise InvalidHierarchy(f"malformed hierarchy JSON: {exc!r}") from None
         nvars = system.nvars
@@ -196,7 +193,7 @@ class Hierarchy(NamedTuple):
             raise InvalidHierarchy("a hierarchy needs at least one member")
         if any(len(m) != nvars for m in members):
             raise InvalidHierarchy(f"members need {nvars} components")
-        if triangular is not None and len(triangular.b) != len(members) + 1:
+        if bs is not None and len(bs) != len(members):
             raise InvalidHierarchy("b_sequence must have one entry per member")
         provenance = obj.get("provenance", ())
         if "provenance" in obj and not (type(provenance) is list
@@ -211,13 +208,13 @@ class Hierarchy(NamedTuple):
         if value is not None:
             system = system.specialize(value)
             coeffs = [c for p in polys for c in p.terms.values()]
-            if triangular is not None:
-                coeffs += triangular.b
+            if bs is not None:
+                coeffs += bs
             if any(c.num.degree > 0 or c.den.degree > 0 for c in coeffs):
                 raise InvalidHierarchy(
                     f"specialized at {system.parameter} = {spec_at}, "
                     f"but a coefficient depends on {system.parameter}")
-        h = Hierarchy(system, members, tuple(provenance), certs, value, triangular)
+        h = Hierarchy(system, members, tuple(provenance), certs, value, bs)
         h._check_steps(InvalidHierarchy)
         return h
 
@@ -347,7 +344,7 @@ def ts1_hierarchy(N: int, a0: Optional[Fraction] = None) -> Hierarchy:
                   DiffPoly.var(jet(1, n))))
         for n in range(1, N + 1))
     provenance = tuple("seed" if n <= 2 else "recursion" for n in range(1, N + 1))
-    return Hierarchy(system, members, provenance, (), a0, coeffs)
+    return Hierarchy(system, members, provenance, (), a0, coeffs.b[1:])
 
 
 def scaling_symmetry(alpha0: Optional[Fraction] = None) -> EvoField:

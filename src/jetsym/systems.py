@@ -227,22 +227,25 @@ class ExprParser:
             return DiffPoly.constant(RationalFunction.param())
         root, sep, suffix = name.partition("_")
         order = None
-        if root in self.depvars:
-            if not sep:
-                order = 0
-                if self.ts.accept("sym", "["):
-                    order = _nat(self.ts.expect("int", what="a derivative order"))
-                    self.ts.expect("sym", "]")
-            elif suffix and set(suffix) == {"x"}:
-                order = len(suffix)
-            elif suffix.isdecimal():
-                order = _nat(tok, suffix)
+        if not sep and root in self.depvars:
+            order = 0
+            if self.ts.accept("sym", "["):
+                order = _nat(self.ts.expect("int", what="a derivative order"))
+                self.ts.expect("sym", "]")
+        elif _spells_jet(name, self.depvars):
+            order = len(suffix) if suffix[0] == "x" else _nat(tok, suffix)
         if order is not None:
             try:
                 return DiffPoly.var(jet(self.depvars[root], order))
             except ValueError as exc:
                 raise ParseError(tok.line, tok.col, str(exc)) from None
         raise UnknownIdentifier(tok.line, tok.col, f"unknown identifier {name!r}")
+
+
+def _spells_jet(name: str, depvars) -> bool:
+    """Whether name is w_x, w_xx, ... or w_k for a declared variable w."""
+    root, _, suffix = name.partition("_")
+    return root in depvars and suffix != "" and (set(suffix) == {"x"} or suffix.isdecimal())
 
 
 #: a product, of ``*`` or inside ``^``, is refused when it would multiply
@@ -313,7 +316,7 @@ def parse_system(source: str) -> EvolutionSystem:
         if kw.value == "vars":
             while ts.peek().kind == "name":
                 v = ts.next().value
-                if v in depvars or v == parameter:
+                if v in depvars:
                     raise ParseError(kw.line, kw.col, f"duplicate name {v!r}")
                 depvars[v] = len(depvars)
             ts.expect("newline", what="end of line")
@@ -321,8 +324,6 @@ def parse_system(source: str) -> EvolutionSystem:
             if parameter is not None:
                 raise ParseError(kw.line, kw.col, "parameter already declared")
             parameter = ts.expect("name", what="a parameter name").value
-            if parameter in depvars:
-                raise ParseError(kw.line, kw.col, f"duplicate name {parameter!r}")
             ts.expect("newline", what="end of line")
         elif kw.value == "eq":
             head = ts.expect("name", what="an equation head like w_t")
@@ -342,6 +343,12 @@ def parse_system(source: str) -> EvolutionSystem:
         else:
             raise ParseError(kw.line, kw.col,
                              f"expected 'vars', 'param', or 'eq', got {kw.value!r}")
+        # a parameter may not shadow a declared variable or a jet of one
+        if parameter in depvars:
+            raise ParseError(kw.line, kw.col, f"duplicate name {parameter!r}")
+        if parameter is not None and _spells_jet(parameter, depvars):
+            raise ParseError(kw.line, kw.col, f"parameter {parameter!r} names a jet "
+                                              f"of {parameter.partition('_')[0]!r}")
     if not depvars:
         raise MissingEquation("no dependent variables declared")
     missing = [v for v in depvars if v not in equations]

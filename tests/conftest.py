@@ -197,6 +197,6 @@ def reference_hierarchy_json(h) -> dict:
              "prevprev": reference_poly_json(c.prevprev.antiderivative)}
             for c in h.certificates],
     }
-    if h.triangular is not None:
-        out["b_sequence"] = [reference_coeff_json(b) for b in h.triangular.b[1:]]
+    if h.b_sequence is not None:
+        out["b_sequence"] = [reference_coeff_json(b) for b in h.b_sequence]
     return out

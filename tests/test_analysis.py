@@ -701,8 +701,8 @@ class TestVerifyHierarchy:
         assert verify_hierarchy(fs_hierarchy(n)).ok
 
     def test_each_member_integrated_once(self, monkeypatch):
-        # the Im D_x checks of K_5^1 and K_6^1 reuse the antiderivatives of
-        # their density decompositions, whose w-parts are zero
+        # the density decompositions and the Im D_x checks of K_5^1 and
+        # K_6^1 read the certificates the bracket family reads
         h = fs_hierarchy(6)
         calls = []
         integrate = analysis.integrate_dx
@@ -731,9 +731,8 @@ class TestVerifyHierarchy:
          "integration in a single generator hit exponent -1, a logarithm")],
         ids=["3w", "w^2", "w_x/w"])
     def test_trailing_member_off_im_dx(self, monkeypatch, added, detail):
-        # K_6^1 + 3w reads the certificate (A, 3w) of its decomposition; a
-        # member with none reads the certificate or the error that its
-        # failed decomposition carries: each member is integrated once
+        # the check reads the certificate of K_6^1, or the error that
+        # refused it: each member is integrated once
         from jetsym.hierarchy import Hierarchy
         h = fs_hierarchy(6)
         k6 = EvoField((h.member(6)[0] + added, h.member(6)[1]))
@@ -764,6 +763,30 @@ class TestVerifyHierarchy:
         for n in range(1, 6):
             for cert in (in_verify[n], in_table[n - 1]):
                 assert cert.antiderivative.dx() == h.member(n)[0] and cert.is_exact
+
+    @pytest.mark.parametrize("n, added, frame", [
+        (4, fs_expr("z"), [1, 2, 3, 4]), (4, fs_expr("5"), [1, 2, 3, 4]),
+        (4, fs_expr("3*w"), [1, 2, 3, 4]),
+        (2, DiffPoly.var(X_GEN) * fs_expr("w_x"), [1, 3, 4])], ids=["z", "5", "3w", "x"])
+    def test_verify_and_commute_integrate_alike(self, monkeypatch, n, added, frame):
+        # both take their certificates from one helper: each integrates every
+        # K_n^1 once and puts the same members in the linearizing frame
+        h = fs_hierarchy(4)
+        kn = EvoField((h.member(n)[0] + added, h.member(n)[1]))
+        bad = h._replace(members=h.members[:n - 1] + (kn,) + h.members[n:])
+        seen = []
+        family = analysis.commutators
+        monkeypatch.setattr(analysis, "commutators",
+                            lambda fields, pairs, integrals: seen.append(integrals)
+                            or family(fields, pairs, integrals))
+        calls = count_calls(monkeypatch)
+        assert not verify_hierarchy(bad).ok
+        assert calls["integrate_dx"] == 4
+        assert not commutativity_table(bad).all_zero
+        assert calls["integrate_dx"] == 8
+        in_verify, in_table = seen
+        assert sorted(in_verify) == [i + 1 for i in sorted(in_table)] == frame
+        assert all(in_verify[i] == in_table[i - 1] for i in frame)
 
     def test_corruption_detected(self):
         from jetsym.hierarchy import Hierarchy

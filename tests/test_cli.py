@@ -917,11 +917,17 @@ BAD_INPUTS = {
         "densities", "--file", _input_file(p, "system s\nvars w\neq w_t = " + "-" * 3000 + "w\n")],
     "render-parameter-named-after-variable": lambda p: [
         "render", "--file", _input_file(p, "system s\nvars w\nparam w\neq w_t = w_x + w\n")],
+    "render-parameter-named-like-a-jet": lambda p: [
+        "render", "--file", _input_file(p, "system s\nvars w\nparam w_x\neq w_t = w_x + w\n")],
+    "densities-parameter-named-like-a-jet-first": lambda p: [
+        "densities", "--alpha", "3", "--file",
+        _input_file(p, "system s\nparam w_2\nvars w\neq w_t = w_2 + w\n")],
 }
 
 #: the BAD_INPUTS cases that a parse error refuses
 PARSE_CASES = ("verify-nested-json", "commute-nested-json", "render-nested-parentheses",
-               "densities-nested-minus", "render-parameter-named-after-variable")
+               "densities-nested-minus", "render-parameter-named-after-variable",
+               "render-parameter-named-like-a-jet", "densities-parameter-named-like-a-jet-first")
 
 
 def _top_order_k1(doc):
@@ -998,6 +1004,14 @@ class TestDxBudget:
         assert error["budget"] == varcalc._GAIN_BITS < error["bits"]
         assert error["message"] == \
             f"D_x growth bound needs {error['bits']} bits, budget is {error['budget']}"
+
+    @pytest.mark.parametrize("mutate, bits", [(_deep_k3, 4092), (_deep_k3_product, 4096)])
+    def test_verify_stops_where_commute_does(self, tmp_path, capsys, mutate, bits):
+        # both integrate each K_n^1 before any bracket, so both stop in integrate_dx
+        path = _hierarchy_file(tmp_path, mutate, n=3)
+        code, stdout, err = run(capsys, "verify", path, "--json")
+        assert (code, stdout, err) == run(capsys, "commute", path, "--json")
+        assert (code, json.loads(err)["error"]["bits"]) == (4, bits)
 
 
 class TestHalfIntegerExponents:

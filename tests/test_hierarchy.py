@@ -240,6 +240,13 @@ class TestFsHierarchy:
         assert json.dumps(h2.to_json(), separators=(",", ":")) == doc
 
     @pytest.mark.parametrize("make", [fs_hierarchy, ts1_hierarchy])
+    @pytest.mark.parametrize("value", [None, Fraction(1, 3)])
+    def test_loaded_hierarchy_equals_the_built_one(self, make, value):
+        # a ts1 hierarchy holds its b_1..b_N as its JSON does, and nothing more
+        h = make(6, value)
+        assert Hierarchy.from_json(json.loads(json.dumps(h.to_json()))) == h
+
+    @pytest.mark.parametrize("make", [fs_hierarchy, ts1_hierarchy])
     def test_json_round_trip_without_provenance(self, make):
         # an empty provenance is left out, and an absent one is read as ()
         h = make(4)._replace(provenance=())
@@ -281,7 +288,7 @@ class TestHierarchyJson:
         ("fs", 12, None), ("fs", 8, Fraction(1, 3)), ("ts1", 8, None)])
     def test_matches_reference(self, system, N, alpha0):
         h = (fs_hierarchy if system == "fs" else ts1_hierarchy)(N, alpha0)
-        assert (h.triangular is not None) == (system == "ts1")  # b_sequence
+        assert (h.b_sequence is not None) == (system == "ts1")
         assert dumped(h.to_json()) == dumped(reference_hierarchy_json(h))
 
     @pytest.mark.parametrize("alpha0", [None, Fraction(1, 3)])
@@ -709,13 +716,14 @@ class TestTriangularHierarchy:
 
     def test_b_recurrence_and_leading_extraction(self):
         h = ts1_hierarchy(8)
-        bs = h.triangular.b
+        bs = (None,) + h.b_sequence  # bs[n] is b_n
         a = RationalFunction.param()
         for n in range(3, 9):
             assert bs[n] == bs[n - 1] - (rf(1) - a) * rf(Fraction(1, 2)) * bs[n - 2]
         for n in range(1, 9):
             lead = h.member(n)[0].coefficient(((jet(0, n), 1),))
             assert lead == bs[n]
+        assert h.b_sequence == triangular_coeffs(8, a).b[1:]
 
     def test_second_component_is_pure_jet(self):
         h = ts1_hierarchy(5)

@@ -77,6 +77,38 @@ def test_every_error_field_is_read():
     assert stored - read == set()
 
 
+def _names_read(tree) -> set:
+    """The names a module reads, as a name or an attribute, outside the
+    definition of the function or class of that name."""
+    read = set()
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            enclosing = enclosing | {node.name}
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+            name = node.id if isinstance(node, ast.Name) else node.attr
+            if name not in enclosing:
+                read.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+    visit(tree, frozenset())
+    return read
+
+
+def test_every_public_name_is_used_or_documented():
+    # an exported name that no module of the package reads is API only a
+    # caller uses, so README's Library section must name it
+    package = Path(jetsym.__file__).parent
+    read = set().union(*(_names_read(ast.parse(path.read_text(encoding="utf-8")))
+                         for path in sorted(package.glob("*.py"))
+                         if path.name != "__init__.py"))
+    readme = package.parent.parent / "README.md"
+    library = readme.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    library = library.split("\n## ", 1)[0]
+    assert [name for name in jetsym.__all__
+            if name not in read and not re.search(rf"\b{name}\b", library)] == []
+
+
 def test_source_parses_at_the_declared_python_floor():
     # pyproject.toml's requires-python is the oldest grammar the package may use
     pyproject = Path(__file__).resolve().parent.parent / "pyproject.toml"

@@ -2,6 +2,7 @@
 
 import pytest
 
+from jetsym.coeffield import RationalFunction
 from jetsym.errors import (DuplicateEquation, MissingEquation, ParseError,
                            UnknownIdentifier)
 from jetsym.jetalgebra import T_GEN, DiffPoly, EvoField, jet
@@ -74,6 +75,22 @@ class TestParse:
     def test_parameter_named_after_a_variable(self, order):
         with pytest.raises(ParseError, match="duplicate name 'w'"):
             parse_system(f"system s\n{order}\neq w_t = w_x + w\n")
+
+    @pytest.mark.parametrize("name", ["w_x", "w_xx", "w_3", "w_0", "z_x"])
+    @pytest.mark.parametrize("first", ["vars", "param"])
+    def test_parameter_named_like_a_jet(self, name, first):
+        # it would shadow the jet: every w_x of the equation read as the parameter
+        lines = ["vars w z", f"param {name}"][::1 if first == "vars" else -1]
+        root = name.partition("_")[0]
+        with pytest.raises(ParseError, match=f"^line 3, column 1: parameter '{name}' "
+                                             f"names a jet of '{root}'$"):
+            parse_system("system s\n" + "\n".join(lines) + "\neq w_t = w_x + w\neq z_t = z\n")
+
+    @pytest.mark.parametrize("name", ["w_", "wx", "w_t", "w_x2", "q_x"])
+    def test_parameter_like_no_jet_is_kept(self, name):
+        system = parse_system(f"system s\nvars w\nparam {name}\neq w_t = {name}*w_x\n")
+        assert system.parameter == name
+        assert system.rhs[0] == DiffPoly.var(jet(0, 1)).scalar_mul(RationalFunction.param())
 
     @pytest.mark.parametrize("opening, closing", [("(", ")"), ("-", ""), ("-(", ")")])
     def test_nesting_limit(self, opening, closing):
